@@ -16,7 +16,8 @@ whole experiment decomposes into resumable, individually rerunnable steps:
 
 Every command accepts --config plus repeatable --set section.key=value
 overrides, writes the fully resolved config next to its outputs, and exits
-2 on a missing input artifact, 3 on an invalid config, 4 on a numeric
+2 on a missing input artifact or a command-line usage error, 3 on an
+invalid config (including a training phase of zero epochs), 4 on a numeric
 abort during training.
 """
 from __future__ import annotations
@@ -61,6 +62,11 @@ def _require(path, what):
     if not path.exists():
         raise ArtifactError(f"{what} not found: {path}")
     return path
+
+
+def _require_epochs(cfg, key):
+    if cfg["train"][key] < 1:
+        raise ConfigError(f"train.{key} is 0: nothing would be trained and no checkpoint written")
 
 
 def _load_pair(root, split):
@@ -127,6 +133,7 @@ def _training_inputs(cfg, data_dir):
 
 def cmd_pretrain(args):
     cfg = _config(args)
+    _require_epochs(cfg, "pretrain_epochs")
     dtype = cfg.dtype()
     montage, stats, _, train_pair, val_pair = _training_inputs(cfg, args.data)
     gen_cfg = cfg.generator_config()
@@ -150,6 +157,7 @@ def cmd_pretrain(args):
 
 def cmd_gan_train(args):
     cfg = _config(args)
+    _require_epochs(cfg, "gan_epochs")
     dtype = cfg.dtype()
     montage, stats, _, train_pair, val_pair = _training_inputs(cfg, args.data)
     gen_cfg = cfg.generator_config()
@@ -432,8 +440,9 @@ def build_parser():
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--init", help="pretrain checkpoint to start from")
-    p.add_argument("--resume", help="adversarial checkpoint to continue from")
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument("--init", help="pretrain checkpoint to start from")
+    start.add_argument("--resume", help="adversarial checkpoint to continue from")
     p.set_defaults(fn=cmd_gan_train)
 
     p = sub.add_parser("baseline", help="cubic-interpolation reconstruction")

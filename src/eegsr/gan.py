@@ -266,7 +266,7 @@ def evaluate_mse(gen, lr_set, hr_set, batch_size=256):
     return total / y.size
 
 
-def _check_finite(value, step, history, checkpoint_cb=None):
+def _check_finite(value, step, checkpoint_cb=None):
     if not np.isfinite(value):
         if checkpoint_cb is not None:
             checkpoint_cb()
@@ -362,7 +362,7 @@ def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None
                 loss_mode=cfg.loss_mode,
             )
             step = result.g_steps
-            _check_finite(total.item(), step, history,
+            _check_finite(total.item(), step,
                           None if phase == "pretrain" else lambda: write_checkpoint("abort", epoch))
             gs = grad(total, g_params)
             adam_step(g_params, gs, g_state)
@@ -378,7 +378,7 @@ def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None
                 else:
                     d_loss, gp = discriminator_loss(
                         disc, yb, fake.data, cfg.gp_weight, adv_rng)
-                _check_finite(d_loss.item(), step, history,
+                _check_finite(d_loss.item(), step,
                               lambda: write_checkpoint("abort", epoch))
                 ds = grad(d_loss, d_params)
                 adam_step(d_params, ds, d_state)

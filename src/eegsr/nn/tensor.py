@@ -8,6 +8,20 @@ pass is just another graph.
 Convolution closes under differentiation through a triple of primitives:
 ``conv2d``, ``conv2d_input_grad`` and ``conv2d_weight_grad``. Each one's
 vjp is expressed with the other two plus ``conv2d`` itself.
+
+Each conv kernel lowers to one matrix product, in one of two ways chosen
+from shapes alone, by the same rule in all three kernels (so the columns
+the forward pass caches always fit the weight gradient):
+
+- banded, when ``co*oh <= n*ow``: the height taps and height padding are
+  folded into the weight, one (co*oh x ci*h) band per width tap, and the
+  input is copied only kw times (width-only columns). The networks' kernels
+  span most of the channel (height) axis, so this replaces the kh*kw copies
+  of im2col and the strided scatter of its adjoint.
+- im2col otherwise: the band does h/kh times the multiply-adds of im2col
+  and grows with co*oh*ci*h*kw, which for the full-width 64-512-map layers
+  at small batch is far larger than the columns (768 MiB for a 512->512
+  9x3 layer), so there im2col is both smaller and faster.
 """
 from __future__ import annotations
 
@@ -491,14 +505,51 @@ def _pad_input(x, pt, pb, pl, pr):
     return x
 
 
+def _banded(co, oh, n, ow):
+    """Shape rule shared by all three kernels: the band has co*oh rows and
+    the width columns it multiplies have n*ow, so banded never needs more
+    memory than those columns."""
+    return co * oh <= n * ow
+
+
+def _width_cols(x, kw, sw, ow, pl, pr):
+    """(n, c, h, w) -> (kw*c*h, n*ow) width-only patch matrix (one copy)."""
+    n, c, h = x.shape[:3]
+    v = np.lib.stride_tricks.sliding_window_view(_pad_input(x, 0, 0, pl, pr), kw, axis=3)
+    v = v[:, :, :, ::sw][:, :, :, :ow]
+    return v.transpose(4, 1, 2, 0, 3).reshape(kw * c * h, n * ow)
+
+
+def _band_taps(h, kh, sh, oh, pt):
+    """Index triples (r, s, i): output row r reads input row s through
+    kernel row i. Rows that land in the zero padding have no triple."""
+    r, s = np.meshgrid(np.arange(oh), np.arange(h), indexing="ij")
+    i = s + pt - r * sh
+    keep = (i >= 0) & (i < kh)
+    return r[keep], s[keep], i[keep]
+
+
+def _band(w, h, sh, oh, pt):
+    """(co, ci, kh, kw) -> (co*oh, kw*ci*h) band: every height tap and the
+    height padding folded into one matrix per width tap, side by side."""
+    co, ci, kh, kw = w.shape
+    r, s, i = _band_taps(h, kh, sh, oh, pt)
+    band = np.zeros((co, oh, kw, ci, h), dtype=w.dtype)
+    band[:, r, :, :, s] = w.transpose(2, 0, 3, 1)[i]
+    return band.reshape(co * oh, kw * ci * h)
+
+
 def _conv_forward(x, w, sh, sw):
     n, ci, h, wi = x.shape
-    co = w.shape[0]
-    oh, ow, pt, pb, pl, pr = conv_same_geometry(h, wi, w.shape[2], w.shape[3], sh, sw)
-    cols = _im2col(_pad_input(x, pt, pb, pl, pr), w.shape[2], w.shape[3], sh, sw, oh, ow)
-    y = w.reshape(co, -1) @ cols
-    y = np.ascontiguousarray(y.reshape(co, n, oh, ow).transpose(1, 0, 2, 3))
-    return y, cols
+    co, _, kh, kw = w.shape
+    oh, ow, pt, pb, pl, pr = conv_same_geometry(h, wi, kh, kw, sh, sw)
+    if _banded(co, oh, n, ow):
+        cols = _width_cols(x, kw, sw, ow, pl, pr)
+        y = (_band(w, h, sh, oh, pt) @ cols).reshape(co, oh, n, ow).transpose(2, 0, 1, 3)
+    else:
+        cols = _im2col(_pad_input(x, pt, pb, pl, pr), kh, kw, sh, sw, oh, ow)
+        y = (w.reshape(co, -1) @ cols).reshape(co, n, oh, ow).transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(y), cols
 
 
 def _conv_input_grad(gd, wd, h, wi, sh, sw):
@@ -507,6 +558,13 @@ def _conv_input_grad(gd, wd, h, wi, sh, sw):
     oh2, ow2, pt, pb, pl, pr = conv_same_geometry(h, wi, kh, kw, sh, sw)
     if (oh2, ow2) != (oh, ow):
         raise ValueError(f"output grad shape {(oh, ow)} does not match geometry {(oh2, ow2)}")
+    if _banded(co, oh, n, ow):
+        g2 = gd.transpose(1, 2, 0, 3).reshape(co * oh, n * ow)
+        gc = (_band(wd, h, sh, oh, pt).T @ g2).reshape(kw, ci, h, n, ow)
+        gxw = np.zeros((ci, h, n, wi + pl + pr), dtype=gd.dtype)
+        for j in range(kw):
+            gxw[..., j : j + sw * (ow - 1) + 1 : sw] += gc[j]
+        return np.ascontiguousarray(gxw[..., pl : pl + wi].transpose(2, 0, 1, 3))
     g2 = gd.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
     gcols = wd.reshape(co, ci * kh * kw).T @ g2
     gc = gcols.reshape(ci, kh, kw, n, oh, ow)
@@ -521,9 +579,19 @@ def _conv_input_grad(gd, wd, h, wi, sh, sw):
 
 def _conv_weight_grad(gd, x, kh, kw, sh, sw, cols=None):
     n, co, oh, ow = gd.shape
-    ci = x.shape[1]
+    ci, h = x.shape[1], x.shape[2]
+    _, _, pt, pb, pl, pr = conv_same_geometry(h, x.shape[3], kh, kw, sh, sw)
+    if _banded(co, oh, n, ow):
+        if cols is None:
+            cols = _width_cols(x, kw, sw, ow, pl, pr)
+        g2 = gd.transpose(1, 2, 0, 3).reshape(co * oh, n * ow)
+        gband = (g2 @ cols.T).reshape(co, oh, kw, ci, h)
+        # Adjoint of the band build: sum each kernel row's diagonal.
+        r, s, i = _band_taps(h, kh, sh, oh, pt)
+        gw = np.zeros((kh, co, kw, ci), dtype=gband.dtype)
+        np.add.at(gw, i, gband[:, r, :, :, s])
+        return np.ascontiguousarray(gw.transpose(1, 3, 0, 2))
     if cols is None:
-        _, _, pt, pb, pl, pr = conv_same_geometry(x.shape[2], x.shape[3], kh, kw, sh, sw)
         cols = _im2col(_pad_input(x, pt, pb, pl, pr), kh, kw, sh, sw, oh, ow)
     g2 = gd.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
     return (g2 @ cols.T).reshape(co, ci, kh, kw)

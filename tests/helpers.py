@@ -47,3 +47,32 @@ def check_grads(fn, arrays, rtol=1e-4, h=1e-5):
             f"gradient {i} mismatch: max rel err {err.max():.3e} (rtol {rtol:.1e})"
         )
     return worst
+
+
+def reference_conv(x, w, stride):
+    """Same-padded conv2d and both adjoints by direct summation, f64.
+
+    Independent of the library's lowering: explicit padding, a window view
+    and einsum. Returns (y, input_grad(g), weight_grad(g)) as functions of g
+    through a closure, with g the output cotangent.
+    """
+    (n, ci, h, wi), (co, _, kh, kw), (sh, sw) = x.shape, w.shape, stride
+    oh, ow = -(-h // sh), -(-wi // sw)
+    ph, pw = max((oh - 1) * sh + kh - h, 0), max((ow - 1) * sw + kw - wi, 0)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::sh, ::sw][:, :, :oh, :ow]  # (n, ci, oh, ow, kh, kw)
+    y = np.einsum("ncrqij,ocij->norq", win, w)
+
+    def input_grad(g):
+        gxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i : i + sh * (oh - 1) + 1 : sh, j : j + sw * (ow - 1) + 1 : sw] += (
+                    np.einsum("norq,oc->ncrq", g, w[:, :, i, j]))
+        return gxp[:, :, ph // 2 : ph // 2 + h, pw // 2 : pw // 2 + wi]
+
+    def weight_grad(g):
+        return np.einsum("norq,ncrqij->ocij", g, win)
+
+    return y, input_grad, weight_grad

@@ -157,6 +157,26 @@ def test_exit_codes(tmp_path, pipeline):
                  "--set", "baditem"]) == 3
 
 
+def test_zero_epoch_training_is_a_config_error(tmp_path, pipeline, capsys):
+    # a phase of zero epochs would write no checkpoint; refuse it up front
+    for cmd, key, extra in (("pretrain", "pretrain_epochs", []),
+                            ("gan-train", "gan_epochs", ["--init", str(pipeline["pre"] / "last")])):
+        rc = main([cmd, "--data", str(pipeline["data"]), "--out", str(tmp_path / cmd)]
+                  + extra + OVERRIDES + ["--set", f"train.{key}=0"])
+        assert rc == 3
+        assert f"train.{key} is 0" in capsys.readouterr().err
+        assert not (tmp_path / cmd).exists()
+
+
+def test_gan_train_needs_exactly_one_start(tmp_path, pipeline):
+    base = ["gan-train", "--data", str(pipeline["data"]), "--out", str(tmp_path / "o")]
+    both = ["--init", str(pipeline["pre"] / "last"), "--resume", str(pipeline["adv"] / "last")]
+    for argv in (base, base + both):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + OVERRIDES)
+        assert exc.value.code == 2
+
+
 def test_scale_mismatch_rejected(tmp_path, pipeline):
     # archive was made at scale 2; asking for scale 4 must fail, not misread
     rc = main(["pretrain", "--data", str(pipeline["data"]),

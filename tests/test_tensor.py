@@ -5,6 +5,7 @@ import pytest
 from eegsr.nn import functional as F
 from eegsr.nn.tensor import (
     Tensor,
+    _banded,
     concat_t,
     conv2d,
     conv2d_input_grad,
@@ -22,7 +23,7 @@ from eegsr.nn.tensor import (
     transpose,
 )
 
-from helpers import check_grads
+from helpers import check_grads, reference_conv
 
 RNG = np.random.default_rng(20260801)
 
@@ -122,29 +123,86 @@ def test_conv2d_centre_value_hand_computed():
     assert y[0, 0, 0, 0] == x[0, 0, 0:2, 0:2].sum()
 
 
+def _lowering(x_shape, w_shape, stride=(1, 1)):
+    oh, ow, *_ = conv_same_geometry(x_shape[2], x_shape[3], w_shape[2], w_shape[3], *stride)
+    return "banded" if _banded(w_shape[0], oh, x_shape[0], ow) else "im2col"
+
+
+# One weight shape per lowering for the gradient tests below, im2col first.
+def _conv_cases(x_shape, w_im2col, w_banded, stride=(1, 1)):
+    assert _lowering(x_shape, w_im2col, stride) == "im2col"
+    assert _lowering(x_shape, w_banded, stride) == "banded"
+    return [(x_shape, w_im2col), (x_shape, w_banded)]
+
+
 def test_conv2d_gradients_against_fd():
-    x = RNG.normal(size=(2, 3, 6, 7))
-    w = RNG.normal(size=(4, 3, 3, 3)) * 0.3
-    check_grads(lambda a, b: sum_t(conv2d(a, b) ** 2), [x, w])
+    for xs, ws in _conv_cases((2, 3, 6, 7), (4, 3, 3, 3), (1, 3, 5, 3)):
+        x = RNG.normal(size=xs)
+        w = RNG.normal(size=ws) * 0.3
+        check_grads(lambda a, b: sum_t(conv2d(a, b) ** 2), [x, w])
 
 
 def test_strided_conv_gradients_against_fd():
-    x = RNG.normal(size=(2, 2, 8, 9))
-    w = RNG.normal(size=(3, 2, 3, 3)) * 0.3
-    check_grads(lambda a, b: sum_t(conv2d(a, b, (2, 3)) ** 2), [x, w])
+    for xs, ws in _conv_cases((2, 2, 8, 9), (3, 2, 3, 3), (1, 2, 3, 3), (2, 3)):
+        x = RNG.normal(size=xs)
+        w = RNG.normal(size=ws) * 0.3
+        check_grads(lambda a, b: sum_t(conv2d(a, b, (2, 3)) ** 2), [x, w])
 
 
 def test_conv_adjoint_identity():
     # <conv(x, w), g> == <x, input_grad(g, w)> == <w, weight_grad(g, x)>
-    x = RNG.normal(size=(2, 3, 6, 6))
-    w = RNG.normal(size=(4, 3, 3, 3))
-    g = RNG.normal(size=(2, 4, 3, 3))
-    y = conv2d(Tensor(x), Tensor(w), (2, 2)).data
-    gx = conv2d_input_grad(Tensor(g), Tensor(w), (6, 6), (2, 2)).data
-    gw = conv2d_weight_grad(Tensor(g), Tensor(x), (3, 3), (2, 2)).data
-    lhs = float((y * g).sum())
-    assert abs(lhs - float((x * gx).sum())) < 1e-9 * abs(lhs)
-    assert abs(lhs - float((w * gw).sum())) < 1e-9 * abs(lhs)
+    for xs, ws in _conv_cases((2, 3, 6, 6), (4, 3, 3, 3), (2, 3, 3, 3), (2, 2)):
+        x = RNG.normal(size=xs)
+        w = RNG.normal(size=ws)
+        g = RNG.normal(size=(2, ws[0], 3, 3))
+        y = conv2d(Tensor(x), Tensor(w), (2, 2)).data
+        gx = conv2d_input_grad(Tensor(g), Tensor(w), (6, 6), (2, 2)).data
+        gw = conv2d_weight_grad(Tensor(g), Tensor(x), (3, 3), (2, 2)).data
+        lhs = float((y * g).sum())
+        assert abs(lhs - float((x * gx).sum())) < 1e-9 * abs(lhs)
+        assert abs(lhs - float((w * gw).sum())) < 1e-9 * abs(lhs)
+
+
+# (input, weight, stride, lowering): kh > h, kh = 1 with kw = 3, strides
+# (4, 4) and (2, 3), and a single output map, on both sides of the rule.
+REFERENCE_CASES = [
+    pytest.param((64, 1, 8, 16), (2, 1, 9, 1), (1, 1), "banded", id="banded-desk-stem"),
+    pytest.param((3, 2, 16, 10), (1, 2, 17, 1), (1, 1), "banded", id="banded-kh17-h16-co1"),
+    pytest.param((1, 2, 16, 4), (3, 2, 17, 1), (1, 1), "im2col", id="im2col-kh17-h16"),
+    pytest.param((5, 3, 8, 11), (2, 3, 1, 3), (1, 1), "banded", id="banded-1x3"),
+    pytest.param((1, 2, 8, 5), (4, 2, 1, 3), (1, 1), "im2col", id="im2col-1x3"),
+    pytest.param((4, 2, 16, 12), (3, 2, 9, 3), (4, 4), "banded", id="banded-stride4x4"),
+    pytest.param((1, 3, 16, 8), (6, 3, 5, 3), (4, 4), "im2col", id="im2col-stride4x4"),
+    pytest.param((2, 2, 8, 9), (1, 2, 3, 3), (2, 3), "banded", id="banded-stride2x3-co1"),
+    pytest.param((2, 3, 6, 7), (4, 3, 3, 3), (1, 1), "im2col", id="im2col-3x3"),
+    # h = 1 under a 3-row kernel: two of the three kernel rows never touch the input.
+    pytest.param((1, 2, 1, 5), (2, 2, 3, 3), (1, 1), "banded", id="banded-h1"),
+]
+
+
+@pytest.mark.parametrize("x_shape, w_shape, stride, lowering", REFERENCE_CASES)
+def test_conv_kernels_match_reference(x_shape, w_shape, stride, lowering):
+    assert _lowering(x_shape, w_shape, stride) == lowering
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=w_shape)
+    y_ref, input_grad, weight_grad = reference_conv(x, w, stride)
+    g = rng.normal(size=y_ref.shape)
+
+    def rel(a, b):
+        assert a.shape == b.shape
+        return np.abs(a - b).max() / np.abs(b).max()
+
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    y = conv2d(xt, wt, stride)
+    assert rel(y.data, y_ref) <= 1e-12
+    gx = conv2d_input_grad(Tensor(g), Tensor(w), x_shape[2:], stride).data
+    assert rel(gx, input_grad(g)) <= 1e-12
+    gw = conv2d_weight_grad(Tensor(g), Tensor(x), w_shape[2:], stride).data
+    assert rel(gw, weight_grad(g)) <= 1e-12
+    # The vjp of conv2d reuses the columns its forward pass built.
+    _, gw_cached = grad(sum_t(mul_const(y, g)), [xt, wt])
+    assert np.array_equal(gw_cached.data, gw)
 
 
 def test_conv_channel_mismatch_raises():
@@ -166,15 +224,16 @@ def test_double_backward_scalar():
 def test_double_backward_through_conv():
     # Gradient-norm penalty pattern: differentiate ||dy/dx||^2 wrt w.
     rng = np.random.default_rng(7)
-    x = Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
-    wv = rng.normal(size=(3, 2, 3, 3)) * 0.4
+    for xs, ws in _conv_cases((2, 2, 5, 5), (3, 2, 3, 3), (2, 2, 3, 3)):
+        x = Tensor(rng.normal(size=xs), requires_grad=True)
+        wv = rng.normal(size=ws) * 0.4
 
-    def penalty(w):
-        y = sum_t(conv2d(x, w) ** 2)
-        (gx,) = grad(y, [x], create_graph=True)
-        return sum_t(gx * gx)
+        def penalty(w):
+            y = sum_t(conv2d(x, w) ** 2)
+            (gx,) = grad(y, [x], create_graph=True)
+            return sum_t(gx * gx)
 
-    check_grads(penalty, [wv], rtol=2e-4)
+        check_grads(penalty, [wv], rtol=2e-4)
 
 
 def test_dropout_inference_is_identity_and_training_scales():
