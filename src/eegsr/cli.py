@@ -100,18 +100,19 @@ def cmd_preprocess(args):
         epochs, ratios=(pp["ratio_train"], pp["ratio_val"], pp["ratio_test"])
     )
     montage = data.make_montage(rec.n_channels, pp["scale"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    stats = None
+    # Build every split before writing any, so a failing split leaves no
+    # archives behind.
+    splits = []
     for name, part in (("train", train), ("val", val), ("test", test)):
         segments = data.segment_epochs(part, seg_len=pp["seg_len"])
-        lr_set, hr_set = data.downsample_set(segments, montage)
-        if name == "train":
-            stats = data.compute_norm_stats(lr_set)
+        splits.append((name, len(part), *data.downsample_set(segments, montage)))
+    stats = data.compute_norm_stats(splits[0][2])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, n_epochs, lr_set, hr_set in splits:
         archive.save_epoch_set(out / f"{name}_lr", lr_set)
         archive.save_epoch_set(out / f"{name}_hr", hr_set)
-        print(f"{name}: {len(part)} epochs -> {len(lr_set)} segments")
+        print(f"{name}: {n_epochs} epochs -> {len(lr_set)} segments")
     archive.save_preprocess_info(out / "info.txt", montage, stats,
                                  pp["window"], pp["stride"], pp["seg_len"])
     save_config(out / "config.txt", cfg)
@@ -172,9 +173,10 @@ def cmd_gan_train(args):
         gen, disc = resume.gen, resume.disc
     else:
         resume = None
-        init = gan.load_checkpoint(_require(args.init, "pretrain checkpoint"),
-                                   pre_fingerprint)
-        gen = init.gen
+        # Only the generator: the rest of the checkpoint (its Adam moments
+        # among it) would otherwise stay referenced for the whole run.
+        gen = gan.load_checkpoint(_require(args.init, "pretrain checkpoint"),
+                                  pre_fingerprint).gen
         disc = models.build_discriminator(disc_cfg, seed=cfg["run"]["seed"] + 1, dtype=dtype)
     result = gan.train_wgan(
         gen, disc, train_pair, cfg.train_config(), val_pair=val_pair,

@@ -157,17 +157,28 @@ class Model:
     same parameters.
     """
 
-    def __init__(self, specs, input_shape, seed=0, dtype=np.float32):
+    def __init__(self, specs, input_shape, seed=0, dtype=np.float32, _arrays=None):
         self.specs = list(specs)
         self.input_shape = tuple(input_shape)
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         self.shapes = infer_shapes(self.specs, self.input_shape)
-        self.params = []
+        layer_shapes = param_shapes(self.specs, self.input_shape)
+        # The loader passes saved arrays (w0, b0, w1, b1, ...) of these shapes
+        # in `_arrays`, so a load draws no random numbers.
+        if _arrays is None:
+            _arrays = self._seeded_init(layer_shapes)
+        arrays = iter(_arrays)
+        self.params = [
+            None if ps is None else tuple(Tensor(next(arrays), requires_grad=True) for _ in ps)
+            for ps in layer_shapes
+        ]
+
+    def _seeded_init(self, layer_shapes):
         rng = np.random.default_rng(self.seed)
-        for ls, ps in zip(self.specs, param_shapes(self.specs, self.input_shape)):
+        arrays = []
+        for ls, ps in zip(self.specs, layer_shapes):
             if ps is None:
-                self.params.append(None)
                 continue
             wshape, bshape = ps
             if ls.kind == "conv":
@@ -179,9 +190,9 @@ class Model:
                 limit = np.sqrt(6.0 / fan_in)
             else:
                 limit = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, size=wshape).astype(self.dtype)
-            b = np.zeros(bshape, dtype=self.dtype)
-            self.params.append((Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)))
+            arrays.append(rng.uniform(-limit, limit, size=wshape).astype(self.dtype))
+            arrays.append(np.zeros(bshape, dtype=self.dtype))
+        return arrays
 
     def parameters(self):
         out = []

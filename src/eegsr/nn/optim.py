@@ -46,9 +46,20 @@ def adam_step(params, grads, state):
         g = np.asarray(getattr(g, "data", g), dtype=p.dtype)
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+        # p - lr * (m / bc1) / (sqrt(v / bc2) + eps), operation for operation,
+        # through two temporaries; the last becomes the new parameter array.
+        a = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += a
+        np.multiply(g, g, out=a)
+        a *= 1.0 - state.beta2
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += a
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += state.eps
+        b = np.divide(m, bc1)
+        b *= state.lr
+        b /= a
+        p.data = np.subtract(p.data, b, out=b)
     return state

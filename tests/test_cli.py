@@ -177,6 +177,17 @@ def test_gan_train_needs_exactly_one_start(tmp_path, pipeline):
         assert exc.value.code == 2
 
 
+def test_preprocess_failure_leaves_no_archives(tmp_path):
+    # 576 samples make 3 epochs at the default window and stride: the test
+    # split is empty and fails after train and val were built.
+    rec = tmp_path / "short.csv"
+    assert main(["synth", "--out", str(rec), "--set", "synth.n_samples=576",
+                 "--set", "synth.label_block=64"]) == 0
+    out = tmp_path / "data"
+    assert main(["preprocess", "--recording", str(rec), "--out", str(out)]) == 1
+    assert not list(out.glob("*_lr")) and not list(out.glob("*_hr"))
+
+
 def test_scale_mismatch_rejected(tmp_path, pipeline):
     # archive was made at scale 2; asking for scale 4 must fail, not misread
     rc = main(["pretrain", "--data", str(pipeline["data"]),

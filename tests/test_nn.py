@@ -174,6 +174,29 @@ def test_adam_two_steps_track_moments():
     np.testing.assert_allclose(p.data, [ref], atol=1e-15)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_bit_identical_to_reference_formula(dtype):
+    rng = np.random.default_rng(3)
+    shapes = [(4, 3, 5, 2), (7,), (1,)]
+    params = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+    state = AdamState.for_params(params, lr=2e-3, beta1=0.9, beta2=0.999)
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros_like(r) for r in ref]
+    v = [np.zeros_like(r) for r in ref]
+    for t in range(1, 4):
+        grads = [rng.normal(size=s).astype(dtype) for s in shapes]
+        adam_step(params, grads, state)
+        bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+        for k, g in enumerate(grads):
+            m[k] = m[k] * 0.9 + (1.0 - 0.9) * g
+            v[k] = v[k] * 0.999 + (1.0 - 0.999) * (g * g)
+            ref[k] = ref[k] - 2e-3 * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8)
+        for p, r, mk, vk, sm, sv in zip(params, ref, m, v, state.m, state.v):
+            assert p.data.dtype == dtype
+            assert np.array_equal(p.data, r)
+            assert np.array_equal(sm, mk) and np.array_equal(sv, vk)
+
+
 def test_adam_descends_on_quadratic():
     p = Tensor(np.array([5.0]), requires_grad=True)
     state = AdamState.for_params([p], lr=0.1, beta1=0.9, beta2=0.999)
@@ -233,6 +256,20 @@ def test_save_load_model_bit_exact(tmp_path):
     np.testing.assert_array_equal(
         model.forward(Tensor(x)).data, back.forward(Tensor(x)).data
     )
+
+
+def test_load_model_draws_no_random_numbers(tmp_path, monkeypatch):
+    model = Model([conv(4, (3, 3), "elu"), flatten(), dense(2)], (1, 6, 8), seed=4)
+    save_model(tmp_path / "m", model)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_model drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    back, _ = load_model(tmp_path / "m")
+    for p, q in zip(model.parameters(), back.parameters()):
+        assert q.requires_grad
+        assert np.array_equal(p.data, q.data)
 
 
 def test_load_model_missing_dir(tmp_path):

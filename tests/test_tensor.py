@@ -1,4 +1,6 @@
 """Autodiff engine: primitive gradients, convolution adjoints, grad-of-grad."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,8 @@ REFERENCE_CASES = [
     pytest.param((1, 3, 16, 8), (6, 3, 5, 3), (4, 4), "im2col", id="im2col-stride4x4"),
     pytest.param((2, 2, 8, 9), (1, 2, 3, 3), (2, 3), "banded", id="banded-stride2x3-co1"),
     pytest.param((2, 3, 6, 7), (4, 3, 3, 3), (1, 1), "im2col", id="im2col-3x3"),
+    pytest.param((3, 2, 8, 6), (6, 2, 3, 3), (1, 1), "im2col", id="im2col-3x3-n3"),
+    pytest.param((3, 3, 16, 8), (6, 3, 5, 3), (2, 3), "im2col", id="im2col-stride2x3-n3"),
     # h = 1 under a 3-row kernel: two of the three kernel rows never touch the input.
     pytest.param((1, 2, 1, 5), (2, 2, 3, 3), (1, 1), "banded", id="banded-h1"),
 ]
@@ -203,6 +207,33 @@ def test_conv_kernels_match_reference(x_shape, w_shape, stride, lowering):
     # The vjp of conv2d reuses the columns its forward pass built.
     _, gw_cached = grad(sum_t(mul_const(y, g)), [xt, wt])
     assert np.array_equal(gw_cached.data, gw)
+
+
+@pytest.mark.parametrize("kernel", ["conv2d", "conv2d_input_grad", "conv2d_weight_grad"])
+def test_im2col_kernels_hold_one_sample_of_columns(kernel):
+    # Each call's peak allocation is its output plus at most two samples'
+    # patch columns, not the columns of the whole batch of 8.
+    x_shape, w_shape = (8, 32, 16, 32), (64, 32, 3, 3)
+    assert _lowering(x_shape, w_shape) == "im2col"
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=x_shape).astype(np.float32)
+    w = rng.normal(size=w_shape).astype(np.float32)
+    g = rng.normal(size=(8, 64, 16, 32)).astype(np.float32)
+    call = {
+        "conv2d": lambda: conv2d(Tensor(x), Tensor(w)),
+        "conv2d_input_grad": lambda: conv2d_input_grad(Tensor(g), Tensor(w), x_shape[2:]),
+        "conv2d_weight_grad": lambda: conv2d_weight_grad(Tensor(g), Tensor(x), w_shape[2:]),
+    }[kernel]
+    sample_cols = 32 * 3 * 3 * 16 * 32 * x.itemsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < out.data.nbytes + 2 * sample_cols
 
 
 def test_conv_channel_mismatch_raises():
