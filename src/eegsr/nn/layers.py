@@ -154,45 +154,39 @@ class Model:
 
     Weights use uniform fan-in scaling (He for elu/relu layers, Glorot
     otherwise); biases start at zero. The same seed always produces the
-    same parameters.
+    same parameters. With ``init=False`` every parameter starts at zero and
+    no random numbers are drawn, for a caller that loads saved parameters
+    with ``set_parameters``.
     """
 
-    def __init__(self, specs, input_shape, seed=0, dtype=np.float32, _arrays=None):
+    def __init__(self, specs, input_shape, seed=0, dtype=np.float32, init=True):
         self.specs = list(specs)
         self.input_shape = tuple(input_shape)
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         self.shapes = infer_shapes(self.specs, self.input_shape)
-        layer_shapes = param_shapes(self.specs, self.input_shape)
-        # The loader passes saved arrays (w0, b0, w1, b1, ...) of these shapes
-        # in `_arrays`, so a load draws no random numbers.
-        if _arrays is None:
-            _arrays = self._seeded_init(layer_shapes)
-        arrays = iter(_arrays)
-        self.params = [
-            None if ps is None else tuple(Tensor(next(arrays), requires_grad=True) for _ in ps)
-            for ps in layer_shapes
-        ]
-
-    def _seeded_init(self, layer_shapes):
-        rng = np.random.default_rng(self.seed)
-        arrays = []
-        for ls, ps in zip(self.specs, layer_shapes):
+        self.params = []
+        rng = np.random.default_rng(self.seed) if init else None
+        for ls, ps in zip(self.specs, param_shapes(self.specs, self.input_shape)):
             if ps is None:
+                self.params.append(None)
                 continue
             wshape, bshape = ps
-            if ls.kind == "conv":
-                fan_in = wshape[1] * wshape[2] * wshape[3]
-                fan_out = wshape[0] * wshape[2] * wshape[3]
+            if init:
+                if ls.kind == "conv":
+                    fan_in = wshape[1] * wshape[2] * wshape[3]
+                    fan_out = wshape[0] * wshape[2] * wshape[3]
+                else:
+                    fan_in, fan_out = wshape[1], wshape[0]
+                if ls.activation in ("elu", "relu"):
+                    limit = np.sqrt(6.0 / fan_in)
+                else:
+                    limit = np.sqrt(6.0 / (fan_in + fan_out))
+                w = rng.uniform(-limit, limit, size=wshape).astype(self.dtype)
             else:
-                fan_in, fan_out = wshape[1], wshape[0]
-            if ls.activation in ("elu", "relu"):
-                limit = np.sqrt(6.0 / fan_in)
-            else:
-                limit = np.sqrt(6.0 / (fan_in + fan_out))
-            arrays.append(rng.uniform(-limit, limit, size=wshape).astype(self.dtype))
-            arrays.append(np.zeros(bshape, dtype=self.dtype))
-        return arrays
+                w = np.zeros(wshape, dtype=self.dtype)
+            b = np.zeros(bshape, dtype=self.dtype)
+            self.params.append((Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)))
 
     def parameters(self):
         out = []

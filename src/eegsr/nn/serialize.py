@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CheckpointError
-from .layers import LayerSpec, Model, param_shapes
+from .layers import LayerSpec, Model
 
 FORMAT_VERSION = "1"
 
@@ -133,8 +133,9 @@ def load_model(directory):
         specs = [_spec_from_section(cp[f"layer{i}"]) for i in range(int(head["layers"]))]
     except (KeyError, ValueError, configparser.Error) as exc:
         raise CheckpointError(f"{manifest}: corrupt model manifest ({exc})") from exc
-    shapes = [s for ps in param_shapes(specs, input_shape) if ps is not None for s in ps]
+    model = Model(specs, input_shape, seed=seed, dtype=dtype, init=False)
+    shapes = [t.shape for t in model.parameters()]
     arrays = read_arrays(directory / "params.bin", shapes, dtype)
-    model = Model(specs, input_shape, seed=seed, dtype=dtype, _arrays=arrays)
+    model.set_parameters(arrays)
     extra = dict(cp["extra"]) if cp.has_section("extra") else {}
     return model, extra

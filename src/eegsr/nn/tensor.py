@@ -9,8 +9,8 @@ Convolution closes under differentiation through a triple of primitives:
 ``conv2d``, ``conv2d_input_grad`` and ``conv2d_weight_grad``. Each one's
 vjp is expressed with the other two plus ``conv2d`` itself.
 
-Each conv kernel lowers to matrix products in one of two ways, chosen
-from shapes alone by the same rule in all three kernels (so the columns
+Each conv kernel lowers to one matrix product, in one of two ways chosen
+from shapes alone, by the same rule in all three kernels (so the columns
 the forward pass caches always fit the weight gradient):
 
 - banded, when ``co*oh <= n*ow``: the height taps and height padding are
@@ -23,14 +23,14 @@ the forward pass caches always fit the weight gradient):
   at small batch is far larger than the columns (768 MiB for a 512->512
   9x3 layer), so there im2col is both smaller and faster.
 
-The im2col side runs one sample at a time: one GEMM per sample over that
-sample's (ci*kh*kw x oh*ow) columns, freed before the next sample's are
-built. Its memory is therefore bounded by one sample's columns whatever
-the batch (54 MiB for the full-width 512->512 9x3 layer on a 16x64 map in
-f32, against 3.4 GiB for a batch of 64 at once). The forward keeps its
-columns for the weight gradient only for a one-sample batch; for larger
-batches the weight gradient rebuilds each sample's columns and sums the
-per-sample products.
+When no weight gradient will be taken from it (inference, or a weight that
+needs no gradient), the im2col forward runs one sample at a time instead:
+one product per sample over that sample's (ci*kh*kw x oh*ow) columns, each
+freed before the next is built. Its memory is then one sample's columns
+whatever the batch (54 MiB for the full-width 512->512 9x3 layer on a
+16x64 map in f32, against 3.4 GiB for a batch of 64 at once). When the
+weight gradient is needed, the forward builds and caches the whole batch's
+columns, and the two gradients are unchanged.
 """
 from __future__ import annotations
 
@@ -500,13 +500,12 @@ def conv_same_geometry(h, w, kh, kw, sh, sw):
     return oh, ow, ph // 2, ph - ph // 2, pw // 2, pw - pw // 2
 
 
-def _im2col(xk, kh, kw, sh, sw, oh, ow, pads):
-    """One sample (1, c, h, w), zero-padded by pads = (top, bottom, left,
-    right) -> (c*kh*kw, oh*ow) patch matrix (one copy)."""
-    c = xk.shape[1]
-    v = np.lib.stride_tricks.sliding_window_view(_pad_input(xk, *pads), (kh, kw), axis=(2, 3))
+def _im2col(xp, kh, kw, sh, sw, oh, ow):
+    """(n, c, hp, wp) -> (c*kh*kw, n*oh*ow) patch matrix (one copy)."""
+    n, c = xp.shape[0], xp.shape[1]
+    v = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     v = v[:, :, ::sh, ::sw][:, :, :oh, :ow]
-    return v.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, oh * ow)
+    return v.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow)
 
 
 def _pad_input(x, pt, pb, pl, pr):
@@ -549,24 +548,25 @@ def _band(w, h, sh, oh, pt):
     return band.reshape(co * oh, kw * ci * h)
 
 
-def _conv_forward(x, w, sh, sw):
+def _conv_forward(x, w, sh, sw, keep_cols=True):
     n, ci, h, wi = x.shape
     co, _, kh, kw = w.shape
     oh, ow, pt, pb, pl, pr = conv_same_geometry(h, wi, kh, kw, sh, sw)
     if _banded(co, oh, n, ow):
         cols = _width_cols(x, kw, sw, ow, pl, pr)
         y = (_band(w, h, sh, oh, pt) @ cols).reshape(co, oh, n, ow).transpose(2, 0, 1, 3)
-        return np.ascontiguousarray(y), cols
-    # im2col, one sample at a time: only one sample's columns are alive, and
-    # they are kept for the weight gradient only when they are the batch's.
-    w2 = w.reshape(co, ci * kh * kw)
-    y = np.empty((n, co, oh, ow), dtype=np.result_type(x, w))
-    for k in range(n):
-        cols = _im2col(x[k : k + 1], kh, kw, sh, sw, oh, ow, (pt, pb, pl, pr))
-        np.matmul(w2, cols, out=y[k].reshape(co, oh * ow))
-        if n > 1:
-            del cols
-    return y, (cols if n == 1 else None)
+    elif keep_cols:
+        cols = _im2col(_pad_input(x, pt, pb, pl, pr), kh, kw, sh, sw, oh, ow)
+        y = (w.reshape(co, -1) @ cols).reshape(co, n, oh, ow).transpose(1, 0, 2, 3)
+    else:
+        # One sample at a time; each sample's columns die with its product.
+        w2 = w.reshape(co, -1)
+        y = np.empty((n, co, oh, ow), dtype=np.result_type(x, w))
+        for k in range(n):
+            xk = _pad_input(x[k : k + 1], pt, pb, pl, pr)
+            np.matmul(w2, _im2col(xk, kh, kw, sh, sw, oh, ow), out=y[k].reshape(co, oh * ow))
+        return y, None
+    return np.ascontiguousarray(y), cols
 
 
 def _conv_input_grad(gd, wd, h, wi, sh, sw):
@@ -582,18 +582,16 @@ def _conv_input_grad(gd, wd, h, wi, sh, sw):
         for j in range(kw):
             gxw[..., j : j + sw * (ow - 1) + 1 : sw] += gc[j]
         return np.ascontiguousarray(gxw[..., pl : pl + wi].transpose(2, 0, 1, 3))
-    w2t = wd.reshape(co, ci * kh * kw).T
-    gx = np.empty((n, ci, h, wi), dtype=gd.dtype)
-    for k in range(n):
-        gc = (w2t @ gd[k].reshape(co, oh * ow)).reshape(ci, kh, kw, oh, ow)
-        gxp = np.zeros((ci, h + pt + pb, wi + pl + pr), dtype=gx.dtype)
-        for i in range(kh):
-            rows = slice(i, i + sh * (oh - 1) + 1, sh)
-            for j in range(kw):
-                gxp[:, rows, j : j + sw * (ow - 1) + 1 : sw] += gc[:, i, j]
-        del gc
-        gx[k] = gxp[:, pt : pt + h, pl : pl + wi]
-    return gx
+    g2 = gd.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
+    gcols = wd.reshape(co, ci * kh * kw).T @ g2
+    gc = gcols.reshape(ci, kh, kw, n, oh, ow)
+    gxp = np.zeros((n, ci, h + pt + pb, wi + pl + pr), dtype=gd.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + sh * (oh - 1) + 1 : sh, j : j + sw * (ow - 1) + 1 : sw] += (
+                gc[:, i, j].transpose(1, 0, 2, 3)
+            )
+    return np.ascontiguousarray(gxp[:, :, pt : pt + h, pl : pl + wi])
 
 
 def _conv_weight_grad(gd, x, kh, kw, sh, sw, cols=None):
@@ -610,17 +608,10 @@ def _conv_weight_grad(gd, x, kh, kw, sh, sw, cols=None):
         gw = np.zeros((kh, co, kw, ci), dtype=gband.dtype)
         np.add.at(gw, i, gband[:, r, :, :, s])
         return np.ascontiguousarray(gw.transpose(1, 3, 0, 2))
-    # The forward's columns come in only for a one-sample batch.
-    gw = np.zeros((co, ci * kh * kw), dtype=np.result_type(gd, x))
-    for k in range(n):
-        ck = cols if cols is not None else _im2col(x[k : k + 1], kh, kw, sh, sw, oh, ow,
-                                                   (pt, pb, pl, pr))
-        if k == 0:
-            np.matmul(gd[k].reshape(co, oh * ow), ck.T, out=gw)
-        else:
-            gw += gd[k].reshape(co, oh * ow) @ ck.T
-        del ck
-    return gw.reshape(co, ci, kh, kw)
+    if cols is None:
+        cols = _im2col(_pad_input(x, pt, pb, pl, pr), kh, kw, sh, sw, oh, ow)
+    g2 = gd.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
+    return (g2 @ cols.T).reshape(co, ci, kh, kw)
 
 
 def conv2d(x, w, stride=(1, 1)):
@@ -633,7 +624,7 @@ def conv2d(x, w, stride=(1, 1)):
         raise ValueError(
             f"conv2d channel mismatch: input has {x.shape[1]} maps, weight expects {w.shape[1]}"
         )
-    y, cols = _conv_forward(x.data, w.data, sh, sw)
+    y, cols = _conv_forward(x.data, w.data, sh, sw, keep_cols=_grad_enabled and w.requires_grad)
     h, wi = x.shape[2], x.shape[3]
     kh, kw = w.shape[2], w.shape[3]
 

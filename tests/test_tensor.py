@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eegsr.nn import functional as F
+from eegsr.nn import tensor as tensor_module
 from eegsr.nn.tensor import (
     Tensor,
     _banded,
@@ -200,6 +201,8 @@ def test_conv_kernels_match_reference(x_shape, w_shape, stride, lowering):
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     y = conv2d(xt, wt, stride)
     assert rel(y.data, y_ref) <= 1e-12
+    # Without a weight gradient to feed, im2col runs one sample at a time.
+    assert rel(conv2d(Tensor(x), Tensor(w), stride).data, y_ref) <= 1e-12
     gx = conv2d_input_grad(Tensor(g), Tensor(w), x_shape[2:], stride).data
     assert rel(gx, input_grad(g)) <= 1e-12
     gw = conv2d_weight_grad(Tensor(g), Tensor(x), w_shape[2:], stride).data
@@ -209,31 +212,48 @@ def test_conv_kernels_match_reference(x_shape, w_shape, stride, lowering):
     assert np.array_equal(gw_cached.data, gw)
 
 
-@pytest.mark.parametrize("kernel", ["conv2d", "conv2d_input_grad", "conv2d_weight_grad"])
-def test_im2col_kernels_hold_one_sample_of_columns(kernel):
-    # Each call's peak allocation is its output plus at most two samples'
-    # patch columns, not the columns of the whole batch of 8.
+def test_im2col_inference_forward_holds_one_sample_of_columns():
+    # With no weight gradient to feed, the forward's peak allocation is its
+    # output plus at most two samples' patch columns, not the columns of the
+    # whole batch of 8.
     x_shape, w_shape = (8, 32, 16, 32), (64, 32, 3, 3)
     assert _lowering(x_shape, w_shape) == "im2col"
     rng = np.random.default_rng(0)
     x = rng.normal(size=x_shape).astype(np.float32)
     w = rng.normal(size=w_shape).astype(np.float32)
-    g = rng.normal(size=(8, 64, 16, 32)).astype(np.float32)
-    call = {
-        "conv2d": lambda: conv2d(Tensor(x), Tensor(w)),
-        "conv2d_input_grad": lambda: conv2d_input_grad(Tensor(g), Tensor(w), x_shape[2:]),
-        "conv2d_weight_grad": lambda: conv2d_weight_grad(Tensor(g), Tensor(x), w_shape[2:]),
-    }[kernel]
     sample_cols = 32 * 3 * 3 * 16 * 32 * x.itemsize
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = call()
+        out = conv2d(Tensor(x), Tensor(w))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak < out.data.nbytes + 2 * sample_cols
+
+
+def test_im2col_columns_built_once_per_training_step(monkeypatch):
+    # A training step builds the whole batch's columns once, in the forward,
+    # and its weight gradient reuses them; inference builds one per sample.
+    built = []
+    im2col = tensor_module._im2col
+
+    def counting(xp, *args):
+        built.append(xp.shape[0])
+        return im2col(xp, *args)
+
+    monkeypatch.setattr(tensor_module, "_im2col", counting)
+    x_shape, w_shape = (3, 2, 8, 6), (6, 2, 3, 3)
+    assert _lowering(x_shape, w_shape) == "im2col"
+    x = Tensor(RNG.normal(size=x_shape), requires_grad=True)
+    w = Tensor(RNG.normal(size=w_shape), requires_grad=True)
+    grad(sum_t(conv2d(x, w) ** 2), [x, w])
+    assert built == [3]
+    built.clear()
+    with no_grad():
+        conv2d(x, w)
+    assert built == [1, 1, 1]
 
 
 def test_conv_channel_mismatch_raises():
