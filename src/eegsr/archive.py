@@ -3,8 +3,9 @@
 Recordings travel as CSV (one row per sample, one column per channel, an
 optional trailing integer `label` column, and a leading `# key=value` line
 for sampling rate and subject). Epoch sets persist as a directory holding a
-text manifest, a raw little-endian value file and a per-epoch metadata CSV.
-All float text uses repr, so a write/read cycle is value-exact.
+text manifest, a raw little-endian value file and a per-epoch metadata CSV;
+feature tables as one CSV of the same metadata columns plus the band
+powers. All float text uses repr, so a write/read cycle is value-exact.
 """
 from __future__ import annotations
 
@@ -14,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Epoch, EpochSet, MontageSplit, NormStats, RawRecording
+from .data import EpochSet, MontageSplit, NormStats, RawRecording
 from .errors import ArtifactError, ParseError
 from .nn.serialize import dtype_code, dtype_from_code
+from .psd import N_FEATURES, FeatureTable
 
 FORMAT_VERSION = "1"
 
@@ -102,13 +104,75 @@ def load_recording(path, fs=None, subject_id=None):
     )
 
 
+META_HEADER = ["epoch_index", "subject_id", "label", "origin_index"]
+FEATURE_HEADER = META_HEADER + [f"f{i:03d}" for i in range(N_FEATURES)]
+
+
+def _write_table(path, header, rows, cells=None):
+    """CSV of the metadata columns of `rows` (an epoch set or a feature
+    table), each line followed by its entry of `cells` when given."""
+    labels = [""] * len(rows) if rows.labels is None else rows.labels.tolist()
+    lines = zip(range(len(rows)), rows.subject_ids.tolist(), labels, rows.origins.tolist())
+    if cells is not None:
+        lines = (line + tuple(extra) for line, extra in zip(lines, cells))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(lines)
+
+
+def _read_table(path, header):
+    """Cells of a CSV written by _write_table, as a (rows, columns) str array."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ArtifactError(f"{path}: unexpected header")
+        rows = list(reader)
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    bad = np.flatnonzero(widths != len(header))
+    if bad.size:
+        raise ParseError(f"{path}: expected {len(header)} columns, found {widths[bad[0]]}",
+                         line=bad[0] + 2)
+    return np.array(rows, dtype=str).reshape(len(rows), len(header))
+
+
+def _parse_cells(path, cells, kind, what):
+    """Values of a text column (or block of columns) parsed by `kind`, int
+    or float; a cell that does not parse raises ParseError with its line."""
+    dtype = np.int64 if kind is int else np.float64
+    flat = cells.ravel().tolist()
+    try:
+        return np.array(list(map(kind, flat)), dtype=dtype).reshape(cells.shape)
+    except (ValueError, OverflowError):
+        for i, cell in enumerate(flat):
+            try:
+                np.array(kind(cell), dtype=dtype)
+            except (ValueError, OverflowError):
+                expected = "an integer" if kind is int else "a number"
+                raise ParseError(f"{path}: {what} must be {expected}, got {cell!r}",
+                                 line=i // cells[0].size + 2) from None
+        raise
+
+
+def _read_metadata(path, table):
+    """(labels, subject_ids, origins) from the leading columns of a table."""
+    index = _parse_cells(path, table[:, 0], int, "epoch_index")
+    out_of_order = np.flatnonzero(index != np.arange(len(index)))
+    if out_of_order.size:
+        raise ArtifactError(f"{path}: rows out of order at {index[out_of_order[0]]}")
+    # A column of empty cells means an unlabelled table; one empty cell among
+    # labels does not parse.
+    labels = None if (table[:, 2] == "").all() else _parse_cells(path, table[:, 2], int, "label")
+    return labels, table[:, 1], _parse_cells(path, table[:, 3], int, "origin_index")
+
+
 def save_epoch_set(directory, epoch_set, dtype=np.float64):
     """Persist an epoch set: manifest.txt + values.bin + meta.csv."""
-    if not epoch_set.epochs:
+    if not len(epoch_set):
         raise ArtifactError("refusing to archive an empty epoch set")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    values = epoch_set.values_array()
+    values = epoch_set.values
     cp = configparser.ConfigParser()
     cp.optionxform = str
     cp["archive"] = {
@@ -125,13 +189,7 @@ def save_epoch_set(directory, epoch_set, dtype=np.float64):
     with open(directory / "manifest.txt", "w") as fh:
         cp.write(fh)
     values.astype(np.dtype(dtype).newbyteorder("<")).tofile(directory / "values.bin")
-    with open(directory / "meta.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch_index", "subject_id", "label", "origin_index"])
-        for i, ep in enumerate(epoch_set):
-            writer.writerow(
-                [i, ep.subject_id, "" if ep.label is None else ep.label, ep.origin_index]
-            )
+    _write_table(directory / "meta.csv", META_HEADER, epoch_set)
 
 
 def load_epoch_set(directory):
@@ -169,32 +227,29 @@ def load_epoch_set(directory):
             f"{directory}: values.bin holds {values.size} values, manifest declares "
             f"{int(np.prod(shape))}"
         )
-    values = values.reshape(shape).astype(np.float64)
-    epochs = []
-    with open(directory / "meta.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["epoch_index", "subject_id", "label", "origin_index"]:
-            raise ArtifactError(f"{directory}: unexpected meta.csv header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ParseError(f"expected 4 columns, found {len(row)}", line=line_no)
-            idx = int(row[0])
-            if idx != len(epochs):
-                raise ArtifactError(f"{directory}: meta.csv rows out of order at {idx}")
-            epochs.append(
-                Epoch(
-                    values[idx],
-                    label=None if row[2] == "" else int(row[2]),
-                    subject_id=row[1],
-                    origin_index=int(row[3]),
-                )
-            )
-    if len(epochs) != shape[0]:
+    table = _read_table(directory / "meta.csv", META_HEADER)
+    if len(table) != shape[0]:
         raise ArtifactError(
-            f"{directory}: meta.csv lists {len(epochs)} epochs, manifest declares {shape[0]}"
+            f"{directory}: meta.csv lists {len(table)} epochs, manifest declares {shape[0]}"
         )
-    return EpochSet(epochs, split=split, fs=fs, channel_labels=channel_labels)
+    labels, subject_ids, origins = _read_metadata(directory / "meta.csv", table)
+    return EpochSet(values.reshape(shape), labels, subject_ids, origins,
+                    split=split, fs=fs, channel_labels=channel_labels)
+
+
+def write_features_csv(path, features):
+    """Feature table as CSV: metadata columns, then the 96 band powers."""
+    _write_table(path, FEATURE_HEADER, features,
+                 (map(repr, row) for row in features.values.tolist()))
+
+
+def read_features_csv(path):
+    path = Path(path)
+    if not path.is_file():
+        raise ArtifactError(f"feature table not found: {path}")
+    table = _read_table(path, FEATURE_HEADER)
+    return FeatureTable(_parse_cells(path, table[:, len(META_HEADER):], float, "band power"),
+                        *_read_metadata(path, table))
 
 
 def save_preprocess_info(path, montage, stats, window, stride, seg_len):

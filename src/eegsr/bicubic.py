@@ -8,9 +8,10 @@ neighbours, with the stencil clamped at the ends of the channel range.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .data import Epoch
 from .errors import DataError
 
 KEYS_A = -0.5
@@ -50,46 +51,15 @@ def interpolation_weights(montage, a=KEYS_A):
     return weights
 
 
-def bicubic_upsample(lr_values, montage, a=KEYS_A):
-    """Fill the full channel layout from kept channels.
-
-    Returns (n_channels, n_samples); kept rows are copied unchanged, missing
-    rows come from the interpolation matrix.
-    """
-    lr_values = np.asarray(lr_values, dtype=np.float64)
-    if lr_values.ndim != 2 or lr_values.shape[0] != montage.n_lr:
-        raise DataError(
-            f"expected ({montage.n_lr}, t) kept-channel values, got {lr_values.shape}"
-        )
-    full = np.empty((montage.n_channels, lr_values.shape[1]))
-    full[list(montage.lr_indices)] = lr_values
-    full[list(montage.hr_indices)] = interpolation_weights(montage, a) @ lr_values
-    return full
-
-
-def bicubic_missing(lr_values, montage, a=KEYS_A):
-    """Only the reconstructed missing rows, (n_hr, n_samples)."""
-    lr_values = np.asarray(lr_values, dtype=np.float64)
-    if lr_values.ndim != 2 or lr_values.shape[0] != montage.n_lr:
-        raise DataError(
-            f"expected ({montage.n_lr}, t) kept-channel values, got {lr_values.shape}"
-        )
-    return interpolation_weights(montage, a) @ lr_values
-
-
 def bicubic_predict_set(lr_set, montage, a=KEYS_A):
-    """Reconstruct the missing-channel block for every epoch in a set."""
-    weights = interpolation_weights(montage, a)
-    vals = lr_set.values_array()
-    pred = np.einsum("hc,nct->nht", weights, vals)
-    return lr_set.with_values(pred, channel_labels=None)
+    """Reconstruct the missing-channel block for every epoch in a set.
 
-
-def bicubic_epoch(lr_epoch, montage, a=KEYS_A):
-    """Full reconstructed epoch (kept rows bit-exact, missing interpolated)."""
-    return Epoch(
-        bicubic_upsample(lr_epoch.values, montage, a),
-        label=lr_epoch.label,
-        subject_id=lr_epoch.subject_id,
-        origin_index=lr_epoch.origin_index,
-    )
+    Returns a set of (n_hr, samples) epochs with the metadata of `lr_set`
+    and no channel labels; assemble_channels puts them back in place.
+    """
+    if lr_set.values.shape[1] != montage.n_lr:
+        raise DataError(
+            f"expected {montage.n_lr} kept channels, got {lr_set.values.shape[1]}"
+        )
+    pred = np.einsum("hc,nct->nht", interpolation_weights(montage, a), lr_set.values)
+    return replace(lr_set, values=pred, channel_labels=None)

@@ -23,8 +23,8 @@ abort during training.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -229,57 +229,10 @@ def cmd_sr_infer(args):
     return 0
 
 
-FEATURE_HEADER = ["epoch_index", "subject_id", "label", "origin_index"] + [
-    f"f{i:03d}" for i in range(psd.N_FEATURES)
-]
-
-
-def write_features_csv(path, features):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_HEADER)
-        for i, f in enumerate(features):
-            writer.writerow(
-                [i, f.subject_id, "" if f.label is None else f.label, f.origin_index]
-                + [repr(float(v)) for v in f.values]
-            )
-
-
-def read_features_csv(path):
-    path = _require(path, "feature table")
-    feats = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FEATURE_HEADER:
-            raise ArtifactError(f"{path}: unexpected feature header")
-        for row in reader:
-            feats.append(psd.PsdFeature(
-                np.asarray([float(v) for v in row[4:]]),
-                label=None if row[2] == "" else int(row[2]),
-                subject_id=row[1],
-                origin_index=int(row[3]),
-            ))
-    return feats
-
-
 def _reassemble_full(lr_set, hr_set, montage, group):
     """Segments -> full-length epochs with all channels in place."""
-    lr_epochs = data.regroup_segments(lr_set, group)
-    hr_epochs = data.regroup_segments(hr_set, group)
-    full = [
-        data.assemble_channels(lr, hr, montage)
-        for lr, hr in zip(lr_epochs, hr_epochs)
-    ]
-    labels = [""] * montage.n_channels
-    if lr_set.channel_labels is not None:
-        for name, idx in zip(lr_set.channel_labels, montage.lr_indices):
-            labels[idx] = name
-    if hr_set.channel_labels is not None:
-        for name, idx in zip(hr_set.channel_labels, montage.hr_indices):
-            labels[idx] = name
-    return data.EpochSet(full, split=lr_set.split, fs=lr_set.fs,
-                         channel_labels=tuple(labels))
+    return data.assemble_channels(data.regroup_segments(lr_set, group),
+                                  data.regroup_segments(hr_set, group), montage)
 
 
 def cmd_features(args):
@@ -292,15 +245,14 @@ def cmd_features(args):
     for split in ("train", "val", "test"):
         lr_set, hr_set = _load_pair(args.data, split)
         full = _reassemble_full(lr_set, hr_set, montage, group)
-        write_features_csv(out / f"{split}_hr.csv", psd.epoch_features(full))
+        archive.write_features_csv(out / f"{split}_hr.csv", psd.epoch_features(full))
         print(f"features {split}_hr: {len(full)} epochs")
         if args.sr and split in ("val", "test"):
             pred = archive.load_epoch_set(
                 _require(Path(args.sr) / split, f"{split} reconstruction"))
-            pred = data.EpochSet(pred.epochs, split=pred.split, fs=pred.fs,
-                                 channel_labels=hr_set.channel_labels)
+            pred = replace(pred, channel_labels=hr_set.channel_labels)
             full_sr = _reassemble_full(lr_set, pred, montage, group)
-            write_features_csv(out / f"{split}_sr.csv", psd.epoch_features(full_sr))
+            archive.write_features_csv(out / f"{split}_sr.csv", psd.epoch_features(full_sr))
             print(f"features {split}_sr: {len(full_sr)} epochs")
     save_config(out / "config.txt", cfg)
     return 0
@@ -308,8 +260,7 @@ def cmd_features(args):
 
 def cmd_train_clf(args):
     cfg = _config(args)
-    feats = read_features_csv(Path(args.features) / "train_hr.csv")
-    x, labels = psd.feature_matrix(feats)
+    x, labels = archive.read_features_csv(Path(args.features) / "train_hr.csv").labelled()
     scaler = psd.FeatureScaler.fit(x)
     clf_cfg = cfg.classifier_config()
     model = models.build_classifier(clf_cfg, seed=cfg["run"]["seed"], dtype=cfg.dtype())
@@ -374,8 +325,7 @@ def cmd_evaluate(args):
             path = Path(args.features) / f"test_{source}.csv"
             if not path.exists():
                 continue
-            feats = read_features_csv(path)
-            x, labels = psd.feature_matrix(feats)
+            x, labels = archive.read_features_csv(path).labelled()
             pred_ids, _ = psd.predict(model, scaler.apply(x), class_ids)
             class_rows.append(report.classification_metrics(
                 pred_ids, labels, class_ids, scale=scale, source=source, seed=seed,

@@ -7,7 +7,7 @@ the rest as the targets to reconstruct.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,8 +24,6 @@ CHANNEL_LABELS_32 = (
 SPLITS = ("unsplit", "train", "val", "test")
 
 SIGMA_FLOOR = 1e-8
-
-_KEEP_LABELS = object()
 
 
 @dataclass
@@ -66,26 +64,31 @@ class RawRecording:
         return self.values.shape[1]
 
 
-@dataclass
-class Epoch:
-    """One windowed excerpt: values (channels, samples) plus bookkeeping."""
-
-    values: np.ndarray
-    label: int | None = None
-    subject_id: str = "s01"
-    origin_index: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise DataError(f"epoch values must be 2-D, got shape {self.values.shape}")
+def metadata_columns(n, labels, subject_ids, origins):
+    """Validated per-row columns for n rows: labels as int64 (or None when
+    the rows carry no labels), subject ids as str, origins as int64."""
+    cols = (
+        None if labels is None else np.array(labels, dtype=np.int64),
+        np.array(subject_ids, dtype=str),
+        np.array(origins, dtype=np.int64),
+    )
+    for name, col in zip(("labels", "subject_ids", "origins"), cols):
+        if col is not None and col.shape != (n,):
+            raise DataError(f"{name} column has shape {col.shape}, expected ({n},)")
+    return cols
 
 
 @dataclass
 class EpochSet:
-    """An ordered collection of same-shaped epochs."""
+    """Same-shaped epochs as one (n, channels, samples) array plus per-row
+    metadata columns: class label (`labels` is None for an unlabelled set),
+    subject id, and origin, the sample index where the row starts in its
+    subject's recording."""
 
-    epochs: list[Epoch]
+    values: np.ndarray
+    labels: np.ndarray | None
+    subject_ids: np.ndarray
+    origins: np.ndarray
     split: str = "unsplit"
     fs: float = 512.0
     channel_labels: tuple[str, ...] | None = None
@@ -93,52 +96,40 @@ class EpochSet:
     def __post_init__(self):
         if self.split not in SPLITS:
             raise DataError(f"unknown split {self.split!r}; expected one of {SPLITS}")
-        shapes = {e.values.shape for e in self.epochs}
-        if len(shapes) > 1:
-            raise DataError(f"inconsistent epoch shapes in set: {sorted(shapes)}")
+        # C order fixes the summation order of every reduction over the set.
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if self.values.ndim != 3:
+            raise DataError(
+                f"epoch set values must be (epochs, channels, samples), got shape "
+                f"{self.values.shape}"
+            )
+        self.labels, self.subject_ids, self.origins = metadata_columns(
+            len(self), self.labels, self.subject_ids, self.origins)
         if self.channel_labels is not None:
             self.channel_labels = tuple(self.channel_labels)
-            if self.epochs and len(self.channel_labels) != self.epochs[0].values.shape[0]:
+            if len(self.channel_labels) != self.values.shape[1]:
                 raise DataError("channel label count does not match epoch channel count")
 
     def __len__(self):
-        return len(self.epochs)
+        return self.values.shape[0]
 
-    def __iter__(self):
-        return iter(self.epochs)
 
-    def __getitem__(self, i):
-        return self.epochs[i]
+def _rows(epoch_set, rows):
+    """The metadata columns of the given rows, as keyword arguments of
+    dataclasses.replace."""
+    labels = epoch_set.labels
+    return {"labels": None if labels is None else labels[rows],
+            "subject_ids": epoch_set.subject_ids[rows], "origins": epoch_set.origins[rows]}
 
-    @property
-    def epoch_shape(self):
-        return self.epochs[0].values.shape if self.epochs else None
 
-    def values_array(self):
-        """Stack to (n_epochs, channels, samples)."""
-        if not self.epochs:
-            raise DataError("empty epoch set has no values")
-        return np.stack([e.values for e in self.epochs])
-
-    def labels_array(self):
-        labels = [e.label for e in self.epochs]
-        if any(l is None for l in labels):
-            raise DataError("epoch set has unlabelled epochs")
-        return np.asarray(labels, dtype=np.int64)
-
-    def with_values(self, values, split=None, channel_labels=_KEEP_LABELS):
-        """Same metadata, new per-epoch values (n_epochs, channels, samples)."""
-        values = np.asarray(values)
-        if values.shape[0] != len(self.epochs):
-            raise DataError(
-                f"value array has {values.shape[0]} epochs, set has {len(self.epochs)}"
-            )
-        eps = [
-            Epoch(v, label=e.label, subject_id=e.subject_id, origin_index=e.origin_index)
-            for v, e in zip(values, self.epochs)
-        ]
-        labels = self.channel_labels if channel_labels is _KEEP_LABELS else channel_labels
-        return EpochSet(eps, split=split or self.split, fs=self.fs, channel_labels=labels)
+def check_aligned(a, b):
+    """Raise unless two equally long sets hold the same subject and origin
+    row for row."""
+    bad = np.flatnonzero((a.subject_ids != b.subject_ids) | (a.origins != b.origins))
+    if bad.size:
+        i = bad[0]
+        raise DataError(f"sets misaligned at epoch {i}: ({a.subject_ids[i]}, {a.origins[i]}) "
+                        f"vs ({b.subject_ids[i]}, {b.origins[i]})")
 
 
 @dataclass(frozen=True)
@@ -291,71 +282,50 @@ def extract_epochs(rec, window=512, stride=32):
         raise DataError(
             f"recording has {rec.n_samples} samples, shorter than one {window}-sample window"
         )
-    count = (rec.n_samples - window) // stride + 1
-    epochs = []
-    for i in range(count):
-        start = i * stride
-        label = None
-        if rec.labels is not None:
-            label = _window_label(rec.labels, start, window)
-        epochs.append(
-            Epoch(
-                rec.values[:, start : start + window].copy(),
-                label=label,
-                subject_id=rec.subject_id,
-                origin_index=start,
-            )
-        )
-    return EpochSet(epochs, split="unsplit", fs=rec.fs, channel_labels=rec.channel_labels)
+    starts = np.arange(0, rec.n_samples - window + 1, stride)
+    windows = np.lib.stride_tricks.sliding_window_view(rec.values, window, axis=1)[:, ::stride]
+    labels = None
+    if rec.labels is not None:
+        labels = [_window_label(rec.labels, start, window) for start in starts]
+    return EpochSet(windows.transpose(1, 0, 2), labels, np.full(starts.size, rec.subject_id),
+                    starts, split="unsplit", fs=rec.fs, channel_labels=rec.channel_labels)
 
 
 def segment_epochs(epoch_set, seg_len=64):
     """Split every epoch into non-overlapping segments of seg_len samples."""
-    if not epoch_set.epochs:
+    if not len(epoch_set):
         raise DataError("cannot segment an empty epoch set")
-    n_samples = epoch_set.epoch_shape[1]
+    n, c, n_samples = epoch_set.values.shape
     if n_samples % seg_len != 0:
         raise DataError(f"epoch length {n_samples} is not divisible by segment length {seg_len}")
-    out = []
-    for ep in epoch_set:
-        for k in range(n_samples // seg_len):
-            out.append(
-                Epoch(
-                    ep.values[:, k * seg_len : (k + 1) * seg_len].copy(),
-                    label=ep.label,
-                    subject_id=ep.subject_id,
-                    origin_index=ep.origin_index + k * seg_len,
-                )
-            )
-    return EpochSet(out, split=epoch_set.split, fs=epoch_set.fs,
-                    channel_labels=epoch_set.channel_labels)
+    k = n_samples // seg_len
+    values = epoch_set.values.reshape(n, c, k, seg_len).transpose(0, 2, 1, 3)
+    meta = _rows(epoch_set, np.repeat(np.arange(n), k))
+    meta["origins"] += np.tile(np.arange(k) * seg_len, n)
+    return replace(epoch_set, values=values.reshape(n * k, c, seg_len), **meta)
 
 
 def regroup_segments(segment_set, group_size):
     """Invert segment_epochs: join each run of group_size segments in order."""
-    n = len(segment_set)
+    n, c, seg_len = segment_set.values.shape
     if n == 0 or n % group_size != 0:
         raise DataError(f"{n} segments do not regroup evenly by {group_size}")
-    seg_len = segment_set.epoch_shape[1]
-    out = []
-    for g in range(n // group_size):
-        chunk = segment_set.epochs[g * group_size : (g + 1) * group_size]
-        first = chunk[0]
-        for j, ep in enumerate(chunk):
-            if ep.subject_id != first.subject_id or ep.label != first.label:
-                raise DataError(f"group {g}: segments mix subjects or labels")
-            if ep.origin_index != first.origin_index + j * seg_len:
-                raise DataError(f"group {g}: segments are not contiguous in time")
-        out.append(
-            Epoch(
-                np.concatenate([ep.values for ep in chunk], axis=1),
-                label=first.label,
-                subject_id=first.subject_id,
-                origin_index=first.origin_index,
-            )
-        )
-    return EpochSet(out, split=segment_set.split, fs=segment_set.fs,
-                    channel_labels=segment_set.channel_labels)
+    groups = n // group_size
+    mixed = np.zeros(groups, dtype=bool)
+    for col in (segment_set.subject_ids, segment_set.labels):
+        if col is not None:
+            col = col.reshape(groups, group_size)
+            mixed |= (col != col[:, :1]).any(axis=1)
+    origins = segment_set.origins.reshape(groups, group_size)
+    gaps = (origins != origins[:, :1] + np.arange(group_size) * seg_len).any(axis=1)
+    bad = np.flatnonzero(mixed | gaps)
+    if bad.size:
+        g = bad[0]
+        what = "mix subjects or labels" if mixed[g] else "are not contiguous in time"
+        raise DataError(f"group {g}: segments {what}")
+    values = segment_set.values.reshape(groups, group_size, c, seg_len).transpose(0, 2, 1, 3)
+    return replace(segment_set, values=values.reshape(groups, c, group_size * seg_len),
+                   **_rows(segment_set, slice(None, None, group_size)))
 
 
 def split_dataset(epoch_set, ratios=(0.75, 0.20, 0.05)):
@@ -363,29 +333,28 @@ def split_dataset(epoch_set, ratios=(0.75, 0.20, 0.05)):
 
     Each subject's epochs stay in order; train and val take floor shares and
     test receives the remainder, so every epoch lands in exactly one part.
+    Subjects follow each other in order of first appearance.
     """
-    if not epoch_set.epochs:
+    if not len(epoch_set):
         raise DataError("cannot split an empty epoch set")
     if len(ratios) != 3 or any(r < 0 for r in ratios):
         raise DataError(f"ratios must be three non-negative numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"ratios must sum to 1, got {sum(ratios)}")
-    groups = {}
-    for ep in epoch_set:
-        groups.setdefault(ep.subject_id, []).append(ep)
-    parts = {"train": [], "val": [], "test": []}
-    for eps in groups.values():
-        n = len(eps)
-        n_train = int(n * ratios[0])
-        n_val = int(n * ratios[1])
-        parts["train"].extend(eps[:n_train])
-        parts["val"].extend(eps[n_train : n_train + n_val])
-        parts["test"].extend(eps[n_train + n_val :])
-    return tuple(
-        EpochSet(parts[name], split=name, fs=epoch_set.fs,
-                 channel_labels=epoch_set.channel_labels)
-        for name in ("train", "val", "test")
-    )
+    subjects, first = np.unique(epoch_set.subject_ids, return_index=True)
+    parts = ([], [], [])
+    for subject in subjects[np.argsort(first)]:
+        rows = np.flatnonzero(epoch_set.subject_ids == subject)
+        n_train = int(rows.size * ratios[0])
+        n_val = int(rows.size * ratios[1])
+        for part, chunk in zip(parts, np.split(rows, [n_train, n_train + n_val])):
+            part.append(chunk)
+    out = []
+    for name, part in zip(("train", "val", "test"), parts):
+        rows = np.concatenate(part)
+        out.append(replace(epoch_set, values=epoch_set.values[rows], split=name,
+                           **_rows(epoch_set, rows)))
+    return tuple(out)
 
 
 def make_montage(n_channels, scale):
@@ -399,53 +368,52 @@ def make_montage(n_channels, scale):
     return MontageSplit(n_channels=n_channels, scale=scale, lr_indices=lr, hr_indices=hr)
 
 
-def downsample_channels(epoch, montage):
-    """Split one epoch into kept-channel and missing-channel epochs."""
-    if epoch.values.shape[0] != montage.n_channels:
-        raise DataError(
-            f"epoch has {epoch.values.shape[0]} channels, montage expects {montage.n_channels}"
-        )
-    lr = Epoch(epoch.values[list(montage.lr_indices)].copy(), label=epoch.label,
-               subject_id=epoch.subject_id, origin_index=epoch.origin_index)
-    hr = Epoch(epoch.values[list(montage.hr_indices)].copy(), label=epoch.label,
-               subject_id=epoch.subject_id, origin_index=epoch.origin_index)
-    return lr, hr
-
-
 def downsample_set(epoch_set, montage):
-    """Apply downsample_channels across a set; returns (lr_set, hr_set)."""
-    lr_eps, hr_eps = [], []
-    for ep in epoch_set:
-        lr, hr = downsample_channels(ep, montage)
-        lr_eps.append(lr)
-        hr_eps.append(hr)
-    labels = epoch_set.channel_labels
-    lr_names = tuple(labels[i] for i in montage.lr_indices) if labels else None
-    hr_names = tuple(labels[i] for i in montage.hr_indices) if labels else None
-    return (
-        EpochSet(lr_eps, split=epoch_set.split, fs=epoch_set.fs, channel_labels=lr_names),
-        EpochSet(hr_eps, split=epoch_set.split, fs=epoch_set.fs, channel_labels=hr_names),
-    )
+    """Split a full-layout set into kept-channel and missing-channel sets;
+    returns (lr_set, hr_set)."""
+    n_channels = epoch_set.values.shape[1]
+    if n_channels != montage.n_channels:
+        raise DataError(
+            f"epoch set has {n_channels} channels, montage expects {montage.n_channels}"
+        )
+    names = epoch_set.channel_labels
+
+    def part(rows):
+        return replace(epoch_set, values=epoch_set.values[:, list(rows)],
+                       channel_labels=tuple(names[i] for i in rows) if names else None)
+
+    return part(montage.lr_indices), part(montage.hr_indices)
 
 
-def assemble_channels(lr_epoch, hr_epoch, montage):
-    """Scatter kept and reconstructed channels back to the full layout."""
-    if lr_epoch.values.shape[0] != montage.n_lr:
-        raise DataError(f"lr epoch has {lr_epoch.values.shape[0]} rows, expected {montage.n_lr}")
-    if hr_epoch.values.shape[0] != montage.n_hr:
-        raise DataError(f"hr epoch has {hr_epoch.values.shape[0]} rows, expected {montage.n_hr}")
-    if lr_epoch.values.shape[1] != hr_epoch.values.shape[1]:
-        raise DataError("lr and hr epochs differ in sample count")
-    full = np.empty((montage.n_channels, lr_epoch.values.shape[1]), dtype=np.float64)
-    full[list(montage.lr_indices)] = lr_epoch.values
-    full[list(montage.hr_indices)] = hr_epoch.values
-    return Epoch(full, label=lr_epoch.label, subject_id=lr_epoch.subject_id,
-                 origin_index=lr_epoch.origin_index)
+def assemble_channels(lr_set, hr_set, montage):
+    """Scatter kept and reconstructed channels back to the full layout.
+
+    The rows of the two sets must align; the result has the metadata of
+    `lr_set`, and channel labels when both sets carry them.
+    """
+    (n, c_lr, t), (n_hr, c_hr, t_hr) = lr_set.values.shape, hr_set.values.shape
+    if c_lr != montage.n_lr:
+        raise DataError(f"lr set has {c_lr} channels, expected {montage.n_lr}")
+    if c_hr != montage.n_hr:
+        raise DataError(f"hr set has {c_hr} channels, expected {montage.n_hr}")
+    if (n, t) != (n_hr, t_hr):
+        raise DataError(f"lr and hr sets differ in epochs or samples: {(n, t)} vs {(n_hr, t_hr)}")
+    check_aligned(lr_set, hr_set)
+    full = np.empty((n, montage.n_channels, t), dtype=np.float64)
+    full[:, list(montage.lr_indices)] = lr_set.values
+    full[:, list(montage.hr_indices)] = hr_set.values
+    names = None
+    if lr_set.channel_labels is not None and hr_set.channel_labels is not None:
+        names = [""] * montage.n_channels
+        for indices, part in ((montage.lr_indices, lr_set), (montage.hr_indices, hr_set)):
+            for i, name in zip(indices, part.channel_labels):
+                names[i] = name
+    return replace(lr_set, values=full, channel_labels=names)
 
 
 def compute_norm_stats(epoch_set):
     """Global mean and population standard deviation over every value."""
-    vals = epoch_set.values_array()
+    vals = epoch_set.values
     return NormStats(mu=float(vals.mean()), sigma=max(float(vals.std()), SIGMA_FLOOR))
 
 
@@ -458,8 +426,8 @@ def denormalize_array(values, stats):
 
 
 def normalize_set(epoch_set, stats):
-    return epoch_set.with_values(normalize_array(epoch_set.values_array(), stats))
+    return replace(epoch_set, values=normalize_array(epoch_set.values, stats))
 
 
 def denormalize_set(epoch_set, stats):
-    return epoch_set.with_values(denormalize_array(epoch_set.values_array(), stats))
+    return replace(epoch_set, values=denormalize_array(epoch_set.values, stats))

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import check_aligned
 from .errors import CheckpointError, DataError, NumericAbort
 from .nn import functional as F
 from .nn.optim import AdamState, adam_step
@@ -144,13 +145,9 @@ def pair_arrays(lr_set, hr_set, dtype):
         raise DataError(f"pair mismatch: {len(lr_set)} lr epochs vs {len(hr_set)} hr epochs")
     if len(lr_set) == 0:
         raise DataError("cannot train on an empty pair of epoch sets")
-    for i, (a, b) in enumerate(zip(lr_set, hr_set)):
-        if a.subject_id != b.subject_id or a.origin_index != b.origin_index:
-            raise DataError(f"pair misaligned at epoch {i}: "
-                            f"({a.subject_id}, {a.origin_index}) vs "
-                            f"({b.subject_id}, {b.origin_index})")
-    x = lr_set.values_array().astype(dtype)[:, None]
-    y = hr_set.values_array().astype(dtype)[:, None]
+    check_aligned(lr_set, hr_set)
+    x = lr_set.values.astype(dtype)[:, None]
+    y = hr_set.values.astype(dtype)[:, None]
     return x, y
 
 

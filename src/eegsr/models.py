@@ -14,11 +14,10 @@ layout exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Epoch, EpochSet, assemble_channels
 from .errors import DataError
 from .nn.layers import Model, concat, conv, dense, dropout, flatten, upsample
 from .nn.tensor import Tensor, no_grad
@@ -210,41 +209,21 @@ def build_classifier(cfg, seed=0, dtype=np.float32):
     return Model(classifier_specs(cfg), (cfg.n_features,), seed=seed, dtype=dtype)
 
 
-def generator_forward(gen, lr_values, training=False, rng=None):
-    """Reconstruct missing channels for one segment.
+def sr_predict_set(gen, lr_set, batch_size=256):
+    """Batched inference over a set of kept-channel segments.
 
-    Takes (c_lr, seg_len) values, returns (c_hr, seg_len). Inference mode is
+    Returns a set of reconstructed missing-channel segments with the
+    metadata of `lr_set` and no channel labels. Inference mode is
     deterministic.
     """
-    lr_values = np.asarray(getattr(lr_values, "values", lr_values))
-    expected = gen.input_shape[1:]
-    if lr_values.shape != expected:
-        raise DataError(f"segment shape {lr_values.shape} does not match generator {expected}")
-    x = lr_values[None, None].astype(gen.dtype)
-    if training:
-        out = gen.forward(Tensor(x), training=True, rng=rng)
-    else:
-        with no_grad():
-            out = gen.forward(Tensor(x), training=False)
-    return out.data[0, 0].astype(np.float64)
-
-
-def sr_predict_set(gen, lr_set, batch_size=256):
-    """Batched inference over a set of kept-channel segments."""
-    vals = lr_set.values_array().astype(gen.dtype)[:, None]
+    if lr_set.values.shape[1:] != gen.input_shape[1:]:
+        raise DataError(f"segment shape {lr_set.values.shape[1:]} does not match generator "
+                        f"{gen.input_shape[1:]}")
+    vals = lr_set.values.astype(gen.dtype)[:, None]
     outs = []
     with no_grad():
         for i in range(0, vals.shape[0], batch_size):
             out = gen.forward(Tensor(vals[i : i + batch_size]), training=False)
             outs.append(out.data[:, 0].astype(np.float64))
     pred = np.concatenate(outs, axis=0)
-    return lr_set.with_values(pred, channel_labels=None)
-
-
-def assemble_sr_epoch(lr_epoch, hr_pred, montage):
-    """Merge kept channels with reconstructed ones into a full epoch."""
-    hr_epoch = hr_pred if isinstance(hr_pred, Epoch) else Epoch(
-        hr_pred, label=lr_epoch.label, subject_id=lr_epoch.subject_id,
-        origin_index=lr_epoch.origin_index,
-    )
-    return assemble_channels(lr_epoch, hr_epoch, montage)
+    return replace(lr_set, values=pred, channel_labels=None)

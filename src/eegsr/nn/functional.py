@@ -5,7 +5,6 @@ import numpy as np
 
 from .tensor import (
     Tensor,
-    abs_t,
     as_tensor,
     concat_t,
     conv2d,
@@ -126,12 +125,6 @@ def mse(pred, target):
     return mean_t(mul(d, d))
 
 
-def mae(pred, target):
-    pred, target = as_tensor(pred), as_tensor(target)
-    _check_same_shape(pred, target)
-    return mean_t(abs_t(pred - target))
-
-
 def cross_entropy(pred, target):
     """-sum(target * log(pred + eps)); batched rows are averaged."""
     pred, target = as_tensor(pred), as_tensor(target)
@@ -149,15 +142,3 @@ def binary_cross_entropy(p, target):
     pos = mul_const(log_t(p + LOG_EPS), t)
     neg_ = mul_const(log_t((1.0 - p) + LOG_EPS), 1.0 - t)
     return -mean_t(pos + neg_)
-
-
-_LOSS_FNS = {"mse": mse, "mae": mae, "cross_entropy": cross_entropy}
-
-
-def loss(kind, pred, target):
-    """Dispatch by loss name; unknown names raise."""
-    try:
-        fn = _LOSS_FNS[kind]
-    except KeyError:
-        raise ValueError(f"unknown loss {kind!r}; expected one of {sorted(_LOSS_FNS)}") from None
-    return fn(pred, target)

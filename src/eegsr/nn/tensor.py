@@ -90,9 +90,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
@@ -285,16 +282,6 @@ def sqrt_t(a):
         return (div(mul_const(g, 0.5), maximum_const(root, _SQRT_FLOOR)),)
 
     return _node(out_data, (a,), vjp)
-
-
-def abs_t(a):
-    a = as_tensor(a)
-    sign = np.sign(a.data)
-
-    def vjp(g, needs):
-        return (mul_const(g, sign),)
-
-    return _node(np.abs(a.data), (a,), vjp)
 
 
 def mul_const(a, c):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import metadata_columns
 from .errors import DataError
 from .nn import functional as F
 from .nn.optim import AdamState, adam_step
@@ -32,88 +33,81 @@ def hann_periodic(n):
 
 
 def welch_psd(x, fs, nperseg=WELCH_NPERSEG, overlap=WELCH_OVERLAP):
-    """One-sided Welch power spectral density of a 1-D signal.
+    """One-sided Welch power spectral density along the last axis of x.
 
     Segments overlap by `overlap`, each is Hann-windowed (periodic) and not
     detrended; per-segment periodograms |rfft(w*x)|^2 / (fs * sum(w^2)) are
-    doubled at non-DC, non-Nyquist bins and averaged. Returns (freqs, psd).
+    doubled at non-DC, non-Nyquist bins and averaged. Returns (freqs, psd),
+    psd of shape x.shape[:-1] + (nperseg // 2 + 1,).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError(f"welch_psd expects a 1-D signal, got shape {x.shape}")
-    if x.size < nperseg:
-        raise DataError(f"signal of {x.size} samples is shorter than one {nperseg}-sample segment")
+    if x.ndim < 1 or x.shape[-1] < nperseg:
+        raise DataError(f"signal of shape {x.shape} is shorter than one {nperseg}-sample segment")
     step = nperseg - int(overlap * nperseg)
     if step < 1:
         raise DataError(f"overlap {overlap} leaves no step")
     window = hann_periodic(nperseg)
     scale = 1.0 / (fs * float(window @ window))
-    n_segments = (x.size - nperseg) // step + 1
-    acc = None
-    for s in range(n_segments):
-        seg = x[s * step : s * step + nperseg]
-        spec = np.fft.rfft(window * seg)
-        p = (spec.real**2 + spec.imag**2) * scale
-        p[1:-1] *= 2.0
-        acc = p if acc is None else acc + p
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)[..., ::step, :]
+    spec = np.fft.rfft(window * segments, axis=-1)
+    p = (spec.real**2 + spec.imag**2) * scale
+    p[..., 1:-1] *= 2.0
     freqs = np.fft.rfftfreq(nperseg, d=1.0 / fs)
-    return freqs, acc / n_segments
+    # The reduction adds segment after segment, like a running total, so the
+    # batched result matches a per-signal loop bit for bit.
+    return freqs, p.sum(axis=-2) / segments.shape[-2]
 
 
-@dataclass(frozen=True)
-class PsdFeature:
-    """One epoch's band powers plus its class label and provenance."""
+@dataclass
+class FeatureTable:
+    """Band powers of n epochs, (n, 96), with the label, subject and origin
+    columns of the epochs they came from."""
 
     values: np.ndarray
-    label: int | None
-    subject_id: str
-    origin_index: int
+    labels: np.ndarray | None
+    subject_ids: np.ndarray
+    origins: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.shape != (N_FEATURES,):
-            raise DataError(f"feature vector must have shape ({N_FEATURES},), got {self.values.shape}")
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 2 or self.values.shape[1] != N_FEATURES:
+            raise DataError(f"feature rows must have shape (n, {N_FEATURES}), "
+                            f"got {self.values.shape}")
         if (self.values < 0).any():
             raise DataError("band powers cannot be negative")
+        self.labels, self.subject_ids, self.origins = metadata_columns(
+            len(self), self.labels, self.subject_ids, self.origins)
 
+    def __len__(self):
+        return self.values.shape[0]
 
-def band_feature_vector(values, fs, channel_labels):
-    """96-dim band-power vector for one (channels, samples) epoch.
-
-    Channel order follows FEATURE_CHANNELS; within each channel the 8-30 Hz
-    bins appear in ascending frequency. Requires a 2 Hz bin grid, i.e.
-    fs / WELCH_NPERSEG == 2.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if channel_labels is None:
-        raise DataError("feature extraction needs channel labels")
-    labels = list(channel_labels)
-    missing = [c for c in FEATURE_CHANNELS if c not in labels]
-    if missing:
-        raise DataError(f"epoch lacks required channels: {missing}")
-    out = np.empty(N_FEATURES)
-    bin_idx = None
-    for k, name in enumerate(FEATURE_CHANNELS):
-        freqs, psd = welch_psd(values[labels.index(name)], fs)
-        if bin_idx is None:
-            bin_idx = [int(np.flatnonzero(np.isclose(freqs, f))[0]) for f in BAND_FREQS]
-        out[k * len(BAND_FREQS) : (k + 1) * len(BAND_FREQS)] = psd[bin_idx]
-    return out
+    def labelled(self):
+        """(values, labels) for training or scoring; every row needs a label."""
+        if not len(self):
+            raise DataError("feature table has no rows")
+        if self.labels is None:
+            raise DataError("features are missing class labels")
+        return self.values, self.labels
 
 
 def epoch_features(epoch_set):
-    """PsdFeature per epoch of a full-layout, fully reassembled set."""
-    feats = []
-    for ep in epoch_set:
-        feats.append(
-            PsdFeature(
-                band_feature_vector(ep.values, epoch_set.fs, epoch_set.channel_labels),
-                label=ep.label,
-                subject_id=ep.subject_id,
-                origin_index=ep.origin_index,
-            )
-        )
-    return feats
+    """Band-power table of a full-layout, fully reassembled set.
+
+    Row i holds epoch i's 96 powers: channels in FEATURE_CHANNELS order,
+    within each channel the 8-30 Hz bins in ascending frequency. Requires a
+    2 Hz bin grid, i.e. fs / WELCH_NPERSEG == 2.
+    """
+    names = epoch_set.channel_labels
+    if names is None:
+        raise DataError("feature extraction needs channel labels")
+    missing = [c for c in FEATURE_CHANNELS if c not in names]
+    if missing:
+        raise DataError(f"epoch set lacks required channels: {missing}")
+    rows = [names.index(c) for c in FEATURE_CHANNELS]
+    freqs, power = welch_psd(epoch_set.values[:, rows], epoch_set.fs)
+    bins = [int(np.flatnonzero(np.isclose(freqs, f))[0]) for f in BAND_FREQS]
+    return FeatureTable(power[:, :, bins].reshape(len(epoch_set), N_FEATURES),
+                        epoch_set.labels, epoch_set.subject_ids, epoch_set.origins)
 
 
 @dataclass(frozen=True)
@@ -130,17 +124,6 @@ class FeatureScaler:
 
     def apply(self, matrix):
         return (np.asarray(matrix, dtype=np.float64) - self.mu) / self.sigma
-
-
-def feature_matrix(features):
-    """Stack PsdFeatures to (n, 96) values and (n,) labels."""
-    if not features:
-        raise DataError("no features to stack")
-    x = np.stack([f.values for f in features])
-    labels = [f.label for f in features]
-    if any(l is None for l in labels):
-        raise DataError("features are missing class labels")
-    return x, np.asarray(labels, dtype=np.int64)
 
 
 @dataclass(frozen=True)

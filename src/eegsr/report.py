@@ -83,8 +83,8 @@ def sr_metrics(pred_set, truth_set):
         )
     if len(pred_set) == 0:
         raise DataError("cannot score an empty set")
-    p = pred_set.values_array()
-    t = truth_set.values_array()
+    p = pred_set.values
+    t = truth_set.values
     if p.shape != t.shape:
         raise DataError(f"prediction shape {p.shape} does not match truth {t.shape}")
     diff = p - t

@@ -3,7 +3,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from eegsr.data import EpochSet
 from eegsr.nn.tensor import Tensor, grad
+
+
+def epoch_set(values, label=None, subject="s01", origins=None, **kwargs):
+    """EpochSet over `values` (n, channels, samples): every row gets `label`
+    and `subject`; origins default to back-to-back rows 0, t, 2t, ..."""
+    values = np.asarray(values, dtype=np.float64)
+    n, _, t = values.shape
+    return EpochSet(values, None if label is None else np.full(n, label), np.full(n, subject),
+                    np.arange(n) * t if origins is None else origins, **kwargs)
+
+
+def same_set(a, b):
+    """Bit-identical values (-0.0 and 0.0 differ) and identical metadata."""
+    return (a.values.shape == b.values.shape and a.values.tobytes() == b.values.tobytes()
+            and (a.labels is None) == (b.labels is None)
+            and (a.labels is None or np.array_equal(a.labels, b.labels))
+            and np.array_equal(a.subject_ids, b.subject_ids)
+            and np.array_equal(a.origins, b.origins)
+            and (a.split, a.fs, a.channel_labels) == (b.split, b.fs, b.channel_labels))
 
 
 def fd_grad(fn, arrays, index, h=1e-5):

@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 
 from eegsr import archive, psd
-from eegsr.bicubic import KEYS_A, bicubic_missing, cubic_kernel, interpolation_weights
+from eegsr.archive import read_features_csv
+from eegsr.bicubic import KEYS_A, bicubic_predict_set, cubic_kernel, interpolation_weights
 from eegsr.cli import main as cli_main
-from eegsr.cli import read_features_csv, _load_classifier
+from eegsr.cli import _load_classifier
 from eegsr.data import (
-    Epoch,
-    EpochSet,
     RawRecording,
     assemble_channels,
     compute_norm_stats,
@@ -43,6 +42,8 @@ from eegsr.nn import functional as F
 from eegsr.nn.layers import Model, concat, conv, dense, dropout, flatten, upsample
 from eegsr.nn.tensor import Tensor, grad
 from eegsr.report import sr_metrics
+
+from helpers import epoch_set
 
 RNG = np.random.default_rng(20260820)
 
@@ -226,16 +227,21 @@ def test_03_interpolation_oracle():
         m = make_montage(32, scale)
         if np.abs(interpolation_weights(m).sum(axis=1) - 1.0).max() >= 1e-12:
             failures.append(f"row sums scale {scale}")
-        const = np.full((m.n_lr, 64), 3.25)
-        if np.abs(bicubic_missing(const, m) - 3.25).max() >= 1e-12:
+        const = epoch_set(np.full((1, m.n_lr, 64), 3.25))
+        if np.abs(bicubic_predict_set(const, m).values - 3.25).max() >= 1e-12:
             failures.append(f"constant reproduction scale {scale}")
 
-    worst = 0.0
+    # 1000 montages, alternating scales, each reconstructed as part of a set.
+    lr_values = {2: [], 4: []}
     for i in range(1000):
-        m = make_montage(32, 2 if i % 2 == 0 else 4)
-        lr = RNG.normal(size=(m.n_lr, 64)) * 10.0
-        diff = np.abs(bicubic_missing(lr, m) - _oracle_missing(lr, m)).max()
-        worst = max(worst, diff)
+        scale = 2 if i % 2 == 0 else 4
+        lr_values[scale].append(RNG.normal(size=(32 // scale, 64)) * 10.0)
+    worst = 0.0
+    for scale, lrs in lr_values.items():
+        m = make_montage(32, scale)
+        pred = bicubic_predict_set(epoch_set(lrs), m).values
+        for lr, got in zip(lrs, pred):
+            worst = max(worst, np.abs(got - _oracle_missing(lr, m)).max())
     if worst >= 1e-9:
         failures.append(f"oracle mismatch {worst:.2e}")
 
@@ -271,27 +277,22 @@ def test_04_preprocessing_invariants():
             break
 
     # downsample/assemble losslessness, both scales
-    epochs = [Epoch(rng.normal(size=(32, 64)), label=3, origin_index=i * 64)
-              for i in range(16)]
-    full = EpochSet(epochs, fs=512.0, channel_labels=labels32)
+    full = epoch_set(rng.normal(size=(16, 32, 64)), label=3, fs=512.0,
+                     channel_labels=labels32)
     for scale in (2, 4):
         m = make_montage(32, scale)
-        lr_set, hr_set = downsample_set(full, m)
-        for orig, lr, hr in zip(full, lr_set, hr_set):
-            back = assemble_channels(lr, hr, m)
-            if not np.array_equal(back.values, orig.values):
-                failures.append(f"lossy reassembly at scale {scale}")
-                break
+        back = assemble_channels(*downsample_set(full, m), m)
+        if not np.array_equal(back.values, full.values) or back.channel_labels != labels32:
+            failures.append(f"lossy reassembly at scale {scale}")
 
     # 75/20/5 split partitions the set in order
-    seq = EpochSet([Epoch(np.zeros((2, 8)), origin_index=i) for i in range(252)],
-                   fs=512.0)
+    seq = epoch_set(np.zeros((252, 2, 8)), origins=np.arange(252), fs=512.0)
     train, val, test = split_dataset(seq, ratios=(0.75, 0.20, 0.05))
     sizes = (len(train), len(val), len(test))
     if sizes != (189, 50, 13):
         failures.append(f"split sizes {sizes}")
-    order = [e.origin_index for part in (train, val, test) for e in part]
-    if order != list(range(252)):
+    order = np.concatenate([part.origins for part in (train, val, test)])
+    if order.tolist() != list(range(252)):
         failures.append("split does not partition in order")
 
     # normalization round-trip and train stats
@@ -299,13 +300,13 @@ def test_04_preprocessing_invariants():
     lr_set, _ = downsample_set(full, m)
     stats = compute_norm_stats(lr_set)
     normed = normalize_set(lr_set, stats)
-    flat = normed.values_array()
+    flat = normed.values
     mean_err = abs(flat.mean())
     std_err = abs(flat.std() - 1.0)
     if mean_err >= 1e-9 or std_err >= 1e-9:
         failures.append(f"train stats off by ({mean_err:.1e}, {std_err:.1e})")
     back = denormalize_set(normed, stats)
-    round_err = np.abs(back.values_array() - lr_set.values_array()).max()
+    round_err = np.abs(back.values - lr_set.values).max()
     if round_err >= 1e-12:
         failures.append(f"normalization round-trip {round_err:.1e}")
 
@@ -388,10 +389,8 @@ def test_05_adversarial_loss_anchors():
                           seed=3, dtype=np.float64)
     disc = build_discriminator(DiscriminatorConfig(c_hr=4, seg_len=8, width=1 / 64),
                                seed=4, dtype=np.float64)
-    eps = [Epoch(RNG.normal(size=(4, 8)), origin_index=i * 8) for i in range(24)]
-    pair = (EpochSet(eps, fs=512.0),
-            EpochSet([Epoch(e.values * 0.5, origin_index=e.origin_index) for e in eps],
-                     fs=512.0))
+    lr_values = RNG.normal(size=(24, 4, 8))
+    pair = (epoch_set(lr_values, fs=512.0), epoch_set(lr_values * 0.5, fs=512.0))
     cfg = TrainConfig(pretrain_epochs=0, gan_epochs=4, batch_size=5, lr=1e-3,
                       training_ratio=3, seed=9)
     result = train_wgan(gen, disc, pair, cfg)
@@ -492,12 +491,12 @@ def test_07_classification_transfer(desk):
     model, class_ids, scaler = _load_classifier(root / "clf")
 
     def accuracy(source):
-        feats = []
-        for split in ("val", "test"):
-            feats.extend(read_features_csv(root / "feats" / f"{split}_{source}.csv"))
-        x, labels = psd.feature_matrix(feats)
+        tables = [read_features_csv(root / "feats" / f"{split}_{source}.csv").labelled()
+                  for split in ("val", "test")]
+        x = np.concatenate([t[0] for t in tables])
+        labels = np.concatenate([t[1] for t in tables])
         pred, _ = psd.predict(model, scaler.apply(x), class_ids)
-        return float(np.mean(np.asarray(pred) == labels)), len(feats)
+        return float(np.mean(np.asarray(pred) == labels)), len(labels)
 
     acc_hr, n = accuracy("hr")
     acc_sr, _ = accuracy("sr")

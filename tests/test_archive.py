@@ -1,6 +1,9 @@
 """On-disk artifacts: recordings, epoch archives, preprocessing info."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eegsr.archive import (
     load_epoch_set,
@@ -11,13 +14,15 @@ from eegsr.archive import (
     save_recording,
 )
 from eegsr.data import (
-    Epoch,
+    SPLITS,
     EpochSet,
     NormStats,
     RawRecording,
     make_montage,
 )
 from eegsr.errors import ArtifactError, ParseError
+
+from helpers import same_set
 
 RNG = np.random.default_rng(20260804)
 
@@ -30,11 +35,9 @@ def sample_recording(with_labels=True):
 
 
 def sample_epoch_set():
-    eps = [
-        Epoch(RNG.normal(size=(4, 16)), label=3, subject_id="s07", origin_index=i * 16)
-        for i in range(5)
-    ]
-    return EpochSet(eps, split="val", fs=256.0, channel_labels=("a", "b", "c", "d"))
+    return EpochSet(RNG.normal(size=(5, 4, 16)), np.full(5, 3), np.full(5, "s07"),
+                    np.arange(5) * 16, split="val", fs=256.0,
+                    channel_labels=("a", "b", "c", "d"))
 
 
 def test_recording_round_trip_exact(tmp_path):
@@ -84,26 +87,33 @@ def test_recording_requires_sampling_rate(tmp_path):
     assert back.fs == 128.0
 
 
-def test_epoch_set_round_trip_exact(tmp_path):
-    eset = sample_epoch_set()
-    save_epoch_set(tmp_path / "arc", eset)
-    back = load_epoch_set(tmp_path / "arc")
-    assert len(back) == len(eset)
-    assert back.split == "val"
-    assert back.fs == 256.0
-    assert back.channel_labels == eset.channel_labels
-    for a, b in zip(eset, back):
-        assert np.array_equal(a.values, b.values)
-        assert (a.label, a.subject_id, a.origin_index) == (b.label, b.subject_id, b.origin_index)
+@st.composite
+def archivable_sets(draw):
+    """Any shape (zero channels or samples too), labels or none, several
+    subjects, channel labels none or one name per channel (() at zero
+    channels), any value but NaN."""
+    n, c, t = draw(st.integers(1, 6)), draw(st.integers(0, 5)), draw(st.integers(0, 9))
+    column = lambda elements: st.lists(elements, min_size=n, max_size=n)  # noqa: E731
+    name = st.text("abcXYZ019_-", min_size=1, max_size=4)
+    return EpochSet(
+        draw(hnp.arrays(np.float64, (n, c, t), elements=st.floats(allow_nan=False, width=64))),
+        draw(st.none() | column(st.integers(-2**63, 2**63 - 1))),
+        draw(column(name)),
+        draw(column(st.integers(-2**63, 2**63 - 1))),
+        split=draw(st.sampled_from(SPLITS)),
+        fs=draw(st.floats(1e-3, 1e6)),
+        channel_labels=draw(st.none() | st.lists(name, min_size=c, max_size=c)),
+    )
 
 
-def test_epoch_set_round_trip_unlabelled(tmp_path):
-    eps = [Epoch(RNG.normal(size=(2, 8))) for _ in range(3)]
-    eset = EpochSet(eps, fs=100.0)
-    save_epoch_set(tmp_path / "arc", eset)
-    back = load_epoch_set(tmp_path / "arc")
-    assert all(e.label is None for e in back)
-    assert back.channel_labels is None
+@settings(max_examples=80, deadline=None)
+@given(archivable_sets())
+def test_epoch_set_round_trip_exact(tmp_path_factory, eset):
+    # The first fixed case: labelled, one subject, named channels.
+    for case in (sample_epoch_set(), eset):
+        arc = tmp_path_factory.mktemp("arc")
+        save_epoch_set(arc, case)
+        assert same_set(load_epoch_set(arc), case)
 
 
 def test_epoch_archive_missing_pieces(tmp_path):

@@ -4,15 +4,14 @@ import pytest
 
 from eegsr.bicubic import (
     KEYS_A,
-    bicubic_epoch,
-    bicubic_missing,
     bicubic_predict_set,
-    bicubic_upsample,
     cubic_kernel,
     interpolation_weights,
 )
-from eegsr.data import Epoch, EpochSet, make_montage
+from eegsr.data import assemble_channels, make_montage
 from eegsr.errors import DataError
+
+from helpers import epoch_set
 
 RNG = np.random.default_rng(20260806)
 
@@ -82,36 +81,46 @@ def test_edge_rows_clamp_to_boundary_channels():
     np.testing.assert_allclose(row.sum(), 1.0, atol=1e-15)
 
 
+def missing(lr_values, m):
+    """Missing rows reconstructed from (n, n_lr, t) kept-channel values."""
+    return bicubic_predict_set(epoch_set(lr_values), m).values
+
+
+def upsample(lr_values, m):
+    """Full (n, n_channels, t) layout: kept rows plus reconstructed ones."""
+    lr_set = epoch_set(lr_values)
+    return assemble_channels(lr_set, bicubic_predict_set(lr_set, m), m).values
+
+
 def test_matches_brute_force_oracle():
     for scale in (2, 4):
         m = make_montage(32, scale)
-        for _ in range(25):
-            lr = RNG.normal(size=(m.n_lr, 16)) * 40.0
-            fast = bicubic_missing(lr, m)
-            slow = oracle_missing(lr, m)
-            assert np.max(np.abs(fast - slow)) < 1e-9
+        lr = RNG.normal(size=(25, m.n_lr, 16)) * 40.0
+        fast = missing(lr, m)
+        for i in range(25):
+            assert np.max(np.abs(fast[i] - oracle_missing(lr[i], m))) < 1e-9
 
 
 def test_kept_channels_pass_through_bit_exact():
     m = make_montage(32, 2)
-    lr = RNG.normal(size=(16, 32))
-    full = bicubic_upsample(lr, m)
-    assert full.shape == (32, 32)
-    assert np.array_equal(full[list(m.lr_indices)], lr)
+    lr = RNG.normal(size=(3, 16, 32))
+    full = upsample(lr, m)
+    assert full.shape == (3, 32, 32)
+    assert np.array_equal(full[:, list(m.lr_indices)], lr)
 
 
 def test_constant_signal_reproduced_exactly():
     m = make_montage(32, 4)
-    lr = np.full((8, 10), 3.25)
-    full = bicubic_upsample(lr, m)
+    lr = np.full((2, 8, 10), 3.25)
+    full = upsample(lr, m)
     np.testing.assert_allclose(full, 3.25, atol=1e-12)
 
 
 def test_linear_ramp_reproduced_on_interior():
     # Keys a=-0.5 reproduces degree-1 polynomials away from the clamped edge.
     m = make_montage(32, 2)
-    ramp = np.arange(0, 32, 2, dtype=np.float64)[:, None] * np.ones((1, 4))
-    full = bicubic_upsample(ramp, m)
+    ramp = np.arange(0, 32, 2, dtype=np.float64)[None, :, None] * np.ones((1, 1, 4))
+    full = upsample(ramp, m)[0]
     interior = [i for i in m.hr_indices if 2 <= i <= 28]
     for i in interior:
         np.testing.assert_allclose(full[i], float(i), atol=1e-12)
@@ -119,35 +128,36 @@ def test_linear_ramp_reproduced_on_interior():
 
 def test_linearity_of_operator():
     m = make_montage(32, 2)
-    a = RNG.normal(size=(16, 8))
-    b = RNG.normal(size=(16, 8))
-    lhs = bicubic_missing(2.0 * a + 3.0 * b, m)
-    rhs = 2.0 * bicubic_missing(a, m) + 3.0 * bicubic_missing(b, m)
+    a = RNG.normal(size=(2, 16, 8))
+    b = RNG.normal(size=(2, 16, 8))
+    lhs = missing(2.0 * a + 3.0 * b, m)
+    rhs = 2.0 * missing(a, m) + 3.0 * missing(b, m)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_predict_set_matches_per_epoch():
     m = make_montage(32, 2)
-    eps = [Epoch(RNG.normal(size=(16, 12)), label=7, origin_index=i) for i in range(3)]
-    lr_set = EpochSet(eps, fs=512.0)
+    lr_set = epoch_set(RNG.normal(size=(3, 16, 12)), label=7, subject="s02",
+                       origins=[96, 0, 12], fs=512.0,
+                       channel_labels=[f"c{i}" for i in range(16)])
     pred = bicubic_predict_set(lr_set, m)
-    assert len(pred) == 3
-    for ep, src in zip(pred, eps):
-        np.testing.assert_allclose(ep.values, bicubic_missing(src.values, m), atol=1e-12)
-        assert ep.label == 7
-
-
-def test_bicubic_epoch_keeps_metadata():
-    m = make_montage(32, 2)
-    ep = Epoch(RNG.normal(size=(16, 6)), label=3, subject_id="s02", origin_index=96)
-    full = bicubic_epoch(ep, m)
-    assert full.values.shape == (32, 6)
-    assert (full.label, full.subject_id, full.origin_index) == (3, "s02", 96)
+    assert pred.values.shape == (3, 16, 12)
+    for got, src in zip(pred.values, lr_set.values):
+        np.testing.assert_allclose(got, interpolation_weights(m) @ src, atol=1e-12)
+    assert pred.labels.tolist() == [7, 7, 7]
+    assert pred.subject_ids.tolist() == ["s02"] * 3
+    assert pred.origins.tolist() == [96, 0, 12]
+    assert pred.channel_labels is None
 
 
 def test_shape_validation():
     m = make_montage(32, 2)
     with pytest.raises(DataError):
-        bicubic_missing(RNG.normal(size=(15, 6)), m)
+        missing(RNG.normal(size=(2, 15, 6)), m)
+    lr_set = epoch_set(RNG.normal(size=(2, 16, 6)))
     with pytest.raises(DataError):
-        bicubic_upsample(RNG.normal(size=(16,)), m)
+        assemble_channels(lr_set, epoch_set(RNG.normal(size=(2, 15, 6))), m)
+    with pytest.raises(DataError):
+        assemble_channels(lr_set, epoch_set(RNG.normal(size=(2, 16, 5))), m)
+    with pytest.raises(DataError, match="misaligned"):
+        assemble_channels(lr_set, epoch_set(RNG.normal(size=(2, 16, 6)), origins=[0, 7]), m)

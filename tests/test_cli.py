@@ -1,12 +1,15 @@
 """End-to-end command-line pipeline at toy scale, plus exit-code contract."""
 import csv
+import shutil
 
 import numpy as np
 import pytest
 
 from eegsr import archive, psd
-from eegsr.cli import FEATURE_HEADER, main, read_features_csv, write_features_csv
+from eegsr.archive import FEATURE_HEADER, read_features_csv, write_features_csv
+from eegsr.cli import main
 from eegsr.errors import ArtifactError
+from eegsr.psd import FeatureTable
 
 OVERRIDES = [
     "--set", "synth.n_samples=1216",
@@ -75,8 +78,8 @@ def test_synth_and_preprocess_artifacts(pipeline):
     lr = archive.load_epoch_set(pipeline["data"] / "train_lr")
     hr = archive.load_epoch_set(pipeline["data"] / "train_hr")
     assert len(lr) == 17 * 8
-    assert lr.epoch_shape == (16, 64)
-    assert hr.epoch_shape == (16, 64)
+    assert lr.values.shape[1:] == (16, 64)
+    assert hr.values.shape[1:] == (16, 64)
 
 
 def test_training_artifacts(pipeline):
@@ -92,7 +95,7 @@ def test_reconstruction_artifacts(pipeline):
     for stage in ("base", "sr"):
         for split in ("val", "test"):
             pred = archive.load_epoch_set(pipeline[stage] / split)
-            assert pred.epoch_shape == (16, 64)
+            assert pred.values.shape[1:] == (16, 64)
     assert len(archive.load_epoch_set(pipeline["base"] / "val")) == 4 * 8
     assert len(archive.load_epoch_set(pipeline["base"] / "test")) == 2 * 8
 
@@ -102,8 +105,8 @@ def test_feature_tables(pipeline):
     for name, expect in counts.items():
         feats = read_features_csv(pipeline["feats"] / f"{name}.csv")
         assert len(feats) == expect
-        assert feats[0].values.shape == (psd.N_FEATURES,)
-        assert all(f.label in (2, 3, 7) for f in feats)
+        assert feats.values.shape == (expect, psd.N_FEATURES)
+        assert set(feats.labels.tolist()) <= {2, 3, 7}
 
 
 def test_classifier_artifacts(pipeline):
@@ -201,23 +204,19 @@ def test_scale_mismatch_rejected(tmp_path, pipeline):
 
 def test_features_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
-    feats = [
-        psd.PsdFeature(rng.exponential(size=psd.N_FEATURES), label=2, subject_id="s01",
-                       origin_index=5),
-        psd.PsdFeature(rng.exponential(size=psd.N_FEATURES), label=None,
-                       subject_id="s02", origin_index=9),
-    ]
-    path = tmp_path / "f.csv"
-    write_features_csv(path, feats)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    assert header == FEATURE_HEADER
-    back = read_features_csv(path)
-    assert len(back) == 2
-    for a, b in zip(feats, back):
-        assert np.array_equal(a.values, b.values)
-        assert (a.label, a.subject_id, a.origin_index) == (b.label, b.subject_id,
-                                                           b.origin_index)
+    for labels in ([2, 7], None):
+        feats = FeatureTable(rng.exponential(size=(2, psd.N_FEATURES)), labels,
+                             ["s01", "s02"], [5, 9])
+        path = tmp_path / "f.csv"
+        write_features_csv(path, feats)
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+        assert header == FEATURE_HEADER
+        back = read_features_csv(path)
+        assert np.array_equal(back.values, feats.values)
+        assert back.labels is None if labels is None else back.labels.tolist() == labels
+        assert back.subject_ids.tolist() == ["s01", "s02"]
+        assert back.origins.tolist() == [5, 9]
 
 
 def test_features_csv_rejects_bad_header(tmp_path):
@@ -225,3 +224,41 @@ def test_features_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n")
     with pytest.raises(ArtifactError):
         read_features_csv(path)
+
+
+def corrupt_cell(path, line, column, text):
+    """Replace one cell of a CSV file; `line` counts from 1 with the header."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[line - 1][column] = text
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def assert_parse_failure(capsys, argv, line):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert "Traceback" not in err
+
+
+def test_corrupt_archive_metadata_is_a_parse_error(tmp_path, pipeline, capsys):
+    # Non-integer epoch_index, label or origin_index cells, a missing label
+    # among labelled rows, a short row: exit 1 naming the line, no traceback.
+    for line, column, text in ((3, 0, "x"), (4, 2, "2.5"), (2, 2, ""), (5, 3, "12a"),
+                               (6, slice(3, None), [])):
+        data = tmp_path / f"data{line}"
+        shutil.copytree(pipeline["data"], data)
+        corrupt_cell(data / "val_lr" / "meta.csv", line, column, text)
+        assert_parse_failure(capsys, ["baseline", "--data", str(data),
+                                      "--out", str(tmp_path / "base")], line)
+
+
+def test_corrupt_feature_table_is_a_parse_error(tmp_path, pipeline, capsys):
+    # A non-numeric band power, a non-integer label, a short row.
+    for line, column, text in ((2, 7, "n/a"), (5, 2, "two"), (9, slice(50, None), [])):
+        feats = tmp_path / f"feats{line}"
+        shutil.copytree(pipeline["feats"], feats)
+        corrupt_cell(feats / "train_hr.csv", line, column, text)
+        assert_parse_failure(capsys, ["train-clf", "--features", str(feats),
+                                      "--out", str(tmp_path / "clf")] + OVERRIDES, line)

@@ -1,11 +1,14 @@
 """Synthetic data, epoching, montage handling and normalization."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eegsr import data
 from eegsr.data import (
     CHANNEL_LABELS_32,
-    Epoch,
+    SPLITS,
     EpochSet,
     NormStats,
     RawRecording,
@@ -24,6 +27,8 @@ from eegsr.data import (
 )
 from eegsr.errors import DataError
 
+from helpers import epoch_set, same_set
+
 RNG = np.random.default_rng(20260803)
 
 
@@ -33,12 +38,23 @@ def small_recording(n_samples=1152, n_classes=3, seed=5):
 
 
 def random_set(n_epochs, channels, samples, subject="s01"):
-    eps = [
-        Epoch(RNG.normal(size=(channels, samples)), label=2, subject_id=subject,
-              origin_index=i * samples)
-        for i in range(n_epochs)
-    ]
-    return EpochSet(eps, fs=512.0)
+    return epoch_set(RNG.normal(size=(n_epochs, channels, samples)), label=2,
+                     subject=subject, fs=512.0)
+
+
+@st.composite
+def epoch_sets(draw, channels=st.integers(1, 6), samples=st.integers(1, 12)):
+    """Sets of random values with labels or none, several subjects, any
+    origins and channel labels or none."""
+    n, c, t = draw(st.integers(1, 7)), draw(channels), draw(samples)
+    subjects = draw(st.lists(st.sampled_from(["s01", "s02", "s10"]), min_size=n, max_size=n))
+    labels = draw(st.none() | st.lists(st.integers(-5, 9), min_size=n, max_size=n))
+    origins = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
+    names = draw(st.none() | st.just(tuple(f"ch{i}" for i in range(c))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).normal(size=(n, c, t)) * 10.0 ** draw(st.integers(-3, 3))
+    return EpochSet(values, labels, subjects, origins, split=draw(st.sampled_from(SPLITS)),
+                    fs=draw(st.sampled_from([128.0, 512.0, 1000.5])), channel_labels=names)
 
 
 def test_synthetic_shape_labels_and_determinism():
@@ -86,7 +102,7 @@ def test_epoch_count_formula():
     rec = small_recording(n_samples=512 + 32 * 9)
     eps = extract_epochs(rec, window=512, stride=32)
     assert len(eps) == 10
-    assert eps.epoch_shape == (32, 512)
+    assert eps.values.shape[1:] == (32, 512)
 
 
 def test_epoch_count_formula_property():
@@ -99,8 +115,10 @@ def test_epoch_count_formula_property():
         stride = int(rng.integers(1, 400))
         eps = extract_epochs(rec, window=window, stride=stride)
         assert len(eps) == (4000 - window) // stride + 1
-        last = eps[len(eps) - 1]
-        assert last.origin_index + window <= 4000
+        last = eps.origins[-1]
+        assert last + window <= 4000
+        assert np.array_equal(eps.values[-1], values[:, last : last + window])
+        assert np.array_equal(eps.origins, np.arange(len(eps)) * stride)
 
 
 def test_extract_epochs_rejects_short_recording():
@@ -114,38 +132,44 @@ def test_epoch_labels_majority_and_tie():
     labels = np.array([2, 2, 2, 3, 3, 3, 3, 2])
     rec = RawRecording(values, fs=8.0, channel_labels=("a",), labels=labels)
     eps = extract_epochs(rec, window=8, stride=1)
-    assert eps[0].label == 3
+    assert eps.labels[0] == 3
     tied = RawRecording(np.zeros((1, 4)), fs=4.0, channel_labels=("a",),
                         labels=np.array([2, 3, 3, 2]))
     eps = extract_epochs(tied, window=4, stride=1)
     # Tie between 2 and 3 resolves to the centre sample (index 2).
-    assert eps[0].label == 3
+    assert eps.labels[0] == 3
 
 
-def test_segment_then_regroup_is_identity():
-    eset = random_set(3, 8, 256)
-    segs = segment_epochs(eset, seg_len=64)
-    assert len(segs) == 12
-    assert segs.epoch_shape == (8, 64)
-    back = regroup_segments(segs, 256 // 64)
-    assert len(back) == 3
-    for a, b in zip(eset, back):
-        assert np.array_equal(a.values, b.values)
-        assert a.origin_index == b.origin_index
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_segment_then_regroup_is_identity(draw):
+    seg_len, k = draw.draw(st.integers(1, 5)), draw.draw(st.integers(1, 4))
+    eset = draw.draw(epoch_sets(samples=st.just(seg_len * k)))
+    segs = segment_epochs(eset, seg_len=seg_len)
+    n, c = eset.values.shape[:2]
+    assert segs.values.shape == (n * k, c, seg_len)
+    # Segment j of epoch i is samples j*seg_len.. of it, starting seg_len*j later.
+    assert np.array_equal(segs.values[k - 1 :: k], eset.values[:, :, (k - 1) * seg_len :])
+    assert np.array_equal(segs.origins[k - 1 :: k], eset.origins + (k - 1) * seg_len)
+    assert same_set(regroup_segments(segs, k), eset)
 
 
 def test_segment_origin_indices_advance():
     eset = random_set(1, 2, 128)
     segs = segment_epochs(eset, seg_len=32)
-    assert [s.origin_index for s in segs] == [0, 32, 64, 96]
+    assert segs.origins.tolist() == [0, 32, 64, 96]
 
 
 def test_regroup_rejects_gaps():
     eset = random_set(1, 2, 128)
     segs = segment_epochs(eset, seg_len=32)
-    shuffled = EpochSet([segs[1], segs[0], segs[2], segs[3]], fs=segs.fs)
-    with pytest.raises(DataError):
+    order = [1, 0, 2, 3]
+    shuffled = epoch_set(segs.values[order], label=2, origins=segs.origins[order])
+    with pytest.raises(DataError, match="not contiguous"):
         regroup_segments(shuffled, 4)
+    relabelled = replace(segs, labels=[2, 2, 3, 2])
+    with pytest.raises(DataError, match="mix subjects or labels"):
+        regroup_segments(relabelled, 4)
 
 
 def test_split_is_a_partition_in_order():
@@ -153,18 +177,19 @@ def test_split_is_a_partition_in_order():
     train, val, test = split_dataset(eset, ratios=(0.75, 0.20, 0.05))
     assert (len(train), len(val), len(test)) == (30, 8, 2)
     assert train.split == "train" and val.split == "val" and test.split == "test"
-    merged = list(train) + list(val) + list(test)
-    assert [e.origin_index for e in merged] == [e.origin_index for e in eset]
+    merged = np.concatenate([part.values for part in (train, val, test)])
+    assert np.array_equal(merged, eset.values)
+    origins = np.concatenate([part.origins for part in (train, val, test)])
+    assert np.array_equal(origins, eset.origins)
 
 
 def test_split_is_per_subject():
-    eps = []
-    for s, n in (("s01", 20), ("s02", 10)):
-        for i in range(n):
-            eps.append(Epoch(np.zeros((2, 8)), subject_id=s, origin_index=i))
-    train, val, test = split_dataset(EpochSet(eps), ratios=(0.5, 0.25, 0.25))
-    assert sum(1 for e in train if e.subject_id == "s01") == 10
-    assert sum(1 for e in train if e.subject_id == "s02") == 5
+    # Interleaved subjects: each is split on its own, in order of appearance.
+    subjects = ["s02", "s01"] * 10 + ["s01"] * 10
+    eset = EpochSet(np.zeros((30, 2, 8)), None, subjects, np.arange(30))
+    train, val, test = split_dataset(eset, ratios=(0.5, 0.25, 0.25))
+    assert train.subject_ids.tolist() == ["s02"] * 5 + ["s01"] * 10
+    assert train.origins.tolist()[:5] == [0, 2, 4, 6, 8]
     assert len(train) + len(val) + len(test) == 30
 
 
@@ -185,16 +210,17 @@ def test_montage_keeps_every_scale_th_channel():
         make_montage(30, 4)
 
 
-def test_downsample_then_assemble_is_lossless():
-    eset = random_set(5, 32, 64)
-    m = make_montage(32, 2)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_downsample_then_assemble_is_lossless(draw):
+    scale = draw.draw(st.sampled_from([2, 4]))
+    n_channels = scale * draw.draw(st.integers(2, 5))
+    eset = draw.draw(epoch_sets(channels=st.just(n_channels)))
+    m = make_montage(n_channels, scale)
     lr, hr = downsample_set(eset, m)
-    assert lr.epoch_shape == (16, 64) and hr.epoch_shape == (16, 64)
-    for full, a, b in zip(eset, lr, hr):
-        back = assemble_channels(a, b, m)
-        assert np.array_equal(back.values, full.values)
-        assert back.label == full.label
-        assert back.origin_index == full.origin_index
+    assert lr.values.shape[1] == m.n_lr and hr.values.shape[1] == m.n_hr
+    assert np.array_equal(hr.values, eset.values[:, list(m.hr_indices)])
+    assert same_set(assemble_channels(lr, hr, m), eset)
 
 
 def test_downsample_splits_channel_labels():
@@ -209,15 +235,15 @@ def test_downsample_splits_channel_labels():
 def test_norm_stats_and_round_trip():
     eset = random_set(4, 8, 32)
     stats = compute_norm_stats(eset)
-    vals = eset.values_array()
+    vals = eset.values
     assert abs(stats.mu - vals.mean()) < 1e-15
     assert abs(stats.sigma - vals.std()) < 1e-15
     normed = normalize_set(eset, stats)
-    nvals = normed.values_array()
+    nvals = normed.values
     assert abs(nvals.mean()) < 1e-12
     assert abs(nvals.std() - 1.0) < 1e-12
     back = denormalize_set(normed, stats)
-    assert np.max(np.abs(back.values_array() - vals)) < 1e-12
+    assert np.max(np.abs(back.values - vals)) < 1e-12
 
 
 def test_norm_stats_reject_non_finite():
@@ -229,16 +255,20 @@ def test_norm_stats_reject_non_finite():
 
 def test_epoch_set_shape_consistency_enforced():
     with pytest.raises(DataError):
-        EpochSet([Epoch(np.zeros((2, 4))), Epoch(np.zeros((2, 5)))])
-
-
-def test_with_values_clears_labels_explicitly():
-    eset = random_set(2, 4, 8)
-    labelled = EpochSet(eset.epochs, fs=eset.fs, channel_labels=("a", "b", "c", "d"))
-    out = labelled.with_values(np.zeros((2, 3, 8)), channel_labels=None)
+        EpochSet(np.zeros((2, 4)), None, ["s01", "s01"], [0, 4])
+    with pytest.raises(DataError, match="origins"):
+        EpochSet(np.zeros((2, 2, 4)), None, ["s01", "s01"], [0])
+    with pytest.raises(DataError, match="labels"):
+        EpochSet(np.zeros((2, 2, 4)), [2, 3, 7], ["s01", "s01"], [0, 4])
+    with pytest.raises(DataError, match="split"):
+        EpochSet(np.zeros((2, 2, 4)), None, ["s01", "s01"], [0, 4], split="holdout")
+    labelled = random_set(2, 4, 8)
+    labelled = replace(labelled, channel_labels=("a", "b", "c", "d"))
+    with pytest.raises(DataError, match="channel label count"):
+        replace(labelled, values=np.zeros((2, 3, 8)))
+    out = replace(labelled, values=np.zeros((2, 3, 8)), channel_labels=None)
     assert out.channel_labels is None
-    kept = labelled.with_values(np.ones((2, 4, 8)))
-    assert kept.channel_labels == ("a", "b", "c", "d")
+    assert np.array_equal(out.origins, labelled.origins)
 
 
 def test_biosemi_layout_has_the_feature_sites():

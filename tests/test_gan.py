@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from eegsr import gan
-from eegsr.data import Epoch, EpochSet
 from eegsr.errors import CheckpointError, DataError, NumericAbort
 from eegsr.gan import (
     LossHistory,
@@ -22,6 +21,8 @@ from eegsr.gan import (
 from eegsr.models import DiscriminatorConfig, GeneratorConfig, build_discriminator, build_generator
 from eegsr.nn.layers import Model, dense, flatten
 
+from helpers import epoch_set
+
 RNG = np.random.default_rng(20260808)
 
 
@@ -36,13 +37,12 @@ def linear_critic(weights, bias=0.0, shape=(1, 2, 2)):
 
 def paired_sets(n, c_lr=4, c_hr=4, seg_len=8, seed=0):
     rng = np.random.default_rng(seed)
-    lr_eps, hr_eps = [], []
-    for i in range(n):
+    lr, hr = [], []
+    for _ in range(n):
         base = rng.normal(size=(c_lr, seg_len))
-        lr_eps.append(Epoch(base, label=2, origin_index=i * seg_len))
-        hr_eps.append(Epoch(base[::-1] * 0.5 + rng.normal(size=(c_hr, seg_len)) * 0.05,
-                            label=2, origin_index=i * seg_len))
-    return (EpochSet(lr_eps, fs=512.0), EpochSet(hr_eps, fs=512.0))
+        lr.append(base)
+        hr.append(base[::-1] * 0.5 + rng.normal(size=(c_hr, seg_len)) * 0.05)
+    return (epoch_set(lr, label=2, fs=512.0), epoch_set(hr, label=2, fs=512.0))
 
 
 def tiny_models(dtype=np.float64, seed=3):
@@ -252,9 +252,8 @@ def test_dcgan_smoothed_mode_runs_and_logs_zero_gp():
 
 def test_numeric_abort_reports_step():
     gen, _ = tiny_models()
-    lr_eps = [Epoch(np.full((4, 8), 1e200), origin_index=i * 8) for i in range(4)]
-    hr_eps = [Epoch(np.full((4, 8), -1e200), origin_index=i * 8) for i in range(4)]
-    pair = (EpochSet(lr_eps, fs=512.0), EpochSet(hr_eps, fs=512.0))
+    pair = (epoch_set(np.full((4, 4, 8), 1e200), fs=512.0),
+            epoch_set(np.full((4, 4, 8), -1e200), fs=512.0))
     with pytest.raises(NumericAbort) as err:
         pretrain_generator(gen, pair, tiny_cfg(pretrain_epochs=1))
     assert err.value.step == 0
@@ -263,8 +262,12 @@ def test_numeric_abort_reports_step():
 
 def test_pair_arrays_validates_alignment():
     lr, hr = paired_sets(4)
-    hr.epochs[2].origin_index += 1
-    with pytest.raises(DataError):
+    hr.origins[2] += 1
+    with pytest.raises(DataError, match="misaligned at epoch 2"):
+        pair_arrays(lr, hr, np.float64)
+    hr.origins[2] -= 1
+    hr.subject_ids[3] = "s02"
+    with pytest.raises(DataError, match="misaligned at epoch 3"):
         pair_arrays(lr, hr, np.float64)
 
 

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from eegsr.data import Epoch, EpochSet, make_montage
 from eegsr.models import (
     ClassifierConfig,
     DiscriminatorConfig,
@@ -10,10 +9,12 @@ from eegsr.models import (
     build_classifier,
     build_discriminator,
     build_generator,
-    generator_forward,
     sr_predict_set,
 )
+from eegsr.errors import DataError
 from eegsr.nn.tensor import Tensor
+
+from helpers import epoch_set
 
 RNG = np.random.default_rng(20260805)
 
@@ -138,26 +139,19 @@ def test_config_validation():
         ClassifierConfig(class_ids=(2, 2, 3))
 
 
-def test_generator_forward_single_segment():
-    cfg = GeneratorConfig(c_lr=16, scale=2, width=1 / 64)
-    gen = build_generator(cfg, seed=1)
-    seg = RNG.normal(size=(16, 64))
-    out = generator_forward(gen, seg)
-    assert out.shape == (16, 64)
-    again = generator_forward(gen, seg)
-    assert np.array_equal(out, again)
-
-
 def test_sr_predict_set_matches_single_forward():
     cfg = GeneratorConfig(c_lr=16, scale=2, width=1 / 64)
     gen = build_generator(cfg, seed=1, dtype=np.float64)
-    m = make_montage(32, 2)
-    eps = [Epoch(RNG.normal(size=(16, 64)), label=2, origin_index=i * 64) for i in range(4)]
-    lr_set = EpochSet(eps, fs=512.0, channel_labels=tuple(f"c{i}" for i in range(16)))
+    lr_set = epoch_set(RNG.normal(size=(4, 16, 64)), label=2, fs=512.0,
+                       channel_labels=tuple(f"c{i}" for i in range(16)))
     pred = sr_predict_set(gen, lr_set)
-    assert pred.epoch_shape == (16, 64)
+    assert pred.values.shape == (4, 16, 64)
     assert pred.channel_labels is None
-    for ep, src in zip(pred, eps):
-        single = generator_forward(gen, src.values)
-        np.testing.assert_allclose(ep.values, single, atol=1e-12)
-        assert ep.origin_index == src.origin_index
+    assert np.array_equal(pred.origins, lr_set.origins)
+    assert pred.labels.tolist() == [2] * 4
+    # One segment per forward gives the batched result; inference is deterministic.
+    single = sr_predict_set(gen, lr_set, batch_size=1)
+    np.testing.assert_allclose(single.values, pred.values, atol=1e-12)
+    assert np.array_equal(sr_predict_set(gen, lr_set).values, pred.values)
+    with pytest.raises(DataError):
+        sr_predict_set(gen, epoch_set(RNG.normal(size=(2, 16, 32))))

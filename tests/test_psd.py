@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from eegsr.data import CHANNEL_LABELS_32, Epoch, EpochSet
+from eegsr.data import CHANNEL_LABELS_32
 from eegsr.errors import DataError
 from eegsr.models import ClassifierConfig, build_classifier
 from eegsr.psd import (
@@ -10,15 +10,17 @@ from eegsr.psd import (
     FEATURE_CHANNELS,
     N_FEATURES,
     ClassifierTrainConfig,
+    WELCH_NPERSEG,
     FeatureScaler,
-    band_feature_vector,
+    FeatureTable,
     epoch_features,
-    feature_matrix,
     hann_periodic,
     predict,
     train_classifier,
     welch_psd,
 )
+
+from helpers import epoch_set
 
 RNG = np.random.default_rng(20260807)
 FS = 512.0
@@ -71,21 +73,49 @@ def test_welch_localizes_pure_tone():
 def test_welch_rejects_short_signal():
     with pytest.raises(DataError):
         welch_psd(np.zeros(100), FS)
+    with pytest.raises(DataError):
+        welch_psd(np.zeros((3, 100)), FS)
+
+
+def welch_reference(x, fs, nperseg=WELCH_NPERSEG):
+    """One 1-D signal at a time, segment by segment, as a running sum."""
+    step = nperseg // 2
+    window = hann_periodic(nperseg)
+    scale = 1.0 / (fs * float(window @ window))
+    n_segments = (x.size - nperseg) // step + 1
+    acc = None
+    for s in range(n_segments):
+        spec = np.fft.rfft(window * x[s * step : s * step + nperseg])
+        p = (spec.real**2 + spec.imag**2) * scale
+        p[1:-1] *= 2.0
+        acc = p if acc is None else acc + p
+    return acc / n_segments
+
+
+def test_welch_batched_is_bit_identical_to_per_signal_loop():
+    # Feature rows are archived as artifacts, so the batched transform must
+    # not move a bit: same windowing, same transform, same summation order.
+    for shape in ((6, 8, 512), (5, 3, 256), (2, 1000), (777,)):
+        x = RNG.normal(size=shape) * 20.0
+        _, batched = welch_psd(x, FS)
+        assert batched.shape == shape[:-1] + (129,)
+        rows = x.reshape(-1, shape[-1])
+        loop = np.stack([welch_reference(r, FS) for r in rows]).reshape(batched.shape)
+        assert np.array_equal(batched, loop)
 
 
 def full_epoch_set(values, label=2):
-    eps = [Epoch(v, label=label, origin_index=i * 512) for i, v in enumerate(values)]
-    return EpochSet(eps, fs=FS, channel_labels=CHANNEL_LABELS_32)
+    return epoch_set(values, label=label, fs=FS, channel_labels=CHANNEL_LABELS_32)
 
 
 def test_band_feature_vector_layout_channel_major():
     # Put a 10 Hz tone only on C3; its 12-bin block must hold the peak and
     # the Cz block must stay near zero.
     t = np.arange(512) / FS
-    values = np.zeros((32, 512))
+    values = np.zeros((1, 32, 512))
     c3 = CHANNEL_LABELS_32.index("C3")
-    values[c3] = np.sin(2 * np.pi * 10.0 * t) * 30.0
-    vec = band_feature_vector(values, FS, CHANNEL_LABELS_32)
+    values[0, c3] = np.sin(2 * np.pi * 10.0 * t) * 30.0
+    vec = epoch_features(full_epoch_set(values)).values[0]
     assert vec.shape == (96,)
     c3_block = vec[:12]
     cz_block = vec[12:24]
@@ -94,9 +124,11 @@ def test_band_feature_vector_layout_channel_major():
 
 
 def test_band_feature_vector_needs_all_sites():
-    values = np.zeros((4, 512))
-    with pytest.raises(DataError):
-        band_feature_vector(values, FS, ("C3", "Cz", "C4", "CP1"))
+    values = np.zeros((2, 4, 512))
+    with pytest.raises(DataError, match="lacks required channels"):
+        epoch_features(epoch_set(values, fs=FS, channel_labels=("C3", "Cz", "C4", "CP1")))
+    with pytest.raises(DataError, match="needs channel labels"):
+        epoch_features(epoch_set(values, fs=FS))
 
 
 def test_epoch_features_carry_metadata():
@@ -104,10 +136,14 @@ def test_epoch_features_carry_metadata():
     eset = full_epoch_set(values, label=7)
     feats = epoch_features(eset)
     assert len(feats) == 3
-    assert all(f.values.shape == (96,) for f in feats)
-    assert all(f.label == 7 for f in feats)
-    assert [f.origin_index for f in feats] == [0, 512, 1024]
-    assert np.all(np.concatenate([f.values for f in feats]) >= 0.0)
+    assert feats.values.shape == (3, 96)
+    assert feats.labels.tolist() == [7, 7, 7]
+    assert feats.subject_ids.tolist() == ["s01"] * 3
+    assert feats.origins.tolist() == [0, 512, 1024]
+    assert np.all(feats.values >= 0.0)
+    # Row i is epoch i's features alone.
+    one = epoch_features(full_epoch_set(values[1:2], label=7))
+    assert np.array_equal(one.values[0], feats.values[1])
 
 
 def test_feature_scaler_standardizes():
@@ -121,13 +157,17 @@ def test_feature_scaler_standardizes():
 def test_feature_matrix_stacks_and_validates():
     values = RNG.normal(size=(2, 32, 512))
     feats = epoch_features(full_epoch_set(values, label=3))
-    x, labels = feature_matrix(feats)
+    x, labels = feats.labelled()
     assert x.shape == (2, 96)
     assert np.array_equal(labels, [3, 3])
-    feats[0] = type(feats[0])(feats[0].values, label=None, subject_id="s01",
-                              origin_index=0)
-    with pytest.raises(DataError):
-        feature_matrix(feats)
+    with pytest.raises(DataError, match="missing class labels"):
+        epoch_features(full_epoch_set(values, label=None)).labelled()
+    with pytest.raises(DataError, match="no rows"):
+        FeatureTable(np.zeros((0, 96)), [], [], []).labelled()
+    with pytest.raises(DataError, match="negative"):
+        FeatureTable(-x, labels, ["s01", "s01"], [0, 1])
+    with pytest.raises(DataError, match="shape"):
+        FeatureTable(x[:, :95], labels, ["s01", "s01"], [0, 1])
 
 
 def separable_features(n_per_class, seed=0):

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from eegsr.data import Epoch, EpochSet
 from eegsr.errors import DataError
 from eegsr.report import (
     ClassMetrics,
@@ -18,10 +17,11 @@ from eegsr.report import (
     write_sr_csv,
 )
 
+from helpers import epoch_set
+
 
 def small_set(values):
-    values = np.asarray(values, dtype=np.float64)
-    return EpochSet([Epoch(v) for v in values])
+    return epoch_set(values)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,7 @@ def test_sr_metrics_rejects_mismatch():
     c = small_set(np.zeros((2, 1, 6)))
     with pytest.raises(DataError):
         sr_metrics(a, c)
-    empty = EpochSet([])
+    empty = small_set(np.zeros((0, 1, 4)))
     with pytest.raises(DataError):
         sr_metrics(empty, empty)
 

@@ -336,7 +336,6 @@ def test_losses_reference_values_and_grads():
     a = RNG.normal(size=(3, 4))
     b = RNG.normal(size=(3, 4))
     assert abs(F.mse(Tensor(a), Tensor(b)).item() - ((a - b) ** 2).mean()) < 1e-12
-    assert abs(F.mae(Tensor(a), Tensor(b)).item() - np.abs(a - b).mean()) < 1e-12
     check_grads(lambda x: F.mse(x, Tensor(b)), [a])
     probs = RNG.uniform(0.1, 0.9, size=(4, 3))
     onehot = np.eye(3)[[0, 2, 1, 0]]
@@ -344,8 +343,6 @@ def test_losses_reference_values_and_grads():
 
 
 def test_loss_dispatch_and_shape_mismatch():
-    with pytest.raises(ValueError, match="unknown loss"):
-        F.loss("huber", Tensor(np.ones(2)), Tensor(np.ones(2)))
     with pytest.raises(ValueError, match="mismatch"):
         F.mse(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
