@@ -22,7 +22,7 @@ from eegsr.data import (
 )
 from eegsr.errors import ArtifactError, ParseError
 
-from helpers import same_set
+from helpers import epoch_set, same_set
 
 RNG = np.random.default_rng(20260804)
 
@@ -114,6 +114,15 @@ def test_epoch_set_round_trip_exact(tmp_path_factory, eset):
         arc = tmp_path_factory.mktemp("arc")
         save_epoch_set(arc, case)
         assert same_set(load_epoch_set(arc), case)
+
+
+def test_epoch_set_round_trip_unlabelled(tmp_path):
+    eset = epoch_set(RNG.normal(size=(3, 2, 8)), fs=100.0)
+    save_epoch_set(tmp_path / "arc", eset)
+    back = load_epoch_set(tmp_path / "arc")
+    assert back.labels is None
+    assert back.channel_labels is None
+    assert same_set(back, eset)
 
 
 def test_epoch_archive_missing_pieces(tmp_path):

@@ -150,6 +150,15 @@ def test_predict_set_matches_per_epoch():
     assert pred.channel_labels is None
 
 
+def test_bicubic_epoch_keeps_metadata():
+    m = make_montage(32, 2)
+    lr_set = epoch_set(RNG.normal(size=(1, 16, 6)), label=3, subject="s02", origins=[96])
+    full = assemble_channels(lr_set, bicubic_predict_set(lr_set, m), m)
+    assert full.values.shape == (1, 32, 6)
+    assert (full.labels.tolist(), full.subject_ids.tolist(), full.origins.tolist()) == (
+        [3], ["s02"], [96])
+
+
 def test_shape_validation():
     m = make_montage(32, 2)
     with pytest.raises(DataError):

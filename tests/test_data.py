@@ -271,6 +271,14 @@ def test_epoch_set_shape_consistency_enforced():
     assert np.array_equal(out.origins, labelled.origins)
 
 
+def test_with_values_clears_labels_explicitly():
+    labelled = replace(random_set(2, 4, 8), channel_labels=("a", "b", "c", "d"))
+    out = replace(labelled, values=np.zeros((2, 3, 8)), channel_labels=None)
+    assert out.channel_labels is None
+    kept = replace(labelled, values=np.ones((2, 4, 8)))
+    assert kept.channel_labels == ("a", "b", "c", "d")
+
+
 def test_biosemi_layout_has_the_feature_sites():
     for name in ("C3", "Cz", "C4", "CP1", "CP2", "P3", "Pz", "P4"):
         assert name in CHANNEL_LABELS_32

@@ -155,3 +155,13 @@ def test_sr_predict_set_matches_single_forward():
     assert np.array_equal(sr_predict_set(gen, lr_set).values, pred.values)
     with pytest.raises(DataError):
         sr_predict_set(gen, epoch_set(RNG.normal(size=(2, 16, 32))))
+
+
+def test_generator_forward_single_segment():
+    cfg = GeneratorConfig(c_lr=16, scale=2, width=1 / 64)
+    gen = build_generator(cfg, seed=1)
+    seg = epoch_set(RNG.normal(size=(1, 16, 64)))
+    out = sr_predict_set(gen, seg)
+    assert out.values.shape == (1, 16, 64)
+    again = sr_predict_set(gen, seg)
+    assert np.array_equal(out.values, again.values)
