@@ -241,14 +241,38 @@ def generator_loss(gen, disc, lr_batch, hr_batch, adv_weight, data_rng, adv_rng,
 
 
 @dataclass
-class TrainResult:
+class TrainState:
+    """Everything a training run carries from step to step.
+
+    One record serves as the result of a run, as the contents of a
+    checkpoint and as the state a resumed run continues in place. `disc`
+    and `d_state` are None in the pretraining phase; `epoch` counts the
+    completed epochs.
+    """
+
+    phase: str
     gen: object
-    disc: object
-    history: LossHistory
-    g_steps: int
-    d_steps: int
+    disc: object | None
+    g_state: AdamState
+    d_state: AdamState | None
+    data_rng: np.random.Generator
+    adv_rng: np.random.Generator
+    history: LossHistory = field(default_factory=LossHistory)
+    epoch: int = 0
+    g_steps: int = 0
+    d_steps: int = 0
     best_val_mse: float | None = None
-    checkpoints: list = field(default_factory=list)
+    fingerprint: str = ""
+
+    @classmethod
+    def fresh(cls, phase, gen, disc, cfg, fingerprint=""):
+        def adam(model):
+            return AdamState.for_params(model.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
+
+        return cls(phase, gen, disc, adam(gen), None if disc is None else adam(disc),
+                   np.random.default_rng(cfg.seed),
+                   np.random.default_rng(cfg.seed + _ADV_SEED_OFFSET),
+                   fingerprint=fingerprint)
 
 
 def evaluate_mse(gen, lr_set, hr_set, batch_size=256):
@@ -274,10 +298,10 @@ def pretrain_generator(gen, train_pair, cfg, val_pair=None, checkpoint_dir=None,
                        resume=None, fingerprint=""):
     """MSE-only generator training; the warm start for adversarial training.
 
-    Returns a TrainResult (disc is None). When `checkpoint_dir` is given,
-    writes `last` every `checkpoint_every` epochs and `best` on validation
-    improvement; `resume` continues bit-exactly from a loaded checkpoint
-    (whose models replace the ones passed in).
+    Returns the final TrainState (disc is None). When `checkpoint_dir` is
+    given, writes `last` every `checkpoint_every` epochs and `best` on
+    validation improvement; `resume` continues a loaded TrainState
+    bit-exactly (its models replace the ones passed in).
     """
     return _train(gen, None, train_pair, cfg, phase="pretrain", val_pair=val_pair,
                   checkpoint_dir=checkpoint_dir, resume=resume, fingerprint=fingerprint)
@@ -296,33 +320,16 @@ def train_wgan(gen, disc, train_pair, cfg, val_pair=None, checkpoint_dir=None,
 def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None,
            resume=None, fingerprint=""):
     n_epochs = cfg.pretrain_epochs if phase == "pretrain" else cfg.gan_epochs
-
-    if resume is not None:
-        if resume.phase != phase:
-            raise CheckpointError(f"checkpoint phase {resume.phase!r} cannot resume {phase!r}")
-        gen = resume.gen
-        disc = resume.disc if phase == "gan" else disc
-        g_state, d_state = resume.g_state, resume.d_state
-        data_rng, adv_rng = resume.data_rng, resume.adv_rng
-        history = resume.history
-        start_epoch = resume.epoch
-        g_steps, d_steps = resume.g_steps, resume.d_steps
-        best_val = resume.best_val_mse
+    if resume is None:
+        state = TrainState.fresh(phase, gen, disc, cfg, fingerprint)
+    elif resume.phase != phase:
+        raise CheckpointError(f"checkpoint phase {resume.phase!r} cannot resume {phase!r}")
     else:
-        g_state = AdamState.for_params(gen.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
-        d_state = None
-        if disc is not None:
-            d_state = AdamState.for_params(disc.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
-        data_rng = np.random.default_rng(cfg.seed)
-        adv_rng = np.random.default_rng(cfg.seed + _ADV_SEED_OFFSET)
-        history = LossHistory()
-        start_epoch = 0
-        g_steps = d_steps = 0
-        best_val = None
+        state = resume
+    gen, disc, history = state.gen, state.disc, state.history
 
     x, y = pair_arrays(train_pair[0], train_pair[1], gen.dtype)
     n = x.shape[0]
-    result = TrainResult(gen, disc, history, g_steps, d_steps, best_val)
     g_params = gen.parameters()
     d_params = disc.parameters() if disc is not None else None
     # Rows between critic updates repeat the last critic values, so every
@@ -332,90 +339,61 @@ def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None
     else:
         last_d_loss = last_gp = 0.0
 
-    def write_checkpoint(name, epoch):
-        if checkpoint_dir is None:
-            return None
-        path = Path(checkpoint_dir) / name
-        save_checkpoint(
-            path, phase=phase, gen=gen, disc=disc if phase == "gan" else None,
-            g_state=g_state, d_state=d_state if phase == "gan" else None,
-            data_rng=data_rng, adv_rng=adv_rng, history=history, epoch=epoch,
-            g_steps=result.g_steps, d_steps=result.d_steps,
-            best_val_mse=result.best_val_mse, cfg=cfg, fingerprint=fingerprint,
-        )
-        if path not in result.checkpoints:
-            result.checkpoints.append(path)
-        return path
+    def write_checkpoint(name):
+        if checkpoint_dir is not None:
+            save_checkpoint(Path(checkpoint_dir) / name, state, cfg)
 
-    for epoch in range(start_epoch, n_epochs):
-        order = data_rng.permutation(n)
+    abort = None if phase == "pretrain" else lambda: write_checkpoint("abort")
+    for epoch in range(state.epoch, n_epochs):
+        order = state.data_rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
             xb, yb = x[sel], y[sel]
 
             adv_w = cfg.adv_weight if phase == "gan" else 0.0
             total, adv, mse = generator_loss(
-                gen, disc, xb, yb, adv_w, data_rng, adv_rng,
+                gen, disc, xb, yb, adv_w, state.data_rng, state.adv_rng,
                 loss_mode=cfg.loss_mode,
             )
-            step = result.g_steps
-            _check_finite(total.item(), step,
-                          None if phase == "pretrain" else lambda: write_checkpoint("abort", epoch))
+            step = state.g_steps
+            _check_finite(total.item(), step, abort)
             gs = grad(total, g_params)
-            adam_step(g_params, gs, g_state)
-            result.g_steps += 1
+            adam_step(g_params, gs, state.g_state)
+            state.g_steps += 1
 
-            run_disc = phase == "gan" and result.g_steps % cfg.training_ratio == 0
-            if run_disc:
+            if phase == "gan" and state.g_steps % cfg.training_ratio == 0:
                 with no_grad():
-                    fake = gen.forward(Tensor(xb), training=True, rng=adv_rng)
+                    fake = gen.forward(Tensor(xb), training=True, rng=state.adv_rng)
                 if cfg.loss_mode == "dcgan_smoothed":
                     d_loss, gp = discriminator_loss_smoothed(
-                        disc, yb, fake.data, cfg.real_label, adv_rng)
+                        disc, yb, fake.data, cfg.real_label, state.adv_rng)
                 else:
                     d_loss, gp = discriminator_loss(
-                        disc, yb, fake.data, cfg.gp_weight, adv_rng)
-                _check_finite(d_loss.item(), step,
-                              lambda: write_checkpoint("abort", epoch))
+                        disc, yb, fake.data, cfg.gp_weight, state.adv_rng)
+                _check_finite(d_loss.item(), step, abort)
                 ds = grad(d_loss, d_params)
-                adam_step(d_params, ds, d_state)
-                result.d_steps += 1
+                adam_step(d_params, ds, state.d_state)
+                state.d_steps += 1
                 last_d_loss, last_gp = d_loss.item(), gp.item()
 
             history.append(step, total.item(), adv.item(), mse.item(),
                            last_d_loss, last_gp)
 
+        state.epoch = epoch + 1
         if val_pair is not None:
             val_mse = evaluate_mse(gen, val_pair[0], val_pair[1])
-            if result.best_val_mse is None or val_mse < result.best_val_mse:
-                result.best_val_mse = val_mse
-                write_checkpoint("best", epoch + 1)
-        if (epoch + 1) % cfg.checkpoint_every == 0 or epoch + 1 == n_epochs:
-            write_checkpoint("last", epoch + 1)
+            if state.best_val_mse is None or val_mse < state.best_val_mse:
+                state.best_val_mse = val_mse
+                write_checkpoint("best")
+        if state.epoch % cfg.checkpoint_every == 0 or state.epoch == n_epochs:
+            write_checkpoint("last")
 
-    return result
+    return state
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Checkpoint:
-    phase: str
-    epoch: int
-    g_steps: int
-    d_steps: int
-    gen: object
-    disc: object | None
-    g_state: AdamState
-    d_state: AdamState | None
-    data_rng: np.random.Generator
-    adv_rng: np.random.Generator
-    history: LossHistory
-    best_val_mse: float | None
-    fingerprint: str
 
 
 def _save_adam(directory, prefix, state, dtype):
@@ -430,47 +408,50 @@ def _load_adam(directory, prefix, shapes, dtype, lr, beta1, beta2, t):
     return state
 
 
-def save_checkpoint(directory, phase, gen, disc, g_state, d_state, data_rng,
-                    adv_rng, history, epoch, g_steps, d_steps, best_val_mse, cfg,
-                    fingerprint=""):
-    """Write a resumable training state: models, moments, rng streams,
-    loss history and counters. Deterministic byte-for-byte for a fixed
+def save_checkpoint(directory, state, cfg):
+    """Write a resumable TrainState. Deterministic byte-for-byte for a fixed
     state (no timestamps)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_model(directory / "generator", gen)
-    _save_adam(directory, "gen_adam", g_state, gen.dtype)
-    if disc is not None:
-        save_model(directory / "discriminator", disc)
-        _save_adam(directory, "disc_adam", d_state, disc.dtype)
+    save_model(directory / "generator", state.gen)
+    _save_adam(directory, "gen_adam", state.g_state, state.gen.dtype)
+    if state.disc is not None:
+        save_model(directory / "discriminator", state.disc)
+        _save_adam(directory, "disc_adam", state.d_state, state.disc.dtype)
 
     cp = configparser.ConfigParser()
     cp.optionxform = str
     cp["checkpoint"] = {
         "format_version": "1",
-        "phase": phase,
-        "epoch": str(epoch),
-        "g_steps": str(g_steps),
-        "d_steps": str(d_steps),
-        "fingerprint": fingerprint,
-        "best_val_mse": "" if best_val_mse is None else repr(best_val_mse),
+        "phase": state.phase,
+        "epoch": str(state.epoch),
+        "g_steps": str(state.g_steps),
+        "d_steps": str(state.d_steps),
+        "fingerprint": state.fingerprint,
+        "best_val_mse": "" if state.best_val_mse is None else repr(state.best_val_mse),
         "lr": repr(cfg.lr),
         "beta1": repr(cfg.beta1),
         "beta2": repr(cfg.beta2),
         "loss_mode": cfg.loss_mode,
-        "g_adam_t": str(g_state.t),
-        "d_adam_t": str(d_state.t) if d_state is not None else "",
-        "has_disc": "1" if disc is not None else "0",
-        "data_rng": json.dumps(data_rng.bit_generator.state),
-        "adv_rng": json.dumps(adv_rng.bit_generator.state),
+        "g_adam_t": str(state.g_state.t),
+        "d_adam_t": str(state.d_state.t) if state.d_state is not None else "",
+        "has_disc": "1" if state.disc is not None else "0",
+        "data_rng": json.dumps(state.data_rng.bit_generator.state),
+        "adv_rng": json.dumps(state.adv_rng.bit_generator.state),
     }
     with open(directory / "manifest.txt", "w") as fh:
         cp.write(fh)
-    history.to_csv(directory / "history.csv")
+    state.history.to_csv(directory / "history.csv")
+
+
+def _rng(bit_state):
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = bit_state
+    return rng
 
 
 def load_checkpoint(directory, expect_fingerprint=None):
-    """Rebuild a Checkpoint; refuses mismatched fingerprints and truncated
+    """Rebuild a TrainState; refuses mismatched fingerprints and truncated
     or unparsable contents."""
     directory = Path(directory)
     manifest = directory / "manifest.txt"
@@ -513,15 +494,9 @@ def load_checkpoint(directory, expect_fingerprint=None):
         d_shapes = [t.shape for t in disc.parameters()]
         d_state = _load_adam(directory, "disc_adam", d_shapes, disc.dtype, lr, beta1, beta2, d_t)
 
-    data_rng = np.random.default_rng(0)
-    data_rng.bit_generator.state = data_state
-    adv_rng = np.random.default_rng(0)
-    adv_rng.bit_generator.state = adv_state
-    history = LossHistory.from_csv(directory / "history.csv")
-
-    return Checkpoint(
-        phase=phase, epoch=epoch, g_steps=g_steps, d_steps=d_steps, gen=gen,
-        disc=disc, g_state=g_state, d_state=d_state, data_rng=data_rng,
-        adv_rng=adv_rng, history=history, best_val_mse=best_val_mse,
+    return TrainState(
+        phase, gen, disc, g_state, d_state, _rng(data_state), _rng(adv_state),
+        history=LossHistory.from_csv(directory / "history.csv"), epoch=epoch,
+        g_steps=g_steps, d_steps=d_steps, best_val_mse=best_val_mse,
         fingerprint=fingerprint,
     )
