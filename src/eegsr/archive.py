@@ -93,7 +93,10 @@ def load_recording(path, fs=None, subject_id=None):
     if fs is None:
         if "fs" not in meta:
             raise ParseError("no sampling rate: pass fs or include '# fs=...' metadata", line=1)
-        fs = float(meta["fs"])
+        try:
+            fs = float(meta["fs"])
+        except ValueError:
+            raise ParseError(f"sampling rate must be a number, got {meta['fs']!r}", line=1) from None
     subject = subject_id or meta.get("subject", "s01")
     return RawRecording(
         np.asarray(rows).T,

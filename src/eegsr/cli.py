@@ -17,8 +17,9 @@ whole experiment decomposes into resumable, individually rerunnable steps:
 Every command accepts --config plus repeatable --set section.key=value
 overrides, writes the fully resolved config next to its outputs, and exits
 2 on a missing input artifact or a command-line usage error, 3 on an
-invalid config (including a training phase of zero epochs), 4 on a numeric
-abort during training.
+invalid config (including a training phase of zero epochs and a --resume
+under a changed training config), 4 on a numeric abort during training, and
+1 on any other error, such as a malformed input file.
 """
 from __future__ import annotations
 
@@ -138,15 +139,16 @@ def cmd_pretrain(args):
     dtype = cfg.dtype()
     montage, stats, _, train_pair, val_pair = _training_inputs(cfg, args.data)
     gen_cfg = cfg.generator_config()
+    train_cfg = cfg.train_config()
     fingerprint = gan.config_fingerprint(gen_cfg, None, dtype, cfg["train"]["loss_mode"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     resume = None
     if args.resume:
-        resume = gan.load_checkpoint(_require(args.resume, "checkpoint"), fingerprint)
+        resume = gan.load_checkpoint(_require(args.resume, "checkpoint"), fingerprint, train_cfg)
     gen = models.build_generator(gen_cfg, seed=cfg["run"]["seed"], dtype=dtype)
     result = gan.pretrain_generator(
-        gen, train_pair, cfg.train_config(), val_pair=val_pair,
+        gen, train_pair, train_cfg, val_pair=val_pair,
         checkpoint_dir=out, resume=resume, fingerprint=fingerprint,
     )
     result.history.to_csv(out / "history.csv")
@@ -165,21 +167,21 @@ def cmd_gan_train(args):
     disc_cfg = cfg.discriminator_config()
     fingerprint = gan.config_fingerprint(gen_cfg, disc_cfg, dtype, cfg["train"]["loss_mode"])
     pre_fingerprint = gan.config_fingerprint(gen_cfg, None, dtype, cfg["train"]["loss_mode"])
+    train_cfg = cfg.train_config()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    resume = gen = disc = None
     if args.resume:
-        resume = gan.load_checkpoint(_require(args.resume, "checkpoint"), fingerprint)
-        gen, disc = resume.gen, resume.disc
+        resume = gan.load_checkpoint(_require(args.resume, "checkpoint"), fingerprint, train_cfg)
     else:
-        resume = None
         # Only the generator: the rest of the checkpoint (its Adam moments
         # among it) would otherwise stay referenced for the whole run.
         gen = gan.load_checkpoint(_require(args.init, "pretrain checkpoint"),
                                   pre_fingerprint).gen
         disc = models.build_discriminator(disc_cfg, seed=cfg["run"]["seed"] + 1, dtype=dtype)
     result = gan.train_wgan(
-        gen, disc, train_pair, cfg.train_config(), val_pair=val_pair,
+        gen, disc, train_pair, train_cfg, val_pair=val_pair,
         checkpoint_dir=out, resume=resume, fingerprint=fingerprint,
     )
     result.history.to_csv(out / "history.csv")
@@ -209,8 +211,8 @@ def cmd_sr_infer(args):
     montage, stats, _ = archive.load_preprocess_info(
         _require(Path(args.data) / "info.txt", "preprocessing info"))
     gen_cfg = cfg.generator_config()
-    checkpoint = gan.load_checkpoint(_require(args.checkpoint, "checkpoint"))
-    gen = checkpoint.gen
+    # Only the generator, as for gan-train --init.
+    gen = gan.load_checkpoint(_require(args.checkpoint, "checkpoint")).gen
     if gen.input_shape != gen_cfg.input_shape:
         raise ConfigError(
             f"checkpoint generator input {gen.input_shape} does not match config "

@@ -123,8 +123,10 @@ def _rows(epoch_set, rows):
 
 
 def check_aligned(a, b):
-    """Raise unless two equally long sets hold the same subject and origin
-    row for row."""
+    """Raise unless two sets are equally long and hold the same subject and
+    origin row for row."""
+    if len(a) != len(b):
+        raise DataError(f"sets differ in length: {len(a)} vs {len(b)} epochs")
     bad = np.flatnonzero((a.subject_ids != b.subject_ids) | (a.origins != b.origins))
     if bad.size:
         i = bad[0]

@@ -22,13 +22,14 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import check_aligned
-from .errors import CheckpointError, DataError, NumericAbort
+from .errors import CheckpointError, ConfigError, DataError, NumericAbort
+from .models import sr_predict_set
 from .nn import functional as F
 from .nn.optim import AdamState, adam_step
 from .nn.serialize import (
@@ -39,10 +40,14 @@ from .nn.serialize import (
     write_arrays,
 )
 from .nn.tensor import Tensor, grad, mean_t, no_grad, sqrt_t, sum_t
+from .report import sr_metrics
 
 LOSS_MODES = ("wgan_gp", "dcgan_smoothed")
 
 HISTORY_COLUMNS = ("step", "g_total", "g_adv", "g_mse", "d_loss", "gp")
+
+# Checkpoint manifest layout; load_checkpoint reads no other.
+CHECKPOINT_FORMAT = "2"
 
 # Offset separating the adversarial stream's seed from the data stream's.
 _ADV_SEED_OFFSET = 0x9E3779B9
@@ -141,11 +146,9 @@ class LossHistory:
 
 def pair_arrays(lr_set, hr_set, dtype):
     """Stack an aligned (lr, hr) pair of epoch sets into 4-D batches."""
-    if len(lr_set) != len(hr_set):
-        raise DataError(f"pair mismatch: {len(lr_set)} lr epochs vs {len(hr_set)} hr epochs")
+    check_aligned(lr_set, hr_set)
     if len(lr_set) == 0:
         raise DataError("cannot train on an empty pair of epoch sets")
-    check_aligned(lr_set, hr_set)
     x = lr_set.values.astype(dtype)[:, None]
     y = hr_set.values.astype(dtype)[:, None]
     return x, y
@@ -242,13 +245,10 @@ def generator_loss(gen, disc, lr_batch, hr_batch, adv_weight, data_rng, adv_rng,
 
 @dataclass
 class TrainState:
-    """Everything a training run carries from step to step.
-
-    One record serves as the result of a run, as the contents of a
-    checkpoint and as the state a resumed run continues in place. `disc`
-    and `d_state` are None in the pretraining phase; `epoch` counts the
-    completed epochs.
-    """
+    """Everything a training run carries from step to step: the result of a
+    run, the contents of a checkpoint and the state a resumed run continues
+    in place. `disc` and `d_state` are None when pretraining; `epoch` counts
+    completed epochs."""
 
     phase: str
     gen: object
@@ -275,16 +275,10 @@ class TrainState:
                    fingerprint=fingerprint)
 
 
-def evaluate_mse(gen, lr_set, hr_set, batch_size=256):
-    """Inference-mode MSE of the generator over an epoch-set pair."""
-    x, y = pair_arrays(lr_set, hr_set, gen.dtype)
-    total = 0.0
-    with no_grad():
-        for i in range(0, x.shape[0], batch_size):
-            pred = gen.forward(Tensor(x[i : i + batch_size]), training=False)
-            diff = pred.data.astype(np.float64) - y[i : i + batch_size].astype(np.float64)
-            total += float((diff * diff).sum())
-    return total / y.size
+def evaluate_mse(gen, lr_set, hr_set):
+    """Inference-mode MSE of the generator over an aligned epoch-set pair."""
+    check_aligned(lr_set, hr_set)
+    return sr_metrics(sr_predict_set(gen, lr_set), hr_set)[0]
 
 
 def _check_finite(value, step, checkpoint_cb=None):
@@ -326,7 +320,7 @@ def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None
         raise CheckpointError(f"checkpoint phase {resume.phase!r} cannot resume {phase!r}")
     else:
         state = resume
-    gen, disc, history = state.gen, state.disc, state.history
+    gen, disc = state.gen, state.disc
 
     x, y = pair_arrays(train_pair[0], train_pair[1], gen.dtype)
     n = x.shape[0]
@@ -334,10 +328,8 @@ def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None
     d_params = disc.parameters() if disc is not None else None
     # Rows between critic updates repeat the last critic values, so every
     # recorded value stays finite.
-    if history.records:
-        last_d_loss, last_gp = history.records[-1].d_loss, history.records[-1].gp
-    else:
-        last_d_loss = last_gp = 0.0
+    last = state.history.records[-1] if state.history.records else None
+    last_d_loss, last_gp = (last.d_loss, last.gp) if last else (0.0, 0.0)
 
     def write_checkpoint(name):
         if checkpoint_dir is not None:
@@ -376,8 +368,8 @@ def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None
                 state.d_steps += 1
                 last_d_loss, last_gp = d_loss.item(), gp.item()
 
-            history.append(step, total.item(), adv.item(), mse.item(),
-                           last_d_loss, last_gp)
+            state.history.append(step, total.item(), adv.item(), mse.item(),
+                                 last_d_loss, last_gp)
 
         state.epoch = epoch + 1
         if val_pair is not None:
@@ -401,10 +393,11 @@ def _save_adam(directory, prefix, state, dtype):
     write_arrays(directory / f"{prefix}_v.bin", state.v, dtype)
 
 
-def _load_adam(directory, prefix, shapes, dtype, lr, beta1, beta2, t):
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, t=t)
-    state.m = read_arrays(directory / f"{prefix}_m.bin", shapes, dtype)
-    state.v = read_arrays(directory / f"{prefix}_v.bin", shapes, dtype)
+def _load_adam(directory, prefix, model, cfg, t):
+    shapes = [p.shape for p in model.parameters()]
+    state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, t=t)
+    state.m = read_arrays(directory / f"{prefix}_m.bin", shapes, model.dtype)
+    state.v = read_arrays(directory / f"{prefix}_v.bin", shapes, model.dtype)
     return state
 
 
@@ -422,23 +415,20 @@ def save_checkpoint(directory, state, cfg):
     cp = configparser.ConfigParser()
     cp.optionxform = str
     cp["checkpoint"] = {
-        "format_version": "1",
+        "format_version": CHECKPOINT_FORMAT,
         "phase": state.phase,
         "epoch": str(state.epoch),
         "g_steps": str(state.g_steps),
         "d_steps": str(state.d_steps),
         "fingerprint": state.fingerprint,
         "best_val_mse": "" if state.best_val_mse is None else repr(state.best_val_mse),
-        "lr": repr(cfg.lr),
-        "beta1": repr(cfg.beta1),
-        "beta2": repr(cfg.beta2),
-        "loss_mode": cfg.loss_mode,
         "g_adam_t": str(state.g_state.t),
         "d_adam_t": str(state.d_state.t) if state.d_state is not None else "",
         "has_disc": "1" if state.disc is not None else "0",
         "data_rng": json.dumps(state.data_rng.bit_generator.state),
         "adv_rng": json.dumps(state.adv_rng.bit_generator.state),
     }
+    cp["train"] = {k: repr(v) if isinstance(v, float) else str(v) for k, v in asdict(cfg).items()}
     with open(directory / "manifest.txt", "w") as fh:
         cp.write(fh)
     state.history.to_csv(directory / "history.csv")
@@ -450,9 +440,24 @@ def _rng(bit_state):
     return rng
 
 
-def load_checkpoint(directory, expect_fingerprint=None):
-    """Rebuild a TrainState; refuses mismatched fingerprints and truncated
-    or unparsable contents."""
+def _check_resume_config(saved, cfg, phase, epoch):
+    """Refuse to continue a run under a TrainConfig other than the one it was
+    trained with; only the epoch counts may change, and the count of the
+    checkpoint's own phase not below the epochs it has completed."""
+    own = "pretrain_epochs" if phase == "pretrain" else "gan_epochs"
+    if getattr(cfg, own) < epoch:
+        raise ConfigError(f"{own} {getattr(cfg, own)} is below the checkpoint's {epoch} epochs")
+    for f in fields(TrainConfig):
+        old, new = getattr(saved, f.name), getattr(cfg, f.name)
+        if f.name not in ("pretrain_epochs", "gan_epochs") and old != new:
+            raise ConfigError(f"train config {f.name} changed from {old!r} to {new!r} since "
+                              "the checkpoint")
+
+
+def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
+    """Rebuild a TrainState; refuses other format versions, mismatched
+    fingerprints, truncated or unparsable contents and, given
+    `expect_config`, a TrainConfig the run cannot resume under."""
     directory = Path(directory)
     manifest = directory / "manifest.txt"
     if not manifest.is_file():
@@ -462,6 +467,9 @@ def load_checkpoint(directory, expect_fingerprint=None):
     try:
         cp.read(manifest)
         head = cp["checkpoint"]
+        if head["format_version"] != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"{manifest}: checkpoint format {head['format_version']!r}, "
+                                  f"this version reads {CHECKPOINT_FORMAT!r}")
         phase = head["phase"]
         epoch = int(head["epoch"])
         g_steps = int(head["g_steps"])
@@ -469,8 +477,8 @@ def load_checkpoint(directory, expect_fingerprint=None):
         fingerprint = head["fingerprint"]
         best = head["best_val_mse"]
         best_val_mse = float(best) if best else None
-        lr = float(head["lr"])
-        beta1, beta2 = float(head["beta1"]), float(head["beta2"])
+        saved_cfg = TrainConfig(**{f.name: type(f.default)(cp["train"][f.name])
+                                   for f in fields(TrainConfig)})
         g_t = int(head["g_adam_t"])
         has_disc = head["has_disc"] == "1"
         d_t = int(head["d_adam_t"]) if has_disc else 0
@@ -484,15 +492,15 @@ def load_checkpoint(directory, expect_fingerprint=None):
             f"checkpoint fingerprint {fingerprint!r} does not match expected "
             f"{expect_fingerprint!r}; refusing to load"
         )
+    if expect_config is not None:
+        _check_resume_config(saved_cfg, expect_config, phase, epoch)
 
     gen, _ = load_model(directory / "generator")
-    g_shapes = [t.shape for t in gen.parameters()]
-    g_state = _load_adam(directory, "gen_adam", g_shapes, gen.dtype, lr, beta1, beta2, g_t)
+    g_state = _load_adam(directory, "gen_adam", gen, saved_cfg, g_t)
     disc = d_state = None
     if has_disc:
         disc, _ = load_model(directory / "discriminator")
-        d_shapes = [t.shape for t in disc.parameters()]
-        d_state = _load_adam(directory, "disc_adam", d_shapes, disc.dtype, lr, beta1, beta2, d_t)
+        d_state = _load_adam(directory, "disc_adam", disc, saved_cfg, d_t)
 
     return TrainState(
         phase, gen, disc, g_state, d_state, _rng(data_state), _rng(adv_state),

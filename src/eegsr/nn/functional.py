@@ -95,13 +95,10 @@ def conv_layer(x, w, b, stride=(1, 1)):
 
 
 def dense_layer(x, w, b):
-    """Affine map W x + b; accepts a single feature vector or a batch."""
+    """Affine map x W^T + b over a (batch, features) input."""
     x = as_tensor(x)
-    if x.ndim == 1:
-        y = matmul(reshape(x, (1, x.size)), transpose(w)) + reshape(b, (1, b.size))
-        return reshape(y, (b.size,))
     if x.ndim != 2:
-        raise ValueError(f"dense input must be 1-D or 2-D, got {x.shape}")
+        raise ValueError(f"dense input must be 2-D (batch, features), got {x.shape}")
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"dense expects {w.shape[1]} features, got {x.shape[1]}")
     return matmul(x, transpose(w)) + reshape(b, (1, b.size))

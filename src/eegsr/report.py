@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ParseError
 
 DATASETS = ("val", "test")
 SR_METHODS = ("bicubic", "wgan")
@@ -159,19 +159,31 @@ def write_sr_csv(path, records):
             ])
 
 
-def read_sr_csv(path):
-    records = []
+def _read_rows(path, header, parse):
+    """Call `parse` on each row of a metric table; a row of another width
+    than `header`, or a cell that does not parse, raises ParseError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SR_CSV_HEADER:
-            raise DataError(f"{path}: unexpected header {header}")
+        first = next(reader, None)
+        if first != header:
+            raise DataError(f"{path}: unexpected header {first}")
         for row in reader:
-            records.append(MetricsRecord(
-                dataset=row[0], scale=int(row[1]), method=row[2],
-                mse=float(row[3]), mae=float(row[4]),
-                seed=None if row[5] == "" else int(row[5]), fingerprint=row[6],
-            ))
+            if len(row) != len(header):
+                raise ParseError(f"{path}: expected {len(header)} cells, found {len(row)}",
+                                 line=reader.line_num)
+            try:
+                parse(row)
+            except ValueError as exc:
+                raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
+
+
+def read_sr_csv(path):
+    records = []
+    _read_rows(path, SR_CSV_HEADER, lambda row: records.append(MetricsRecord(
+        dataset=row[0], scale=int(row[1]), method=row[2],
+        mse=float(row[3]), mae=float(row[4]),
+        seed=None if row[5] == "" else int(row[5]), fingerprint=row[6],
+    )))
     return records
 
 
@@ -197,25 +209,23 @@ def write_class_csv(path, metrics_list):
 def read_class_csv(path):
     """Rebuild ClassMetrics rows grouped by (scale, source)."""
     groups = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CLASS_CSV_HEADER:
-            raise DataError(f"{path}: unexpected header {header}")
-        for row in reader:
-            key = (int(row[0]), row[1])
-            entry = groups.setdefault(
-                key, {"accuracy": None, "classes": {}, "undefined": [],
-                      "seed": None if row[6] == "" else int(row[6]),
-                      "fingerprint": row[7]},
-            )
-            if row[2] == "accuracy":
-                entry["accuracy"] = float(row[4])
-            else:
-                c = int(row[3])
-                entry["classes"].setdefault(c, {})[row[2]] = float(row[4])
-                if row[5] == "1":
-                    entry["undefined"].append(f"{row[2]}:{c}")
+
+    def parse(row):
+        key = (int(row[0]), row[1])
+        entry = groups.setdefault(
+            key, {"accuracy": None, "classes": {}, "undefined": [],
+                  "seed": None if row[6] == "" else int(row[6]),
+                  "fingerprint": row[7]},
+        )
+        if row[2] == "accuracy":
+            entry["accuracy"] = float(row[4])
+        else:
+            c = int(row[3])
+            entry["classes"].setdefault(c, {})[row[2]] = float(row[4])
+            if row[5] == "1":
+                entry["undefined"].append(f"{row[2]}:{c}")
+
+    _read_rows(path, CLASS_CSV_HEADER, parse)
     out = []
     for (scale, source), entry in groups.items():
         ids = tuple(sorted(entry["classes"]))

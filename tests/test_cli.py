@@ -144,6 +144,23 @@ def test_pretrain_resume_noop(pipeline):
     assert rc == 0
 
 
+def test_resume_refuses_a_changed_training_config(tmp_path, pipeline, capsys):
+    # A changed lr would be ignored (the checkpoint's Adam state wins) and a
+    # changed batch size would leave the uninterrupted trajectory: exit 3
+    # naming the field. A raised epoch count resumes.
+    for cmd, ck, key, value, rc in (("pretrain", "pre", "lr", "0.002", 3),
+                                    ("gan-train", "adv", "batch_size", "8", 3),
+                                    ("gan-train", "adv", "gan_epochs", "2", 3),
+                                    ("gan-train", "adv", "gan_epochs", "4", 0)):
+        argv = [cmd, "--data", str(pipeline["data"]), "--out", str(tmp_path / f"{key}{value}"),
+                "--resume", str(pipeline[ck] / "last")]
+        assert main(argv + OVERRIDES + ["--set", f"train.{key}={value}"]) == rc
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if rc:
+            assert err.startswith("config error: ") and key in err
+
+
 def test_exit_codes(tmp_path, pipeline):
     assert main(["preprocess", "--recording", str(tmp_path / "absent.csv"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -262,3 +279,24 @@ def test_corrupt_feature_table_is_a_parse_error(tmp_path, pipeline, capsys):
         corrupt_cell(feats / "train_hr.csv", line, column, text)
         assert_parse_failure(capsys, ["train-clf", "--features", str(feats),
                                       "--out", str(tmp_path / "clf")] + OVERRIDES, line)
+
+
+def test_malformed_sampling_rate_is_a_parse_error(tmp_path, pipeline, capsys):
+    rec = tmp_path / "rec.csv"
+    head, rest = pipeline["rec"].read_text().split("\n", 1)
+    rec.write_text(head.split()[0] + " fs=abc " + " ".join(head.split()[2:]) + "\n" + rest)
+    assert_parse_failure(capsys, ["preprocess", "--recording", str(rec),
+                                  "--out", str(tmp_path / "data")], 1)
+
+
+def test_malformed_metric_table_is_a_parse_error(tmp_path, pipeline, capsys):
+    # A non-numeric mse, a short row, a non-integer scale, a non-numeric value.
+    for name, line, column, text in (("reconstruction.csv", 2, 3, "zero"),
+                                     ("reconstruction.csv", 3, slice(3, None), []),
+                                     ("classification.csv", 3, 0, "two"),
+                                     ("classification.csv", 4, 4, "high")):
+        metrics = tmp_path / f"metrics-{name}-{line}"
+        shutil.copytree(pipeline["metrics"], metrics)
+        corrupt_cell(metrics / name, line, column, text)
+        assert_parse_failure(capsys, ["report", "--metrics", str(metrics),
+                                      "--out", str(tmp_path / "report")], line)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from eegsr import gan
-from eegsr.errors import CheckpointError, DataError, NumericAbort
+from eegsr.errors import CheckpointError, ConfigError, DataError, NumericAbort
 from eegsr.gan import (
     LossHistory,
     TrainConfig,
@@ -340,6 +340,32 @@ def test_checkpoint_resume_equals_uninterrupted(tmp_path):
     assert straight.history.records == resumed.history.records
 
 
+def test_resume_checks_the_training_config(tmp_path):
+    pair = paired_sets(16, seed=8)
+    gen_a, disc_a = tiny_models(seed=2)
+    straight = train_wgan(gen_a, disc_a, pair, tiny_cfg(gan_epochs=3))
+    gen_b, disc_b = tiny_models(seed=2)
+    train_wgan(gen_b, disc_b, pair, tiny_cfg(gan_epochs=2), checkpoint_dir=tmp_path)
+
+    for changed, name in ((tiny_cfg(gan_epochs=3, lr=2e-3), "lr"),
+                          (tiny_cfg(gan_epochs=3, batch_size=8), "batch_size"),
+                          (tiny_cfg(gan_epochs=3, seed=10), "seed"),
+                          (tiny_cfg(gan_epochs=1), "gan_epochs")):
+        with pytest.raises(ConfigError, match=name):
+            load_checkpoint(tmp_path / "last", expect_config=changed)
+
+    # Raised epoch counts pass the check and continue the same trajectory.
+    cfg = tiny_cfg(gan_epochs=3, pretrain_epochs=5)
+    resumed = train_wgan(None, None, pair, cfg,
+                         resume=load_checkpoint(tmp_path / "last", expect_config=cfg))
+    assert (resumed.epoch, resumed.g_steps, resumed.d_steps) == \
+        (3, straight.g_steps, straight.d_steps)
+    for a, b in zip(straight.gen.parameters() + straight.disc.parameters(),
+                    resumed.gen.parameters() + resumed.disc.parameters()):
+        assert np.array_equal(a.data, b.data)
+    assert straight.history.records == resumed.history.records
+
+
 def test_resume_refuses_wrong_phase(tmp_path):
     gen, _ = tiny_models()
     pair = paired_sets(8)
@@ -368,9 +394,15 @@ def test_corrupt_checkpoint_manifest(tmp_path):
     gen, disc = tiny_models()
     train_wgan(gen, disc, paired_sets(8), tiny_cfg(gan_epochs=1),
                checkpoint_dir=tmp_path)
-    (tmp_path / "last" / "manifest.txt").write_text("[checkpoint]\nepoch = soup\n")
-    with pytest.raises(CheckpointError):
-        load_checkpoint(tmp_path / "last")
+    manifest = tmp_path / "last" / "manifest.txt"
+    current = f"format_version = {gan.CHECKPOINT_FORMAT}\n"
+    text = manifest.read_text()
+    assert current in text
+    for bad, match in (("[checkpoint]\nepoch = soup\n", "corrupt"),
+                       (text.replace(current, "format_version = 1\n"), "checkpoint format '1'")):
+        manifest.write_text(bad)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(tmp_path / "last")
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "missing")
 

@@ -1,17 +1,46 @@
 """The benchmark's traced run patches eegsr functions by owner and name; a
-rename or deletion here must fail the suite, not only the benchmark."""
+rename or deletion here, or a signature change its work functions cannot
+read, must fail the suite, not only the benchmark."""
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from eegsr.gan import TrainConfig, pretrain_generator
+from eegsr.models import GeneratorConfig, build_generator
+
+from helpers import epoch_set
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_every_trace_target_exists():
+def load_tracer():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import tracer
     finally:
         sys.path.remove(str(PERFBENCH))
+    return tracer
+
+
+def test_every_trace_target_exists():
+    tracer = load_tracer()
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in tracer.TARGETS if not callable(getattr(owner, attr, None))]
     assert not missing, f"trace targets gone: {missing}"
+
+
+def test_work_functions_measure_a_training_run(tmp_path):
+    tracer = load_tracer()
+    rng = np.random.default_rng(0)
+    pair = (epoch_set(rng.normal(size=(8, 4, 8))), epoch_set(rng.normal(size=(8, 4, 8))))
+    gen = build_generator(GeneratorConfig(c_lr=4, scale=2, seg_len=8, width=1 / 64), seed=0)
+    trace = tracer.install("test")
+    try:
+        pretrain_generator(gen, pair, TrainConfig(pretrain_epochs=1, batch_size=4),
+                           checkpoint_dir=tmp_path)
+    finally:
+        trace.uninstall()
+    summary = tracer.summarize(trace.spans)
+    assert summary["gan.save_checkpoint"]["work"] > 0, "checkpoint MiB not measured"
+    assert summary["tensor.conv2d"]["work"] > 0, "conv GMAC not measured"
