@@ -46,8 +46,8 @@ LOSS_MODES = ("wgan_gp", "dcgan_smoothed")
 
 HISTORY_COLUMNS = ("step", "g_total", "g_adv", "g_mse", "d_loss", "gp")
 
-# Checkpoint manifest layout; load_checkpoint reads no other.
-CHECKPOINT_FORMAT = "2"
+# Checkpoint manifest format; version 2 stores every TrainConfig field.
+FORMAT_VERSION = "2"
 
 # Offset separating the adversarial stream's seed from the data stream's.
 _ADV_SEED_OFFSET = 0x9E3779B9
@@ -415,7 +415,7 @@ def save_checkpoint(directory, state, cfg):
     cp = configparser.ConfigParser()
     cp.optionxform = str
     cp["checkpoint"] = {
-        "format_version": CHECKPOINT_FORMAT,
+        "format_version": FORMAT_VERSION,
         "phase": state.phase,
         "epoch": str(state.epoch),
         "g_steps": str(state.g_steps),
@@ -467,9 +467,9 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
     try:
         cp.read(manifest)
         head = cp["checkpoint"]
-        if head["format_version"] != CHECKPOINT_FORMAT:
-            raise CheckpointError(f"{manifest}: checkpoint format {head['format_version']!r}, "
-                                  f"this version reads {CHECKPOINT_FORMAT!r}")
+        if head["format_version"] != FORMAT_VERSION:
+            raise CheckpointError(f"{manifest}: unsupported checkpoint format "
+                                  f"{head['format_version']!r}")
         phase = head["phase"]
         epoch = int(head["epoch"])
         g_steps = int(head["g_steps"])

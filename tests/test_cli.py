@@ -283,8 +283,8 @@ def test_corrupt_feature_table_is_a_parse_error(tmp_path, pipeline, capsys):
 
 def test_malformed_sampling_rate_is_a_parse_error(tmp_path, pipeline, capsys):
     rec = tmp_path / "rec.csv"
-    head, rest = pipeline["rec"].read_text().split("\n", 1)
-    rec.write_text(head.split()[0] + " fs=abc " + " ".join(head.split()[2:]) + "\n" + rest)
+    text = pipeline["rec"].read_text()  # starts "# fs=512.0 subject=..."
+    rec.write_text(text.replace(text.split()[1], "fs=abc", 1))
     assert_parse_failure(capsys, ["preprocess", "--recording", str(rec),
                                   "--out", str(tmp_path / "data")], 1)
 

@@ -395,7 +395,7 @@ def test_corrupt_checkpoint_manifest(tmp_path):
     train_wgan(gen, disc, paired_sets(8), tiny_cfg(gan_epochs=1),
                checkpoint_dir=tmp_path)
     manifest = tmp_path / "last" / "manifest.txt"
-    current = f"format_version = {gan.CHECKPOINT_FORMAT}\n"
+    current = f"format_version = {gan.FORMAT_VERSION}\n"
     text = manifest.read_text()
     assert current in text
     for bad, match in (("[checkpoint]\nepoch = soup\n", "corrupt"),
