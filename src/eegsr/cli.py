@@ -43,14 +43,10 @@ def _overrides(args):
             raise ConfigError(f"--set needs section.key=value, got {item!r}")
         name, value = item.split("=", 1)
         out[name.strip()] = value.strip()
-    if getattr(args, "seed", None) is not None:
-        out["run.seed"] = str(args.seed)
-    if getattr(args, "precision", None) is not None:
-        out["run.precision"] = args.precision
-    if getattr(args, "scale", None) is not None:
-        out["preprocess.scale"] = str(args.scale)
-    if getattr(args, "width", None) is not None:
-        out["model.width"] = str(args.width)
+    for flag, name in (("seed", "run.seed"), ("precision", "run.precision"),
+                       ("scale", "preprocess.scale"), ("width", "model.width")):
+        if getattr(args, flag, None) is not None:
+            out[name] = str(getattr(args, flag))
     return out
 
 

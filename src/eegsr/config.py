@@ -1,89 +1,119 @@
 """Run configuration: a typed INI schema with defaults and strict parsing.
 
-Unknown sections or keys are rejected rather than ignored, so a typo in a
-config file fails fast instead of silently running defaults. The resolved
-configuration (defaults + file + command-line overrides) can be written
-back out; rerunning from that file reproduces the run.
+The [synth], [train] and [classifier] keys and defaults are the fields of
+`SyntheticConfig`, `TrainConfig` and `ClassifierTrainConfig`, written only
+there; [run], [preprocess] and [model] are written in `SCHEMA`. Every value
+parses as the type of its default. Unknown sections or keys are rejected
+rather than ignored, so a typo in a config file fails fast instead of
+silently running defaults. The resolved configuration (defaults + file +
+command-line overrides) can be written back out; rerunning from that file
+reproduces the run.
 """
 from __future__ import annotations
 
 import configparser
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import SyntheticConfig
 from .errors import ConfigError
-from .gan import TrainConfig
 from .models import ClassifierConfig, DiscriminatorConfig, GeneratorConfig
 from .psd import ClassifierTrainConfig
 
-
-def _floats(text):
-    return tuple(float(v) for v in text.split(",") if v != "")
+LOSS_MODES = ("wgan_gp", "dcgan_smoothed")
 
 
-def _ints(text):
-    return tuple(int(v) for v in text.split(",") if v != "")
+@dataclass(frozen=True)
+class TrainConfig:
+    """Optimisation hyperparameters shared by both training phases."""
+
+    pretrain_epochs: int = 50
+    gan_epochs: int = 20
+    batch_size: int = 64
+    lr: float = 1e-4
+    beta1: float = 0.5
+    beta2: float = 0.9
+    gp_weight: float = 10.0
+    training_ratio: int = 3
+    adv_weight: float = 1e-2
+    loss_mode: str = "wgan_gp"
+    real_label: float = 0.9
+    checkpoint_every: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.pretrain_epochs < 0 or self.gan_epochs < 0:
+            raise ValueError("epoch counts cannot be negative")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.gp_weight < 0 or self.adv_weight < 0:
+            raise ValueError("gp_weight and adv_weight cannot be negative")
+        if self.training_ratio < 1:
+            raise ValueError(f"training_ratio must be >= 1, got {self.training_ratio}")
+        if self.loss_mode not in LOSS_MODES:
+            raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
+        if not 0.0 < self.real_label <= 1.0:
+            raise ValueError(f"real_label must be in (0, 1], got {self.real_label}")
+        if self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
 
 
-# section -> key -> (parse, default). Parse functions take the raw string.
+def format_value(value):
+    """Text of a config value: floats by repr (exact), tuples comma-joined."""
+    if isinstance(value, tuple):
+        return ",".join(format_value(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def parse_value(default, text):
+    """Parse `text` as the type of `default`; a tuple element by element,
+    skipping empty items. Raises ValueError."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(v) for v in text.split(",") if v != "")
+    return type(default)(text)
+
+
+# Dataclass tuple fields spelt as one config key per element.
+_ELEMENT_KEYS = {"band": ("band_low", "band_high")}
+
+
+def _section_keys(cls):
+    """Keys and defaults of a config dataclass in field order, without `seed`."""
+    keys = {}
+    for f in fields(cls):
+        if f.name in _ELEMENT_KEYS:
+            keys.update(zip(_ELEMENT_KEYS[f.name], f.default))
+        elif f.name != "seed":
+            keys[f.name] = f.default
+    return keys
+
+
+# section -> key -> default.
 SCHEMA = {
     "run": {
-        "seed": (int, 0),
-        "precision": (str, "f32"),
+        "seed": 0,
+        "precision": "f32",
     },
-    "synth": {
-        "n_channels": (int, 32),
-        "n_samples": (int, 8544),
-        "fs": (float, 512.0),
-        "n_sources": (int, 4),
-        "band_low": (float, 7.0),
-        "band_high": (float, 30.0),
-        "sines_per_source": (int, 3),
-        "amplitude": (float, 10.0),
-        "noise_sigma": (float, 1.0),
-        "mixing_seed": (int, 90),
-        "n_classes": (int, 1),
-        "class_ids": (_ints, (2, 3, 7)),
-        "class_band_offsets": (_floats, (0.0, 6.0, -4.0)),
-        "label_block": (int, 2048),
-        "subject": (str, "s01"),
-    },
+    "synth": {**_section_keys(SyntheticConfig), "subject": "s01"},
     "preprocess": {
-        "scale": (int, 2),
-        "window": (int, 512),
-        "stride": (int, 32),
-        "seg_len": (int, 64),
-        "ratio_train": (float, 0.75),
-        "ratio_val": (float, 0.20),
-        "ratio_test": (float, 0.05),
+        "scale": 2,
+        "window": 512,
+        "stride": 32,
+        "seg_len": 64,
+        "ratio_train": 0.75,
+        "ratio_val": 0.20,
+        "ratio_test": 0.05,
     },
     "model": {
-        "width": (float, 1.0),
-        "gen_dropout": (float, 0.1),
-        "disc_dropout": (float, 0.25),
-        "elu_alpha": (float, 1.0),
+        "width": 1.0,
+        "gen_dropout": 0.1,
+        "disc_dropout": 0.25,
+        "elu_alpha": 1.0,
     },
-    "train": {
-        "pretrain_epochs": (int, 50),
-        "gan_epochs": (int, 20),
-        "batch_size": (int, 64),
-        "lr": (float, 1e-4),
-        "beta1": (float, 0.5),
-        "beta2": (float, 0.9),
-        "gp_weight": (float, 10.0),
-        "training_ratio": (int, 3),
-        "adv_weight": (float, 1e-2),
-        "loss_mode": (str, "wgan_gp"),
-        "real_label": (float, 0.9),
-        "checkpoint_every": (int, 1),
-    },
-    "classifier": {
-        "epochs": (int, 30),
-        "batch_size": (int, 32),
-        "lr": (float, 1e-3),
-        "beta1": (float, 0.9),
-        "beta2": (float, 0.99),
-    },
+    "train": _section_keys(TrainConfig),
+    "classifier": _section_keys(ClassifierTrainConfig),
 }
 
 PRECISIONS = ("f32", "f64")
@@ -92,14 +122,8 @@ PRECISIONS = ("f32", "f64")
 class RunConfig:
     """Resolved configuration values, addressable as cfg[section][key]."""
 
-    def __init__(self, values=None):
-        self.values = {s: dict((k, d) for k, (_, d) in keys.items())
-                       for s, keys in SCHEMA.items()}
-        if values:
-            for section, keys in values.items():
-                for key, val in keys.items():
-                    self.set(section, key, val)
-        self._validate()
+    def __init__(self):
+        self.values = {s: dict(keys) for s, keys in SCHEMA.items()}
 
     def __getitem__(self, section):
         try:
@@ -112,10 +136,9 @@ class RunConfig:
             raise ConfigError(f"unknown config section [{section}]")
         if key not in SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        parse = SCHEMA[section][key][0]
         if isinstance(value, str):
             try:
-                value = parse(value)
+                value = parse_value(SCHEMA[section][key], value)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: cannot parse {value!r} ({exc})") from None
         self.values[section][key] = value
@@ -140,87 +163,56 @@ class RunConfig:
 
     # -- derived, domain-specific config objects --
 
-    def synth_config(self):
-        s = self["synth"]
+    @staticmethod
+    def _build(what, cls, **kwargs):
         try:
-            return SyntheticConfig(
-                n_channels=s["n_channels"], n_samples=s["n_samples"], fs=s["fs"],
-                n_sources=s["n_sources"], band=(s["band_low"], s["band_high"]),
-                sines_per_source=s["sines_per_source"], amplitude=s["amplitude"],
-                noise_sigma=s["noise_sigma"], mixing_seed=s["mixing_seed"],
-                n_classes=s["n_classes"], class_ids=tuple(s["class_ids"]),
-                class_band_offsets=tuple(s["class_band_offsets"]),
-                label_block=s["label_block"],
-            )
+            return cls(**kwargs)
         except Exception as exc:
-            raise ConfigError(f"invalid [synth] config: {exc}") from exc
+            raise ConfigError(f"invalid {what} config: {exc}") from exc
+
+    def _dataclass(self, section, cls):
+        """Build `cls` from its section; `seed` comes from [run]."""
+        values = self[section]
+        kwargs = {}
+        for f in fields(cls):
+            if f.name == "seed":
+                kwargs[f.name] = self["run"]["seed"]
+            elif f.name in _ELEMENT_KEYS:
+                kwargs[f.name] = tuple(values[k] for k in _ELEMENT_KEYS[f.name])
+            else:
+                kwargs[f.name] = values[f.name]
+        return self._build(f"[{section}]", cls, **kwargs)
+
+    def synth_config(self):
+        return self._dataclass("synth", SyntheticConfig)
+
+    def train_config(self):
+        return self._dataclass("train", TrainConfig)
+
+    def classifier_train_config(self):
+        return self._dataclass("classifier", ClassifierTrainConfig)
 
     def generator_config(self):
         pp, m = self["preprocess"], self["model"]
-        c_lr = self["synth"]["n_channels"] // pp["scale"]
-        try:
-            return GeneratorConfig(
-                c_lr=c_lr, scale=pp["scale"], seg_len=pp["seg_len"],
-                dropout_rate=m["gen_dropout"], elu_alpha=m["elu_alpha"],
-                width=m["width"],
-            )
-        except Exception as exc:
-            raise ConfigError(f"invalid generator config: {exc}") from exc
+        return self._build("generator", GeneratorConfig,
+                           c_lr=self["synth"]["n_channels"] // pp["scale"], scale=pp["scale"],
+                           seg_len=pp["seg_len"], dropout_rate=m["gen_dropout"],
+                           elu_alpha=m["elu_alpha"], width=m["width"])
 
     def discriminator_config(self):
-        gen = self.generator_config()
-        m = self["model"]
-        try:
-            return DiscriminatorConfig(
-                c_hr=gen.c_hr, seg_len=gen.seg_len, dropout_rate=m["disc_dropout"],
-                elu_alpha=m["elu_alpha"], width=m["width"],
-            )
-        except Exception as exc:
-            raise ConfigError(f"invalid critic config: {exc}") from exc
+        gen, m = self.generator_config(), self["model"]
+        return self._build("critic", DiscriminatorConfig,
+                           c_hr=gen.c_hr, seg_len=gen.seg_len, dropout_rate=m["disc_dropout"],
+                           elu_alpha=m["elu_alpha"], width=m["width"])
 
     def classifier_config(self):
         ids = tuple(self["synth"]["class_ids"])[: max(self["synth"]["n_classes"], 2)]
-        try:
-            return ClassifierConfig(class_ids=ids)
-        except Exception as exc:
-            raise ConfigError(f"invalid classifier config: {exc}") from exc
-
-    def train_config(self):
-        t = self["train"]
-        try:
-            return TrainConfig(
-                pretrain_epochs=t["pretrain_epochs"], gan_epochs=t["gan_epochs"],
-                batch_size=t["batch_size"], lr=t["lr"], beta1=t["beta1"],
-                beta2=t["beta2"], gp_weight=t["gp_weight"],
-                training_ratio=t["training_ratio"], adv_weight=t["adv_weight"],
-                loss_mode=t["loss_mode"], real_label=t["real_label"],
-                checkpoint_every=t["checkpoint_every"], seed=self["run"]["seed"],
-            )
-        except Exception as exc:
-            raise ConfigError(f"invalid [train] config: {exc}") from exc
-
-    def classifier_train_config(self):
-        c = self["classifier"]
-        try:
-            return ClassifierTrainConfig(
-                epochs=c["epochs"], batch_size=c["batch_size"], lr=c["lr"],
-                beta1=c["beta1"], beta2=c["beta2"], seed=self["run"]["seed"],
-            )
-        except Exception as exc:
-            raise ConfigError(f"invalid [classifier] config: {exc}") from exc
+        return self._build("classifier", ClassifierConfig, class_ids=ids)
 
     def dtype(self):
         import numpy as np
 
         return np.float64 if self["run"]["precision"] == "f64" else np.float32
-
-
-def _format_value(value):
-    if isinstance(value, tuple):
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def load_config(path=None, overrides=None):
@@ -257,6 +249,6 @@ def save_config(path, cfg):
     cp = configparser.ConfigParser()
     cp.optionxform = str
     for section, keys in SCHEMA.items():
-        cp[section] = {k: _format_value(cfg[section][k]) for k in keys}
+        cp[section] = {k: format_value(cfg[section][k]) for k in keys}
     with open(path, "w") as fh:
         cp.write(fh)

@@ -22,11 +22,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .config import TrainConfig, format_value, parse_value
 from .data import check_aligned
 from .errors import CheckpointError, ConfigError, DataError, NumericAbort
 from .models import sr_predict_set
@@ -42,8 +43,6 @@ from .nn.serialize import (
 from .nn.tensor import Tensor, grad, mean_t, no_grad, sqrt_t, sum_t
 from .report import sr_metrics
 
-LOSS_MODES = ("wgan_gp", "dcgan_smoothed")
-
 HISTORY_COLUMNS = ("step", "g_total", "g_adv", "g_mse", "d_loss", "gp")
 
 # Checkpoint manifest format; version 2 stores every TrainConfig field.
@@ -51,43 +50,6 @@ FORMAT_VERSION = "2"
 
 # Offset separating the adversarial stream's seed from the data stream's.
 _ADV_SEED_OFFSET = 0x9E3779B9
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimisation hyperparameters shared by both training phases."""
-
-    pretrain_epochs: int = 50
-    gan_epochs: int = 20
-    batch_size: int = 64
-    lr: float = 1e-4
-    beta1: float = 0.5
-    beta2: float = 0.9
-    gp_weight: float = 10.0
-    training_ratio: int = 3
-    adv_weight: float = 1e-2
-    loss_mode: str = "wgan_gp"
-    real_label: float = 0.9
-    checkpoint_every: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.pretrain_epochs < 0 or self.gan_epochs < 0:
-            raise ValueError("epoch counts cannot be negative")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.gp_weight < 0 or self.adv_weight < 0:
-            raise ValueError("gp_weight and adv_weight cannot be negative")
-        if self.training_ratio < 1:
-            raise ValueError(f"training_ratio must be >= 1, got {self.training_ratio}")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        if not 0.0 < self.real_label <= 1.0:
-            raise ValueError(f"real_label must be in (0, 1], got {self.real_label}")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -131,16 +93,23 @@ class LossHistory:
 
     @classmethod
     def from_csv(cls, path):
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != ",".join(HISTORY_COLUMNS):
-                raise CheckpointError(f"{path}: unexpected history header {header!r}")
-            records = []
-            for line in fh:
-                parts = line.strip().split(",")
-                if len(parts) != len(HISTORY_COLUMNS):
-                    raise CheckpointError(f"{path}: malformed history row {line!r}")
+        try:
+            # Undecodable bytes become U+FFFD and fail as a bad header or cell.
+            with open(path, errors="replace") as fh:
+                header = fh.readline().strip()
+                rows = [line.strip().split(",") for line in fh]
+        except OSError as exc:
+            raise CheckpointError(f"{path}: cannot read history ({exc.strerror})") from exc
+        if header != ",".join(HISTORY_COLUMNS):
+            raise CheckpointError(f"{path}: unexpected history header {header!r}")
+        records = []
+        for parts in rows:
+            if len(parts) != len(HISTORY_COLUMNS):
+                raise CheckpointError(f"{path}: malformed history row {','.join(parts)!r}")
+            try:
                 records.append(LossRecord(int(parts[0]), *(float(p) for p in parts[1:])))
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: malformed history row ({exc})") from None
         return cls(records)
 
 
@@ -428,7 +397,7 @@ def save_checkpoint(directory, state, cfg):
         "data_rng": json.dumps(state.data_rng.bit_generator.state),
         "adv_rng": json.dumps(state.adv_rng.bit_generator.state),
     }
-    cp["train"] = {k: repr(v) if isinstance(v, float) else str(v) for k, v in asdict(cfg).items()}
+    cp["train"] = {f.name: format_value(getattr(cfg, f.name)) for f in fields(cfg)}
     with open(directory / "manifest.txt", "w") as fh:
         cp.write(fh)
     state.history.to_csv(directory / "history.csv")
@@ -477,14 +446,14 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
         fingerprint = head["fingerprint"]
         best = head["best_val_mse"]
         best_val_mse = float(best) if best else None
-        saved_cfg = TrainConfig(**{f.name: type(f.default)(cp["train"][f.name])
+        saved_cfg = TrainConfig(**{f.name: parse_value(f.default, cp["train"][f.name])
                                    for f in fields(TrainConfig)})
         g_t = int(head["g_adam_t"])
         has_disc = head["has_disc"] == "1"
         d_t = int(head["d_adam_t"]) if has_disc else 0
-        data_state = json.loads(head["data_rng"])
-        adv_state = json.loads(head["adv_rng"])
-    except (KeyError, ValueError, json.JSONDecodeError, configparser.Error) as exc:
+        data_rng = _rng(json.loads(head["data_rng"]))
+        adv_rng = _rng(json.loads(head["adv_rng"]))
+    except (KeyError, TypeError, ValueError, configparser.Error) as exc:
         raise CheckpointError(f"{manifest}: corrupt checkpoint manifest ({exc})") from exc
 
     if expect_fingerprint is not None and fingerprint != expect_fingerprint:
@@ -503,7 +472,7 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
         d_state = _load_adam(directory, "disc_adam", disc, saved_cfg, d_t)
 
     return TrainState(
-        phase, gen, disc, g_state, d_state, _rng(data_state), _rng(adv_state),
+        phase, gen, disc, g_state, d_state, data_rng, adv_rng,
         history=LossHistory.from_csv(directory / "history.csv"), epoch=epoch,
         g_steps=g_steps, d_steps=d_steps, best_val_mse=best_val_mse,
         fingerprint=fingerprint,

@@ -46,7 +46,10 @@ def write_arrays(path, arrays, dtype):
 def read_arrays(path, shapes, dtype):
     """Read back arrays of the given shapes from a raw binary file."""
     dt = _DTYPE_CODES[dtype_code(dtype)]
-    raw = np.fromfile(path, dtype=dt)
+    try:
+        raw = np.fromfile(path, dtype=dt)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read arrays ({exc.strerror})") from exc
     total = sum(int(np.prod(s)) for s in shapes)
     if raw.size != total:
         raise CheckpointError(
@@ -131,9 +134,9 @@ def load_model(directory):
         seed = int(head["seed"])
         input_shape = tuple(int(d) for d in head["input_shape"].split(","))
         specs = [_spec_from_section(cp[f"layer{i}"]) for i in range(int(head["layers"]))]
-    except (KeyError, ValueError, configparser.Error) as exc:
+        model = Model(specs, input_shape, seed=seed, dtype=dtype, init=False)
+    except (IndexError, KeyError, ValueError, configparser.Error) as exc:
         raise CheckpointError(f"{manifest}: corrupt model manifest ({exc})") from exc
-    model = Model(specs, input_shape, seed=seed, dtype=dtype, init=False)
     shapes = [t.shape for t in model.parameters()]
     arrays = read_arrays(directory / "params.bin", shapes, dtype)
     model.set_parameters(arrays)

@@ -2,8 +2,8 @@
 
 Reconstruction quality is reported as MSE and MAE of the missing-channel
 block per dataset, scale and method; classification quality as accuracy
-plus per-class precision and recall for features taken from true versus
-reconstructed signals. Reports serialise to CSV (value-exact, repr floats)
+plus per-class precision, recall and support for features taken from true
+versus reconstructed signals. Reports serialise to CSV (value-exact, repr floats)
 and to markdown tables.
 """
 from __future__ import annotations
@@ -31,7 +31,6 @@ class MetricsRecord:
     mse: float
     mae: float
     seed: int | None = None
-    fingerprint: str = ""
 
     def __post_init__(self):
         if self.dataset not in DATASETS:
@@ -60,7 +59,6 @@ class ClassMetrics:
     support: tuple[int, ...]
     undefined: tuple[str, ...] = field(default_factory=tuple)
     seed: int | None = None
-    fingerprint: str = ""
 
     def __post_init__(self):
         if self.source not in CLASS_SOURCES:
@@ -91,8 +89,7 @@ def sr_metrics(pred_set, truth_set):
     return float((diff**2).mean()), float(np.abs(diff).mean())
 
 
-def classification_metrics(predicted, truth, class_ids, scale, source,
-                           seed=None, fingerprint=""):
+def classification_metrics(predicted, truth, class_ids, scale, source, seed=None):
     """Accuracy and per-class precision/recall from predicted vs true ids.
 
     A class with no predictions gets precision 0 and an `undefined` flag
@@ -133,7 +130,7 @@ def classification_metrics(predicted, truth, class_ids, scale, source,
     return ClassMetrics(
         scale=scale, source=source, accuracy=accuracy, class_ids=class_ids,
         precision=tuple(precision), recall=tuple(recall), support=tuple(support),
-        undefined=tuple(undefined), seed=seed, fingerprint=fingerprint,
+        undefined=tuple(undefined), seed=seed,
     )
 
 
@@ -141,9 +138,9 @@ def classification_metrics(predicted, truth, class_ids, scale, source,
 # Serialisation
 # ---------------------------------------------------------------------------
 
-SR_CSV_HEADER = ["dataset", "scale", "method", "mse", "mae", "seed", "fingerprint"]
-CLASS_CSV_HEADER = ["scale", "source", "metric", "class", "value", "undefined",
-                    "seed", "fingerprint"]
+SR_CSV_HEADER = ["dataset", "scale", "method", "mse", "mae", "seed"]
+CLASS_CSV_HEADER = ["scale", "source", "metric", "class", "value", "undefined", "seed"]
+CLASS_METRICS = ("precision", "recall", "support")  # one row each per class
 
 
 def write_sr_csv(path, records):
@@ -155,7 +152,7 @@ def write_sr_csv(path, records):
         for r in records:
             writer.writerow([
                 r.dataset, r.scale, r.method, repr(r.mse), repr(r.mae),
-                "" if r.seed is None else r.seed, r.fingerprint,
+                "" if r.seed is None else r.seed,
             ])
 
 
@@ -182,7 +179,7 @@ def read_sr_csv(path):
     _read_rows(path, SR_CSV_HEADER, lambda row: records.append(MetricsRecord(
         dataset=row[0], scale=int(row[1]), method=row[2],
         mse=float(row[3]), mae=float(row[4]),
-        seed=None if row[5] == "" else int(row[5]), fingerprint=row[6],
+        seed=None if row[5] == "" else int(row[5]),
     )))
     return records
 
@@ -195,15 +192,12 @@ def write_class_csv(path, metrics_list):
         writer.writerow(CLASS_CSV_HEADER)
         for m in metrics_list:
             seed = "" if m.seed is None else m.seed
-            writer.writerow([m.scale, m.source, "accuracy", "", repr(m.accuracy), "",
-                             seed, m.fingerprint])
-            for c, p, r in zip(m.class_ids, m.precision, m.recall):
-                pu = "1" if f"precision:{c}" in m.undefined else ""
-                ru = "1" if f"recall:{c}" in m.undefined else ""
-                writer.writerow([m.scale, m.source, "precision", c, repr(p), pu,
-                                 seed, m.fingerprint])
-                writer.writerow([m.scale, m.source, "recall", c, repr(r), ru,
-                                 seed, m.fingerprint])
+            writer.writerow([m.scale, m.source, "accuracy", "", repr(m.accuracy), "", seed])
+            for i, c in enumerate(m.class_ids):
+                for name in CLASS_METRICS:
+                    flag = "1" if f"{name}:{c}" in m.undefined else ""
+                    writer.writerow([m.scale, m.source, name, c, repr(getattr(m, name)[i]),
+                                     flag, seed])
 
 
 def read_class_csv(path):
@@ -214,14 +208,14 @@ def read_class_csv(path):
         key = (int(row[0]), row[1])
         entry = groups.setdefault(
             key, {"accuracy": None, "classes": {}, "undefined": [],
-                  "seed": None if row[6] == "" else int(row[6]),
-                  "fingerprint": row[7]},
+                  "seed": None if row[6] == "" else int(row[6])},
         )
         if row[2] == "accuracy":
             entry["accuracy"] = float(row[4])
         else:
             c = int(row[3])
-            entry["classes"].setdefault(c, {})[row[2]] = float(row[4])
+            value = int(row[4]) if row[2] == "support" else float(row[4])
+            entry["classes"].setdefault(c, {})[row[2]] = value
             if row[5] == "1":
                 entry["undefined"].append(f"{row[2]}:{c}")
 
@@ -229,14 +223,15 @@ def read_class_csv(path):
     out = []
     for (scale, source), entry in groups.items():
         ids = tuple(sorted(entry["classes"]))
-        out.append(ClassMetrics(
-            scale=scale, source=source, accuracy=entry["accuracy"], class_ids=ids,
-            precision=tuple(entry["classes"][c]["precision"] for c in ids),
-            recall=tuple(entry["classes"][c]["recall"] for c in ids),
-            support=tuple(0 for _ in ids),
-            undefined=tuple(entry["undefined"]),
-            seed=entry["seed"], fingerprint=entry["fingerprint"],
-        ))
+        if entry["accuracy"] is None or any(entry["classes"][c].keys() != set(CLASS_METRICS)
+                                            for c in ids):
+            raise DataError(f"{path}: scale {scale} {source} needs an accuracy row and "
+                            f"{'/'.join(CLASS_METRICS)} rows for every class")
+        per_class = {name: tuple(entry["classes"][c][name] for c in ids)
+                     for name in CLASS_METRICS}
+        out.append(ClassMetrics(scale=scale, source=source, accuracy=entry["accuracy"],
+                                class_ids=ids, undefined=tuple(entry["undefined"]),
+                                seed=entry["seed"], **per_class))
     return out
 
 

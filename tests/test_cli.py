@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline at toy scale, plus exit-code contract."""
 import csv
+import json
+import re
 import shutil
 
 import numpy as np
@@ -300,3 +302,38 @@ def test_malformed_metric_table_is_a_parse_error(tmp_path, pipeline, capsys):
         corrupt_cell(metrics / name, line, column, text)
         assert_parse_failure(capsys, ["report", "--metrics", str(metrics),
                                       "--out", str(tmp_path / "report")], line)
+
+
+def _sub_in(path, pattern, new):
+    text, n = re.subn(pattern, lambda _: new, path.read_text(), count=1)
+    assert n == 1
+    path.write_text(text)
+
+
+FOREIGN_RNG = json.dumps(np.random.Philox(0).state, default=lambda a: a.tolist())
+MODEL = ("generator", "manifest.txt")
+
+# Faults in a pretrain checkpoint, each of which ended in a traceback.
+CHECKPOINT_FAULTS = {
+    "history-cell": lambda ck: corrupt_cell(ck / "history.csv", 2, 3, "n/a"),
+    "history-missing": lambda ck: (ck / "history.csv").unlink(),
+    "params-missing": lambda ck: (ck / "generator" / "params.bin").unlink(),
+    "layer-kind": lambda ck: _sub_in(ck.joinpath(*MODEL), "kind = conv", "kind = dense"),
+    "layer-source": lambda ck: _sub_in(ck.joinpath(*MODEL), r"concat_sources = (?=\d)",
+                                       "concat_sources = 99,"),
+    "rng-kind": lambda ck: _sub_in(ck / "manifest.txt", r"data_rng = .*",
+                                   f"data_rng = {FOREIGN_RNG}"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+def test_corrupt_checkpoint_is_a_one_line_error(tmp_path, pipeline, capsys, fault):
+    ck = tmp_path / "last"
+    shutil.copytree(pipeline["pre"] / "last", ck)
+    CHECKPOINT_FAULTS[fault](ck)
+    data, out = str(pipeline["data"]), str(tmp_path / "out")
+    for argv in (["sr-infer", "--data", data, "--checkpoint", str(ck), "--out", out],
+                 ["pretrain", "--data", data, "--out", out, "--resume", str(ck)]):
+        assert main(argv + OVERRIDES) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,9 +1,38 @@
 """Configuration loading, overrides, validation and round-tripping."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from eegsr.config import RunConfig, SCHEMA, load_config, save_config
+from eegsr.config import (
+    SCHEMA,
+    RunConfig,
+    TrainConfig,
+    format_value,
+    load_config,
+    parse_value,
+    save_config,
+)
+from eegsr.data import SyntheticConfig
 from eegsr.errors import ConfigError
+from eegsr.psd import ClassifierTrainConfig
+
+# A value other than the default for every key of the dataclass sections.
+NON_DEFAULT = {
+    "synth.n_channels": "16", "synth.n_samples": "4096", "synth.fs": "256.5",
+    "synth.n_sources": "3", "synth.band_low": "6.25", "synth.band_high": "31.0",
+    "synth.sines_per_source": "2", "synth.amplitude": "7.5", "synth.noise_sigma": "0.1",
+    "synth.mixing_seed": "11", "synth.n_classes": "3", "synth.class_ids": "1,4,6",
+    "synth.class_band_offsets": "0.5,-1.25,3.0", "synth.label_block": "512",
+    "synth.subject": "s07",
+    "train.pretrain_epochs": "3", "train.gan_epochs": "4", "train.batch_size": "8",
+    "train.lr": "3e-05", "train.beta1": "0.25", "train.beta2": "0.875",
+    "train.gp_weight": "5.5", "train.training_ratio": "2", "train.adv_weight": "0.125",
+    "train.loss_mode": "dcgan_smoothed", "train.real_label": "0.75",
+    "train.checkpoint_every": "2",
+    "classifier.epochs": "5", "classifier.batch_size": "16", "classifier.lr": "0.002",
+    "classifier.beta1": "0.8", "classifier.beta2": "0.95",
+}
 
 
 def test_defaults():
@@ -84,14 +113,35 @@ def test_parse_and_validation_errors(tmp_path):
 
 
 def test_save_load_roundtrip(tmp_path):
-    cfg = load_config(overrides={
-        "train.lr": "0.0001", "model.width": "0.015625", "run.seed": "42",
-        "synth.class_band_offsets": "0.5,-1.25,3.0", "synth.class_ids": "1,4,6",
-    })
+    cfg = load_config(overrides={**NON_DEFAULT, "model.width": "0.015625", "run.seed": "42"})
+    for name in NON_DEFAULT:
+        section, key = name.split(".")
+        assert cfg[section][key] != SCHEMA[section][key], name
     path = tmp_path / "resolved.ini"
     save_config(path, cfg)
     back = load_config(path)
     assert back.values == cfg.values
+    # One format/parse pair serves config.txt and checkpoints: every field of
+    # every config dataclass, tuples included, reads back as it was written.
+    for obj in (cfg.synth_config(), cfg.train_config(), cfg.classifier_train_config(),
+                SyntheticConfig(), TrainConfig(), ClassifierTrainConfig()):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            assert parse_value(f.default, format_value(value)) == value, f.name
+
+
+def test_dataclass_sections_come_from_the_dataclasses():
+    assert list(SCHEMA["synth"]) == [
+        "n_channels", "n_samples", "fs", "n_sources", "band_low", "band_high",
+        "sines_per_source", "amplitude", "noise_sigma", "mixing_seed", "n_classes",
+        "class_ids", "class_band_offsets", "label_block", "subject"]
+    for section, cls in (("train", TrainConfig), ("classifier", ClassifierTrainConfig)):
+        assert list(SCHEMA[section]) == [f.name for f in fields(cls) if f.name != "seed"]
+    assert sum(len(keys) for keys in SCHEMA.values()) == 45
+    cfg = load_config(overrides={"run.seed": "9"})
+    assert cfg.synth_config() == SyntheticConfig()
+    assert cfg.train_config() == TrainConfig(seed=9)
+    assert cfg.classifier_train_config() == ClassifierTrainConfig(seed=9)
 
 
 def test_derived_configs():

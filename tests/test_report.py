@@ -133,8 +133,7 @@ def test_class_metrics_validation():
 
 def test_sr_csv_roundtrip(tmp_path):
     records = [
-        MetricsRecord("val", 2, "bicubic", mse=1.23456789012345678, mae=0.9, seed=7,
-                      fingerprint="abc"),
+        MetricsRecord("val", 2, "bicubic", mse=1.23456789012345678, mae=0.9, seed=7),
         MetricsRecord("test", 4, "wgan", mse=2.0, mae=1.25),
     ]
     path = tmp_path / "sr.csv"
@@ -154,17 +153,18 @@ def test_sr_csv_rejects_bad_header(tmp_path):
 
 def test_class_csv_roundtrip(tmp_path):
     m = classification_metrics([0, 1, 1, 2], [0, 1, 2, 2], (0, 1, 2), scale=2,
-                               source="sr", seed=3, fingerprint="ff")
+                               source="sr", seed=3)
     path = tmp_path / "cls.csv"
     write_class_csv(path, [m])
     back = read_class_csv(path)
     assert len(back) == 1
     b = back[0]
-    assert (b.scale, b.source, b.seed, b.fingerprint) == (2, "sr", 3, "ff")
+    assert (b.scale, b.source, b.seed) == (2, "sr", 3)
     assert b.accuracy == m.accuracy
     assert b.class_ids == m.class_ids
     assert b.precision == pytest.approx(m.precision)
     assert b.recall == pytest.approx(m.recall)
+    assert b.support == m.support == (1, 1, 2)
     assert set(b.undefined) == set(m.undefined)
 
 
@@ -174,6 +174,17 @@ def test_class_csv_keeps_undefined_flags(tmp_path):
     write_class_csv(path, [m])
     back = read_class_csv(path)[0]
     assert "precision:1" in back.undefined
+
+
+def test_class_csv_needs_every_metric_row(tmp_path):
+    m = classification_metrics([0, 1], [0, 1], (0, 1), scale=2, source="hr")
+    path = tmp_path / "cls.csv"
+    write_class_csv(path, [m])
+    lines = path.read_text().splitlines(keepends=True)
+    for drop in (1, 2, len(lines) - 1):  # accuracy, a precision and a support row
+        path.write_text("".join(lines[:drop] + lines[drop + 1:]))
+        with pytest.raises(DataError, match="accuracy row"):
+            read_class_csv(path)
 
 
 # ---------------------------------------------------------------------------
