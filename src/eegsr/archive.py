@@ -6,17 +6,19 @@ for sampling rate and subject). Epoch sets persist as a directory holding a
 text manifest, a raw little-endian value file and a per-epoch metadata CSV;
 feature tables as one CSV of the same metadata columns plus the band
 powers. All float text uses repr, so a write/read cycle is value-exact.
+The archive manifest and `info.txt` are INI text in the format of
+`eegsr.ini`, with `MontageSplit` and `NormStats` mapped field by field.
 """
 from __future__ import annotations
 
-import configparser
 import csv
 from pathlib import Path
 
 import numpy as np
 
 from .data import EpochSet, MontageSplit, NormStats, RawRecording
-from .errors import ArtifactError, ParseError
+from .errors import ArtifactError, DataError, ParseError
+from .ini import from_section, read, section_of, write
 from .nn.serialize import dtype_code, dtype_from_code
 from .psd import N_FEATURES, FeatureTable
 
@@ -176,21 +178,17 @@ def save_epoch_set(directory, epoch_set, dtype=np.float64):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     values = epoch_set.values
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    cp["archive"] = {
+    write(directory / "manifest.txt", {"archive": {
         "format_version": FORMAT_VERSION,
         "dtype": dtype_code(dtype),
-        "n_epochs": str(values.shape[0]),
-        "n_channels": str(values.shape[1]),
-        "n_samples": str(values.shape[2]),
-        "fs": repr(float(epoch_set.fs)),
+        "n_epochs": values.shape[0],
+        "n_channels": values.shape[1],
+        "n_samples": values.shape[2],
+        "fs": float(epoch_set.fs),
         "split": epoch_set.split,
-        "channel_labels": ",".join(epoch_set.channel_labels or ()),
-        "has_channel_labels": "1" if epoch_set.channel_labels is not None else "0",
-    }
-    with open(directory / "manifest.txt", "w") as fh:
-        cp.write(fh)
+        "channel_labels": epoch_set.channel_labels or (),
+        "has_channel_labels": int(epoch_set.channel_labels is not None),
+    }})
     values.astype(np.dtype(dtype).newbyteorder("<")).tofile(directory / "values.bin")
     _write_table(directory / "meta.csv", META_HEADER, epoch_set)
 
@@ -201,11 +199,8 @@ def load_epoch_set(directory):
     manifest = directory / "manifest.txt"
     if not manifest.is_file():
         raise ArtifactError(f"epoch archive not found: {directory}")
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
     try:
-        cp.read(manifest)
-        head = cp["archive"]
+        head = read(manifest)["archive"]
         if head["format_version"] != FORMAT_VERSION:
             raise ArtifactError(f"unsupported archive version {head['format_version']!r}")
         dtype = dtype_from_code(head["dtype"])
@@ -217,7 +212,7 @@ def load_epoch_set(directory):
             channel_labels = tuple(raw.split(",")) if raw else ()
         else:
             channel_labels = None
-    except (KeyError, ValueError, configparser.Error) as exc:
+    except (KeyError, ValueError) as exc:
         raise ArtifactError(f"{manifest}: corrupt archive manifest ({exc})") from exc
     blob = directory / "values.bin"
     if not blob.is_file():
@@ -257,46 +252,22 @@ def read_features_csv(path):
 
 def save_preprocess_info(path, montage, stats, window, stride, seg_len):
     """Record the preprocessing contract next to the epoch archives."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    cp["montage"] = {
-        "n_channels": str(montage.n_channels),
-        "scale": str(montage.scale),
-        "lr_indices": ",".join(str(i) for i in montage.lr_indices),
-        "hr_indices": ",".join(str(i) for i in montage.hr_indices),
-    }
-    cp["normalization"] = {"mu": repr(stats.mu), "sigma": repr(stats.sigma)}
-    cp["epoching"] = {
-        "window": str(window),
-        "stride": str(stride),
-        "seg_len": str(seg_len),
-    }
-    with open(path, "w") as fh:
-        cp.write(fh)
+    write(path, {
+        "montage": section_of(montage),
+        "normalization": section_of(stats),
+        "epoching": {"window": window, "stride": stride, "seg_len": seg_len},
+    })
 
 
 def load_preprocess_info(path):
     path = Path(path)
     if not path.is_file():
         raise ArtifactError(f"preprocessing info not found: {path}")
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
     try:
-        cp.read(path)
-        montage = MontageSplit(
-            n_channels=int(cp["montage"]["n_channels"]),
-            scale=int(cp["montage"]["scale"]),
-            lr_indices=tuple(int(i) for i in cp["montage"]["lr_indices"].split(",")),
-            hr_indices=tuple(int(i) for i in cp["montage"]["hr_indices"].split(",")),
-        )
-        stats = NormStats(
-            mu=float(cp["normalization"]["mu"]), sigma=float(cp["normalization"]["sigma"])
-        )
-        epoching = {
-            "window": int(cp["epoching"]["window"]),
-            "stride": int(cp["epoching"]["stride"]),
-            "seg_len": int(cp["epoching"]["seg_len"]),
-        }
-    except (KeyError, ValueError, configparser.Error) as exc:
+        sections = read(path)
+        montage = from_section(MontageSplit, sections["montage"])
+        stats = from_section(NormStats, sections["normalization"])
+        epoching = {k: int(sections["epoching"][k]) for k in ("window", "stride", "seg_len")}
+    except (KeyError, ValueError, DataError) as exc:
         raise ArtifactError(f"{path}: corrupt preprocessing info ({exc})") from exc
     return montage, stats, epoching

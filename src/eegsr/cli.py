@@ -19,7 +19,8 @@ overrides, writes the fully resolved config next to its outputs, and exits
 2 on a missing input artifact or a command-line usage error, 3 on an
 invalid config (including a training phase of zero epochs and a --resume
 under a changed training config), 4 on a numeric abort during training, and
-1 on any other error, such as a malformed input file.
+1 on any other error, such as a malformed input file or an OSError (say,
+--out below an existing file).
 """
 from __future__ import annotations
 
@@ -32,7 +33,8 @@ import numpy as np
 
 from . import archive, bicubic, data, gan, models, psd, report
 from .config import load_config, save_config
-from .errors import ArtifactError, ConfigError, EegsrError, NumericAbort
+from .errors import ArtifactError, CheckpointError, ConfigError, EegsrError, NumericAbort
+from .ini import parse_value
 from .nn.serialize import load_model, save_model
 
 
@@ -267,11 +269,9 @@ def cmd_train_clf(args):
                                  class_ids=clf_cfg.class_ids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_model(out / "model", model, extra={
-        "class_ids": ",".join(str(c) for c in clf_cfg.class_ids),
-        "scaler_mu": ",".join(repr(float(v)) for v in scaler.mu),
-        "scaler_sigma": ",".join(repr(float(v)) for v in scaler.sigma),
-    })
+    save_model(out / "model", model, extra={"class_ids": clf_cfg.class_ids,
+                                             "scaler_mu": tuple(scaler.mu.tolist()),
+                                             "scaler_sigma": tuple(scaler.sigma.tolist())})
     with open(out / "loss.csv", "w") as fh:
         fh.write("epoch,loss\n")
         for i, v in enumerate(trace):
@@ -283,12 +283,13 @@ def cmd_train_clf(args):
 
 def _load_classifier(directory):
     model, extra = load_model(_require(Path(directory) / "model", "classifier model"))
-    class_ids = tuple(int(c) for c in extra["class_ids"].split(","))
-    scaler = psd.FeatureScaler(
-        mu=np.asarray([float(v) for v in extra["scaler_mu"].split(",")]),
-        sigma=np.asarray([float(v) for v in extra["scaler_sigma"].split(",")]),
-    )
-    return model, class_ids, scaler
+    try:
+        class_ids = parse_value(tuple[int, ...], extra["class_ids"])
+        mu = np.asarray(parse_value(tuple[float, ...], extra["scaler_mu"]))
+        sigma = np.asarray(parse_value(tuple[float, ...], extra["scaler_sigma"]))
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"{directory}: corrupt classifier model ({exc})") from exc
+    return model, class_ids, psd.FeatureScaler(mu=mu, sigma=sigma)
 
 
 def cmd_evaluate(args):
@@ -455,7 +456,7 @@ def main(argv=None):
     except NumericAbort as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 4
-    except EegsrError as exc:
+    except (EegsrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

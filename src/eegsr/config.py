@@ -6,17 +6,17 @@ there; [run], [preprocess] and [model] are written in `SCHEMA`. Every value
 parses as the type of its default. Unknown sections or keys are rejected
 rather than ignored, so a typo in a config file fails fast instead of
 silently running defaults. The resolved configuration (defaults + file +
-command-line overrides) can be written back out; rerunning from that file
-reproduces the run.
+command-line overrides) can be written back out as `config.txt`, in the INI
+format of `eegsr.ini`; rerunning from that file reproduces the run.
 """
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import SyntheticConfig
 from .errors import ConfigError
+from .ini import parse_value, read, write
 from .models import ClassifierConfig, DiscriminatorConfig, GeneratorConfig
 from .psd import ClassifierTrainConfig
 
@@ -58,21 +58,6 @@ class TrainConfig:
             raise ValueError(f"real_label must be in (0, 1], got {self.real_label}")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-
-
-def format_value(value):
-    """Text of a config value: floats by repr (exact), tuples comma-joined."""
-    if isinstance(value, tuple):
-        return ",".join(format_value(v) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def parse_value(default, text):
-    """Parse `text` as the type of `default`; a tuple element by element,
-    skipping empty items. Raises ValueError."""
-    if isinstance(default, tuple):
-        return tuple(type(default[0])(v) for v in text.split(",") if v != "")
-    return type(default)(text)
 
 
 # Dataclass tuple fields spelt as one config key per element.
@@ -137,8 +122,10 @@ class RunConfig:
         if key not in SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
         if isinstance(value, str):
+            default = SCHEMA[section][key]
+            kind = tuple[type(default[0]), ...] if isinstance(default, tuple) else type(default)
             try:
-                value = parse_value(SCHEMA[section][key], value)
+                value = parse_value(kind, value)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: cannot parse {value!r} ({exc})") from None
         self.values[section][key] = value
@@ -152,6 +139,9 @@ class RunConfig:
         ratios = (pp["ratio_train"], pp["ratio_val"], pp["ratio_test"])
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {ratios}")
+        for key, least in (("scale", 2), ("window", 1), ("stride", 1), ("seg_len", 1)):
+            if pp[key] < least:
+                raise ConfigError(f"preprocess.{key} must be >= {least}, got {pp[key]}")
         if pp["window"] % pp["seg_len"] != 0:
             raise ConfigError(
                 f"window {pp['window']} must divide evenly into segments of {pp['seg_len']}"
@@ -226,14 +216,12 @@ def load_config(path=None, overrides=None):
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        cp.optionxform = str
         try:
-            cp.read(path)
-        except configparser.Error as exc:
+            sections = read(path, inline_comments=True)
+        except ValueError as exc:
             raise ConfigError(f"{path}: cannot parse config ({exc})") from exc
-        for section in cp.sections():
-            for key, raw in cp[section].items():
+        for section, values in sections.items():
+            for key, raw in values.items():
                 cfg.set(section, key, raw)
     for name, raw in (overrides or {}).items():
         if "." not in name:
@@ -246,9 +234,4 @@ def load_config(path=None, overrides=None):
 
 def save_config(path, cfg):
     """Write the resolved configuration in schema order."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    for section, keys in SCHEMA.items():
-        cp[section] = {k: format_value(cfg[section][k]) for k in keys}
-    with open(path, "w") as fh:
-        cp.write(fh)
+    write(path, cfg.values)

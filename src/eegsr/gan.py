@@ -19,7 +19,6 @@ therefore follows the exact pretraining trajectory.
 """
 from __future__ import annotations
 
-import configparser
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
@@ -27,9 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig, format_value, parse_value
+from .config import TrainConfig
 from .data import check_aligned
 from .errors import CheckpointError, ConfigError, DataError, NumericAbort
+from .ini import from_section, read, section_of, write
 from .models import sr_predict_set
 from .nn import functional as F
 from .nn.optim import AdamState, adam_step
@@ -381,25 +381,23 @@ def save_checkpoint(directory, state, cfg):
         save_model(directory / "discriminator", state.disc)
         _save_adam(directory, "disc_adam", state.d_state, state.disc.dtype)
 
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    cp["checkpoint"] = {
-        "format_version": FORMAT_VERSION,
-        "phase": state.phase,
-        "epoch": str(state.epoch),
-        "g_steps": str(state.g_steps),
-        "d_steps": str(state.d_steps),
-        "fingerprint": state.fingerprint,
-        "best_val_mse": "" if state.best_val_mse is None else repr(state.best_val_mse),
-        "g_adam_t": str(state.g_state.t),
-        "d_adam_t": str(state.d_state.t) if state.d_state is not None else "",
-        "has_disc": "1" if state.disc is not None else "0",
-        "data_rng": json.dumps(state.data_rng.bit_generator.state),
-        "adv_rng": json.dumps(state.adv_rng.bit_generator.state),
-    }
-    cp["train"] = {f.name: format_value(getattr(cfg, f.name)) for f in fields(cfg)}
-    with open(directory / "manifest.txt", "w") as fh:
-        cp.write(fh)
+    write(directory / "manifest.txt", {
+        "checkpoint": {
+            "format_version": FORMAT_VERSION,
+            "phase": state.phase,
+            "epoch": state.epoch,
+            "g_steps": state.g_steps,
+            "d_steps": state.d_steps,
+            "fingerprint": state.fingerprint,
+            "best_val_mse": "" if state.best_val_mse is None else state.best_val_mse,
+            "g_adam_t": state.g_state.t,
+            "d_adam_t": "" if state.d_state is None else state.d_state.t,
+            "has_disc": int(state.disc is not None),
+            "data_rng": json.dumps(state.data_rng.bit_generator.state),
+            "adv_rng": json.dumps(state.adv_rng.bit_generator.state),
+        },
+        "train": section_of(cfg),
+    })
     state.history.to_csv(directory / "history.csv")
 
 
@@ -431,11 +429,9 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
     manifest = directory / "manifest.txt"
     if not manifest.is_file():
         raise CheckpointError(f"{directory}: not a checkpoint (missing manifest.txt)")
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
     try:
-        cp.read(manifest)
-        head = cp["checkpoint"]
+        sections = read(manifest)
+        head = sections["checkpoint"]
         if head["format_version"] != FORMAT_VERSION:
             raise CheckpointError(f"{manifest}: unsupported checkpoint format "
                                   f"{head['format_version']!r}")
@@ -446,14 +442,13 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
         fingerprint = head["fingerprint"]
         best = head["best_val_mse"]
         best_val_mse = float(best) if best else None
-        saved_cfg = TrainConfig(**{f.name: parse_value(f.default, cp["train"][f.name])
-                                   for f in fields(TrainConfig)})
+        saved_cfg = from_section(TrainConfig, sections["train"])
         g_t = int(head["g_adam_t"])
         has_disc = head["has_disc"] == "1"
         d_t = int(head["d_adam_t"]) if has_disc else 0
         data_rng = _rng(json.loads(head["data_rng"]))
         adv_rng = _rng(json.loads(head["adv_rng"]))
-    except (KeyError, TypeError, ValueError, configparser.Error) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{manifest}: corrupt checkpoint manifest ({exc})") from exc
 
     if expect_fingerprint is not None and fingerprint != expect_fingerprint:

@@ -182,15 +182,10 @@ def train_classifier(model, x, labels, cfg, class_ids=(2, 3, 7)):
 
 
 def predict(model, x, class_ids):
-    """Class ids and probabilities for feature rows; argmax ties take the
-    earliest class in `class_ids`."""
+    """Class ids and probabilities for an (n, features) array of rows; argmax
+    ties take the earliest class in `class_ids`."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
     with no_grad():
         probs = model.forward(Tensor(x.astype(model.dtype))).data.astype(np.float64)
     ids = np.asarray(list(class_ids), dtype=np.int64)[np.argmax(probs, axis=1)]
-    if single:
-        return int(ids[0]), probs[0]
     return ids, probs

@@ -179,6 +179,48 @@ def test_exit_codes(tmp_path, pipeline):
                  "--set", "baditem"]) == 3
 
 
+# Epoching geometry out of range: each ended in a ZeroDivisionError traceback,
+# a DataError (exit 1) or a command that ran.
+GEOMETRY_FAULTS = {
+    "seg_len": ["--set", "preprocess.seg_len=0"],
+    "window": ["--set", "preprocess.window=0"],
+    "stride": ["--set", "preprocess.stride=0"],
+    "scale": ["--scale", "0"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(GEOMETRY_FAULTS))
+def test_out_of_range_geometry_is_a_config_error(tmp_path, pipeline, capsys, key):
+    for argv in (["synth", "--out", str(tmp_path / "r.csv")],
+                 ["preprocess", "--recording", str(pipeline["rec"]), "--out", str(tmp_path / "d")]):
+        assert main(argv + GEOMETRY_FAULTS[key]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and key in err
+
+
+def test_corrupt_classifier_is_a_one_line_error(tmp_path, pipeline, capsys):
+    clf = tmp_path / "clf"
+    shutil.copytree(pipeline["clf"], clf)
+    _sub_in(clf / "model" / "manifest.txt", r"scaler_mu = .*", "scaler_mu = 0.5,pear")
+    argv = ["evaluate", "--data", str(pipeline["data"]), "--baseline", str(pipeline["base"]),
+            "--sr", str(pipeline["sr"]), "--features", str(pipeline["feats"]),
+            "--classifier", str(clf), "--out", str(tmp_path / "metrics")]
+    assert main(argv + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "corrupt classifier model" in err
+    assert err.count("\n") == 1
+
+
+def test_unwritable_output_is_a_one_line_error(tmp_path, pipeline, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (["synth", "--out", str(blocker / "r.csv")],
+                 ["preprocess", "--recording", str(pipeline["rec"]), "--out", str(blocker / "d")]):
+        assert main(argv + OVERRIDES) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_zero_epoch_training_is_a_config_error(tmp_path, pipeline, capsys):
     # a phase of zero epochs would write no checkpoint; refuse it up front
     for cmd, key, extra in (("pretrain", "pretrain_epochs", []),

@@ -3,18 +3,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eegsr.config import (
-    SCHEMA,
-    RunConfig,
-    TrainConfig,
-    format_value,
-    load_config,
-    parse_value,
-    save_config,
-)
-from eegsr.data import SyntheticConfig
+from eegsr.config import SCHEMA, RunConfig, TrainConfig, load_config, save_config
+from eegsr.data import SIGMA_FLOOR, NormStats, SyntheticConfig, make_montage
 from eegsr.errors import ConfigError
+from eegsr.ini import format_value, from_section, section_of
+from eegsr.nn.layers import LayerSpec, concat, conv, dropout
 from eegsr.psd import ClassifierTrainConfig
 
 # A value other than the default for every key of the dataclass sections.
@@ -121,13 +117,35 @@ def test_save_load_roundtrip(tmp_path):
     save_config(path, cfg)
     back = load_config(path)
     assert back.values == cfg.values
-    # One format/parse pair serves config.txt and checkpoints: every field of
-    # every config dataclass, tuples included, reads back as it was written.
+    # One codec serves every manifest: each dataclass written as a section,
+    # tuples (empty ones too) and numpy floats included, reads back as it was.
     for obj in (cfg.synth_config(), cfg.train_config(), cfg.classifier_train_config(),
-                SyntheticConfig(), TrainConfig(), ClassifierTrainConfig()):
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            assert parse_value(f.default, format_value(value)) == value, f.name
+                SyntheticConfig(), TrainConfig(), ClassifierTrainConfig(),
+                LayerSpec("flatten"), conv(3, (9, 3), "elu", stride=(2, 1), elu_alpha=0.5),
+                concat(-1, 0, 2), dropout(0.25), make_montage(32, 4),
+                NormStats(mu=np.float64(-0.1), sigma=np.float64(1 / 3))):
+        assert from_section(type(obj), section_text(obj)) == obj, obj
+
+
+def section_text(obj):
+    """The text a manifest holds for dataclass `obj`, key by key."""
+    return {k: format_value(v) for k, v in section_of(obj).items()}
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=finite, sigma=st.floats(min_value=SIGMA_FLOOR, allow_infinity=False),
+       alpha=finite, sources=st.lists(st.integers(-1, 10**6), min_size=2), numpy=st.booleans())
+def test_sections_round_trip_exactly(mu, sigma, alpha, sources, numpy):
+    wrap = np.float64 if numpy else float
+    stats = NormStats(mu=wrap(mu), sigma=wrap(sigma))
+    back = from_section(NormStats, section_text(stats))
+    assert (back.mu, back.sigma) == (mu, sigma) and type(back.mu) is float
+    for spec in (LayerSpec("concat", concat_sources=tuple(sources), elu_alpha=wrap(alpha)),
+                 LayerSpec("dense", kernels=len(sources), elu_alpha=alpha)):
+        assert from_section(LayerSpec, section_text(spec)) == spec
 
 
 def test_dataclass_sections_come_from_the_dataclasses():

@@ -250,6 +250,7 @@ def test_dcgan_smoothed_mode_runs_and_logs_zero_gp():
     assert all(r.gp == 0.0 for r in result.history.records)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_numeric_abort_reports_step():
     gen, _ = tiny_models()
     pair = (epoch_set(np.full((4, 4, 8), 1e200), fs=512.0),

@@ -222,6 +222,6 @@ def test_train_classifier_rejects_unknown_label():
 
 def test_predict_single_row():
     model = build_classifier(ClassifierConfig(), seed=0)
-    cid, probs = predict(model, np.zeros(96), (2, 3, 7))
-    assert cid in (2, 3, 7)
-    assert probs.shape == (3,)
+    ids, probs = predict(model, np.zeros((1, 96)), (2, 3, 7))
+    assert ids.shape == (1,) and ids[0] in (2, 3, 7)
+    assert probs.shape == (1, 3)
