@@ -25,6 +25,7 @@ under a changed training config), 4 on a numeric abort during training, and
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -287,6 +288,9 @@ def _load_classifier(directory):
         class_ids = parse_value(tuple[int, ...], extra["class_ids"])
         mu = np.asarray(parse_value(tuple[float, ...], extra["scaler_mu"]))
         sigma = np.asarray(parse_value(tuple[float, ...], extra["scaler_sigma"]))
+        if len(mu) != psd.N_FEATURES or len(sigma) != psd.N_FEATURES:
+            raise ValueError(f"scaler has {len(mu)} means and {len(sigma)} deviations "
+                             f"for {psd.N_FEATURES} features")
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"{directory}: corrupt classifier model ({exc})") from exc
     return model, class_ids, psd.FeatureScaler(mu=mu, sigma=sigma)
@@ -442,7 +446,34 @@ def build_parser():
     return parser
 
 
+# glibc mallopt(3) settings, each value a C int. 32 MiB is glibc's own
+# ceiling for the dynamic mmap threshold; 2**31 - 1 means the heap top is
+# never trimmed in practice.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 2**31 - 1))
+
+
+def keep_freed_heap():
+    """Keep freed heap pages in the process for the next training step.
+
+    Every step frees its graph once its gradients are taken; by default glibc
+    trims the heap top that leaves and the next step faults the same pages
+    back in. Blocks below 32 MiB come from the heap and stay there; larger
+    ones are still mapped and unmapped. Does nothing without `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in HEAP_SETTINGS:
+        mallopt(param, value)
+
+
 def main(argv=None):
+    keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

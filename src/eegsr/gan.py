@@ -317,9 +317,15 @@ def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None
                 loss_mode=cfg.loss_mode,
             )
             step = state.g_steps
-            _check_finite(total.item(), step, abort)
+            g_total, g_adv, g_mse = total.item(), adv.item(), mse.item()
+            _check_finite(g_total, step, abort)
             gs = grad(total, g_params)
+            # Drop each graph (its activations, cached conv columns and
+            # gradients) as soon as it has been used, so the critic step and
+            # the next forward pass do not run with a dead step's graph alive.
+            del total, adv, mse
             adam_step(g_params, gs, state.g_state)
+            del gs
             state.g_steps += 1
 
             if phase == "gan" and state.g_steps % cfg.training_ratio == 0:
@@ -331,14 +337,15 @@ def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None
                 else:
                     d_loss, gp = discriminator_loss(
                         disc, yb, fake.data, cfg.gp_weight, state.adv_rng)
-                _check_finite(d_loss.item(), step, abort)
-                ds = grad(d_loss, d_params)
-                adam_step(d_params, ds, state.d_state)
-                state.d_steps += 1
                 last_d_loss, last_gp = d_loss.item(), gp.item()
+                _check_finite(last_d_loss, step, abort)
+                ds = grad(d_loss, d_params)
+                del d_loss, gp, fake
+                adam_step(d_params, ds, state.d_state)
+                del ds
+                state.d_steps += 1
 
-            state.history.append(step, total.item(), adv.item(), mse.item(),
-                                 last_d_loss, last_gp)
+            state.history.append(step, g_total, g_adv, g_mse, last_d_loss, last_gp)
 
         state.epoch = epoch + 1
         if val_pair is not None:

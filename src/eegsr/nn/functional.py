@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import (
-    Tensor,
     as_tensor,
     concat_t,
     conv2d,

@@ -174,9 +174,11 @@ def train_classifier(model, x, labels, cfg, class_ids=(2, 3, 7)):
             xb = Tensor(x[sel].astype(model.dtype))
             probs = model.forward(xb, training=True, rng=rng)
             loss = F.cross_entropy(probs, Tensor(targets[sel].astype(model.dtype)))
-            gs = grad(loss, params)
-            adam_step(params, gs, state)
             losses.append(loss.item())
+            gs = grad(loss, params)
+            del probs, loss
+            adam_step(params, gs, state)
+            del gs
         trace.append(float(np.mean(losses)))
     return trace
 

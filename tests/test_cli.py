@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline at toy scale, plus exit-code contract."""
 import csv
+import ctypes
 import json
 import re
 import shutil
@@ -9,7 +10,7 @@ import pytest
 
 from eegsr import archive, psd
 from eegsr.archive import FEATURE_HEADER, read_features_csv, write_features_csv
-from eegsr.cli import main
+from eegsr.cli import HEAP_SETTINGS, main
 from eegsr.errors import ArtifactError
 from eegsr.psd import FeatureTable
 
@@ -209,6 +210,26 @@ def test_corrupt_classifier_is_a_one_line_error(tmp_path, pipeline, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "corrupt classifier model" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["scaler_mu", "scaler_sigma"])
+def test_classifier_scaler_length_is_checked(tmp_path, pipeline, capsys, key):
+    clf = tmp_path / "clf"
+    shutil.copytree(pipeline["clf"], clf)
+    _sub_in(clf / "model" / "manifest.txt", rf"{key} = .*", f"{key} = 0.5,1.5")
+    argv = ["evaluate", "--data", str(pipeline["data"]), "--features", str(pipeline["feats"]),
+            "--classifier", str(clf), "--out", str(tmp_path / "metrics")]
+    assert main(argv + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "corrupt classifier model" in err
+    assert f"for {psd.N_FEATURES} features" in err and err.count("\n") == 1
+
+
+def test_heap_settings_fit_a_c_int():
+    # ctypes truncates a wider value without a word: 1 << 40 would pass 0.
+    for param, value in HEAP_SETTINGS:
+        assert ctypes.c_int(param).value == param
+        assert ctypes.c_int(value).value == value
 
 
 def test_unwritable_output_is_a_one_line_error(tmp_path, pipeline, capsys):

@@ -1,4 +1,6 @@
 """Adversarial training: penalty anchors, loss algebra, loops, checkpoints."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from eegsr.gan import (
     load_checkpoint,
     pair_arrays,
     pretrain_generator,
-    save_checkpoint,
     train_wgan,
 )
 from eegsr.models import DiscriminatorConfig, GeneratorConfig, build_discriminator, build_generator
@@ -259,6 +260,51 @@ def test_numeric_abort_reports_step():
         pretrain_generator(gen, pair, tiny_cfg(pretrain_epochs=1))
     assert err.value.step == 0
     assert "step 0" in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_adversarial_numeric_abort_writes_a_loadable_checkpoint(tmp_path):
+    gen, disc = tiny_models()
+    pair = (epoch_set(np.full((4, 4, 8), 1e200), fs=512.0),
+            epoch_set(np.full((4, 4, 8), -1e200), fs=512.0))
+    with pytest.raises(NumericAbort) as err:
+        train_wgan(gen, disc, pair, tiny_cfg(gan_epochs=1), checkpoint_dir=tmp_path)
+    assert err.value.step == 0
+    state = load_checkpoint(tmp_path / "abort")
+    assert state.phase == "gan" and state.g_steps == 0 and state.d_steps == 0
+
+
+def test_training_drops_each_step_graph(monkeypatch):
+    # Every loss output `grad` saw and every gradient it returned must be
+    # gone before the next loss is built. Tensor has __slots__, so the
+    # weak references go to its arrays.
+    real_grad = gan.grad
+    held, entries = [], []
+
+    def recording_grad(output, wrt, create_graph=False):
+        grads = real_grad(output, wrt, create_graph=create_graph)
+        held.append(weakref.ref(output.data))
+        held.extend(weakref.ref(g.data) for g in grads)
+        return grads
+
+    def checked(loss_fn):
+        def wrapper(*args, **kwargs):
+            alive = sum(ref() is not None for ref in held)
+            assert alive == 0, f"{loss_fn.__name__}: {alive} arrays of a used graph alive"
+            entries.append(loss_fn.__name__)
+            return loss_fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gan, "grad", recording_grad)
+    monkeypatch.setattr(gan, "generator_loss", checked(gan.generator_loss))
+    monkeypatch.setattr(gan, "discriminator_loss", checked(gan.discriminator_loss))
+    gen, disc = tiny_models()
+    pair = paired_sets(8)
+    pretrain_generator(gen, pair, tiny_cfg(pretrain_epochs=2))
+    train_wgan(gen, disc, pair, tiny_cfg(gan_epochs=2, training_ratio=2))
+    # 2 steps per epoch: 4 pretrain steps, then 4 generator and 2 critic steps.
+    assert entries.count("generator_loss") == 8
+    assert entries.count("discriminator_loss") == 2
 
 
 def test_pair_arrays_validates_alignment():
