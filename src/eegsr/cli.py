@@ -19,8 +19,9 @@ overrides, writes the fully resolved config next to its outputs, and exits
 2 on a missing input artifact or a command-line usage error, 3 on an
 invalid config (including a training phase of zero epochs and a --resume
 under a changed training config), 4 on a numeric abort during training, and
-1 on any other error, such as a malformed input file or an OSError (say,
---out below an existing file).
+1 on any other error: a corrupt input artifact (a malformed table or
+manifest, a truncated value file) or an OSError (say, --out below an
+existing file).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import archive, bicubic, data, gan, models, psd, report
+from . import archive, bicubic, data, gan, models, psd, report, table
 from .config import load_config, save_config
 from .errors import ArtifactError, CheckpointError, ConfigError, EegsrError, NumericAbort
 from .ini import parse_value
@@ -69,10 +70,12 @@ def _require_epochs(cfg, key):
         raise ConfigError(f"train.{key} is 0: nothing would be trained and no checkpoint written")
 
 
+def _load_set(root, split, side):
+    return archive.load_epoch_set(Path(root) / f"{split}_{side}")
+
+
 def _load_pair(root, split):
-    lr = archive.load_epoch_set(_require(Path(root) / f"{split}_lr", f"{split} lr archive"))
-    hr = archive.load_epoch_set(_require(Path(root) / f"{split}_hr", f"{split} hr archive"))
-    return lr, hr
+    return _load_set(root, split, "lr"), _load_set(root, split, "hr")
 
 
 def _norm_pair(pair, stats):
@@ -192,12 +195,12 @@ def cmd_gan_train(args):
 
 def cmd_baseline(args):
     cfg = _config(args)
-    montage, stats, _, = archive.load_preprocess_info(
+    montage, _, _ = archive.load_preprocess_info(
         _require(Path(args.data) / "info.txt", "preprocessing info"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for split in ("val", "test"):
-        lr_set, _ = _load_pair(args.data, split)
+        lr_set = _load_set(args.data, split, "lr")
         pred = bicubic.bicubic_predict_set(lr_set, montage)
         archive.save_epoch_set(out / split, pred)
         print(f"baseline {split}: {len(pred)} segments")
@@ -220,7 +223,7 @@ def cmd_sr_infer(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for split in ("val", "test"):
-        lr_set, _ = _load_pair(args.data, split)
+        lr_set = _load_set(args.data, split, "lr")
         lr_norm = data.normalize_set(lr_set, stats)
         pred_norm = models.sr_predict_set(gen, lr_norm)
         pred = data.denormalize_set(pred_norm, stats)
@@ -273,10 +276,7 @@ def cmd_train_clf(args):
     save_model(out / "model", model, extra={"class_ids": clf_cfg.class_ids,
                                              "scaler_mu": tuple(scaler.mu.tolist()),
                                              "scaler_sigma": tuple(scaler.sigma.tolist())})
-    with open(out / "loss.csv", "w") as fh:
-        fh.write("epoch,loss\n")
-        for i, v in enumerate(trace):
-            fh.write(f"{i},{v!r}\n")
+    table.write(out / "loss.csv", ("epoch", "loss"), enumerate(trace))
     save_config(out / "config.txt", cfg)
     print(f"classifier: final training loss {trace[-1]:.4f}")
     return 0
@@ -307,7 +307,7 @@ def cmd_evaluate(args):
 
     sr_records = []
     for split in ("val", "test"):
-        _, hr_set = _load_pair(args.data, split)
+        hr_set = _load_set(args.data, split, "hr")
         for method, root in (("bicubic", args.baseline), ("wgan", args.sr)):
             if not root:
                 continue

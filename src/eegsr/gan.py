@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import table
 from .config import TrainConfig
 from .data import check_aligned
-from .errors import CheckpointError, ConfigError, DataError, NumericAbort
+from .errors import CheckpointError, ConfigError, DataError, NumericAbort, ParseError
 from .ini import from_section, read, section_of, write
 from .models import sr_predict_set
 from .nn import functional as F
@@ -85,32 +86,19 @@ class LossHistory:
         return True
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(HISTORY_COLUMNS) + "\n")
-            for r in self.records:
-                fh.write(f"{r.step},{r.g_total!r},{r.g_adv!r},{r.g_mse!r},"
-                         f"{r.d_loss!r},{r.gp!r}\n")
+        table.write(path, HISTORY_COLUMNS, map(astuple, self.records))
 
     @classmethod
     def from_csv(cls, path):
         try:
-            # Undecodable bytes become U+FFFD and fail as a bad header or cell.
-            with open(path, errors="replace") as fh:
-                header = fh.readline().strip()
-                rows = [line.strip().split(",") for line in fh]
+            t = table.read(path, HISTORY_COLUMNS)
+            steps = t.parse(0, int, "step").tolist()
+            losses = t.parse(slice(1, None), float, "loss").tolist()
         except OSError as exc:
             raise CheckpointError(f"{path}: cannot read history ({exc.strerror})") from exc
-        if header != ",".join(HISTORY_COLUMNS):
-            raise CheckpointError(f"{path}: unexpected history header {header!r}")
-        records = []
-        for parts in rows:
-            if len(parts) != len(HISTORY_COLUMNS):
-                raise CheckpointError(f"{path}: malformed history row {','.join(parts)!r}")
-            try:
-                records.append(LossRecord(int(parts[0]), *(float(p) for p in parts[1:])))
-            except ValueError as exc:
-                raise CheckpointError(f"{path}: malformed history row ({exc})") from None
-        return cls(records)
+        except ParseError as exc:
+            raise CheckpointError(str(exc)) from exc
+        return cls(LossRecord(step, *row) for step, row in zip(steps, losses))
 
 
 def pair_arrays(lr_set, hr_set, dtype):

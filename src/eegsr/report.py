@@ -3,18 +3,19 @@
 Reconstruction quality is reported as MSE and MAE of the missing-channel
 block per dataset, scale and method; classification quality as accuracy
 plus per-class precision, recall and support for features taken from true
-versus reconstructed signals. Reports serialise to CSV (value-exact, repr floats)
-and to markdown tables.
+versus reconstructed signals. Reports serialise to markdown tables and to
+CSV, written and read through `eegsr.table` (repr floats, so value-exact;
+malformed text raises ParseError naming the line).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from . import table
+from .errors import DataError
 
 DATASETS = ("val", "test")
 SR_METHODS = ("bicubic", "wgan")
@@ -143,83 +144,67 @@ CLASS_CSV_HEADER = ["scale", "source", "metric", "class", "value", "undefined", 
 CLASS_METRICS = ("precision", "recall", "support")  # one row each per class
 
 
+def _seeds(t, column):
+    """Seed of each row of a metric table; an empty cell means none."""
+    seeded = t.cells[:, column] != ""
+    seeds = np.full(len(t.cells), None)
+    seeds[seeded] = t.parse(column, int, "seed", seeded).tolist()
+    return seeds.tolist()
+
+
 def write_sr_csv(path, records):
     if not records:
         raise DataError("no reconstruction records to write")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SR_CSV_HEADER)
-        for r in records:
-            writer.writerow([
-                r.dataset, r.scale, r.method, repr(r.mse), repr(r.mae),
-                "" if r.seed is None else r.seed,
-            ])
-
-
-def _read_rows(path, header, parse):
-    """Call `parse` on each row of a metric table; a row of another width
-    than `header`, or a cell that does not parse, raises ParseError."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first != header:
-            raise DataError(f"{path}: unexpected header {first}")
-        for row in reader:
-            if len(row) != len(header):
-                raise ParseError(f"{path}: expected {len(header)} cells, found {len(row)}",
-                                 line=reader.line_num)
-            try:
-                parse(row)
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
+    table.write(path, SR_CSV_HEADER, ([r.dataset, r.scale, r.method, r.mse, r.mae,
+                                       "" if r.seed is None else r.seed] for r in records))
 
 
 def read_sr_csv(path):
-    records = []
-    _read_rows(path, SR_CSV_HEADER, lambda row: records.append(MetricsRecord(
-        dataset=row[0], scale=int(row[1]), method=row[2],
-        mse=float(row[3]), mae=float(row[4]),
-        seed=None if row[5] == "" else int(row[5]),
-    )))
-    return records
+    t = table.read(path, SR_CSV_HEADER)
+    return [MetricsRecord(dataset=dataset, scale=scale, method=method, mse=mse, mae=mae,
+                          seed=seed)
+            for dataset, scale, method, (mse, mae), seed in zip(
+                t.cells[:, 0].tolist(), t.parse(1, int, "scale").tolist(),
+                t.cells[:, 2].tolist(), t.parse(slice(3, 5), float, "error").tolist(),
+                _seeds(t, 5))]
 
 
 def write_class_csv(path, metrics_list):
     if not metrics_list:
         raise DataError("no classification metrics to write")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLASS_CSV_HEADER)
-        for m in metrics_list:
-            seed = "" if m.seed is None else m.seed
-            writer.writerow([m.scale, m.source, "accuracy", "", repr(m.accuracy), "", seed])
-            for i, c in enumerate(m.class_ids):
-                for name in CLASS_METRICS:
-                    flag = "1" if f"{name}:{c}" in m.undefined else ""
-                    writer.writerow([m.scale, m.source, name, c, repr(getattr(m, name)[i]),
-                                     flag, seed])
+    rows = []
+    for m in metrics_list:
+        seed = "" if m.seed is None else m.seed
+        rows.append([m.scale, m.source, "accuracy", "", m.accuracy, "", seed])
+        for i, c in enumerate(m.class_ids):
+            for name in CLASS_METRICS:
+                flag = "1" if f"{name}:{c}" in m.undefined else ""
+                rows.append([m.scale, m.source, name, c, getattr(m, name)[i], flag, seed])
+    table.write(path, CLASS_CSV_HEADER, rows)
 
 
 def read_class_csv(path):
     """Rebuild ClassMetrics rows grouped by (scale, source)."""
+    t = table.read(path, CLASS_CSV_HEADER)
+    metric = t.cells[:, 2]
+    per_class = metric != "accuracy"
+    support = metric == "support"
+    class_ids = np.zeros(len(t.cells), dtype=np.int64)
+    class_ids[per_class] = t.parse(3, int, "class", per_class)
+    values = t.parse(4, float, "value").astype(object)
+    values[support] = t.parse(4, int, "support", support).tolist()
     groups = {}
-
-    def parse(row):
-        key = (int(row[0]), row[1])
-        entry = groups.setdefault(
-            key, {"accuracy": None, "classes": {}, "undefined": [],
-                  "seed": None if row[6] == "" else int(row[6])},
-        )
-        if row[2] == "accuracy":
-            entry["accuracy"] = float(row[4])
+    for scale, source, name, c, value, flag, seed in zip(
+            t.parse(0, int, "scale").tolist(), t.cells[:, 1].tolist(), metric.tolist(),
+            class_ids.tolist(), values.tolist(), t.cells[:, 5].tolist(), _seeds(t, 6)):
+        entry = groups.setdefault((scale, source), {"accuracy": None, "classes": {},
+                                                    "undefined": [], "seed": seed})
+        if name == "accuracy":
+            entry["accuracy"] = value
         else:
-            c = int(row[3])
-            value = int(row[4]) if row[2] == "support" else float(row[4])
-            entry["classes"].setdefault(c, {})[row[2]] = value
-            if row[5] == "1":
-                entry["undefined"].append(f"{row[2]}:{c}")
-
-    _read_rows(path, CLASS_CSV_HEADER, parse)
+            entry["classes"].setdefault(c, {})[name] = value
+            if flag == "1":
+                entry["undefined"].append(f"{name}:{c}")
     out = []
     for (scale, source), entry in groups.items():
         ids = tuple(sorted(entry["classes"]))

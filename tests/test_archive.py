@@ -138,7 +138,7 @@ def test_epoch_archive_detects_truncated_values(tmp_path):
     save_epoch_set(tmp_path / "arc", sample_epoch_set())
     blob = (tmp_path / "arc" / "values.bin").read_bytes()
     (tmp_path / "arc" / "values.bin").write_bytes(blob[:-8])
-    with pytest.raises(ArtifactError):
+    with pytest.raises(ParseError, match="holds 319 values"):
         load_epoch_set(tmp_path / "arc")
 
 
@@ -156,7 +156,7 @@ def test_preprocess_info_round_trip(tmp_path):
 def test_preprocess_info_corrupt(tmp_path):
     path = tmp_path / "info.txt"
     path.write_text("[montage]\nn_channels = pear\n")
-    with pytest.raises(ArtifactError):
+    with pytest.raises(ParseError):
         load_preprocess_info(path)
     with pytest.raises(ArtifactError):
         load_preprocess_info(tmp_path / "absent.txt")

@@ -11,7 +11,7 @@ import pytest
 from eegsr import archive, psd
 from eegsr.archive import FEATURE_HEADER, read_features_csv, write_features_csv
 from eegsr.cli import HEAP_SETTINGS, main
-from eegsr.errors import ArtifactError
+from eegsr.errors import ParseError
 from eegsr.psd import FeatureTable
 
 OVERRIDES = [
@@ -304,7 +304,7 @@ def test_features_csv_roundtrip(tmp_path):
 def test_features_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("a,b,c\n")
-    with pytest.raises(ArtifactError):
+    with pytest.raises(ParseError, match="line 1"):
         read_features_csv(path)
 
 
@@ -365,6 +365,73 @@ def test_malformed_metric_table_is_a_parse_error(tmp_path, pipeline, capsys):
         corrupt_cell(metrics / name, line, column, text)
         assert_parse_failure(capsys, ["report", "--metrics", str(metrics),
                                       "--out", str(tmp_path / "report")], line)
+
+
+# Every table a command reads: (what to copy, the table in the copy, the
+# command run on the copy). Each fault below hits the header or the first row.
+TABLES = {
+    "rec": ("rec", "rec.csv", lambda p, d: ["preprocess", "--recording", str(d / "rec.csv"),
+                                            "--out", str(d / "out")]),
+    "meta": ("data", "val_lr/meta.csv", lambda p, d: ["baseline", "--data", str(d),
+                                                      "--out", str(d / "out")]),
+    "features": ("feats", "train_hr.csv", lambda p, d: ["train-clf", "--features", str(d),
+                                                         "--out", str(d / "out")]),
+    "reconstruction": ("metrics", "reconstruction.csv",
+                       lambda p, d: ["report", "--metrics", str(d), "--out", str(d / "out")]),
+    "classification": ("metrics", "classification.csv",
+                       lambda p, d: ["report", "--metrics", str(d), "--out", str(d / "out")]),
+    "history": ("pre", "last/history.csv",
+                lambda p, d: ["pretrain", "--data", str(p["data"]), "--out", str(d / "out"),
+                              "--resume", str(d / "last")]),
+}
+
+
+def _header_index(lines):
+    return next(i for i, line in enumerate(lines) if not line.startswith(b"#"))
+
+
+def _fault_in_first_row(change):
+    def apply(lines):
+        row = _header_index(lines) + 1
+        lines[row] = change(lines[row])
+        return lines
+    return apply
+
+
+def _fault_in_header(lines):
+    lines[_header_index(lines)] += b",extra"
+    return lines
+
+
+# A non-UTF-8 byte ended in a UnicodeDecodeError traceback in every reader
+# but history.csv's.
+TABLE_FAULTS = {
+    "non-utf8": _fault_in_first_row(lambda row: b"\xff" + row),
+    "non-numeric": _fault_in_first_row(lambda row: row.rsplit(b",", 1)[0] + b",pear"),
+    "short-row": _fault_in_first_row(lambda row: row.rsplit(b",", 1)[0]),
+    "wrong-header": _fault_in_header,
+    "empty": lambda lines: [],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_corrupt_table_is_a_one_line_parse_error(tmp_path, pipeline, capsys, name, fault):
+    source, table, argv = TABLES[name]
+    copy = tmp_path / "copy"
+    if pipeline[source].is_dir():
+        shutil.copytree(pipeline[source], copy)
+    else:
+        copy.mkdir()
+        shutil.copy(pipeline[source], copy / table)
+    path = copy / table
+    lines = path.read_bytes().replace(b"\r\n", b"\n").split(b"\n")
+    path.write_bytes(b"\n".join(TABLE_FAULTS[fault](lines)))
+    argv = argv(pipeline, copy)
+    assert main(argv + (OVERRIDES if argv[0] != "report" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.name in err and "Traceback" not in err
 
 
 def _sub_in(path, pattern, new):

@@ -36,3 +36,26 @@ def test_no_unused_imports():
              for top in ("src", "tests") for path in sorted((ROOT / top).rglob("*.py"))
              for line, name in unused_imports(path.read_text())]
     assert not found, "imported and never used:\n" + "\n".join(found)
+
+
+# Each file format has one owner in src/: the module that imports its parser.
+FORMAT_OWNERS = {"csv": "eegsr/table.py", "configparser": "eegsr/ini.py"}
+
+
+def imported_modules(source):
+    """Top-level names of the modules `source` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_one_owner_per_file_format():
+    src = ROOT / "src"
+    importers = {module: sorted(str(path.relative_to(src)) for path in src.rglob("*.py")
+                                if module in imported_modules(path.read_text()))
+                 for module in FORMAT_OWNERS}
+    assert importers == {module: [owner] for module, owner in FORMAT_OWNERS.items()}

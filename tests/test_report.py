@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from eegsr.errors import DataError
+from eegsr.errors import DataError, ParseError
 from eegsr.report import (
     ClassMetrics,
     MetricsRecord,
@@ -145,7 +145,7 @@ def test_sr_csv_roundtrip(tmp_path):
 def test_sr_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "sr.csv"
     path.write_text("a,b\n1,2\n")
-    with pytest.raises(DataError):
+    with pytest.raises(ParseError, match="line 1"):
         read_sr_csv(path)
     with pytest.raises(DataError):
         write_sr_csv(tmp_path / "empty.csv", [])
