@@ -1,27 +1,18 @@
 """Command-line pipeline driver.
 
 Each subcommand reads and writes artifacts under a run directory, so the
-whole experiment decomposes into resumable, individually rerunnable steps:
-
-    synth       write a surrogate labelled recording
-    preprocess  epochs, montage split, archives and normalization stats
-    pretrain    MSE-only generator training
-    gan-train   adversarial refinement from the pretrain checkpoint
-    baseline    cubic-interpolation reconstruction of val/test epochs
-    sr-infer    generator reconstruction of val/test epochs
-    features    band-power feature tables from true and reconstructed data
-    train-clf   fit the feature classifier on training features
-    evaluate    reconstruction and classification metric tables
-    report      render metric tables to markdown
-
-Every command accepts --config plus repeatable --set section.key=value
-overrides, writes the fully resolved config next to its outputs, and exits
-2 on a missing input artifact or a command-line usage error, 3 on an
-invalid config (including a training phase of zero epochs and a --resume
-under a changed training config), 4 on a numeric abort during training, and
-1 on any other error: a corrupt input artifact (a malformed table or
-manifest, a truncated value file) or an OSError (say, --out below an
-existing file).
+experiment decomposes into resumable, individually rerunnable steps, listed
+in pipeline order in `COMMANDS`. `main` is the one runner: it resolves the
+config from --config and repeatable --set section.key=value overrides
+(every command but report takes them), creates --out (for synth, its
+directory; removed again if the command fails without writing to it),
+calls `cmd_<name>(args, cfg, out)` and then writes the resolved config
+beside the outputs: `config.txt`, for synth `<out>.config.txt`. Exit codes
+(`EXIT_CODES`): 2 a missing input artifact or a usage error, 3 an invalid
+config (including a training phase of zero epochs and a --resume under a
+changed training config), 4 a numeric abort in training, 1 any other
+error: a corrupt input artifact (a malformed table or manifest, a truncated
+value file) or an OSError (say, --out below an existing file).
 """
 from __future__ import annotations
 
@@ -49,55 +40,35 @@ def _overrides(args):
         out[name.strip()] = value.strip()
     for flag, name in (("seed", "run.seed"), ("precision", "run.precision"),
                        ("scale", "preprocess.scale"), ("width", "model.width")):
-        if getattr(args, flag, None) is not None:
+        if getattr(args, flag) is not None:
             out[name] = str(getattr(args, flag))
     return out
 
 
-def _config(args):
-    return load_config(args.config, _overrides(args))
+def _info(args):
+    """(montage, stats, epoching) of the preprocess output under --data."""
+    return archive.load_preprocess_info(Path(args.data) / "info.txt")
 
 
-def _require(path, what):
-    path = Path(path)
-    if not path.exists():
-        raise ArtifactError(f"{what} not found: {path}")
-    return path
+def _load_set(args, split, side):
+    return archive.load_epoch_set(Path(args.data) / f"{split}_{side}")
 
 
-def _require_epochs(cfg, key):
-    if cfg["train"][key] < 1:
-        raise ConfigError(f"train.{key} is 0: nothing would be trained and no checkpoint written")
+def _fingerprint(cfg, disc_cfg=None):
+    return gan.config_fingerprint(cfg.generator_config(), disc_cfg, cfg.dtype(),
+                                  cfg["train"]["loss_mode"])
 
 
-def _load_set(root, split, side):
-    return archive.load_epoch_set(Path(root) / f"{split}_{side}")
-
-
-def _load_pair(root, split):
-    return _load_set(root, split, "lr"), _load_set(root, split, "hr")
-
-
-def _norm_pair(pair, stats):
-    return (data.normalize_set(pair[0], stats), data.normalize_set(pair[1], stats))
-
-
-def cmd_synth(args):
-    cfg = _config(args)
+def cmd_synth(args, cfg, out):
     rec = data.generate_synthetic(cfg.synth_config(), seed=cfg["run"]["seed"])
     rec.subject_id = cfg["synth"]["subject"]
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     archive.save_recording(out, rec)
-    save_config(out.with_suffix(".config.txt"), cfg)
     print(f"wrote {rec.n_channels}x{rec.n_samples} recording to {out}")
-    return 0
 
 
-def cmd_preprocess(args):
-    cfg = _config(args)
+def cmd_preprocess(args, cfg, out):
     pp = cfg["preprocess"]
-    rec = archive.load_recording(_require(args.recording, "recording"))
+    rec = archive.load_recording(args.recording)
     epochs = data.extract_epochs(rec, window=pp["window"], stride=pp["stride"])
     train, val, test = data.split_dataset(
         epochs, ratios=(pp["ratio_train"], pp["ratio_val"], pp["ratio_test"])
@@ -110,127 +81,89 @@ def cmd_preprocess(args):
         segments = data.segment_epochs(part, seg_len=pp["seg_len"])
         splits.append((name, len(part), *data.downsample_set(segments, montage)))
     stats = data.compute_norm_stats(splits[0][2])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for name, n_epochs, lr_set, hr_set in splits:
         archive.save_epoch_set(out / f"{name}_lr", lr_set)
         archive.save_epoch_set(out / f"{name}_hr", hr_set)
         print(f"{name}: {n_epochs} epochs -> {len(lr_set)} segments")
     archive.save_preprocess_info(out / "info.txt", montage, stats,
                                  pp["window"], pp["stride"], pp["seg_len"])
-    save_config(out / "config.txt", cfg)
-    return 0
 
 
-def _training_inputs(cfg, data_dir):
-    montage, stats, epoching = archive.load_preprocess_info(
-        _require(Path(data_dir) / "info.txt", "preprocessing info"))
+def _training_run(args, cfg, out, epochs_key, disc_cfg=None):
+    """Set-up shared by pretrain and gan-train: refuse a phase of zero epochs
+    or an archive of another scale, load the normalised train and val pairs
+    and --resume. Returns the keyword arguments of the training loop."""
+    if cfg["train"][epochs_key] < 1:
+        raise ConfigError(f"train.{epochs_key} is 0: nothing would be trained and no "
+                          "checkpoint written")
+    montage, stats, _ = _info(args)
     if montage.scale != cfg["preprocess"]["scale"]:
         raise ConfigError(
             f"config scale {cfg['preprocess']['scale']} does not match archived "
             f"scale {montage.scale}"
         )
-    train_pair = _norm_pair(_load_pair(data_dir, "train"), stats)
-    val_pair = _norm_pair(_load_pair(data_dir, "val"), stats)
-    return montage, stats, epoching, train_pair, val_pair
-
-
-def cmd_pretrain(args):
-    cfg = _config(args)
-    _require_epochs(cfg, "pretrain_epochs")
-    dtype = cfg.dtype()
-    montage, stats, _, train_pair, val_pair = _training_inputs(cfg, args.data)
-    gen_cfg = cfg.generator_config()
+    train_pair, val_pair = ([data.normalize_set(s, stats) for s in
+                             (_load_set(args, split, "lr"), _load_set(args, split, "hr"))]
+                            for split in ("train", "val"))
+    fingerprint = _fingerprint(cfg, disc_cfg)
     train_cfg = cfg.train_config()
-    fingerprint = gan.config_fingerprint(gen_cfg, None, dtype, cfg["train"]["loss_mode"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    resume = None
-    if args.resume:
-        resume = gan.load_checkpoint(_require(args.resume, "checkpoint"), fingerprint, train_cfg)
-    gen = models.build_generator(gen_cfg, seed=cfg["run"]["seed"], dtype=dtype)
-    result = gan.pretrain_generator(
-        gen, train_pair, train_cfg, val_pair=val_pair,
-        checkpoint_dir=out, resume=resume, fingerprint=fingerprint,
-    )
+    resume = gan.load_checkpoint(args.resume, fingerprint, train_cfg) if args.resume else None
+    return dict(train_pair=train_pair, cfg=train_cfg, val_pair=val_pair,
+                checkpoint_dir=out, resume=resume, fingerprint=fingerprint)
+
+
+def cmd_pretrain(args, cfg, out):
+    run = _training_run(args, cfg, out, "pretrain_epochs")
+    gen = models.build_generator(cfg.generator_config(), seed=cfg["run"]["seed"],
+                                 dtype=cfg.dtype())
+    result = gan.pretrain_generator(gen, **run)
     result.history.to_csv(out / "history.csv")
-    save_config(out / "config.txt", cfg)
     print(f"pretrain: {result.g_steps} generator steps, "
           f"best val mse {result.best_val_mse:.6g}")
-    return 0
 
 
-def cmd_gan_train(args):
-    cfg = _config(args)
-    _require_epochs(cfg, "gan_epochs")
-    dtype = cfg.dtype()
-    montage, stats, _, train_pair, val_pair = _training_inputs(cfg, args.data)
-    gen_cfg = cfg.generator_config()
+def cmd_gan_train(args, cfg, out):
     disc_cfg = cfg.discriminator_config()
-    fingerprint = gan.config_fingerprint(gen_cfg, disc_cfg, dtype, cfg["train"]["loss_mode"])
-    pre_fingerprint = gan.config_fingerprint(gen_cfg, None, dtype, cfg["train"]["loss_mode"])
-    train_cfg = cfg.train_config()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    resume = gen = disc = None
-    if args.resume:
-        resume = gan.load_checkpoint(_require(args.resume, "checkpoint"), fingerprint, train_cfg)
-    else:
+    run = _training_run(args, cfg, out, "gan_epochs", disc_cfg)
+    gen = disc = None
+    if not args.resume:
         # Only the generator: the rest of the checkpoint (its Adam moments
         # among it) would otherwise stay referenced for the whole run.
-        gen = gan.load_checkpoint(_require(args.init, "pretrain checkpoint"),
-                                  pre_fingerprint).gen
-        disc = models.build_discriminator(disc_cfg, seed=cfg["run"]["seed"] + 1, dtype=dtype)
-    result = gan.train_wgan(
-        gen, disc, train_pair, train_cfg, val_pair=val_pair,
-        checkpoint_dir=out, resume=resume, fingerprint=fingerprint,
-    )
+        gen = gan.load_checkpoint(args.init, _fingerprint(cfg)).gen
+        disc = models.build_discriminator(disc_cfg, seed=cfg["run"]["seed"] + 1,
+                                          dtype=cfg.dtype())
+    result = gan.train_wgan(gen, disc, **run)
     result.history.to_csv(out / "history.csv")
-    save_config(out / "config.txt", cfg)
     print(f"gan: {result.g_steps} generator / {result.d_steps} critic steps, "
           f"best val mse {result.best_val_mse:.6g}")
-    return 0
 
 
-def cmd_baseline(args):
-    cfg = _config(args)
-    montage, _, _ = archive.load_preprocess_info(
-        _require(Path(args.data) / "info.txt", "preprocessing info"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_baseline(args, cfg, out):
+    montage, _, _ = _info(args)
     for split in ("val", "test"):
-        lr_set = _load_set(args.data, split, "lr")
+        lr_set = _load_set(args, split, "lr")
         pred = bicubic.bicubic_predict_set(lr_set, montage)
         archive.save_epoch_set(out / split, pred)
         print(f"baseline {split}: {len(pred)} segments")
-    save_config(out / "config.txt", cfg)
-    return 0
 
 
-def cmd_sr_infer(args):
-    cfg = _config(args)
-    montage, stats, _ = archive.load_preprocess_info(
-        _require(Path(args.data) / "info.txt", "preprocessing info"))
+def cmd_sr_infer(args, cfg, out):
+    _, stats, _ = _info(args)
     gen_cfg = cfg.generator_config()
     # Only the generator, as for gan-train --init.
-    gen = gan.load_checkpoint(_require(args.checkpoint, "checkpoint")).gen
+    gen = gan.load_checkpoint(args.checkpoint).gen
     if gen.input_shape != gen_cfg.input_shape:
         raise ConfigError(
             f"checkpoint generator input {gen.input_shape} does not match config "
             f"{gen_cfg.input_shape}"
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for split in ("val", "test"):
-        lr_set = _load_set(args.data, split, "lr")
+        lr_set = _load_set(args, split, "lr")
         lr_norm = data.normalize_set(lr_set, stats)
         pred_norm = models.sr_predict_set(gen, lr_norm)
         pred = data.denormalize_set(pred_norm, stats)
         archive.save_epoch_set(out / split, pred)
         print(f"sr {split}: {len(pred)} segments")
-    save_config(out / "config.txt", cfg)
-    return 0
 
 
 def _reassemble_full(lr_set, hr_set, montage, group):
@@ -239,31 +172,23 @@ def _reassemble_full(lr_set, hr_set, montage, group):
                                   data.regroup_segments(hr_set, group), montage)
 
 
-def cmd_features(args):
-    cfg = _config(args)
-    montage, stats, epoching = archive.load_preprocess_info(
-        _require(Path(args.data) / "info.txt", "preprocessing info"))
+def cmd_features(args, cfg, out):
+    montage, _, epoching = _info(args)
     group = epoching["window"] // epoching["seg_len"]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for split in ("train", "val", "test"):
-        lr_set, hr_set = _load_pair(args.data, split)
+        lr_set, hr_set = _load_set(args, split, "lr"), _load_set(args, split, "hr")
         full = _reassemble_full(lr_set, hr_set, montage, group)
         archive.write_features_csv(out / f"{split}_hr.csv", psd.epoch_features(full))
         print(f"features {split}_hr: {len(full)} epochs")
         if args.sr and split in ("val", "test"):
-            pred = archive.load_epoch_set(
-                _require(Path(args.sr) / split, f"{split} reconstruction"))
+            pred = archive.load_epoch_set(Path(args.sr) / split)
             pred = replace(pred, channel_labels=hr_set.channel_labels)
             full_sr = _reassemble_full(lr_set, pred, montage, group)
             archive.write_features_csv(out / f"{split}_sr.csv", psd.epoch_features(full_sr))
             print(f"features {split}_sr: {len(full_sr)} epochs")
-    save_config(out / "config.txt", cfg)
-    return 0
 
 
-def cmd_train_clf(args):
-    cfg = _config(args)
+def cmd_train_clf(args, cfg, out):
     x, labels = archive.read_features_csv(Path(args.features) / "train_hr.csv").labelled()
     scaler = psd.FeatureScaler.fit(x)
     clf_cfg = cfg.classifier_config()
@@ -271,19 +196,15 @@ def cmd_train_clf(args):
     trace = psd.train_classifier(model, scaler.apply(x), labels,
                                  cfg.classifier_train_config(),
                                  class_ids=clf_cfg.class_ids)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_model(out / "model", model, extra={"class_ids": clf_cfg.class_ids,
                                              "scaler_mu": tuple(scaler.mu.tolist()),
                                              "scaler_sigma": tuple(scaler.sigma.tolist())})
     table.write(out / "loss.csv", ("epoch", "loss"), enumerate(trace))
-    save_config(out / "config.txt", cfg)
     print(f"classifier: final training loss {trace[-1]:.4f}")
-    return 0
 
 
 def _load_classifier(directory):
-    model, extra = load_model(_require(Path(directory) / "model", "classifier model"))
+    model, extra = load_model(Path(directory) / "model")
     try:
         class_ids = parse_value(tuple[int, ...], extra["class_ids"])
         mu = np.asarray(parse_value(tuple[float, ...], extra["scaler_mu"]))
@@ -296,23 +217,18 @@ def _load_classifier(directory):
     return model, class_ids, psd.FeatureScaler(mu=mu, sigma=sigma)
 
 
-def cmd_evaluate(args):
-    cfg = _config(args)
-    montage, stats, _ = archive.load_preprocess_info(
-        _require(Path(args.data) / "info.txt", "preprocessing info"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_evaluate(args, cfg, out):
+    montage, _, _ = _info(args)
     seed = cfg["run"]["seed"]
     scale = montage.scale
 
     sr_records = []
     for split in ("val", "test"):
-        hr_set = _load_set(args.data, split, "hr")
+        hr_set = _load_set(args, split, "hr")
         for method, root in (("bicubic", args.baseline), ("wgan", args.sr)):
             if not root:
                 continue
-            pred = archive.load_epoch_set(_require(Path(root) / split,
-                                                   f"{split} {method} reconstruction"))
+            pred = archive.load_epoch_set(Path(root) / split)
             mse, mae = report.sr_metrics(pred, hr_set)
             sr_records.append(report.MetricsRecord(
                 dataset=split, scale=scale, method=method, mse=mse, mae=mae, seed=seed,
@@ -336,113 +252,80 @@ def cmd_evaluate(args):
         if class_rows:
             report.write_class_csv(out / "classification.csv", class_rows)
             print(f"wrote {len(class_rows)} classification conditions")
-    save_config(out / "config.txt", cfg)
-    return 0
 
 
-def cmd_report(args):
-    metrics_dir = Path(args.metrics)
-    sr_path = metrics_dir / "reconstruction.csv"
-    class_path = metrics_dir / "classification.csv"
+def cmd_report(args, cfg, out):
+    sr_path = Path(args.metrics) / "reconstruction.csv"
+    class_path = Path(args.metrics) / "classification.csv"
+    if not sr_path.exists() and not class_path.exists():
+        raise ArtifactError(f"no metric tables under {args.metrics}")
     sr_records = report.read_sr_csv(sr_path) if sr_path.exists() else []
     class_rows = report.read_class_csv(class_path) if class_path.exists() else []
-    if not sr_records and not class_rows:
-        raise ArtifactError(f"no metric tables under {metrics_dir}")
-    written = report.emit_report(args.out, sr_records, class_rows,
+    written = report.emit_report(out, sr_records, class_rows,
                                  formats=tuple(args.formats.split(",")))
     for path in written:
         print(f"wrote {path}")
-    return 0
+
+
+DATA = ("--data", {"required": True, "help": "preprocess output directory"})
+
+# name: (help, whether it takes the config options, its options). An option
+# is a flag and its add_argument keywords; a list of options is a group of
+# which exactly one is required. Every command also takes --out.
+COMMANDS = {
+    "synth": ("write a surrogate labelled recording", True, []),
+    "preprocess": ("epochs, montage split, archives and normalization stats", True,
+                   [("--recording", {"required": True})]),
+    "pretrain": ("MSE-only generator training", True,
+                 [DATA, ("--resume", {"help": "checkpoint to continue from"})]),
+    "gan-train": ("adversarial refinement from the pretrain checkpoint", True,
+                  [DATA, [("--init", {"help": "pretrain checkpoint to start from"}),
+                          ("--resume", {"help": "adversarial checkpoint to continue from"})]]),
+    "baseline": ("cubic-interpolation reconstruction of val/test epochs", True, [DATA]),
+    "sr-infer": ("generator reconstruction of val/test epochs", True,
+                 [DATA, ("--checkpoint", {"required": True})]),
+    "features": ("band-power feature tables from true and reconstructed data", True,
+                 [DATA, ("--sr", {"help": "sr-infer output directory (adds *_sr tables)"})]),
+    "train-clf": ("fit the feature classifier on training features", True,
+                  [("--features", {"required": True, "help": "features directory"})]),
+    "evaluate": ("reconstruction and classification metric tables", True,
+                 [DATA, ("--baseline", {"help": "baseline output directory"}),
+                  ("--sr", {"help": "sr-infer output directory"}),
+                  ("--features", {"help": "features directory"}),
+                  ("--classifier", {"help": "train-clf output directory"})]),
+    "report": ("render metric tables to markdown", False,
+               [("--metrics", {"required": True, "help": "evaluate output directory"}),
+                ("--formats", {"default": "csv,markdown"})]),
+}
 
 
 def build_parser():
+    """The parser of every command. Each sets `fn` to the module's current
+    `cmd_<name>`, looked up now, so a wrapper patched over it is the one run."""
     parser = argparse.ArgumentParser(
         prog="eegsr",
         description="EEG channel super-resolution: training, baselines and evaluation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seed=True):
-        p.add_argument("--config", help="INI config file; defaults apply when omitted")
-        p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                       help="override one config value (repeatable)")
-        if seed:
+    for name, (summary, configured, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if configured:
+            p.add_argument("--config", help="INI config file; defaults apply when omitted")
+            p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
+                           help="override one config value (repeatable)")
             p.add_argument("--seed", type=int, help="override run.seed")
-            p.add_argument("--precision", choices=("f32", "f64"),
-                           help="override run.precision")
+            p.add_argument("--precision", choices=("f32", "f64"), help="override run.precision")
             p.add_argument("--scale", type=int, help="override preprocess.scale")
             p.add_argument("--width", type=float, help="override model.width")
-
-    p = sub.add_parser("synth", help="generate a surrogate recording")
-    common(p)
-    p.add_argument("--out", required=True, help="output recording CSV path")
-    p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("preprocess", help="epoch, split and archive a recording")
-    common(p)
-    p.add_argument("--recording", required=True)
-    p.add_argument("--out", required=True, help="archive directory")
-    p.set_defaults(fn=cmd_preprocess)
-
-    p = sub.add_parser("pretrain", help="MSE-only generator training")
-    common(p)
-    p.add_argument("--data", required=True, help="preprocess output directory")
-    p.add_argument("--out", required=True, help="checkpoint directory")
-    p.add_argument("--resume", help="checkpoint to continue from")
-    p.set_defaults(fn=cmd_pretrain)
-
-    p = sub.add_parser("gan-train", help="adversarial training from a pretrain checkpoint")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    start = p.add_mutually_exclusive_group(required=True)
-    start.add_argument("--init", help="pretrain checkpoint to start from")
-    start.add_argument("--resume", help="adversarial checkpoint to continue from")
-    p.set_defaults(fn=cmd_gan_train)
-
-    p = sub.add_parser("baseline", help="cubic-interpolation reconstruction")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_baseline)
-
-    p = sub.add_parser("sr-infer", help="generator reconstruction")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_sr_infer)
-
-    p = sub.add_parser("features", help="band-power feature tables")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--sr", help="sr-infer output directory (adds *_sr tables)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_features)
-
-    p = sub.add_parser("train-clf", help="fit the band-power classifier")
-    common(p)
-    p.add_argument("--features", required=True, help="features directory")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train_clf)
-
-    p = sub.add_parser("evaluate", help="compute metric tables")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--baseline", help="baseline output directory")
-    p.add_argument("--sr", help="sr-infer output directory")
-    p.add_argument("--features", help="features directory")
-    p.add_argument("--classifier", help="train-clf output directory")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("report", help="render metric tables to markdown")
-    common(p, seed=False)
-    p.add_argument("--metrics", required=True, help="evaluate output directory")
-    p.add_argument("--out", required=True)
-    p.add_argument("--formats", default="csv,markdown")
-    p.set_defaults(fn=cmd_report)
-
+        p.add_argument("--out", required=True, help="output directory (synth: recording CSV)")
+        for option in options:
+            if isinstance(option, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag, kwargs in option:
+                    group.add_argument(flag, **kwargs)
+            else:
+                p.add_argument(option[0], **option[1])
+        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -472,24 +355,41 @@ def keep_freed_heap():
         mallopt(param, value)
 
 
+def _run(args):
+    """Resolve the config, run the command into --out and write its config."""
+    cfg = load_config(args.config, _overrides(args)) if "config" in args else None
+    out = Path(args.out)
+    if args.command == "synth":  # --out names the recording file
+        directory, config_path = out.parent, out.with_suffix(".config.txt")
+    else:
+        directory, config_path = out, out / "config.txt"
+    created = not directory.exists()
+    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        args.fn(args, cfg, out)
+        if cfg is not None:
+            save_config(config_path, cfg)
+    finally:
+        if created and not any(directory.iterdir()):
+            directory.rmdir()
+
+
+# (error, exit code, message prefix), the first that matches applies.
+EXIT_CODES = ((ArtifactError, 2, "error"), (ConfigError, 3, "config error"),
+              (NumericAbort, 4, "numeric abort"), ((EegsrError, OSError), 1, "error"))
+
+
 def main(argv=None):
     keep_freed_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except NumericAbort as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return 4
+        _run(args)
     except (EegsrError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, prefix = next((code, prefix) for kind, code, prefix in EXIT_CODES
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -149,6 +149,8 @@ class MontageSplit:
         merged = sorted(self.lr_indices + self.hr_indices)
         if merged != list(range(self.n_channels)):
             raise DataError("lr and hr indices must partition the channel range")
+        if self.lr_indices != tuple(range(0, self.n_channels, self.scale)):
+            raise DataError(f"kept channels are not every {self.scale}th channel from 0")
         if len(self.lr_indices) < 2:
             raise DataError("montage needs at least two kept channels")
 

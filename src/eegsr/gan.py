@@ -29,7 +29,7 @@ import numpy as np
 from . import table
 from .config import TrainConfig
 from .data import check_aligned
-from .errors import CheckpointError, ConfigError, DataError, NumericAbort, ParseError
+from .errors import ArtifactError, CheckpointError, ConfigError, DataError, NumericAbort, ParseError
 from .ini import from_section, read, section_of, write
 from .models import sr_predict_set
 from .nn import functional as F
@@ -417,10 +417,12 @@ def _check_resume_config(saved, cfg, phase, epoch):
 
 
 def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
-    """Rebuild a TrainState; refuses other format versions, mismatched
-    fingerprints, truncated or unparsable contents and, given
-    `expect_config`, a TrainConfig the run cannot resume under."""
+    """Rebuild a TrainState; refuses a missing directory (ArtifactError), other
+    format versions, mismatched fingerprints, truncated, unparsable or inconsistent
+    contents and, given `expect_config`, a TrainConfig the run cannot resume under."""
     directory = Path(directory)
+    if not directory.exists():
+        raise ArtifactError(f"checkpoint not found: {directory}")
     manifest = directory / "manifest.txt"
     if not manifest.is_file():
         raise CheckpointError(f"{directory}: not a checkpoint (missing manifest.txt)")
@@ -443,6 +445,12 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
         d_t = int(head["d_adam_t"]) if has_disc else 0
         data_rng = _rng(json.loads(head["data_rng"]))
         adv_rng = _rng(json.loads(head["adv_rng"]))
+        if has_disc != (phase == "gan"):
+            raise ValueError(f"a {phase} checkpoint with has_disc = {int(has_disc)}")
+        # Counts never fall below 0, and each step advances its network's Adam count.
+        if min(epoch, g_steps, d_steps) < 0 or g_t != g_steps or (has_disc and d_t != d_steps):
+            raise ValueError(f"inconsistent counters: epoch {epoch}, g/d steps {g_steps}/"
+                             f"{d_steps}, g/d Adam steps {g_t}/{d_t}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{manifest}: corrupt checkpoint manifest ({exc})") from exc
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..errors import ArtifactError, CheckpointError
 from ..ini import from_section, parse_value, read, section_of, write
 from .layers import LayerSpec, Model
 
@@ -86,6 +86,8 @@ def save_model(directory, model, extra=None):
 def load_model(directory):
     """Rebuild a model (and its [extra] dict) from a saved directory."""
     directory = Path(directory)
+    if not directory.exists():
+        raise ArtifactError(f"model not found: {directory}")
     manifest = directory / "manifest.txt"
     if not manifest.is_file():
         raise CheckpointError(f"{directory}: missing manifest.txt")

@@ -4,8 +4,9 @@ Reconstruction quality is reported as MSE and MAE of the missing-channel
 block per dataset, scale and method; classification quality as accuracy
 plus per-class precision, recall and support for features taken from true
 versus reconstructed signals. Reports serialise to markdown tables and to
-CSV, written and read through `eegsr.table` (repr floats, so value-exact;
-malformed text raises ParseError naming the line).
+CSV, written and read through `eegsr.table` (repr floats, so value-exact).
+Malformed text, a table without rows and a row or group of rows that does
+not make a valid record raise ParseError naming the file and the line.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import table
-from .errors import DataError
+from .errors import DataError, ParseError
 
 DATASETS = ("val", "test")
 SR_METHODS = ("bicubic", "wgan")
@@ -159,14 +160,30 @@ def write_sr_csv(path, records):
                                        "" if r.seed is None else r.seed] for r in records))
 
 
+def _read_rows(path, header):
+    """The table at `path`, which must hold at least one row."""
+    t = table.read(path, header)
+    if not len(t.cells):
+        raise ParseError(f"{path}: no rows below the header", line=t.first_line)
+    return t
+
+
+def _record(cls, path, line, **fields):
+    """cls(**fields); a record it rejects is a ParseError at `line` of `path`."""
+    try:
+        return cls(**fields)
+    except DataError as exc:
+        raise ParseError(f"{path}: {exc}", line=line) from None
+
+
 def read_sr_csv(path):
-    t = table.read(path, SR_CSV_HEADER)
-    return [MetricsRecord(dataset=dataset, scale=scale, method=method, mse=mse, mae=mae,
-                          seed=seed)
-            for dataset, scale, method, (mse, mae), seed in zip(
+    t = _read_rows(path, SR_CSV_HEADER)
+    return [_record(MetricsRecord, path, line, dataset=dataset, scale=scale, method=method,
+                    mse=mse, mae=mae, seed=seed)
+            for line, (dataset, scale, method, (mse, mae), seed) in enumerate(zip(
                 t.cells[:, 0].tolist(), t.parse(1, int, "scale").tolist(),
                 t.cells[:, 2].tolist(), t.parse(slice(3, 5), float, "error").tolist(),
-                _seeds(t, 5))]
+                _seeds(t, 5)), start=t.first_line)]
 
 
 def write_class_csv(path, metrics_list):
@@ -185,7 +202,7 @@ def write_class_csv(path, metrics_list):
 
 def read_class_csv(path):
     """Rebuild ClassMetrics rows grouped by (scale, source)."""
-    t = table.read(path, CLASS_CSV_HEADER)
+    t = _read_rows(path, CLASS_CSV_HEADER)
     metric = t.cells[:, 2]
     per_class = metric != "accuracy"
     support = metric == "support"
@@ -194,11 +211,13 @@ def read_class_csv(path):
     values = t.parse(4, float, "value").astype(object)
     values[support] = t.parse(4, int, "support", support).tolist()
     groups = {}
-    for scale, source, name, c, value, flag, seed in zip(
+    for line, (scale, source, name, c, value, flag, seed) in enumerate(zip(
             t.parse(0, int, "scale").tolist(), t.cells[:, 1].tolist(), metric.tolist(),
-            class_ids.tolist(), values.tolist(), t.cells[:, 5].tolist(), _seeds(t, 6)):
+            class_ids.tolist(), values.tolist(), t.cells[:, 5].tolist(), _seeds(t, 6)),
+            start=t.first_line):
         entry = groups.setdefault((scale, source), {"accuracy": None, "classes": {},
-                                                    "undefined": [], "seed": seed})
+                                                    "undefined": [], "seed": seed,
+                                                    "line": line})
         if name == "accuracy":
             entry["accuracy"] = value
         else:
@@ -210,13 +229,15 @@ def read_class_csv(path):
         ids = tuple(sorted(entry["classes"]))
         if entry["accuracy"] is None or any(entry["classes"][c].keys() != set(CLASS_METRICS)
                                             for c in ids):
-            raise DataError(f"{path}: scale {scale} {source} needs an accuracy row and "
-                            f"{'/'.join(CLASS_METRICS)} rows for every class")
+            raise ParseError(f"{path}: scale {scale} {source} needs an accuracy row and "
+                             f"{'/'.join(CLASS_METRICS)} rows for every class",
+                             line=entry["line"])
         per_class = {name: tuple(entry["classes"][c][name] for c in ids)
                      for name in CLASS_METRICS}
-        out.append(ClassMetrics(scale=scale, source=source, accuracy=entry["accuracy"],
-                                class_ids=ids, undefined=tuple(entry["undefined"]),
-                                seed=entry["seed"], **per_class))
+        out.append(_record(ClassMetrics, path, entry["line"], scale=scale, source=source,
+                           accuracy=entry["accuracy"], class_ids=ids,
+                           undefined=tuple(entry["undefined"]), seed=entry["seed"],
+                           **per_class))
     return out
 
 

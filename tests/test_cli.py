@@ -355,11 +355,14 @@ def test_malformed_sampling_rate_is_a_parse_error(tmp_path, pipeline, capsys):
 
 
 def test_malformed_metric_table_is_a_parse_error(tmp_path, pipeline, capsys):
-    # A non-numeric mse, a short row, a non-integer scale, a non-numeric value.
+    # A non-numeric mse, a short row, a non-integer scale, a non-numeric value,
+    # and rows whose record is refused: an unknown dataset, an unknown source.
     for name, line, column, text in (("reconstruction.csv", 2, 3, "zero"),
                                      ("reconstruction.csv", 3, slice(3, None), []),
                                      ("classification.csv", 3, 0, "two"),
-                                     ("classification.csv", 4, 4, "high")):
+                                     ("classification.csv", 4, 4, "high"),
+                                     ("reconstruction.csv", 4, 0, "foo"),
+                                     ("classification.csv", 2, 1, "xx")):
         metrics = tmp_path / f"metrics-{name}-{line}"
         shutil.copytree(pipeline["metrics"], metrics)
         corrupt_cell(metrics / name, line, column, text)
@@ -434,6 +437,36 @@ def test_corrupt_table_is_a_one_line_parse_error(tmp_path, pipeline, capsys, nam
     assert path.name in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["reconstruction.csv", "classification.csv"])
+def test_header_only_metric_table_is_a_parse_error(tmp_path, pipeline, capsys, name):
+    # The table exists, so this is not the missing-artifact exit 2.
+    metrics = tmp_path / "metrics"
+    shutil.copytree(pipeline["metrics"], metrics)
+    path = metrics / name
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    argv = ["report", "--metrics", str(metrics), "--out", str(tmp_path / "report")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    for table in metrics.iterdir():
+        table.unlink()
+    assert main(argv) == 2
+    assert "no metric tables" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+def test_montage_of_another_scale_is_refused(tmp_path, pipeline, capsys):
+    # info.txt claiming scale 4 over the scale-2 channel indices made
+    # baseline --scale 4 write a wrong reconstruction and exit 0.
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    _sub_in(data / "info.txt", r"scale = 2", "scale = 4")
+    argv = ["baseline", "--data", str(data), "--out", str(tmp_path / "base"), "--scale", "4"]
+    assert main(argv + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "every 4th channel" in err
+
+
 def _sub_in(path, pattern, new):
     text, n = re.subn(pattern, lambda _: new, path.read_text(), count=1)
     assert n == 1
@@ -453,6 +486,9 @@ CHECKPOINT_FAULTS = {
                                        "concat_sources = 99,"),
     "rng-kind": lambda ck: _sub_in(ck / "manifest.txt", r"data_rng = .*",
                                    f"data_rng = {FOREIGN_RNG}"),
+    # these two loaded; with g_steps = -5, --resume restarted history.csv at step -5
+    "negative-steps": lambda ck: _sub_in(ck / "manifest.txt", r"g_steps = \d+", "g_steps = -5"),
+    "adam-count": lambda ck: _sub_in(ck / "manifest.txt", r"g_adam_t = \d+", "g_adam_t = 1"),
 }
 
 

@@ -208,6 +208,10 @@ def test_montage_keeps_every_scale_th_channel():
     assert set(m4.lr_indices) | set(m4.hr_indices) == set(range(32))
     with pytest.raises(DataError):
         make_montage(30, 4)
+    # The indices of scale 2 under scale 4 would place every missing channel
+    # at the wrong distance from its neighbours.
+    with pytest.raises(DataError, match="every 4th channel"):
+        replace(m, scale=4)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,11 +1,12 @@
 """Adversarial training: penalty anchors, loss algebra, loops, checkpoints."""
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 from eegsr import gan
-from eegsr.errors import CheckpointError, ConfigError, DataError, NumericAbort
+from eegsr.errors import ArtifactError, CheckpointError, ConfigError, DataError, NumericAbort
 from eegsr.gan import (
     LossHistory,
     TrainConfig,
@@ -445,12 +446,21 @@ def test_corrupt_checkpoint_manifest(tmp_path):
     current = f"format_version = {gan.FORMAT_VERSION}\n"
     text = manifest.read_text()
     assert current in text
+    # A negative count, or an Adam step count other than its network's step
+    # count, would resume a trajectory the run never took.
+    counters = [re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+                for key, value in (("epoch", "-1"), ("g_steps", "-5"), ("d_steps", "-1"),
+                                   ("g_adam_t", "99"), ("d_adam_t", "99"))]
+    assert text not in counters
     for bad, match in (("[checkpoint]\nepoch = soup\n", "corrupt"),
-                       (text.replace(current, "format_version = 1\n"), "checkpoint format '1'")):
+                       (text.replace(current, "format_version = 1\n"), "checkpoint format '1'"),
+                       *((bad, "inconsistent counters") for bad in counters),
+                       # a critic step on a resumed run had no critic: a traceback
+                       (text.replace("has_disc = 1", "has_disc = 0"), "has_disc = 0")):
         manifest.write_text(bad)
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(tmp_path / "last")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(ArtifactError, match="checkpoint not found"):
         load_checkpoint(tmp_path / "missing")
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from eegsr.errors import CheckpointError
+from eegsr.errors import ArtifactError, CheckpointError
 from eegsr.nn.layers import (
     Model,
     concat,
@@ -273,7 +273,7 @@ def test_load_model_draws_no_random_numbers(tmp_path, monkeypatch):
 
 
 def test_load_model_missing_dir(tmp_path):
-    with pytest.raises(CheckpointError):
+    with pytest.raises(ArtifactError, match="model not found"):
         load_model(tmp_path / "nope")
 
 

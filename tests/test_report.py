@@ -183,7 +183,8 @@ def test_class_csv_needs_every_metric_row(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     for drop in (1, 2, len(lines) - 1):  # accuracy, a precision and a support row
         path.write_text("".join(lines[:drop] + lines[drop + 1:]))
-        with pytest.raises(DataError, match="accuracy row"):
+        # named at the group's first row, line 2 after any of the drops
+        with pytest.raises(ParseError, match="line 2: .*accuracy row"):
             read_class_csv(path)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from eegsr import cli
 from eegsr.gan import TrainConfig, pretrain_generator
 from eegsr.models import GeneratorConfig, build_generator
 
@@ -44,3 +45,19 @@ def test_work_functions_measure_a_training_run(tmp_path):
     summary = tracer.summarize(trace.spans)
     assert summary["gan.save_checkpoint"]["work"] > 0, "checkpoint MiB not measured"
     assert summary["tensor.conv2d"]["work"] > 0, "conv GMAC not measured"
+
+
+def test_runner_dispatches_through_the_patched_command(tmp_path):
+    # cli.main must call the cmd_<name> the tracer patched over the module
+    # global, not a function object it bound at import time.
+    tracer = load_tracer()
+    trace = tracer.install("test")
+    try:
+        rc = cli.main(["synth", "--out", str(tmp_path / "rec.csv"),
+                       "--set", "synth.n_samples=576", "--set", "synth.label_block=64"])
+    finally:
+        trace.uninstall()
+    assert rc == 0
+    summary = tracer.summarize(trace.spans)
+    assert summary["cli.synth"]["calls"] == 1
+    assert summary["archive.save_recording"]["calls"] == 1
