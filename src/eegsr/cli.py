@@ -93,6 +93,7 @@ def _training_run(args, cfg, out, epochs_key, disc_cfg=None):
     """Set-up shared by pretrain and gan-train: refuse a phase of zero epochs
     or an archive of another scale, load the normalised train and val pairs
     and --resume. Returns the keyword arguments of the training loop."""
+    keep_freed_heap()
     if cfg["train"][epochs_key] < 1:
         raise ConfigError(f"train.{epochs_key} is 0: nothing would be trained and no "
                           "checkpoint written")
@@ -189,6 +190,7 @@ def cmd_features(args, cfg, out):
 
 
 def cmd_train_clf(args, cfg, out):
+    keep_freed_heap()
     x, labels = archive.read_features_csv(Path(args.features) / "train_hr.csv").labelled()
     scaler = psd.FeatureScaler.fit(x)
     clf_cfg = cfg.classifier_config()
@@ -380,7 +382,6 @@ EXIT_CODES = ((ArtifactError, 2, "error"), (ConfigError, 3, "config error"),
 
 
 def main(argv=None):
-    keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         _run(args)

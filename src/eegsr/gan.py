@@ -308,9 +308,9 @@ def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None
             g_total, g_adv, g_mse = total.item(), adv.item(), mse.item()
             _check_finite(g_total, step, abort)
             gs = grad(total, g_params)
-            # Drop each graph (its activations, cached conv columns and
-            # gradients) as soon as it has been used, so the critic step and
-            # the next forward pass do not run with a dead step's graph alive.
+            # Drop each graph (its activations and gradients) as soon as it
+            # has been used, so the critic step and the next forward pass do
+            # not run with a dead step's graph alive.
             del total, adv, mse
             adam_step(g_params, gs, state.g_state)
             del gs

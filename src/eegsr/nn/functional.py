@@ -122,12 +122,10 @@ def mse(pred, target):
 
 
 def cross_entropy(pred, target):
-    """-sum(target * log(pred + eps)); batched rows are averaged."""
+    """-sum(target * log(pred + eps)) of each (n, k) row, averaged over rows."""
     pred, target = as_tensor(pred), as_tensor(target)
     _check_same_shape(pred, target)
     ll = mul(as_tensor(target, dtype=pred.dtype), log_t(pred + LOG_EPS))
-    if pred.ndim <= 1:
-        return -sum_t(ll)
     return mul_const(-sum_t(ll), 1.0 / pred.shape[0])
 
 

@@ -10,8 +10,7 @@ Convolution closes under differentiation through a triple of primitives:
 vjp is expressed with the other two plus ``conv2d`` itself.
 
 Each conv kernel lowers to one matrix product, in one of two ways chosen
-from shapes alone, by the same rule in all three kernels (so the columns
-the forward pass caches always fit the weight gradient):
+from shapes alone, by the same rule in all three kernels:
 
 - banded, when ``co*oh <= n*ow``: the height taps and height padding are
   folded into the weight, one (co*oh x ci*h) band per width tap, and the
@@ -23,14 +22,12 @@ the forward pass caches always fit the weight gradient):
   at small batch is far larger than the columns (768 MiB for a 512->512
   9x3 layer), so there im2col is both smaller and faster.
 
-When no weight gradient will be taken from it (inference, or a weight that
-needs no gradient), the im2col forward runs one sample at a time instead:
-one product per sample over that sample's (ci*kh*kw x oh*ow) columns, each
-freed before the next is built. Its memory is then one sample's columns
-whatever the batch (54 MiB for the full-width 512->512 9x3 layer on a
-16x64 map in f32, against 3.4 GiB for a batch of 64 at once). When the
-weight gradient is needed, the forward builds and caches the whole batch's
-columns, and the two gradients are unchanged.
+The forward pass is the same whether or not a gradient follows, and keeps
+nothing for the backward pass: the weight gradient builds its own columns.
+The im2col forward runs one sample at a time, each sample's (ci*kh*kw x
+oh*ow) columns freed before the next is built, so its memory is one
+sample's columns whatever the batch (54 MiB for the full-width 512->512 9x3
+layer on a 16x64 map in f32, against 3.4 GiB for a batch of 64 at once).
 """
 from __future__ import annotations
 
@@ -535,25 +532,21 @@ def _band(w, h, sh, oh, pt):
     return band.reshape(co * oh, kw * ci * h)
 
 
-def _conv_forward(x, w, sh, sw, keep_cols=True):
+def _conv_forward(x, w, sh, sw):
     n, ci, h, wi = x.shape
     co, _, kh, kw = w.shape
     oh, ow, pt, pb, pl, pr = conv_same_geometry(h, wi, kh, kw, sh, sw)
     if _banded(co, oh, n, ow):
         cols = _width_cols(x, kw, sw, ow, pl, pr)
         y = (_band(w, h, sh, oh, pt) @ cols).reshape(co, oh, n, ow).transpose(2, 0, 1, 3)
-    elif keep_cols:
-        cols = _im2col(_pad_input(x, pt, pb, pl, pr), kh, kw, sh, sw, oh, ow)
-        y = (w.reshape(co, -1) @ cols).reshape(co, n, oh, ow).transpose(1, 0, 2, 3)
-    else:
-        # One sample at a time; each sample's columns die with its product.
-        w2 = w.reshape(co, -1)
-        y = np.empty((n, co, oh, ow), dtype=np.result_type(x, w))
-        for k in range(n):
-            xk = _pad_input(x[k : k + 1], pt, pb, pl, pr)
-            np.matmul(w2, _im2col(xk, kh, kw, sh, sw, oh, ow), out=y[k].reshape(co, oh * ow))
-        return y, None
-    return np.ascontiguousarray(y), cols
+        return np.ascontiguousarray(y)
+    # One sample at a time; each sample's columns die with its product.
+    w2 = w.reshape(co, -1)
+    y = np.empty((n, co, oh, ow), dtype=np.result_type(x, w))
+    for k in range(n):
+        xk = _pad_input(x[k : k + 1], pt, pb, pl, pr)
+        np.matmul(w2, _im2col(xk, kh, kw, sh, sw, oh, ow), out=y[k].reshape(co, oh * ow))
+    return y
 
 
 def _conv_input_grad(gd, wd, h, wi, sh, sw):
@@ -581,13 +574,12 @@ def _conv_input_grad(gd, wd, h, wi, sh, sw):
     return np.ascontiguousarray(gxp[:, :, pt : pt + h, pl : pl + wi])
 
 
-def _conv_weight_grad(gd, x, kh, kw, sh, sw, cols=None):
+def _conv_weight_grad(gd, x, kh, kw, sh, sw):
     n, co, oh, ow = gd.shape
     ci, h = x.shape[1], x.shape[2]
     _, _, pt, pb, pl, pr = conv_same_geometry(h, x.shape[3], kh, kw, sh, sw)
     if _banded(co, oh, n, ow):
-        if cols is None:
-            cols = _width_cols(x, kw, sw, ow, pl, pr)
+        cols = _width_cols(x, kw, sw, ow, pl, pr)
         g2 = gd.transpose(1, 2, 0, 3).reshape(co * oh, n * ow)
         gband = (g2 @ cols.T).reshape(co, oh, kw, ci, h)
         # Adjoint of the band build: sum each kernel row's diagonal.
@@ -595,8 +587,7 @@ def _conv_weight_grad(gd, x, kh, kw, sh, sw, cols=None):
         gw = np.zeros((kh, co, kw, ci), dtype=gband.dtype)
         np.add.at(gw, i, gband[:, r, :, :, s])
         return np.ascontiguousarray(gw.transpose(1, 3, 0, 2))
-    if cols is None:
-        cols = _im2col(_pad_input(x, pt, pb, pl, pr), kh, kw, sh, sw, oh, ow)
+    cols = _im2col(_pad_input(x, pt, pb, pl, pr), kh, kw, sh, sw, oh, ow)
     g2 = gd.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
     return (g2 @ cols.T).reshape(co, ci, kh, kw)
 
@@ -611,13 +602,13 @@ def conv2d(x, w, stride=(1, 1)):
         raise ValueError(
             f"conv2d channel mismatch: input has {x.shape[1]} maps, weight expects {w.shape[1]}"
         )
-    y, cols = _conv_forward(x.data, w.data, sh, sw, keep_cols=_grad_enabled and w.requires_grad)
+    y = _conv_forward(x.data, w.data, sh, sw)
     h, wi = x.shape[2], x.shape[3]
     kh, kw = w.shape[2], w.shape[3]
 
     def vjp(g, needs):
         gx = conv2d_input_grad(g, w, (h, wi), (sh, sw)) if needs[0] else None
-        gw = conv2d_weight_grad(g, x, (kh, kw), (sh, sw), _cols=cols) if needs[1] else None
+        gw = conv2d_weight_grad(g, x, (kh, kw), (sh, sw)) if needs[1] else None
         return (gx, gw)
 
     return _node(y, (x, w), vjp)
@@ -639,12 +630,12 @@ def conv2d_input_grad(g, w, input_hw, stride=(1, 1)):
     return _node(y, (g, w), vjp)
 
 
-def conv2d_weight_grad(g, x, kernel_hw, stride=(1, 1), _cols=None):
+def conv2d_weight_grad(g, x, kernel_hw, stride=(1, 1)):
     """Adjoint of conv2d with respect to its weight."""
     g, x = as_tensor(g), as_tensor(x)
     kh, kw = int(kernel_hw[0]), int(kernel_hw[1])
     sh, sw = int(stride[0]), int(stride[1])
-    y = _conv_weight_grad(g.data, x.data, kh, kw, sh, sw, cols=_cols)
+    y = _conv_weight_grad(g.data, x.data, kh, kw, sh, sw)
     h, wi = x.shape[2], x.shape[3]
 
     def vjp(u, needs):

@@ -1,4 +1,5 @@
-"""Every imported name in src/ and tests/ is used (no linter is installed)."""
+"""Every imported name in src/ and tests/ is used, and every function in
+src/ has a caller outside the tests (no linter is installed)."""
 import ast
 from pathlib import Path
 
@@ -36,6 +37,47 @@ def test_no_unused_imports():
              for top in ("src", "tests") for path in sorted((ROOT / top).rglob("*.py"))
              for line, name in unused_imports(path.read_text())]
     assert not found, "imported and never used:\n" + "\n".join(found)
+
+
+def referenced_names(source):
+    """Every variable or attribute name `source` mentions."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def uncalled_functions(source, referenced):
+    """Functions and methods `source` defines whose name is not in `referenced`.
+    Dunders run implicitly, and `cmd_<name>` is looked up through `globals()`."""
+    return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name not in referenced and not node.name.startswith("cmd_")
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def test_uncalled_functions_are_found():
+    source = ("def used():\n    return helper()\ndef helper():\n    pass\n"
+              "class A:\n    def __init__(self):\n        self.go()\n    def go(self):\n"
+              "        pass\n    def spare(self):\n        pass\n"
+              "def cmd_run(args):\n    pass\ndef unused():\n    pass\n")
+    referenced = referenced_names(source)
+    assert uncalled_functions(source, referenced) == [(1, "used"), (10, "spare"), (14, "unused")]
+    assert uncalled_functions(source, referenced | {"used"}) == [(10, "spare"), (14, "unused")]
+
+
+def test_every_function_has_a_caller_outside_the_tests():
+    # No entry points that only tests call: perfbench counts as a caller.
+    referenced = set().union(*(referenced_names(path.read_text())
+                               for top in ("src", "perfbench")
+                               for path in (ROOT / top).rglob("*.py")))
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, name in uncalled_functions(path.read_text(), referenced)]
+    assert not found, "defined and never referenced in src/ or perfbench/:\n" + "\n".join(found)
 
 
 # Each file format has one owner in src/: the module that imports its parser.

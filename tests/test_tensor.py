@@ -201,41 +201,43 @@ def test_conv_kernels_match_reference(x_shape, w_shape, stride, lowering):
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     y = conv2d(xt, wt, stride)
     assert rel(y.data, y_ref) <= 1e-12
-    # Without a weight gradient to feed, im2col runs one sample at a time.
-    assert rel(conv2d(Tensor(x), Tensor(w), stride).data, y_ref) <= 1e-12
+    # The forward is the same computation whether or not a gradient follows.
+    with no_grad():
+        assert np.array_equal(conv2d(xt, wt, stride).data, y.data)
     gx = conv2d_input_grad(Tensor(g), Tensor(w), x_shape[2:], stride).data
     assert rel(gx, input_grad(g)) <= 1e-12
     gw = conv2d_weight_grad(Tensor(g), Tensor(x), w_shape[2:], stride).data
     assert rel(gw, weight_grad(g)) <= 1e-12
-    # The vjp of conv2d reuses the columns its forward pass built.
-    _, gw_cached = grad(sum_t(mul_const(y, g)), [xt, wt])
-    assert np.array_equal(gw_cached.data, gw)
+    # The vjp's weight gradient equals the primitive's.
+    _, gw_vjp = grad(sum_t(mul_const(y, g)), [xt, wt])
+    assert np.array_equal(gw_vjp.data, gw)
 
 
 def test_im2col_inference_forward_holds_one_sample_of_columns():
-    # With no weight gradient to feed, the forward's peak allocation is its
-    # output plus at most two samples' patch columns, not the columns of the
-    # whole batch of 8.
+    # Inference and the training forward alike peak at their output plus at
+    # most two samples' patch columns, not the columns of the whole batch of 8.
     x_shape, w_shape = (8, 32, 16, 32), (64, 32, 3, 3)
     assert _lowering(x_shape, w_shape) == "im2col"
     rng = np.random.default_rng(0)
     x = rng.normal(size=x_shape).astype(np.float32)
     w = rng.normal(size=w_shape).astype(np.float32)
     sample_cols = 32 * 3 * 3 * 16 * 32 * x.itemsize
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = conv2d(Tensor(x), Tensor(w))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < out.data.nbytes + 2 * sample_cols
+    for training in (False, True):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = conv2d(Tensor(x), Tensor(w, requires_grad=training))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad == training
+        assert peak < out.data.nbytes + 2 * sample_cols, f"training={training}"
 
 
 def test_im2col_columns_built_once_per_training_step(monkeypatch):
-    # A training step builds the whole batch's columns once, in the forward,
-    # and its weight gradient reuses them; inference builds one per sample.
+    # The forward builds one sample's columns at a time, with or without a
+    # gradient to follow; the weight gradient builds the batch's columns once.
     built = []
     im2col = tensor_module._im2col
 
@@ -248,7 +250,10 @@ def test_im2col_columns_built_once_per_training_step(monkeypatch):
     assert _lowering(x_shape, w_shape) == "im2col"
     x = Tensor(RNG.normal(size=x_shape), requires_grad=True)
     w = Tensor(RNG.normal(size=w_shape), requires_grad=True)
-    grad(sum_t(conv2d(x, w) ** 2), [x, w])
+    y = conv2d(x, w)
+    assert built == [1, 1, 1]
+    built.clear()
+    grad(sum_t(y ** 2), [x, w])
     assert built == [3]
     built.clear()
     with no_grad():
@@ -328,10 +333,10 @@ def test_softmax_rows_sum_to_one_and_grads():
 
 
 def test_losses_reference_values_and_grads():
-    p = np.array([0.1, 0.5, 0.4])
-    t = np.array([0.0, 1.0, 0.0])
+    p = np.array([[0.1, 0.5, 0.4]])
+    t = np.array([[0.0, 1.0, 0.0]])
     assert abs(F.cross_entropy(Tensor(p), Tensor(t)).item() - (-np.log(0.5 + 1e-12))) < 1e-12
-    u = np.full(3, 1.0 / 3.0)
+    u = np.full((1, 3), 1.0 / 3.0)
     assert abs(F.cross_entropy(Tensor(u), Tensor(u)).item() - np.log(3.0)) < 1e-9
     a = RNG.normal(size=(3, 4))
     b = RNG.normal(size=(3, 4))
