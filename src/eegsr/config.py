@@ -11,6 +11,7 @@ format of `eegsr.ini`; rerunning from that file reproduces the run.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -42,12 +43,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.pretrain_epochs < 0 or self.gan_epochs < 0:
             raise ValueError("epoch counts cannot be negative")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.gp_weight < 0 or self.adv_weight < 0:
             raise ValueError("gp_weight and adv_weight cannot be negative")
         if self.training_ratio < 1:
@@ -146,6 +154,16 @@ class RunConfig:
             raise ConfigError(
                 f"window {pp['window']} must divide evenly into segments of {pp['seg_len']}"
             )
+        # Checked here, not only by the model configs, so that commands that
+        # build no network refuse them too.
+        m = self["model"]
+        for key in ("gen_dropout", "disc_dropout"):
+            if not 0.0 < m[key] < 1.0:
+                raise ConfigError(f"model.{key} must be in (0, 1), got {m[key]}")
+        if not 0.0 < m["width"] <= 1.0:
+            raise ConfigError(f"model.width must be in (0, 1], got {m['width']}")
+        if not math.isfinite(m["elu_alpha"]):
+            raise ConfigError(f"model.elu_alpha must be finite, got {m['elu_alpha']}")
         # Constructing the derived configs runs their own validation.
         self.synth_config()
         self.train_config()

@@ -14,6 +14,7 @@ layout exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +31,16 @@ CLASSIFIER_HIDDEN = (512, 256, 128, 64)
 
 def _scaled(kernels, width):
     return max(1, round(kernels * width))
+
+
+def _check_layers(cfg):
+    """Range checks shared by the generator and critic configs."""
+    if not 0.0 < cfg.width <= 1.0:
+        raise ValueError(f"width must be in (0, 1], got {cfg.width}")
+    if not 0.0 < cfg.dropout_rate < 1.0:
+        raise ValueError(f"dropout_rate must be in (0, 1), got {cfg.dropout_rate}")
+    if not math.isfinite(cfg.elu_alpha):
+        raise ValueError(f"elu_alpha must be finite, got {cfg.elu_alpha}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +66,7 @@ class GeneratorConfig:
             raise ValueError(f"c_lr must be >= 4, got {self.c_lr}")
         if self.seg_len < 1:
             raise ValueError(f"seg_len must be positive, got {self.seg_len}")
-        if not 0.0 < self.width <= 1.0:
-            raise ValueError(f"width must be in (0, 1], got {self.width}")
+        _check_layers(self)
 
     @property
     def c_hr(self):
@@ -132,8 +142,7 @@ class DiscriminatorConfig:
             raise ValueError(f"c_hr must be >= 4, got {self.c_hr}")
         if self.seg_len < 1:
             raise ValueError(f"seg_len must be positive, got {self.seg_len}")
-        if not 0.0 < self.width <= 1.0:
-            raise ValueError(f"width must be in (0, 1], got {self.width}")
+        _check_layers(self)
 
     @property
     def input_shape(self):

@@ -7,6 +7,7 @@ from .tensor import (
     as_tensor,
     concat_t,
     conv2d,
+    elu_t,
     exp_t,
     log_t,
     matmul,
@@ -18,22 +19,19 @@ from .tensor import (
     reshape,
     sum_t,
     transpose,
-    where_const,
 )
 
 LOG_EPS = 1e-12
 
 
 def elu(x, alpha=1.0):
-    """Exponential linear unit; the derivative at 0 is exactly 1.
+    """Exponential linear unit, one graph node (`elu_t`); the derivative at
+    0 is exactly 1.
 
-    The negative branch evaluates exp on min(x, 0) so large positive inputs
-    cannot overflow through the unused branch.
+    Branch-free: max(x, 0) + alpha * (exp(min(x, 0)) - 1), so large positive
+    inputs cannot overflow the exponential and no data-dependent select runs.
     """
-    x = as_tensor(x)
-    mask = x.data >= 0
-    neg_branch = mul_const(exp_t(minimum_const(x, 0.0)) - 1.0, alpha)
-    return where_const(mask, x, neg_branch)
+    return elu_t(x, alpha)
 
 
 def relu(x):
@@ -66,8 +64,9 @@ def dropout(x, rate, training, rng=None):
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
-    return mul_const(x, keep / (1.0 - rate))
+    mask = (rng.random(x.shape) >= rate).astype(x.dtype)
+    mask /= 1.0 - rate
+    return mul_const(x, mask)
 
 
 def upsample_nn(x, factor):

@@ -9,14 +9,21 @@ Convolution closes under differentiation through a triple of primitives:
 ``conv2d``, ``conv2d_input_grad`` and ``conv2d_weight_grad``. Each one's
 vjp is expressed with the other two plus ``conv2d`` itself.
 
-Each conv kernel lowers to one matrix product, in one of two ways chosen
-from shapes alone, by the same rule in all three kernels:
+Each conv kernel lowers to matrix products, in one of two ways chosen from
+shapes alone, by the same rule in all three kernels:
 
 - banded, when ``co*oh <= n*ow``: the height taps and height padding are
   folded into the weight, one (co*oh x ci*h) band per width tap, and the
-  input is copied only kw times (width-only columns). The networks' kernels
-  span most of the channel (height) axis, so this replaces the kh*kw copies
-  of im2col and the strided scatter of its adjoint.
+  input is read through width-only columns. The networks' kernels span
+  most of the channel (height) axis, so this replaces the kh*kw copies of
+  im2col and the strided scatter of its adjoint. The forward and the input
+  gradient run one product of the band per sample, over that sample's
+  (kw*ci*h x ow) columns in the NCHW layout already in memory: for a one-
+  column kernel at width stride 1 these columns are a view of the input,
+  and either way the product reshapes to NCHW without a transpose copy
+  (low-memory GEMM convolution, Anderson et al. 2017, arXiv:1709.03395).
+  The weight gradient sums over the batch, so it keeps one product over
+  the whole batch's columns.
 - im2col otherwise: the band does h/kh times the multiply-adds of im2col
   and grows with co*oh*ci*h*kw, which for the full-width 64-512-map layers
   at small batch is far larger than the columns (768 MiB for a 512->512
@@ -28,10 +35,17 @@ The im2col forward runs one sample at a time, each sample's (ci*kh*kw x
 oh*ow) columns freed before the next is built, so its memory is one
 sample's columns whatever the batch (54 MiB for the full-width 512->512 9x3
 layer on a 16x64 map in f32, against 3.4 GiB for a batch of 64 at once).
+
+The ELU is one node, ``elu_t``, computed branch-free as
+max(x, 0) + alpha*(exp(min(x, 0)) - 1); a select on a data-dependent mask
+ran about seven times slower per element. Outside ``create_graph`` its vjp
+is one numpy expression; under it, the vjp is composed from primitives, so
+the gradient penalty differentiates through it.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -319,18 +333,27 @@ def maximum_const(a, c):
     return _node(np.maximum(a.data, c), (a,), vjp)
 
 
-def where_const(mask, a, b):
-    """Select `a` where a constant boolean mask holds, else `b`."""
-    a, b = _pair(a, b)
-    mask = np.broadcast_to(mask, np.broadcast_shapes(a.shape, b.shape))
-    fmask = mask.astype(a.dtype)
+def elu_t(a, alpha=1.0):
+    """Exponential linear unit as one node, branch-free:
+    max(a, 0) + alpha * (exp(min(a, 0)) - 1)."""
+    a = as_tensor(a)
+    alpha = a.dtype.type(alpha)
+    e = np.exp(np.minimum(a.data, 0))
+    out = e - 1
+    out *= alpha
+    out += np.maximum(a.data, 0)
 
+    # The derivative is 1 from 0 up, where e == 1, and alpha * e below 0.
+    # Scaling g by alpha before e keeps the rounding of the composed ELU
+    # (min, exp, -1, *alpha, select) that this node replaces.
     def vjp(g, needs):
-        ga = _unbroadcast(mul_const(g, fmask), a.shape) if needs[0] else None
-        gb = _unbroadcast(mul_const(g, 1.0 - fmask), b.shape) if needs[1] else None
-        return (ga, gb)
+        if alpha != 1:
+            g = mul_const(g, np.where(a.data < 0, alpha, 1))
+        if _grad_enabled:
+            return (mul(g, exp_t(minimum_const(a, 0.0))),)
+        return (Tensor(g.data * e),)
 
-    return _node(np.where(mask, a.data, b.data), (a, b), vjp)
+    return _node(out, (a,), vjp)
 
 
 def sum_t(a, axis=None, keepdims=False):
@@ -506,20 +529,27 @@ def _banded(co, oh, n, ow):
 
 
 def _width_cols(x, kw, sw, ow, pl, pr):
-    """(n, c, h, w) -> (kw*c*h, n*ow) width-only patch matrix (one copy)."""
+    """(n, c, h, w) -> (n, kw, c*h, ow) view of each sample's width-only
+    columns; reshaped to (n, kw*c*h, ow) it is still a view of a contiguous
+    `x` when kw = sw = 1, and one copy otherwise."""
     n, c, h = x.shape[:3]
     v = np.lib.stride_tricks.sliding_window_view(_pad_input(x, 0, 0, pl, pr), kw, axis=3)
     v = v[:, :, :, ::sw][:, :, :, :ow]
-    return v.transpose(4, 1, 2, 0, 3).reshape(kw * c * h, n * ow)
+    return v.transpose(0, 4, 1, 2, 3).reshape(n, kw, c * h, ow)
 
 
+@functools.lru_cache(maxsize=64)
 def _band_taps(h, kh, sh, oh, pt):
     """Index triples (r, s, i): output row r reads input row s through
-    kernel row i. Rows that land in the zero padding have no triple."""
+    kernel row i. Rows that land in the zero padding have no triple.
+    Cached per shape, so the arrays are read-only."""
     r, s = np.meshgrid(np.arange(oh), np.arange(h), indexing="ij")
     i = s + pt - r * sh
     keep = (i >= 0) & (i < kh)
-    return r[keep], s[keep], i[keep]
+    taps = r[keep], s[keep], i[keep]
+    for t in taps:
+        t.flags.writeable = False
+    return taps
 
 
 def _band(w, h, sh, oh, pt):
@@ -537,9 +567,9 @@ def _conv_forward(x, w, sh, sw):
     co, _, kh, kw = w.shape
     oh, ow, pt, pb, pl, pr = conv_same_geometry(h, wi, kh, kw, sh, sw)
     if _banded(co, oh, n, ow):
-        cols = _width_cols(x, kw, sw, ow, pl, pr)
-        y = (_band(w, h, sh, oh, pt) @ cols).reshape(co, oh, n, ow).transpose(2, 0, 1, 3)
-        return np.ascontiguousarray(y)
+        # One product per sample on its own columns; (n, co*oh, ow) is NCHW.
+        cols = _width_cols(x, kw, sw, ow, pl, pr).reshape(n, kw * ci * h, ow)
+        return np.matmul(_band(w, h, sh, oh, pt), cols).reshape(n, co, oh, ow)
     # One sample at a time; each sample's columns die with its product.
     w2 = w.reshape(co, -1)
     y = np.empty((n, co, oh, ow), dtype=np.result_type(x, w))
@@ -556,12 +586,14 @@ def _conv_input_grad(gd, wd, h, wi, sh, sw):
     if (oh2, ow2) != (oh, ow):
         raise ValueError(f"output grad shape {(oh, ow)} does not match geometry {(oh2, ow2)}")
     if _banded(co, oh, n, ow):
-        g2 = gd.transpose(1, 2, 0, 3).reshape(co * oh, n * ow)
-        gc = (_band(wd, h, sh, oh, pt).T @ g2).reshape(kw, ci, h, n, ow)
-        gxw = np.zeros((ci, h, n, wi + pl + pr), dtype=gd.dtype)
+        gc = np.matmul(_band(wd, h, sh, oh, pt).T, gd.reshape(n, co * oh, ow))
+        if kw == 1 and sw == 1:
+            return gc.reshape(n, ci, h, wi)
+        gc = gc.reshape(n, kw, ci * h, ow)
+        gxw = np.zeros((n, ci * h, wi + pl + pr), dtype=gd.dtype)
         for j in range(kw):
-            gxw[..., j : j + sw * (ow - 1) + 1 : sw] += gc[j]
-        return np.ascontiguousarray(gxw[..., pl : pl + wi].transpose(2, 0, 1, 3))
+            gxw[..., j : j + sw * (ow - 1) + 1 : sw] += gc[:, j]
+        return np.ascontiguousarray(gxw[..., pl : pl + wi]).reshape(n, ci, h, wi)
     g2 = gd.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
     gcols = wd.reshape(co, ci * kh * kw).T @ g2
     gc = gcols.reshape(ci, kh, kw, n, oh, ow)
@@ -579,9 +611,10 @@ def _conv_weight_grad(gd, x, kh, kw, sh, sw):
     ci, h = x.shape[1], x.shape[2]
     _, _, pt, pb, pl, pr = conv_same_geometry(h, x.shape[3], kh, kw, sh, sw)
     if _banded(co, oh, n, ow):
-        cols = _width_cols(x, kw, sw, ow, pl, pr)
+        # One whole-batch product, summing over samples and columns at once.
+        cols = _width_cols(x, kw, sw, ow, pl, pr).transpose(1, 2, 0, 3)
         g2 = gd.transpose(1, 2, 0, 3).reshape(co * oh, n * ow)
-        gband = (g2 @ cols.T).reshape(co, oh, kw, ci, h)
+        gband = (g2 @ cols.reshape(kw * ci * h, n * ow).T).reshape(co, oh, kw, ci, h)
         # Adjoint of the band build: sum each kernel row's diagonal.
         r, s, i = _band_taps(h, kh, sh, oh, pt)
         gw = np.zeros((kh, co, kw, ci), dtype=gband.dtype)

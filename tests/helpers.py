@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from eegsr.data import EpochSet
+from eegsr.nn import tensor as T
 from eegsr.nn.tensor import Tensor, grad
 
 
@@ -96,3 +97,58 @@ def reference_conv(x, w, stride):
         return np.einsum("norq,ncrqij->ocij", g, win)
 
     return y, input_grad, weight_grad
+
+
+# ---------------------------------------------------------------------------
+# Earlier kernels, kept as bit-identity references for their replacements
+# ---------------------------------------------------------------------------
+
+
+def _select(mask, a, b):
+    """`a` where the constant mask holds, else `b`, as one graph node."""
+    fmask = mask.astype(a.dtype)
+
+    def vjp(g, needs):
+        return (T.mul_const(g, fmask) if needs[0] else None,
+                T.mul_const(g, 1.0 - fmask) if needs[1] else None)
+
+    return T._node(np.where(mask, a.data, b.data), (a, b), vjp)
+
+
+def composed_elu(x, alpha=1.0):
+    """The five-node ELU that `elu_t` replaced: min, exp, -1, *alpha, then a
+    select on x >= 0, node for node."""
+    x = T.as_tensor(x)
+    neg_branch = T.mul_const(T.exp_t(T.minimum_const(x, 0.0)) - 1.0, alpha)
+    return _select(x.data >= 0, x, neg_branch)
+
+
+def _whole_batch_width_cols(x, kw, sw, ow, pl, pr):
+    """(n, c, h, w) -> (kw*c*h, n*ow): the columns of every sample side by side."""
+    n, c, h = x.shape[:3]
+    v = np.lib.stride_tricks.sliding_window_view(T._pad_input(x, 0, 0, pl, pr), kw, axis=3)
+    v = v[:, :, :, ::sw][:, :, :, :ow]
+    return v.transpose(4, 1, 2, 0, 3).reshape(kw * c * h, n * ow)
+
+
+def whole_batch_banded_forward(x, w, sh, sw):
+    """Banded conv forward as one product over the whole batch's columns."""
+    n, ci, h, wi = x.shape
+    co, _, kh, kw = w.shape
+    oh, ow, pt, _, pl, pr = T.conv_same_geometry(h, wi, kh, kw, sh, sw)
+    cols = _whole_batch_width_cols(x, kw, sw, ow, pl, pr)
+    y = (T._band(w, h, sh, oh, pt) @ cols).reshape(co, oh, n, ow).transpose(2, 0, 1, 3)
+    return np.ascontiguousarray(y)
+
+
+def whole_batch_banded_input_grad(gd, wd, h, wi, sh, sw):
+    """Banded conv input gradient as one product over the whole batch."""
+    n, co, oh, ow = gd.shape
+    ci, kh, kw = wd.shape[1:]
+    _, _, pt, _, pl, pr = T.conv_same_geometry(h, wi, kh, kw, sh, sw)
+    g2 = gd.transpose(1, 2, 0, 3).reshape(co * oh, n * ow)
+    gc = (T._band(wd, h, sh, oh, pt).T @ g2).reshape(kw, ci, h, n, ow)
+    gxw = np.zeros((ci, h, n, wi + pl + pr), dtype=gd.dtype)
+    for j in range(kw):
+        gxw[..., j : j + sw * (ow - 1) + 1 : sw] += gc[j]
+    return np.ascontiguousarray(gxw[..., pl : pl + wi].transpose(2, 0, 1, 3))

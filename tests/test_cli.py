@@ -199,6 +199,24 @@ def test_out_of_range_geometry_is_a_config_error(tmp_path, pipeline, capsys, key
         assert err.startswith("config error: ") and err.count("\n") == 1 and key in err
 
 
+TRAINING_FAULTS = ["model.gen_dropout=1.0", "model.gen_dropout=0.0", "model.disc_dropout=-0.5",
+                   "model.elu_alpha=nan", "train.beta1=-1", "train.beta2=1.0", "train.lr=nan",
+                   "train.lr=inf", "train.adv_weight=nan"]
+
+
+@pytest.mark.parametrize("setting", TRAINING_FAULTS)
+def test_out_of_range_training_value_is_a_config_error(tmp_path, pipeline, capsys, setting):
+    # Refused before any training starts, by both training commands.
+    key = setting.split("=")[0].split(".")[1]
+    for cmd, extra in (("pretrain", []), ("gan-train", ["--init", str(pipeline["pre"] / "last")])):
+        rc = main([cmd, "--data", str(pipeline["data"]), "--out", str(tmp_path / cmd)]
+                  + extra + OVERRIDES + ["--set", setting])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and key in err
+        assert not (tmp_path / cmd).exists()
+
+
 def test_corrupt_classifier_is_a_one_line_error(tmp_path, pipeline, capsys):
     clf = tmp_path / "clf"
     shutil.copytree(pipeline["clf"], clf)

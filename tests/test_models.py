@@ -12,7 +12,7 @@ from eegsr.models import (
     sr_predict_set,
 )
 from eegsr.errors import DataError
-from eegsr.nn.tensor import Tensor
+from eegsr.nn.tensor import Tensor, _toposort
 
 from helpers import epoch_set
 
@@ -133,10 +133,29 @@ def test_config_validation():
         GeneratorConfig(c_lr=2, scale=2)
     with pytest.raises(ValueError):
         DiscriminatorConfig(c_hr=16, width=0.0)
+    for cls, size in ((GeneratorConfig, dict(c_lr=16, scale=2)), (DiscriminatorConfig, dict(c_hr=16))):
+        for rate in (0.0, 1.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="dropout_rate"):
+                cls(**size, dropout_rate=rate)
+        for alpha in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="elu_alpha"):
+                cls(**size, elu_alpha=alpha)
     with pytest.raises(ValueError):
         ClassifierConfig(class_ids=(2,))
     with pytest.raises(ValueError):
         ClassifierConfig(class_ids=(2, 2, 3))
+
+
+def test_desk_training_forward_node_counts():
+    # One node per conv, bias reshape, bias add, ELU and dropout: the graph
+    # a desk-width (1/64) training step records and walks twice.
+    gen_cfg = GeneratorConfig(c_lr=16, scale=2, width=1 / 64)
+    disc_cfg = DiscriminatorConfig(c_hr=gen_cfg.c_hr, width=1 / 64)
+    rng = np.random.default_rng(0)
+    for model, most in ((build_generator(gen_cfg), 42), (build_discriminator(disc_cfg), 44)):
+        x = Tensor(rng.normal(size=(64,) + model.input_shape).astype(np.float32))
+        out = model.forward(x, training=True, rng=np.random.default_rng(1))
+        assert len(_toposort(out)) <= most
 
 
 def test_sr_predict_set_matches_single_forward():

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eegsr.models import DiscriminatorConfig, GeneratorConfig, discriminator_specs, generator_specs
 from eegsr.nn import functional as F
+from eegsr.nn.layers import infer_shapes, param_shapes
 from eegsr.nn import tensor as tensor_module
 from eegsr.nn.tensor import (
     Tensor,
@@ -26,7 +28,13 @@ from eegsr.nn.tensor import (
     transpose,
 )
 
-from helpers import check_grads, reference_conv
+from helpers import (
+    check_grads,
+    composed_elu,
+    reference_conv,
+    whole_batch_banded_forward,
+    whole_batch_banded_input_grad,
+)
 
 RNG = np.random.default_rng(20260801)
 
@@ -235,6 +243,67 @@ def test_im2col_inference_forward_holds_one_sample_of_columns():
         assert peak < out.data.nbytes + 2 * sample_cols, f"training={training}"
 
 
+def _desk_conv_layers():
+    """(input shape, weight shape, stride) of every conv of the desk-width
+    (1/64) generator and critic at scale 2 over 32 channels."""
+    gen = GeneratorConfig(c_lr=16, scale=2, width=1 / 64)
+    disc = DiscriminatorConfig(c_hr=gen.c_hr, width=1 / 64)
+    layers = []
+    for specs, in_shape in ((generator_specs(gen), gen.input_shape),
+                            (discriminator_specs(disc), disc.input_shape)):
+        shapes = [in_shape] + infer_shapes(specs, in_shape)
+        for ls, ps, cur in zip(specs, param_shapes(specs, in_shape), shapes):
+            if ls.kind == "conv":
+                layers.append((cur, ps[0], ls.stride))
+    return layers
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_banded_kernels_match_whole_batch_reference(n, dtype):
+    # The per-sample products give the bits of one product over the batch.
+    rng = np.random.default_rng(n)
+    layers = [(x_shape, w_shape, stride) for x_shape, w_shape, stride in _desk_conv_layers()
+              if _lowering((n,) + x_shape, w_shape, stride) == "banded"]
+    # At n = 1 the generator's 8-map layer is im2col.
+    assert len(layers) == (9 if n == 1 else 10)
+    for (ci, h, wi), w_shape, stride in layers:
+        x = rng.normal(size=(n, ci, h, wi)).astype(dtype)
+        w = rng.normal(size=w_shape).astype(dtype)
+        y = conv2d(Tensor(x), Tensor(w), stride).data
+        assert y.dtype == dtype and y.flags.c_contiguous
+        assert np.array_equal(y, whole_batch_banded_forward(x, w, *stride))
+        g = rng.normal(size=y.shape).astype(dtype)
+        gx = conv2d_input_grad(Tensor(g), Tensor(w), (h, wi), stride).data
+        assert gx.dtype == dtype and gx.flags.c_contiguous
+        assert np.array_equal(gx, whole_batch_banded_input_grad(g, w, h, wi, *stride))
+
+
+def test_banded_one_column_conv_copies_no_columns():
+    # kw = sw = 1: the forward multiplies views of x and the input gradient
+    # views of g, so each allocates its output, the band and little else.
+    x_shape, w_shape = (64, 8, 16, 64), (8, 8, 9, 1)
+    assert _lowering(x_shape, w_shape) == "banded"
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=x_shape).astype(np.float32)
+    w = rng.normal(size=w_shape).astype(np.float32)
+    g = rng.normal(size=x_shape).astype(np.float32)
+    band = 8 * 16 * 8 * 16 * 4
+    slack = 64 * 1024
+    for run in (lambda: conv2d(Tensor(x), Tensor(w)),
+                lambda: conv2d_input_grad(Tensor(g), Tensor(w), (16, 64))):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x_shape
+        assert peak <= out.data.nbytes + band + slack
+
+
 def test_im2col_columns_built_once_per_training_step(monkeypatch):
     # The forward builds one sample's columns at a time, with or without a
     # gradient to follow; the weight gradient builds the batch's columns once.
@@ -319,6 +388,37 @@ def test_elu_fixed_points_and_continuity():
     x0 = Tensor(np.array(0.0), requires_grad=True)
     (g,) = grad(F.elu(x0), [x0])
     assert g.item() == 1.0
+
+
+ELU_INPUTS = np.concatenate([[0.0, -0.0, 1e-8, -1e-8, -30.0, -200.0, -1e4, -1e30, 50.0],
+                             np.random.default_rng(4).normal(scale=3.0, size=64)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [1.0, 0.3])
+def test_elu_node_matches_composed_elu(dtype, alpha):
+    # The one-node ELU gives the composed ELU's bits: forward, vjp, and the
+    # first and second derivative through a create_graph backward.
+    xv = np.concatenate([ELU_INPUTS, [np.inf, -np.inf]]).astype(dtype)
+    g = np.random.default_rng(5).normal(size=xv.shape).astype(dtype)
+    outs = []
+    for elu in (F.elu, composed_elu):
+        x = Tensor(xv.copy(), requires_grad=True)
+        y = elu(x, alpha)
+        (gx,) = grad(sum_t(mul_const(y, g)), [x])
+        outs.append((y.data, gx.data))
+    for new, ref in zip(*outs):
+        assert new.dtype == dtype and np.array_equal(new, ref)
+    xv = ELU_INPUTS.astype(dtype)
+    outs = []
+    for elu in (F.elu, composed_elu):
+        x = Tensor(xv.copy(), requires_grad=True)
+        y = elu(x, alpha)
+        (g1,) = grad(sum_t(y * y), [x], create_graph=True)
+        (g2,) = grad(sum_t(g1 * g1), [x])
+        outs.append((g1.data, g2.data))
+    for new, ref in zip(*outs):
+        assert np.array_equal(new, ref)
 
 
 def test_softmax_rows_sum_to_one_and_grads():
