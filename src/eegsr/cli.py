@@ -55,8 +55,7 @@ def _load_set(args, split, side):
 
 
 def _fingerprint(cfg, disc_cfg=None):
-    return gan.config_fingerprint(cfg.generator_config(), disc_cfg, cfg.dtype(),
-                                  cfg["train"]["loss_mode"])
+    return gan.config_fingerprint(cfg.generator_config(), disc_cfg, cfg.dtype())
 
 
 def cmd_synth(args, cfg, out):

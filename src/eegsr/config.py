@@ -21,9 +21,6 @@ from .ini import parse_value, read, write
 from .models import ClassifierConfig, DiscriminatorConfig, GeneratorConfig
 from .psd import ClassifierTrainConfig
 
-LOSS_MODES = ("wgan_gp", "dcgan_smoothed")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimisation hyperparameters shared by both training phases."""
@@ -37,8 +34,9 @@ class TrainConfig:
     gp_weight: float = 10.0
     training_ratio: int = 3
     adv_weight: float = 1e-2
+    # The one adversarial objective. The key stays because config files,
+    # checkpoint manifests and the benchmark harness name it.
     loss_mode: str = "wgan_gp"
-    real_label: float = 0.9
     checkpoint_every: int = 1
     seed: int = 0
 
@@ -60,10 +58,8 @@ class TrainConfig:
             raise ValueError("gp_weight and adv_weight cannot be negative")
         if self.training_ratio < 1:
             raise ValueError(f"training_ratio must be >= 1, got {self.training_ratio}")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        if not 0.0 < self.real_label <= 1.0:
-            raise ValueError(f"real_label must be in (0, 1], got {self.real_label}")
+        if self.loss_mode != "wgan_gp":
+            raise ValueError(f"loss_mode must be 'wgan_gp', got {self.loss_mode!r}")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
 

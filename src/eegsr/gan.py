@@ -8,9 +8,7 @@ generator minimises adv_weight * (-mean(D(G(lr)))) + MSE(G(lr), hr), so the
 reconstruction term dominates and the adversarial term sharpens it.
 
 The critic updates once every `training_ratio` generator updates, on the
-same batch the generator just saw. A smoothed non-saturating mode
-("dcgan_smoothed") is available for comparison: sigmoid scores against a
-softened real target, no penalty.
+same batch the generator just saw.
 
 Two independent random streams keep trajectories comparable: the data
 stream drives batch order and generator dropout; the adversarial stream
@@ -165,18 +163,8 @@ def discriminator_loss(disc, real, fake, gp_weight, rng, training=True):
     return d_fake - d_real + gp, gp
 
 
-def discriminator_loss_smoothed(disc, real, fake, real_label, rng, training=True):
-    """Non-saturating sigmoid mode: BCE against a softened real target."""
-    real_t = Tensor(np.asarray(real, dtype=disc.dtype))
-    fake_t = Tensor(np.asarray(fake, dtype=disc.dtype))
-    p_real = F.sigmoid(disc.forward(real_t, training=training, rng=rng))
-    p_fake = F.sigmoid(disc.forward(fake_t, training=training, rng=rng))
-    loss = F.binary_cross_entropy(p_real, real_label) + F.binary_cross_entropy(p_fake, 0.0)
-    return loss, Tensor(np.zeros((), dtype=disc.dtype))
-
-
 def generator_loss(gen, disc, lr_batch, hr_batch, adv_weight, data_rng, adv_rng,
-                   loss_mode="wgan_gp", training=True):
+                   training=True):
     """Generator objective and its parts: (total, adv, mse).
 
     With adv_weight = 0 the critic is not evaluated at all and total is the
@@ -186,11 +174,7 @@ def generator_loss(gen, disc, lr_batch, hr_batch, adv_weight, data_rng, adv_rng,
     mse = F.mse(pred, Tensor(np.asarray(hr_batch, dtype=gen.dtype)))
     if adv_weight == 0.0 or disc is None:
         return mse, Tensor(np.zeros((), dtype=gen.dtype)), mse
-    scores = disc.forward(pred, training=training, rng=adv_rng)
-    if loss_mode == "dcgan_smoothed":
-        adv = F.binary_cross_entropy(F.sigmoid(scores), 1.0)
-    else:
-        adv = -mean_t(scores)
+    adv = -mean_t(disc.forward(pred, training=training, rng=adv_rng))
     total = adv * adv_weight + mse
     return total, adv, mse
 
@@ -301,9 +285,7 @@ def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None
 
             adv_w = cfg.adv_weight if phase == "gan" else 0.0
             total, adv, mse = generator_loss(
-                gen, disc, xb, yb, adv_w, state.data_rng, state.adv_rng,
-                loss_mode=cfg.loss_mode,
-            )
+                gen, disc, xb, yb, adv_w, state.data_rng, state.adv_rng)
             step = state.g_steps
             g_total, g_adv, g_mse = total.item(), adv.item(), mse.item()
             _check_finite(g_total, step, abort)
@@ -316,24 +298,23 @@ def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None
             del gs
             state.g_steps += 1
 
-            if phase == "gan" and state.g_steps % cfg.training_ratio == 0:
+            critic_step = phase == "gan" and state.g_steps % cfg.training_ratio == 0
+            if critic_step:
                 with no_grad():
                     fake = gen.forward(Tensor(xb), training=True, rng=state.adv_rng)
-                if cfg.loss_mode == "dcgan_smoothed":
-                    d_loss, gp = discriminator_loss_smoothed(
-                        disc, yb, fake.data, cfg.real_label, state.adv_rng)
-                else:
-                    d_loss, gp = discriminator_loss(
-                        disc, yb, fake.data, cfg.gp_weight, state.adv_rng)
+                d_loss, gp = discriminator_loss(disc, yb, fake.data, cfg.gp_weight,
+                                                state.adv_rng)
                 last_d_loss, last_gp = d_loss.item(), gp.item()
+            # The row goes in before the critic's check, so that an abort
+            # checkpoint holds one row per counted generator step.
+            state.history.append(step, g_total, g_adv, g_mse, last_d_loss, last_gp)
+            if critic_step:
                 _check_finite(last_d_loss, step, abort)
                 ds = grad(d_loss, d_params)
                 del d_loss, gp, fake
                 adam_step(d_params, ds, state.d_state)
                 del ds
                 state.d_steps += 1
-
-            state.history.append(step, g_total, g_adv, g_mse, last_d_loss, last_gp)
 
         state.epoch = epoch + 1
         if val_pair is not None:
@@ -461,6 +442,11 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
         )
     if expect_config is not None:
         _check_resume_config(saved_cfg, expect_config, phase, epoch)
+    history = LossHistory.from_csv(directory / "history.csv")
+    # One row per generator step, the step of an abort checkpoint included.
+    if len(history) != g_steps:
+        raise CheckpointError(f"{directory / 'history.csv'}: corrupt checkpoint "
+                              f"({len(history)} history rows for {g_steps} generator steps)")
 
     gen, _ = load_model(directory / "generator")
     g_state = _load_adam(directory, "gen_adam", gen, saved_cfg, g_t)
@@ -471,7 +457,7 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
 
     return TrainState(
         phase, gen, disc, g_state, d_state, data_rng, adv_rng,
-        history=LossHistory.from_csv(directory / "history.csv"), epoch=epoch,
+        history=history, epoch=epoch,
         g_steps=g_steps, d_steps=d_steps, best_val_mse=best_val_mse,
         fingerprint=fingerprint,
     )

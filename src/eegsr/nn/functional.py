@@ -12,7 +12,6 @@ from .tensor import (
     log_t,
     matmul,
     mean_t,
-    minimum_const,
     mul,
     mul_const,
     repeat_rows,
@@ -45,14 +44,6 @@ def softmax(x):
     shift = np.max(x.data, axis=-1, keepdims=True)
     e = exp_t(x - shift)
     return e / sum_t(e, axis=-1, keepdims=True)
-
-
-def sigmoid(x):
-    """Numerically stable logistic: exp(min(x,0)) / (exp(min(x,0)) + exp(min(-x,0)))."""
-    x = as_tensor(x)
-    a = exp_t(minimum_const(x, 0.0))
-    b = exp_t(minimum_const(-x, 0.0))
-    return a / (a + b)
 
 
 def dropout(x, rate, training, rng=None):
@@ -126,12 +117,3 @@ def cross_entropy(pred, target):
     _check_same_shape(pred, target)
     ll = mul(as_tensor(target, dtype=pred.dtype), log_t(pred + LOG_EPS))
     return mul_const(-sum_t(ll), 1.0 / pred.shape[0])
-
-
-def binary_cross_entropy(p, target):
-    """Mean BCE against constant targets (scalar or array of p's shape)."""
-    p = as_tensor(p)
-    t = np.broadcast_to(np.asarray(target, dtype=p.dtype), p.shape)
-    pos = mul_const(log_t(p + LOG_EPS), t)
-    neg_ = mul_const(log_t((1.0 - p) + LOG_EPS), 1.0 - t)
-    return -mean_t(pos + neg_)

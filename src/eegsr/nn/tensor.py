@@ -133,9 +133,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, p):
-        return pow_const(self, p)
-
 
 def as_tensor(x, dtype=None):
     if isinstance(x, Tensor):
@@ -248,17 +245,6 @@ def neg(a):
         return (neg(g),)
 
     return _node(-a.data, (a,), vjp)
-
-
-def pow_const(a, p):
-    """a**p for a constant python exponent."""
-    a = as_tensor(a)
-    p = float(p)
-
-    def vjp(g, needs):
-        return (mul(g, mul_const(pow_const(a, p - 1.0), p)),)
-
-    return _node(a.data**p, (a,), vjp)
 
 
 def exp_t(a):

@@ -123,13 +123,6 @@ def test_01_gradient_checks():
         clf.parameters() + [xc],
         lambda: F.cross_entropy(clf.forward(xc), Tensor(onehot)))
 
-    # sigmoid head scored against a smoothed target
-    head = Model([flatten(), dense(1)], (1, 2, 4), seed=11, dtype=np.float64)
-    xs = Tensor(rng.normal(size=(3, 1, 2, 4)), requires_grad=True)
-    results["sigmoid bce"] = _fd_worst(
-        head.parameters() + [xs],
-        lambda: F.binary_cross_entropy(F.sigmoid(head.forward(xs)), 0.9))
-
     # composed gradient-penalty scalar wrt critic parameters
     critic = Model([conv(2, (2, 4), "elu", stride=(2, 4)), flatten(), dense(1)],
                    (1, 4, 8), seed=7, dtype=np.float64)

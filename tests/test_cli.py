@@ -201,7 +201,9 @@ def test_out_of_range_geometry_is_a_config_error(tmp_path, pipeline, capsys, key
 
 TRAINING_FAULTS = ["model.gen_dropout=1.0", "model.gen_dropout=0.0", "model.disc_dropout=-0.5",
                    "model.elu_alpha=nan", "train.beta1=-1", "train.beta2=1.0", "train.lr=nan",
-                   "train.lr=inf", "train.adv_weight=nan"]
+                   "train.lr=inf", "train.adv_weight=nan",
+                   # the removed smoothed loss mode and its target label
+                   "train.loss_mode=dcgan_smoothed", "train.real_label=0.9"]
 
 
 @pytest.mark.parametrize("setting", TRAINING_FAULTS)
@@ -491,6 +493,22 @@ def _sub_in(path, pattern, new):
     path.write_text(text)
 
 
+def test_resume_reads_format_2_train_sections(tmp_path, pipeline, capsys):
+    # Checkpoints written before the smoothed loss mode was removed carry a
+    # real_label line, which is ignored; one that trained with that mode is
+    # refused.
+    ck = tmp_path / "last"
+    shutil.copytree(pipeline["adv"] / "last", ck)
+    manifest = ck / "manifest.txt"
+    _sub_in(manifest, r"loss_mode = wgan_gp\n", "loss_mode = wgan_gp\nreal_label = 0.875\n")
+    argv = ["gan-train", "--data", str(pipeline["data"]), "--resume", str(ck)] + OVERRIDES
+    assert main(argv + ["--out", str(tmp_path / "resumed")]) == 0
+    _sub_in(manifest, r"loss_mode = wgan_gp", "loss_mode = dcgan_smoothed")
+    assert main(argv + ["--out", str(tmp_path / "refused")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "dcgan_smoothed" in err
+
+
 FOREIGN_RNG = json.dumps(np.random.Philox(0).state, default=lambda a: a.tolist())
 MODEL = ("generator", "manifest.txt")
 
@@ -498,6 +516,8 @@ MODEL = ("generator", "manifest.txt")
 CHECKPOINT_FAULTS = {
     "history-cell": lambda ck: corrupt_cell(ck / "history.csv", 2, 3, "n/a"),
     "history-missing": lambda ck: (ck / "history.csv").unlink(),
+    # a row fewer than the generator steps the manifest counts
+    "history-row": lambda ck: _sub_in(ck / "history.csv", r"\n[^\n]*\n$", "\n"),
     "params-missing": lambda ck: (ck / "generator" / "params.bin").unlink(),
     "layer-kind": lambda ck: _sub_in(ck.joinpath(*MODEL), "kind = conv", "kind = dense"),
     "layer-source": lambda ck: _sub_in(ck.joinpath(*MODEL), r"concat_sources = (?=\d)",

@@ -243,15 +243,6 @@ def test_zero_adv_weight_matches_pretraining_exactly():
         assert np.array_equal(a.data, b.data)
 
 
-def test_dcgan_smoothed_mode_runs_and_logs_zero_gp():
-    gen, disc = tiny_models()
-    pair = paired_sets(8)
-    result = train_wgan(gen, disc, pair,
-                        tiny_cfg(gan_epochs=2, loss_mode="dcgan_smoothed"))
-    assert result.history.all_finite()
-    assert all(r.gp == 0.0 for r in result.history.records)
-
-
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_numeric_abort_reports_step():
     gen, _ = tiny_models()
@@ -273,6 +264,26 @@ def test_adversarial_numeric_abort_writes_a_loadable_checkpoint(tmp_path):
     assert err.value.step == 0
     state = load_checkpoint(tmp_path / "abort")
     assert state.phase == "gan" and state.g_steps == 0 and state.d_steps == 0
+
+
+def test_critic_abort_checkpoint_holds_a_row_per_generator_step(tmp_path, monkeypatch):
+    # The generator step before a failing critic step is counted; its row,
+    # carrying the non-finite critic loss, must be in the abort checkpoint.
+    real_loss = gan.discriminator_loss
+
+    def nan_loss(*args, **kwargs):
+        loss, gp = real_loss(*args, **kwargs)
+        return loss * np.nan, gp
+
+    monkeypatch.setattr(gan, "discriminator_loss", nan_loss)
+    gen, disc = tiny_models()
+    with pytest.raises(NumericAbort) as err:
+        train_wgan(gen, disc, paired_sets(8), tiny_cfg(gan_epochs=1, training_ratio=1),
+                   checkpoint_dir=tmp_path)
+    assert err.value.step == 0
+    state = load_checkpoint(tmp_path / "abort")
+    assert (state.g_steps, state.d_steps, len(state.history)) == (1, 0, 1)
+    assert np.isnan(state.history.records[0].d_loss)
 
 
 def test_training_drops_each_step_graph(monkeypatch):

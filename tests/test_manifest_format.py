@@ -64,7 +64,6 @@ gp_weight = 10.0
 training_ratio = 3
 adv_weight = 0.01
 loss_mode = wgan_gp
-real_label = 0.9
 checkpoint_every = 1
 
 [classifier]
@@ -175,8 +174,7 @@ beta2 = 0.9
 gp_weight = 7.5
 training_ratio = 3
 adv_weight = 0.01
-loss_mode = dcgan_smoothed
-real_label = 0.875
+loss_mode = wgan_gp
 checkpoint_every = 1
 seed = 0
 
@@ -237,8 +235,7 @@ def test_model_manifest_text(tmp_path):
 
 
 def test_checkpoint_manifest_text(tmp_path):
-    cfg = TrainConfig(pretrain_epochs=2, gan_epochs=4, batch_size=8, lr=2.5e-4, gp_weight=7.5,
-                      loss_mode="dcgan_smoothed", real_label=0.875)
+    cfg = TrainConfig(pretrain_epochs=2, gan_epochs=4, batch_size=8, lr=2.5e-4, gp_weight=7.5)
     state = TrainState.fresh("gan", small_model(), small_model(), cfg,
                              fingerprint="0123456789abcdef")
     state.epoch, state.g_steps, state.d_steps, state.best_val_mse = 3, 12, 4, 1 / 3
