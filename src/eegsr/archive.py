@@ -27,6 +27,9 @@ from .psd import N_FEATURES, FeatureTable
 
 FORMAT_VERSION = "1"
 
+# Written archives hold little-endian float64; reading honours the manifest.
+ARCHIVE_DTYPE = np.dtype("<f8")
+
 
 def save_recording(path, rec):
     """Write a recording as CSV below a `# fs=... subject=...` line."""
@@ -38,8 +41,9 @@ def save_recording(path, rec):
     table.write(path, header, rows, comment=f"fs={float(rec.fs)!r} subject={rec.subject_id}")
 
 
-def load_recording(path, fs=None, subject_id=None):
-    """Read a recording CSV; malformed content reports its line number."""
+def load_recording(path):
+    """Read a recording CSV; malformed content reports its line number. The
+    `# fs=...` line must give the sampling rate; the subject defaults to s01."""
     path = Path(path)
     if not path.is_file():
         raise ArtifactError(f"recording not found: {path}")
@@ -51,19 +55,18 @@ def load_recording(path, fs=None, subject_id=None):
         raise ParseError(f"{path}: no channel columns", line=t.first_line - 1)
     if not len(t.cells):
         raise ParseError(f"{path}: recording has no samples", line=t.first_line - 1)
-    if fs is None:
-        if "fs" not in meta:
-            raise ParseError("no sampling rate: pass fs or include '# fs=...' metadata", line=1)
-        try:
-            fs = float(meta["fs"])
-        except ValueError:
-            raise ParseError(f"sampling rate must be a number, got {meta['fs']!r}", line=1) from None
+    if "fs" not in meta:
+        raise ParseError("no sampling rate: include '# fs=...' metadata", line=1)
+    try:
+        fs = float(meta["fs"])
+    except ValueError:
+        raise ParseError(f"sampling rate must be a number, got {meta['fs']!r}", line=1) from None
     return RawRecording(
         t.parse(slice(0, n_channels), float, "sample").T,
         fs=fs,
         channel_labels=t.header[:n_channels],
         labels=t.parse(-1, int, "label") if has_labels else None,
-        subject_id=subject_id or meta.get("subject", "s01"),
+        subject_id=meta.get("subject", "s01"),
     )
 
 
@@ -90,7 +93,7 @@ def _read_metadata(t):
     return labels, t.cells[:, 1], t.parse(3, int, "origin_index")
 
 
-def save_epoch_set(directory, epoch_set, dtype=np.float64):
+def save_epoch_set(directory, epoch_set):
     """Persist an epoch set: manifest.txt + values.bin + meta.csv."""
     if not len(epoch_set):
         raise DataError("refusing to archive an empty epoch set")
@@ -99,7 +102,7 @@ def save_epoch_set(directory, epoch_set, dtype=np.float64):
     values = epoch_set.values
     write(directory / "manifest.txt", {"archive": {
         "format_version": FORMAT_VERSION,
-        "dtype": dtype_code(dtype),
+        "dtype": dtype_code(ARCHIVE_DTYPE),
         "n_epochs": values.shape[0],
         "n_channels": values.shape[1],
         "n_samples": values.shape[2],
@@ -108,7 +111,7 @@ def save_epoch_set(directory, epoch_set, dtype=np.float64):
         "channel_labels": epoch_set.channel_labels or (),
         "has_channel_labels": int(epoch_set.channel_labels is not None),
     }})
-    values.astype(np.dtype(dtype).newbyteorder("<")).tofile(directory / "values.bin")
+    values.astype(ARCHIVE_DTYPE).tofile(directory / "values.bin")
     table.write(directory / "meta.csv", META_HEADER, _meta_rows(epoch_set))
 
 

@@ -17,8 +17,9 @@ from .errors import DataError
 KEYS_A = -0.5
 
 
-def cubic_kernel(t, a=KEYS_A):
-    """Keys cubic convolution kernel evaluated at |t|."""
+def cubic_kernel(t):
+    """Keys cubic convolution kernel (a = KEYS_A) evaluated at |t|."""
+    a = KEYS_A
     t = np.abs(np.asarray(t, dtype=np.float64))
     out = np.zeros_like(t)
     near = t <= 1.0
@@ -30,7 +31,7 @@ def cubic_kernel(t, a=KEYS_A):
     return out if out.ndim else float(out)
 
 
-def interpolation_weights(montage, a=KEYS_A):
+def interpolation_weights(montage):
     """(n_hr, n_lr) weight matrix mapping kept channels to missing ones.
 
     Missing channel m sits at position m / scale in kept-channel
@@ -46,12 +47,12 @@ def interpolation_weights(montage, a=KEYS_A):
         u = m / montage.scale
         j0 = int(np.floor(u))
         for j in range(j0 - 1, j0 + 3):
-            w = cubic_kernel(u - j, a)
+            w = cubic_kernel(u - j)
             weights[row, min(max(j, 0), n_lr - 1)] += w
     return weights
 
 
-def bicubic_predict_set(lr_set, montage, a=KEYS_A):
+def bicubic_predict_set(lr_set, montage):
     """Reconstruct the missing-channel block for every epoch in a set.
 
     Returns a set of (n_hr, samples) epochs with the metadata of `lr_set`
@@ -61,5 +62,5 @@ def bicubic_predict_set(lr_set, montage, a=KEYS_A):
         raise DataError(
             f"expected {montage.n_lr} kept channels, got {lr_set.values.shape[1]}"
         )
-    pred = np.einsum("hc,nct->nht", interpolation_weights(montage, a), lr_set.values)
+    pred = np.einsum("hc,nct->nht", interpolation_weights(montage), lr_set.values)
     return replace(lr_set, values=pred, channel_labels=None)

@@ -38,10 +38,6 @@ def _overrides(args):
             raise ConfigError(f"--set needs section.key=value, got {item!r}")
         name, value = item.split("=", 1)
         out[name.strip()] = value.strip()
-    for flag, name in (("seed", "run.seed"), ("precision", "run.precision"),
-                       ("scale", "preprocess.scale"), ("width", "model.width")):
-        if getattr(args, flag) is not None:
-            out[name] = str(getattr(args, flag))
     return out
 
 
@@ -88,11 +84,15 @@ def cmd_preprocess(args, cfg, out):
                                  pp["window"], pp["stride"], pp["seg_len"])
 
 
-def _training_run(args, cfg, out, epochs_key, disc_cfg=None):
-    """Set-up shared by pretrain and gan-train: refuse a phase of zero epochs
-    or an archive of another scale, load the normalised train and val pairs
-    and --resume. Returns the keyword arguments of the training loop."""
+def _training_run(args, cfg, out, phase, build):
+    """One training phase, shared by pretrain and gan-train: refuse a phase of
+    zero epochs or an archive of another scale, load the normalised train and
+    val pairs, continue --resume (a checkpoint of this phase) or start from
+    the (generator, critic) that `build()` returns, train with checkpoints
+    under `out` and write history.csv. Returns the final TrainState."""
+    disc_cfg = cfg.discriminator_config() if phase == "gan" else None
     keep_freed_heap()
+    epochs_key = f"{phase}_epochs"
     if cfg["train"][epochs_key] < 1:
         raise ConfigError(f"train.{epochs_key} is 0: nothing would be trained and no "
                           "checkpoint written")
@@ -107,35 +107,38 @@ def _training_run(args, cfg, out, epochs_key, disc_cfg=None):
                             for split in ("train", "val"))
     fingerprint = _fingerprint(cfg, disc_cfg)
     train_cfg = cfg.train_config()
-    resume = gan.load_checkpoint(args.resume, fingerprint, train_cfg) if args.resume else None
-    return dict(train_pair=train_pair, cfg=train_cfg, val_pair=val_pair,
-                checkpoint_dir=out, resume=resume, fingerprint=fingerprint)
+    if args.resume:
+        state = gan.load_checkpoint(args.resume, fingerprint, train_cfg)
+        if state.phase != phase:
+            raise CheckpointError(f"checkpoint phase {state.phase!r} cannot resume {phase!r}")
+    else:
+        state = gan.TrainState.fresh(phase, *build(), train_cfg, fingerprint)
+    gan.train(state, train_pair, train_cfg, val_pair, checkpoint_dir=out)
+    state.history.to_csv(out / "history.csv")
+    return state
 
 
 def cmd_pretrain(args, cfg, out):
-    run = _training_run(args, cfg, out, "pretrain_epochs")
-    gen = models.build_generator(cfg.generator_config(), seed=cfg["run"]["seed"],
-                                 dtype=cfg.dtype())
-    result = gan.pretrain_generator(gen, **run)
-    result.history.to_csv(out / "history.csv")
-    print(f"pretrain: {result.g_steps} generator steps, "
-          f"best val mse {result.best_val_mse:.6g}")
+    def build():
+        return models.build_generator(cfg.generator_config(), seed=cfg["run"]["seed"],
+                                      dtype=cfg.dtype()), None
+
+    state = _training_run(args, cfg, out, "pretrain", build)
+    print(f"pretrain: {state.g_steps} generator steps, "
+          f"best val mse {state.best_val_mse:.6g}")
 
 
 def cmd_gan_train(args, cfg, out):
-    disc_cfg = cfg.discriminator_config()
-    run = _training_run(args, cfg, out, "gan_epochs", disc_cfg)
-    gen = disc = None
-    if not args.resume:
+    def build():
         # Only the generator: the rest of the checkpoint (its Adam moments
         # among it) would otherwise stay referenced for the whole run.
         gen = gan.load_checkpoint(args.init, _fingerprint(cfg)).gen
-        disc = models.build_discriminator(disc_cfg, seed=cfg["run"]["seed"] + 1,
-                                          dtype=cfg.dtype())
-    result = gan.train_wgan(gen, disc, **run)
-    result.history.to_csv(out / "history.csv")
-    print(f"gan: {result.g_steps} generator / {result.d_steps} critic steps, "
-          f"best val mse {result.best_val_mse:.6g}")
+        return gen, models.build_discriminator(cfg.discriminator_config(),
+                                               seed=cfg["run"]["seed"] + 1, dtype=cfg.dtype())
+
+    state = _training_run(args, cfg, out, "gan", build)
+    print(f"gan: {state.g_steps} generator / {state.d_steps} critic steps, "
+          f"best val mse {state.best_val_mse:.6g}")
 
 
 def cmd_baseline(args, cfg, out):
@@ -219,6 +222,11 @@ def _load_classifier(directory):
 
 
 def cmd_evaluate(args, cfg, out):
+    if bool(args.classifier) != bool(args.features):
+        raise ArtifactError("--classifier and --features go together")
+    if not (args.baseline or args.sr or args.classifier):
+        raise ArtifactError("nothing to evaluate: give --baseline, --sr, or --classifier "
+                            "with --features")
     montage, _, _ = _info(args)
     seed = cfg["run"]["seed"]
     scale = montage.scale
@@ -239,7 +247,7 @@ def cmd_evaluate(args, cfg, out):
         print(f"wrote {len(sr_records)} reconstruction rows")
 
     class_rows = []
-    if args.classifier and args.features:
+    if args.classifier:
         model, class_ids, scaler = _load_classifier(args.classifier)
         for source in ("hr", "sr"):
             path = Path(args.features) / f"test_{source}.csv"
@@ -262,8 +270,7 @@ def cmd_report(args, cfg, out):
         raise ArtifactError(f"no metric tables under {args.metrics}")
     sr_records = report.read_sr_csv(sr_path) if sr_path.exists() else []
     class_rows = report.read_class_csv(class_path) if class_path.exists() else []
-    written = report.emit_report(out, sr_records, class_rows,
-                                 formats=tuple(args.formats.split(",")))
+    written = report.emit_report(out, sr_records, class_rows)
     for path in written:
         print(f"wrote {path}")
 
@@ -294,9 +301,8 @@ COMMANDS = {
                   ("--sr", {"help": "sr-infer output directory"}),
                   ("--features", {"help": "features directory"}),
                   ("--classifier", {"help": "train-clf output directory"})]),
-    "report": ("render metric tables to markdown", False,
-               [("--metrics", {"required": True, "help": "evaluate output directory"}),
-                ("--formats", {"default": "csv,markdown"})]),
+    "report": ("render metric tables to CSV and markdown", False,
+               [("--metrics", {"required": True, "help": "evaluate output directory"})]),
 }
 
 
@@ -314,10 +320,6 @@ def build_parser():
             p.add_argument("--config", help="INI config file; defaults apply when omitted")
             p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                            help="override one config value (repeatable)")
-            p.add_argument("--seed", type=int, help="override run.seed")
-            p.add_argument("--precision", choices=("f32", "f64"), help="override run.precision")
-            p.add_argument("--scale", type=int, help="override preprocess.scale")
-            p.add_argument("--width", type=float, help="override model.width")
         p.add_argument("--out", required=True, help="output directory (synth: recording CSV)")
         for option in options:
             if isinstance(option, list):

@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .data import SyntheticConfig
+from .data import SyntheticConfig, check_finite
 from .errors import ConfigError
 from .ini import parse_value, read, write
 from .models import ClassifierConfig, DiscriminatorConfig, GeneratorConfig
+from .nn.optim import check_hyperparameters
 from .psd import ClassifierTrainConfig
 
 @dataclass(frozen=True)
@@ -41,19 +42,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_finite(self)
         if self.pretrain_epochs < 0 or self.gan_epochs < 0:
             raise ValueError("epoch counts cannot be negative")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        check_hyperparameters(self.lr, self.beta1, self.beta2)
         if self.gp_weight < 0 or self.adv_weight < 0:
             raise ValueError("gp_weight and adv_weight cannot be negative")
         if self.training_ratio < 1:

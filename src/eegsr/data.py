@@ -7,7 +7,8 @@ the rest as the targets to reconstruct.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,6 +25,16 @@ CHANNEL_LABELS_32 = (
 SPLITS = ("unsplit", "train", "val", "test")
 
 SIGMA_FLOOR = 1e-8
+
+
+def check_finite(cfg):
+    """Raise ValueError naming the first float field of dataclass `cfg`, or
+    tuple field holding a float, whose value is not finite."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -204,6 +215,7 @@ class SyntheticConfig:
     label_block: int = 2048
 
     def __post_init__(self):
+        check_finite(self)
         if not 1 <= self.n_sources <= self.n_channels:
             raise DataError(
                 f"n_sources must be in [1, n_channels], got {self.n_sources}/{self.n_channels}"

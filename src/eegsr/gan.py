@@ -29,7 +29,7 @@ from .config import TrainConfig
 from .data import check_aligned
 from .errors import ArtifactError, CheckpointError, ConfigError, DataError, NumericAbort, ParseError
 from .ini import from_section, read, section_of, write
-from .models import sr_predict_set
+from .models import DISC_FINAL_STRIDE, sr_predict_set
 from .nn import functional as F
 from .nn.optim import AdamState, adam_step
 from .nn.serialize import (
@@ -121,7 +121,7 @@ def config_fingerprint(gen_cfg, disc_cfg=None, dtype=np.float32, loss_mode="wgan
         parts.insert(1, (
             f"disc:c_hr={disc_cfg.c_hr},seg_len={disc_cfg.seg_len},"
             f"dropout={disc_cfg.dropout_rate!r},alpha={disc_cfg.elu_alpha!r},"
-            f"stride={disc_cfg.final_stride},width={disc_cfg.width!r}"
+            f"stride={DISC_FINAL_STRIDE},width={disc_cfg.width!r}"
         ))
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
@@ -131,7 +131,7 @@ def config_fingerprint(gen_cfg, disc_cfg=None, dtype=np.float32, loss_mode="wgan
 # ---------------------------------------------------------------------------
 
 
-def gradient_penalty(disc, real, fake, weight, rng, training=True):
+def gradient_penalty(disc, real, fake, weight, rng):
     """weight * mean((||grad_xhat D(xhat)||_2 - 1)^2).
 
     xhat = eps * real + (1 - eps) * fake with per-sample eps ~ U[0, 1]. The
@@ -144,37 +144,36 @@ def gradient_penalty(disc, real, fake, weight, rng, training=True):
         raise DataError(f"real {real.shape} and fake {fake.shape} batches differ in shape")
     eps = rng.uniform(size=(real.shape[0], 1, 1, 1)).astype(disc.dtype)
     xhat = Tensor(eps * real + (1.0 - eps) * fake, requires_grad=True)
-    scores = disc.forward(xhat, training=training, rng=rng)
+    scores = disc.forward(xhat, training=True, rng=rng)
     (gx,) = grad(sum_t(scores), [xhat], create_graph=True)
     norms = sqrt_t(sum_t(gx * gx, axis=(1, 2, 3)))
     return mean_t((norms - 1.0) * (norms - 1.0)) * weight
 
 
-def discriminator_loss(disc, real, fake, gp_weight, rng, training=True):
+def discriminator_loss(disc, real, fake, gp_weight, rng):
     """Critic loss: mean(D(fake)) - mean(D(real)) + gradient penalty.
 
     Returns (loss, penalty) as graph tensors.
     """
     real_t = Tensor(np.asarray(real, dtype=disc.dtype))
     fake_t = Tensor(np.asarray(fake, dtype=disc.dtype))
-    d_real = mean_t(disc.forward(real_t, training=training, rng=rng))
-    d_fake = mean_t(disc.forward(fake_t, training=training, rng=rng))
-    gp = gradient_penalty(disc, real, fake, gp_weight, rng, training=training)
+    d_real = mean_t(disc.forward(real_t, training=True, rng=rng))
+    d_fake = mean_t(disc.forward(fake_t, training=True, rng=rng))
+    gp = gradient_penalty(disc, real, fake, gp_weight, rng)
     return d_fake - d_real + gp, gp
 
 
-def generator_loss(gen, disc, lr_batch, hr_batch, adv_weight, data_rng, adv_rng,
-                   training=True):
+def generator_loss(gen, disc, lr_batch, hr_batch, adv_weight, data_rng, adv_rng):
     """Generator objective and its parts: (total, adv, mse).
 
     With adv_weight = 0 the critic is not evaluated at all and total is the
     MSE term itself, so the parameter trajectory matches plain pretraining.
     """
-    pred = gen.forward(Tensor(lr_batch), training=training, rng=data_rng)
+    pred = gen.forward(Tensor(lr_batch), training=True, rng=data_rng)
     mse = F.mse(pred, Tensor(np.asarray(hr_batch, dtype=gen.dtype)))
     if adv_weight == 0.0 or disc is None:
         return mse, Tensor(np.zeros((), dtype=gen.dtype)), mse
-    adv = -mean_t(disc.forward(pred, training=training, rng=adv_rng))
+    adv = -mean_t(disc.forward(pred, training=True, rng=adv_rng))
     total = adv * adv_weight + mse
     return total, adv, mse
 
@@ -207,6 +206,11 @@ class TrainState:
 
     @classmethod
     def fresh(cls, phase, gen, disc, cfg, fingerprint=""):
+        """The state before the first step of `phase`: new Adam moments and
+        the two random streams seeded from `cfg.seed`."""
+        if phase == "gan" and disc is None:
+            raise DataError("adversarial training needs a critic")
+
         def adam(model):
             return AdamState.for_params(model.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
 
@@ -229,38 +233,19 @@ def _check_finite(value, step, checkpoint_cb=None):
         raise NumericAbort(step)
 
 
-def pretrain_generator(gen, train_pair, cfg, val_pair=None, checkpoint_dir=None,
-                       resume=None, fingerprint=""):
-    """MSE-only generator training; the warm start for adversarial training.
+def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
+    """Continue `state` in place through the epochs of the phase it names and
+    return it.
 
-    Returns the final TrainState (disc is None). When `checkpoint_dir` is
-    given, writes `last` every `checkpoint_every` epochs and `best` on
-    validation improvement; `resume` continues a loaded TrainState
-    bit-exactly (its models replace the ones passed in).
+    "pretrain" trains the generator on MSE alone: the warm start for
+    adversarial training. "gan" updates the generator on every batch and the
+    critic on every `training_ratio`-th batch, on that same batch. When
+    `checkpoint_dir` is given, writes `last` every `checkpoint_every` epochs,
+    `best` on validation improvement and, in the adversarial phase, `abort`
+    before raising NumericAbort. A loaded checkpoint continues bit-exactly.
     """
-    return _train(gen, None, train_pair, cfg, phase="pretrain", val_pair=val_pair,
-                  checkpoint_dir=checkpoint_dir, resume=resume, fingerprint=fingerprint)
-
-
-def train_wgan(gen, disc, train_pair, cfg, val_pair=None, checkpoint_dir=None,
-               resume=None, fingerprint=""):
-    """Adversarial phase: every batch updates the generator, and every
-    `training_ratio`-th batch also updates the critic on that same batch."""
-    if disc is None and resume is None:
-        raise DataError("adversarial training needs a critic")
-    return _train(gen, disc, train_pair, cfg, phase="gan", val_pair=val_pair,
-                  checkpoint_dir=checkpoint_dir, resume=resume, fingerprint=fingerprint)
-
-
-def _train(gen, disc, train_pair, cfg, phase, val_pair=None, checkpoint_dir=None,
-           resume=None, fingerprint=""):
+    phase = state.phase
     n_epochs = cfg.pretrain_epochs if phase == "pretrain" else cfg.gan_epochs
-    if resume is None:
-        state = TrainState.fresh(phase, gen, disc, cfg, fingerprint)
-    elif resume.phase != phase:
-        raise CheckpointError(f"checkpoint phase {resume.phase!r} cannot resume {phase!r}")
-    else:
-        state = resume
     gen, disc = state.gen, state.disc
 
     x, y = pair_arrays(train_pair[0], train_pair[1], gen.dtype)

@@ -26,7 +26,11 @@ from .nn.tensor import Tensor, no_grad
 GEN_STAGE_KERNELS = (128, 128, 128, 128, 256, 512)
 DISC_STAGE_KERNELS = (64, 64, 128, 256)
 DISC_DENSE_UNITS = 128
+# Stride of the critic's downsampling conv; the config fingerprint names it.
+DISC_FINAL_STRIDE = (4, 4)
 CLASSIFIER_HIDDEN = (512, 256, 128, 64)
+# Segments per inference batch.
+INFER_BATCH = 256
 
 
 def _scaled(kernels, width):
@@ -134,7 +138,6 @@ class DiscriminatorConfig:
     seg_len: int = 64
     dropout_rate: float = 0.25
     elu_alpha: float = 1.0
-    final_stride: tuple[int, int] = (4, 4)
     width: float = 1.0
 
     def __post_init__(self):
@@ -173,7 +176,7 @@ def discriminator_specs(cfg):
     d3 = len(specs) - 1
     specs += [
         concat(d1, d2, d3),
-        conv(k[3], (cfg.c_hr // 4 + 1, 3), "elu", stride=cfg.final_stride, elu_alpha=a),
+        conv(k[3], (cfg.c_hr // 4 + 1, 3), "elu", stride=DISC_FINAL_STRIDE, elu_alpha=a),
         dropout(rate),
         flatten(),
         dense(head, "elu"),
@@ -218,7 +221,7 @@ def build_classifier(cfg, seed=0, dtype=np.float32):
     return Model(classifier_specs(cfg), (cfg.n_features,), seed=seed, dtype=dtype)
 
 
-def sr_predict_set(gen, lr_set, batch_size=256):
+def sr_predict_set(gen, lr_set):
     """Batched inference over a set of kept-channel segments.
 
     Returns a set of reconstructed missing-channel segments with the
@@ -231,8 +234,8 @@ def sr_predict_set(gen, lr_set, batch_size=256):
     vals = lr_set.values.astype(gen.dtype)[:, None]
     outs = []
     with no_grad():
-        for i in range(0, vals.shape[0], batch_size):
-            out = gen.forward(Tensor(vals[i : i + batch_size]), training=False)
+        for i in range(0, vals.shape[0], INFER_BATCH):
+            out = gen.forward(Tensor(vals[i : i + INFER_BATCH]), training=False)
             outs.append(out.data[:, 0].astype(np.float64))
     pred = np.concatenate(outs, axis=0)
     return replace(lr_set, values=pred, channel_labels=None)

@@ -5,6 +5,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Added to the root of the second moment before dividing by it.
+EPS = 1e-8
+
+
+def check_hyperparameters(lr, beta1, beta2):
+    """Raise ValueError unless lr > 0 and both betas lie in [0, 1); NaN fails."""
+    if not lr > 0:
+        raise ValueError(f"lr must be positive, got {lr}")
+    for name, b in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= b < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), got {b}")
+
 
 @dataclass
 class AdamState:
@@ -13,21 +25,16 @@ class AdamState:
     lr: float
     beta1: float
     beta2: float
-    eps: float = 1e-8
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= b < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {b}")
+        check_hyperparameters(self.lr, self.beta1, self.beta2)
 
     @classmethod
-    def for_params(cls, params, lr, beta1, beta2, eps=1e-8):
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params, lr, beta1, beta2):
+        state = cls(lr=lr, beta1=beta1, beta2=beta2)
         state.m = [np.zeros(p.shape, dtype=p.dtype) for p in params]
         state.v = [np.zeros(p.shape, dtype=p.dtype) for p in params]
         return state
@@ -57,7 +64,7 @@ def adam_step(params, grads, state):
         v += a
         np.divide(v, bc2, out=a)
         np.sqrt(a, out=a)
-        a += state.eps
+        a += EPS
         b = np.divide(m, bc1)
         b *= state.lr
         b /= a

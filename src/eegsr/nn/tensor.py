@@ -358,17 +358,10 @@ def sum_t(a, axis=None, keepdims=False):
     return _node(np.sum(a.data, axis=axes, keepdims=keepdims), (a,), vjp)
 
 
-def mean_t(a, axis=None, keepdims=False):
+def mean_t(a):
+    """Mean over all elements."""
     a = as_tensor(a)
-    if axis is None:
-        count = a.size
-    elif isinstance(axis, int):
-        count = a.shape[axis % a.ndim]
-    else:
-        count = 1
-        for ax in axis:
-            count *= a.shape[ax % a.ndim]
-    return mul_const(sum_t(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul_const(sum_t(a), 1.0 / a.size)
 
 
 def broadcast_to(a, shape):

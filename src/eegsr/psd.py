@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import metadata_columns
+from .data import check_finite, metadata_columns
 from .errors import DataError
 from .nn import functional as F
-from .nn.optim import AdamState, adam_step
+from .nn.optim import AdamState, adam_step, check_hyperparameters
 from .nn.tensor import Tensor, grad, no_grad
 
 FEATURE_CHANNELS = ("C3", "Cz", "C4", "CP1", "CP2", "P3", "Pz", "P4")
@@ -24,7 +24,7 @@ BAND_FREQS = tuple(float(f) for f in range(8, 31, 2))
 N_FEATURES = len(FEATURE_CHANNELS) * len(BAND_FREQS)
 
 WELCH_NPERSEG = 256
-WELCH_OVERLAP = 0.5
+WELCH_STEP = WELCH_NPERSEG // 2  # 50% overlap
 
 
 def hann_periodic(n):
@@ -32,27 +32,26 @@ def hann_periodic(n):
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def welch_psd(x, fs, nperseg=WELCH_NPERSEG, overlap=WELCH_OVERLAP):
+def welch_psd(x, fs):
     """One-sided Welch power spectral density along the last axis of x.
 
-    Segments overlap by `overlap`, each is Hann-windowed (periodic) and not
-    detrended; per-segment periodograms |rfft(w*x)|^2 / (fs * sum(w^2)) are
-    doubled at non-DC, non-Nyquist bins and averaged. Returns (freqs, psd),
-    psd of shape x.shape[:-1] + (nperseg // 2 + 1,).
+    Segments of WELCH_NPERSEG samples start every WELCH_STEP samples; each is
+    Hann-windowed (periodic) and not detrended; per-segment periodograms
+    |rfft(w*x)|^2 / (fs * sum(w^2)) are doubled at non-DC, non-Nyquist bins
+    and averaged. Returns (freqs, psd), psd of shape
+    x.shape[:-1] + (WELCH_NPERSEG // 2 + 1,).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 1 or x.shape[-1] < nperseg:
-        raise DataError(f"signal of shape {x.shape} is shorter than one {nperseg}-sample segment")
-    step = nperseg - int(overlap * nperseg)
-    if step < 1:
-        raise DataError(f"overlap {overlap} leaves no step")
-    window = hann_periodic(nperseg)
+    n = WELCH_NPERSEG
+    if x.ndim < 1 or x.shape[-1] < n:
+        raise DataError(f"signal of shape {x.shape} is shorter than one {n}-sample segment")
+    window = hann_periodic(n)
     scale = 1.0 / (fs * float(window @ window))
-    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)[..., ::step, :]
+    segments = np.lib.stride_tricks.sliding_window_view(x, n, axis=-1)[..., ::WELCH_STEP, :]
     spec = np.fft.rfft(window * segments, axis=-1)
     p = (spec.real**2 + spec.imag**2) * scale
     p[..., 1:-1] *= 2.0
-    freqs = np.fft.rfftfreq(nperseg, d=1.0 / fs)
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
     # The reduction adds segment after segment, like a running total, so the
     # batched result matches a per-signal loop bit for bit.
     return freqs, p.sum(axis=-2) / segments.shape[-2]
@@ -136,8 +135,10 @@ class ClassifierTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
+        check_hyperparameters(self.lr, self.beta1, self.beta2)
 
 
 def _one_hot(labels, class_ids):

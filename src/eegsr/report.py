@@ -307,28 +307,20 @@ def class_markdown(metrics_list):
     return "\n".join(lines) + "\n"
 
 
-def emit_report(out_dir, sr_records=None, class_metrics=None, formats=("csv", "markdown")):
-    """Write whichever report families are present; returns written paths."""
+def emit_report(out_dir, sr_records=None, class_metrics=None):
+    """Write the CSV and markdown tables of whichever report families are
+    present; returns written paths."""
     if not sr_records and not class_metrics:
         raise DataError("nothing to report")
-    for fmt in formats:
-        if fmt not in ("csv", "markdown"):
-            raise DataError(f"unknown report format {fmt!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if sr_records:
-        if "csv" in formats:
-            write_sr_csv(out_dir / "reconstruction.csv", sr_records)
-            written.append(out_dir / "reconstruction.csv")
-        if "markdown" in formats:
-            (out_dir / "reconstruction.md").write_text(sr_markdown(sr_records))
-            written.append(out_dir / "reconstruction.md")
+        write_sr_csv(out_dir / "reconstruction.csv", sr_records)
+        (out_dir / "reconstruction.md").write_text(sr_markdown(sr_records))
+        written += [out_dir / "reconstruction.csv", out_dir / "reconstruction.md"]
     if class_metrics:
-        if "csv" in formats:
-            write_class_csv(out_dir / "classification.csv", class_metrics)
-            written.append(out_dir / "classification.csv")
-        if "markdown" in formats:
-            (out_dir / "classification.md").write_text(class_markdown(class_metrics))
-            written.append(out_dir / "classification.md")
+        write_class_csv(out_dir / "classification.csv", class_metrics)
+        (out_dir / "classification.md").write_text(class_markdown(class_metrics))
+        written += [out_dir / "classification.csv", out_dir / "classification.md"]
     return written

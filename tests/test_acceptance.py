@@ -14,7 +14,7 @@ import pytest
 
 from eegsr import archive, psd
 from eegsr.archive import read_features_csv
-from eegsr.bicubic import KEYS_A, bicubic_predict_set, cubic_kernel, interpolation_weights
+from eegsr.bicubic import bicubic_predict_set, cubic_kernel, interpolation_weights
 from eegsr.cli import main as cli_main
 from eegsr.cli import _load_classifier
 from eegsr.data import (
@@ -29,7 +29,14 @@ from eegsr.data import (
     split_dataset,
 )
 from eegsr.errors import DataError
-from eegsr.gan import TrainConfig, discriminator_loss, generator_loss, gradient_penalty, train_wgan
+from eegsr.gan import (
+    TrainConfig,
+    TrainState,
+    discriminator_loss,
+    generator_loss,
+    gradient_penalty,
+    train,
+)
 from eegsr.models import (
     ClassifierConfig,
     DiscriminatorConfig,
@@ -199,7 +206,7 @@ def _oracle_missing(lr_values, montage):
         j0 = int(np.floor(u))
         acc = np.zeros(t)
         for j in range(j0 - 1, j0 + 3):
-            acc += cubic_kernel(u - j, KEYS_A) * lr_values[min(max(j, 0), n_lr - 1)]
+            acc += cubic_kernel(u - j) * lr_values[min(max(j, 0), n_lr - 1)]
         out[row] = acc
     return out
 
@@ -386,7 +393,7 @@ def test_05_adversarial_loss_anchors():
     pair = (epoch_set(lr_values, fs=512.0), epoch_set(lr_values * 0.5, fs=512.0))
     cfg = TrainConfig(pretrain_epochs=0, gan_epochs=4, batch_size=5, lr=1e-3,
                       training_ratio=3, seed=9)
-    result = train_wgan(gen, disc, pair, cfg)
+    result = train(TrainState.fresh("gan", gen, disc, cfg), pair, cfg)
     if result.g_steps != 20 or result.d_steps != 20 // 3:
         failures.append(f"bookkeeping {result.g_steps}G/{result.d_steps}D")
 
@@ -408,7 +415,7 @@ DESK_ARGS = [
     "--set", "train.gan_epochs=10",
     "--set", "train.batch_size=64",
     "--set", "classifier.epochs=30",
-    "--seed", "0",
+    "--set", "run.seed=0",
 ]
 
 
@@ -561,8 +568,8 @@ TOY_ARGS = [
     "--set", "train.gan_epochs=2",
     "--set", "train.batch_size=16",
     "--set", "classifier.epochs=3",
-    "--seed", "11",
-    "--precision", "f64",
+    "--set", "run.seed=11",
+    "--set", "run.precision=f64",
 ]
 
 

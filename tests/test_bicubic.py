@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from eegsr.bicubic import (
-    KEYS_A,
     bicubic_predict_set,
     cubic_kernel,
     interpolation_weights,
@@ -16,7 +15,7 @@ from helpers import epoch_set
 RNG = np.random.default_rng(20260806)
 
 
-def oracle_missing(lr_values, montage, a=KEYS_A):
+def oracle_missing(lr_values, montage):
     """Per-sample, per-channel scalar loop; no vectorization shortcuts."""
     n_lr, t = lr_values.shape
     out = np.zeros((montage.n_hr, t))
@@ -26,7 +25,7 @@ def oracle_missing(lr_values, montage, a=KEYS_A):
         for col in range(t):
             acc = 0.0
             for j in range(j0 - 1, j0 + 3):
-                acc += cubic_kernel(u - j, a) * lr_values[min(max(j, 0), n_lr - 1), col]
+                acc += cubic_kernel(u - j) * lr_values[min(max(j, 0), n_lr - 1), col]
             out[row, col] = acc
     return out
 

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from eegsr import archive, psd
+from eegsr import archive, models, psd
 from eegsr.archive import FEATURE_HEADER, read_features_csv, write_features_csv
 from eegsr.cli import HEAP_SETTINGS, main
 from eegsr.errors import ParseError
@@ -23,7 +23,7 @@ OVERRIDES = [
     "--set", "train.gan_epochs=3",
     "--set", "train.batch_size=16",
     "--set", "classifier.epochs=3",
-    "--seed", "7",
+    "--set", "run.seed=7",
 ]
 
 
@@ -147,6 +147,34 @@ def test_pretrain_resume_noop(pipeline):
     assert rc == 0
 
 
+def test_resume_builds_no_network(tmp_path, pipeline, monkeypatch):
+    # The checkpoint holds the networks; a fresh one would be thrown away.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a resumed run built a network")
+
+    monkeypatch.setattr(models, "build_generator", refuse)
+    monkeypatch.setattr(models, "build_discriminator", refuse)
+    for cmd, ck in (("pretrain", "pre"), ("gan-train", "adv")):
+        assert main([cmd, "--data", str(pipeline["data"]), "--out", str(tmp_path / cmd),
+                     "--resume", str(pipeline[ck] / "last")] + OVERRIDES) == 0
+
+
+def test_resume_refuses_a_checkpoint_of_the_other_phase(tmp_path, pipeline, capsys):
+    # A checkpoint of the other phase carries the other fingerprint, so only
+    # one whose fingerprint line was replaced reaches the phase check.
+    ck = tmp_path / "last"
+    shutil.copytree(pipeline["adv"] / "last", ck)
+    fingerprint = re.search(r"fingerprint = \w+",
+                            (pipeline["pre"] / "last" / "manifest.txt").read_text()).group()
+    _sub_in(ck / "manifest.txt", r"fingerprint = \w+", fingerprint)
+    argv = ["pretrain", "--data", str(pipeline["data"]), "--out", str(tmp_path / "o"),
+            "--resume", str(ck)]
+    assert main(argv + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err == "error: checkpoint phase 'gan' cannot resume 'pretrain'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_resume_refuses_a_changed_training_config(tmp_path, pipeline, capsys):
     # A changed lr would be ignored (the checkpoint's Adam state wins) and a
     # changed batch size would leave the uninterrupted trajectory: exit 3
@@ -186,7 +214,7 @@ GEOMETRY_FAULTS = {
     "seg_len": ["--set", "preprocess.seg_len=0"],
     "window": ["--set", "preprocess.window=0"],
     "stride": ["--set", "preprocess.stride=0"],
-    "scale": ["--scale", "0"],
+    "scale": ["--set", "preprocess.scale=0"],
 }
 
 
@@ -217,6 +245,38 @@ def test_out_of_range_training_value_is_a_config_error(tmp_path, pipeline, capsy
         assert rc == 3, err
         assert err.startswith("config error: ") and err.count("\n") == 1 and key in err
         assert not (tmp_path / cmd).exists()
+
+
+# Values that escaped config validation: a [classifier] lr or beta out of
+# range ended in a traceback from the optimizer, a non-finite one trained to
+# a nan loss, and each [synth] value ran and exited 0.
+LOAD_FAULTS = ["classifier.lr=0", "classifier.lr=nan", "classifier.lr=inf", "classifier.beta1=1",
+               "classifier.beta2=-0.5", "synth.noise_sigma=nan", "synth.amplitude=inf",
+               "synth.fs=inf", "synth.class_band_offsets=nan,0,0"]
+
+
+@pytest.mark.parametrize("setting", LOAD_FAULTS)
+def test_out_of_range_value_is_refused_at_config_load(tmp_path, pipeline, capsys, setting):
+    key = setting.split("=")[0].split(".")[1]
+    for argv in (["synth", "--out", str(tmp_path / "r.csv")],
+                 ["train-clf", "--features", str(pipeline["feats"]), "--out", str(tmp_path / "c")]):
+        assert main(argv + OVERRIDES + ["--set", setting]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and key in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_evaluate_with_nothing_to_evaluate_is_a_usage_error(tmp_path, pipeline, capsys):
+    # Each wrote only config.txt and exited 0.
+    argv = ["evaluate", "--data", str(pipeline["data"]), "--out", str(tmp_path / "metrics")]
+    for extra, named in (([], "--baseline, --sr, or --classifier"),
+                         (["--classifier", str(pipeline["clf"])], "--features"),
+                         (["--sr", str(pipeline["sr"]), "--features", str(pipeline["feats"])],
+                          "--classifier")):
+        assert main(argv + extra + OVERRIDES) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not (tmp_path / "metrics").exists()
 
 
 def test_corrupt_classifier_is_a_one_line_error(tmp_path, pipeline, capsys):
@@ -296,11 +356,11 @@ def test_preprocess_failure_leaves_no_archives(tmp_path):
 def test_scale_mismatch_rejected(tmp_path, pipeline):
     # archive was made at scale 2; asking for scale 4 must fail, not misread
     rc = main(["pretrain", "--data", str(pipeline["data"]),
-               "--out", str(tmp_path / "o"), "--scale", "4"] + OVERRIDES)
+               "--out", str(tmp_path / "o"), "--set", "preprocess.scale=4"] + OVERRIDES)
     assert rc == 3
     rc = main(["sr-infer", "--data", str(pipeline["data"]),
                "--checkpoint", str(pipeline["adv"] / "best"),
-               "--out", str(tmp_path / "o"), "--scale", "4"] + OVERRIDES)
+               "--out", str(tmp_path / "o"), "--set", "preprocess.scale=4"] + OVERRIDES)
     assert rc == 3
 
 
@@ -477,11 +537,12 @@ def test_header_only_metric_table_is_a_parse_error(tmp_path, pipeline, capsys, n
 
 def test_montage_of_another_scale_is_refused(tmp_path, pipeline, capsys):
     # info.txt claiming scale 4 over the scale-2 channel indices made
-    # baseline --scale 4 write a wrong reconstruction and exit 0.
+    # baseline at scale 4 write a wrong reconstruction and exit 0.
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
     _sub_in(data / "info.txt", r"scale = 2", "scale = 4")
-    argv = ["baseline", "--data", str(data), "--out", str(tmp_path / "base"), "--scale", "4"]
+    argv = ["baseline", "--data", str(data), "--out", str(tmp_path / "base"),
+            "--set", "preprocess.scale=4"]
     assert main(argv + OVERRIDES) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "every 4th channel" in err

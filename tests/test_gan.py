@@ -10,6 +10,7 @@ from eegsr.errors import ArtifactError, CheckpointError, ConfigError, DataError,
 from eegsr.gan import (
     LossHistory,
     TrainConfig,
+    TrainState,
     config_fingerprint,
     discriminator_loss,
     evaluate_mse,
@@ -17,8 +18,7 @@ from eegsr.gan import (
     gradient_penalty,
     load_checkpoint,
     pair_arrays,
-    pretrain_generator,
-    train_wgan,
+    train,
 )
 from eegsr.models import DiscriminatorConfig, GeneratorConfig, build_discriminator, build_generator
 from eegsr.nn.layers import Model, dense, flatten
@@ -53,6 +53,11 @@ def tiny_models(dtype=np.float64, seed=3):
     disc = build_discriminator(DiscriminatorConfig(c_hr=4, seg_len=8, width=1 / 64),
                                seed=seed + 1, dtype=dtype)
     return gen, disc
+
+
+def run_phase(phase, gen, disc, pair, cfg, **kw):
+    """Train a fresh state of `phase`, as the training commands do."""
+    return train(TrainState.fresh(phase, gen, disc, cfg), pair, cfg, **kw)
 
 
 def tiny_cfg(**kw):
@@ -188,7 +193,7 @@ def test_pretrain_bookkeeping_and_loss_decrease():
     gen, _ = tiny_models()
     pair = paired_sets(20)
     cfg = tiny_cfg(pretrain_epochs=8)
-    result = pretrain_generator(gen, pair, cfg)
+    result = run_phase("pretrain", gen, None, pair, cfg)
     # 20 segments / batch 4 = 5 steps per epoch.
     assert result.g_steps == 40
     assert len(result.history) == 40
@@ -203,7 +208,7 @@ def test_pretrain_determinism():
     outs = []
     for _ in range(2):
         gen, _ = tiny_models()
-        pretrain_generator(gen, pair, tiny_cfg())
+        run_phase("pretrain", gen, None, pair, tiny_cfg())
         outs.append(np.concatenate([p.data.ravel() for p in gen.parameters()]))
     assert np.array_equal(outs[0], outs[1])
 
@@ -213,7 +218,7 @@ def test_wgan_update_ratio_floor():
     gen, disc = tiny_models()
     pair = paired_sets(20)
     cfg = tiny_cfg(gan_epochs=6)
-    result = train_wgan(gen, disc, pair, cfg)
+    result = run_phase("gan", gen, disc, pair, cfg)
     assert result.g_steps == 30
     assert result.d_steps == 10
     assert result.history.all_finite()
@@ -222,23 +227,23 @@ def test_wgan_update_ratio_floor():
 def test_wgan_ratio_one_updates_every_step():
     gen, disc = tiny_models()
     pair = paired_sets(8)
-    result = train_wgan(gen, disc, pair, tiny_cfg(gan_epochs=1, training_ratio=1))
+    result = run_phase("gan", gen, disc, pair, tiny_cfg(gan_epochs=1, training_ratio=1))
     assert result.g_steps == 2
     assert result.d_steps == 2
 
 
 def test_wgan_needs_critic():
     gen, _ = tiny_models()
-    with pytest.raises(DataError):
-        train_wgan(gen, None, paired_sets(8), tiny_cfg())
+    with pytest.raises(DataError, match="needs a critic"):
+        TrainState.fresh("gan", gen, None, tiny_cfg())
 
 
 def test_zero_adv_weight_matches_pretraining_exactly():
     pair = paired_sets(16, seed=4)
     gen_a, _ = tiny_models(seed=6)
-    pretrain_generator(gen_a, pair, tiny_cfg(pretrain_epochs=3))
+    run_phase("pretrain", gen_a, None, pair, tiny_cfg(pretrain_epochs=3))
     gen_b, disc = tiny_models(seed=6)
-    train_wgan(gen_b, disc, pair, tiny_cfg(gan_epochs=3, adv_weight=0.0))
+    run_phase("gan", gen_b, disc, pair, tiny_cfg(gan_epochs=3, adv_weight=0.0))
     for a, b in zip(gen_a.parameters(), gen_b.parameters()):
         assert np.array_equal(a.data, b.data)
 
@@ -249,7 +254,7 @@ def test_numeric_abort_reports_step():
     pair = (epoch_set(np.full((4, 4, 8), 1e200), fs=512.0),
             epoch_set(np.full((4, 4, 8), -1e200), fs=512.0))
     with pytest.raises(NumericAbort) as err:
-        pretrain_generator(gen, pair, tiny_cfg(pretrain_epochs=1))
+        run_phase("pretrain", gen, None, pair, tiny_cfg(pretrain_epochs=1))
     assert err.value.step == 0
     assert "step 0" in str(err.value)
 
@@ -260,7 +265,7 @@ def test_adversarial_numeric_abort_writes_a_loadable_checkpoint(tmp_path):
     pair = (epoch_set(np.full((4, 4, 8), 1e200), fs=512.0),
             epoch_set(np.full((4, 4, 8), -1e200), fs=512.0))
     with pytest.raises(NumericAbort) as err:
-        train_wgan(gen, disc, pair, tiny_cfg(gan_epochs=1), checkpoint_dir=tmp_path)
+        run_phase("gan", gen, disc, pair, tiny_cfg(gan_epochs=1), checkpoint_dir=tmp_path)
     assert err.value.step == 0
     state = load_checkpoint(tmp_path / "abort")
     assert state.phase == "gan" and state.g_steps == 0 and state.d_steps == 0
@@ -278,8 +283,8 @@ def test_critic_abort_checkpoint_holds_a_row_per_generator_step(tmp_path, monkey
     monkeypatch.setattr(gan, "discriminator_loss", nan_loss)
     gen, disc = tiny_models()
     with pytest.raises(NumericAbort) as err:
-        train_wgan(gen, disc, paired_sets(8), tiny_cfg(gan_epochs=1, training_ratio=1),
-                   checkpoint_dir=tmp_path)
+        run_phase("gan", gen, disc, paired_sets(8), tiny_cfg(gan_epochs=1, training_ratio=1),
+                  checkpoint_dir=tmp_path)
     assert err.value.step == 0
     state = load_checkpoint(tmp_path / "abort")
     assert (state.g_steps, state.d_steps, len(state.history)) == (1, 0, 1)
@@ -312,8 +317,8 @@ def test_training_drops_each_step_graph(monkeypatch):
     monkeypatch.setattr(gan, "discriminator_loss", checked(gan.discriminator_loss))
     gen, disc = tiny_models()
     pair = paired_sets(8)
-    pretrain_generator(gen, pair, tiny_cfg(pretrain_epochs=2))
-    train_wgan(gen, disc, pair, tiny_cfg(gan_epochs=2, training_ratio=2))
+    run_phase("pretrain", gen, None, pair, tiny_cfg(pretrain_epochs=2))
+    run_phase("gan", gen, disc, pair, tiny_cfg(gan_epochs=2, training_ratio=2))
     # 2 steps per epoch: 4 pretrain steps, then 4 generator and 2 critic steps.
     assert entries.count("generator_loss") == 8
     assert entries.count("discriminator_loss") == 2
@@ -367,7 +372,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     gen, disc = tiny_models()
     pair = paired_sets(8)
     cfg = tiny_cfg(gan_epochs=1)
-    result = train_wgan(gen, disc, pair, cfg, checkpoint_dir=tmp_path)
+    result = run_phase("gan", gen, disc, pair, cfg, checkpoint_dir=tmp_path)
     ck = load_checkpoint(tmp_path / "last")
     assert ck.phase == "gan"
     assert (ck.g_steps, ck.d_steps) == (result.g_steps, result.d_steps)
@@ -382,13 +387,12 @@ def test_checkpoint_resume_equals_uninterrupted(tmp_path):
     pair = paired_sets(16, seed=8)
 
     gen_a, disc_a = tiny_models(seed=2)
-    straight = train_wgan(gen_a, disc_a, pair, tiny_cfg(gan_epochs=4))
+    straight = run_phase("gan", gen_a, disc_a, pair, tiny_cfg(gan_epochs=4))
 
     gen_b, disc_b = tiny_models(seed=2)
-    train_wgan(gen_b, disc_b, pair, tiny_cfg(gan_epochs=2),
-               checkpoint_dir=tmp_path)
+    run_phase("gan", gen_b, disc_b, pair, tiny_cfg(gan_epochs=2), checkpoint_dir=tmp_path)
     ck = load_checkpoint(tmp_path / "last")
-    resumed = train_wgan(None, None, pair, tiny_cfg(gan_epochs=4), resume=ck)
+    resumed = train(ck, pair, tiny_cfg(gan_epochs=4))
 
     assert resumed.g_steps == straight.g_steps
     assert resumed.d_steps == straight.d_steps
@@ -402,9 +406,9 @@ def test_checkpoint_resume_equals_uninterrupted(tmp_path):
 def test_resume_checks_the_training_config(tmp_path):
     pair = paired_sets(16, seed=8)
     gen_a, disc_a = tiny_models(seed=2)
-    straight = train_wgan(gen_a, disc_a, pair, tiny_cfg(gan_epochs=3))
+    straight = run_phase("gan", gen_a, disc_a, pair, tiny_cfg(gan_epochs=3))
     gen_b, disc_b = tiny_models(seed=2)
-    train_wgan(gen_b, disc_b, pair, tiny_cfg(gan_epochs=2), checkpoint_dir=tmp_path)
+    run_phase("gan", gen_b, disc_b, pair, tiny_cfg(gan_epochs=2), checkpoint_dir=tmp_path)
 
     for changed, name in ((tiny_cfg(gan_epochs=3, lr=2e-3), "lr"),
                           (tiny_cfg(gan_epochs=3, batch_size=8), "batch_size"),
@@ -415,8 +419,7 @@ def test_resume_checks_the_training_config(tmp_path):
 
     # Raised epoch counts pass the check and continue the same trajectory.
     cfg = tiny_cfg(gan_epochs=3, pretrain_epochs=5)
-    resumed = train_wgan(None, None, pair, cfg,
-                         resume=load_checkpoint(tmp_path / "last", expect_config=cfg))
+    resumed = train(load_checkpoint(tmp_path / "last", expect_config=cfg), pair, cfg)
     assert (resumed.epoch, resumed.g_steps, resumed.d_steps) == \
         (3, straight.g_steps, straight.d_steps)
     for a, b in zip(straight.gen.parameters() + straight.disc.parameters(),
@@ -425,24 +428,14 @@ def test_resume_checks_the_training_config(tmp_path):
     assert straight.history.records == resumed.history.records
 
 
-def test_resume_refuses_wrong_phase(tmp_path):
-    gen, _ = tiny_models()
-    pair = paired_sets(8)
-    pretrain_generator(gen, pair, tiny_cfg(pretrain_epochs=1), checkpoint_dir=tmp_path)
-    ck = load_checkpoint(tmp_path / "last")
-    _, disc = tiny_models()
-    with pytest.raises(CheckpointError):
-        train_wgan(ck.gen, disc, pair, tiny_cfg(), resume=ck)
-
-
 def test_fingerprint_guard(tmp_path):
     gen, disc = tiny_models()
     pair = paired_sets(8)
     fp = config_fingerprint(GeneratorConfig(c_lr=4, scale=2, seg_len=8, width=1 / 64),
                             DiscriminatorConfig(c_hr=4, seg_len=8, width=1 / 64),
                             np.float64)
-    train_wgan(gen, disc, pair, tiny_cfg(gan_epochs=1), checkpoint_dir=tmp_path,
-               fingerprint=fp)
+    cfg = tiny_cfg(gan_epochs=1)
+    train(TrainState.fresh("gan", gen, disc, cfg, fp), pair, cfg, checkpoint_dir=tmp_path)
     assert load_checkpoint(tmp_path / "last", fp).fingerprint == fp
     other = config_fingerprint(GeneratorConfig(c_lr=8, scale=2), None, np.float32)
     with pytest.raises(CheckpointError):
@@ -451,8 +444,7 @@ def test_fingerprint_guard(tmp_path):
 
 def test_corrupt_checkpoint_manifest(tmp_path):
     gen, disc = tiny_models()
-    train_wgan(gen, disc, paired_sets(8), tiny_cfg(gan_epochs=1),
-               checkpoint_dir=tmp_path)
+    run_phase("gan", gen, disc, paired_sets(8), tiny_cfg(gan_epochs=1), checkpoint_dir=tmp_path)
     manifest = tmp_path / "last" / "manifest.txt"
     current = f"format_version = {gan.FORMAT_VERSION}\n"
     text = manifest.read_text()
@@ -479,8 +471,8 @@ def test_best_checkpoint_tracks_validation(tmp_path):
     gen, _ = tiny_models()
     train_pair = paired_sets(12, seed=1)
     val_pair = paired_sets(8, seed=2)
-    result = pretrain_generator(gen, train_pair, tiny_cfg(pretrain_epochs=3),
-                                val_pair=val_pair, checkpoint_dir=tmp_path)
+    result = run_phase("pretrain", gen, None, train_pair, tiny_cfg(pretrain_epochs=3),
+                       val_pair=val_pair, checkpoint_dir=tmp_path)
     assert result.best_val_mse is not None
     assert (tmp_path / "best").is_dir()
     best = load_checkpoint(tmp_path / "best")

@@ -1,5 +1,6 @@
-"""Every imported name in src/ and tests/ is used, and every function in
-src/ has a caller outside the tests (no linter is installed)."""
+"""Every imported name in src/ and tests/ is used, every function in src/ has
+a caller outside the tests, and so has every defaulted parameter (no linter
+is installed)."""
 import ast
 from pathlib import Path
 
@@ -78,6 +79,87 @@ def test_every_function_has_a_caller_outside_the_tests():
              for path in sorted((ROOT / "src").rglob("*.py"))
              for line, name in uncalled_functions(path.read_text(), referenced)]
     assert not found, "defined and never referenced in src/ or perfbench/:\n" + "\n".join(found)
+
+
+def defaulted_parameters(source):
+    """(line, function, parameter, position) of every parameter with a default
+    that `source` defines; position counts the arguments a call passes (after
+    `self` or `cls` in a method) and is None for a keyword-only parameter.
+    Dunders run implicitly and are skipped, as in `uncalled_functions`."""
+    found = []
+
+    def visit(body, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, True)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                bound = in_class and not static
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    for i in range(len(positional) - len(args.defaults), len(positional)):
+                        found.append((node.lineno, node.name, positional[i].arg, i - bound))
+                    found.extend((node.lineno, node.name, arg.arg, None)
+                                 for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                                 if default is not None)
+                visit(node.body, False)
+
+    visit(ast.parse(source).body, False)
+    return found
+
+
+def passed_arguments(source, into):
+    """Add to `into[name]` the positions and keywords each call of `name` in
+    `source` passes; a call with *args or **kwargs adds `all`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            passed = into.setdefault(name, set())
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                passed.add(all)
+            else:
+                passed.update(range(len(node.args)))
+                passed.update(k.arg for k in node.keywords)
+    return into
+
+
+def unpassed_parameters(source, passed):
+    """Defaulted parameters of `source` that no call in `passed` sets."""
+    return [(line, f"{name}({param})") for line, name, param, position
+            in defaulted_parameters(source)
+            if not {all, param, position} & passed.get(name, set())]
+
+
+def test_unpassed_parameters_are_found():
+    source = ("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+              "class A:\n    def __init__(self, x=0):\n        pass\n"
+              "    def m(self, y=1, z=2):\n        pass\n"
+              "    @staticmethod\n    def s(w=0):\n        pass\n"
+              "def g(v=0):\n    pass\n"
+              "f(0, 5, d=1)\nA().m(4)\nA.s(1)\ng(*[])\n")
+    passed = passed_arguments(source, {})
+    assert unpassed_parameters(source, passed) == [(1, "f(c)"), (6, "m(z)")]
+    assert unpassed_parameters(source, {}) == [(1, "f(b)"), (1, "f(c)"), (1, "f(d)"),
+                                               (6, "m(y)"), (6, "m(z)"), (9, "s(w)"),
+                                               (11, "g(v)")]
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """A default that only tests override is a setting with one value in use:
+    make it a constant. Limits: calls resolve by name, so a parameter that a
+    wrapper forwards unchanged counts as passed; dataclass fields and other
+    constructor parameters are not covered."""
+    passed = {}
+    for top in ("src", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            passed_arguments(path.read_text(), passed)
+    found = [f"{path.relative_to(ROOT)}:{line}: {param}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, param in unpassed_parameters(path.read_text(), passed)]
+    assert not found, "defaulted and never passed in src/ or perfbench/:\n" + "\n".join(found)
 
 
 # Each file format has one owner in src/: the module that imports its parser.

@@ -183,7 +183,7 @@ seed = 0
 ARCHIVE = """\
 [archive]
 format_version = 1
-dtype = f32
+dtype = f64
 n_epochs = 2
 n_channels = 3
 n_samples = 4
@@ -245,7 +245,7 @@ def test_checkpoint_manifest_text(tmp_path):
 
 def test_archive_manifest_text(tmp_path):
     save_epoch_set(tmp_path, epoch_set(np.zeros((2, 3, 4)), label=2, split="val", fs=256.5,
-                                       channel_labels=("Fp1", "Fz", "Cz")), dtype=np.float32)
+                                       channel_labels=("Fp1", "Fz", "Cz")))
     assert (tmp_path / "manifest.txt").read_text() == ARCHIVE
 
 

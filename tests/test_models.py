@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from eegsr import models
 from eegsr.models import (
     ClassifierConfig,
     DiscriminatorConfig,
@@ -158,7 +159,7 @@ def test_desk_training_forward_node_counts():
         assert len(_toposort(out)) <= most
 
 
-def test_sr_predict_set_matches_single_forward():
+def test_sr_predict_set_matches_single_forward(monkeypatch):
     cfg = GeneratorConfig(c_lr=16, scale=2, width=1 / 64)
     gen = build_generator(cfg, seed=1, dtype=np.float64)
     lr_set = epoch_set(RNG.normal(size=(4, 16, 64)), label=2, fs=512.0,
@@ -169,7 +170,9 @@ def test_sr_predict_set_matches_single_forward():
     assert np.array_equal(pred.origins, lr_set.origins)
     assert pred.labels.tolist() == [2] * 4
     # One segment per forward gives the batched result; inference is deterministic.
-    single = sr_predict_set(gen, lr_set, batch_size=1)
+    monkeypatch.setattr(models, "INFER_BATCH", 1)
+    single = sr_predict_set(gen, lr_set)
+    monkeypatch.undo()
     np.testing.assert_allclose(single.values, pred.values, atol=1e-12)
     assert np.array_equal(sr_predict_set(gen, lr_set).values, pred.values)
     with pytest.raises(DataError):

@@ -148,7 +148,7 @@ def test_adam_first_step_matches_hand_computation():
     # (for eps -> 0); check against the exact update formula instead.
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     g = Tensor(np.array([0.5, -1.5]))
-    state = AdamState.for_params([p], lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    state = AdamState.for_params([p], lr=0.01, beta1=0.9, beta2=0.999)
     adam_step([p], [g], state)
     m = 0.1 * g.data
     v = 0.001 * g.data**2

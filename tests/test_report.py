@@ -214,20 +214,17 @@ def test_class_markdown_pairs_sources():
     assert "Precision" in text and "Recall" in text
 
 
-def test_emit_report_writes_requested_formats(tmp_path):
+def test_emit_report_writes_csv_and_markdown(tmp_path):
     records = [MetricsRecord("val", 2, "bicubic", mse=1.0, mae=0.5)]
     cls = [classification_metrics([0], [0], (0,), scale=2, source="hr")]
     written = emit_report(tmp_path, sr_records=records, class_metrics=cls)
     names = sorted(p.name for p in written)
     assert names == ["classification.csv", "classification.md",
                      "reconstruction.csv", "reconstruction.md"]
-    only_csv = emit_report(tmp_path / "csv", sr_records=records, formats=("csv",))
-    assert [p.name for p in only_csv] == ["reconstruction.csv"]
+    only_sr = emit_report(tmp_path / "sr", sr_records=records)
+    assert [p.name for p in only_sr] == ["reconstruction.csv", "reconstruction.md"]
 
 
 def test_emit_report_rejects_bad_input(tmp_path):
     with pytest.raises(DataError):
         emit_report(tmp_path)
-    with pytest.raises(DataError):
-        emit_report(tmp_path, sr_records=[MetricsRecord("val", 2, "bicubic", 1.0, 0.5)],
-                    formats=("pdf",))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from eegsr import cli
-from eegsr.gan import TrainConfig, pretrain_generator
+from eegsr.gan import TrainConfig, TrainState, train
 from eegsr.models import GeneratorConfig, build_generator
 
 from helpers import epoch_set
@@ -38,8 +38,8 @@ def test_work_functions_measure_a_training_run(tmp_path):
     gen = build_generator(GeneratorConfig(c_lr=4, scale=2, seg_len=8, width=1 / 64), seed=0)
     trace = tracer.install("test")
     try:
-        pretrain_generator(gen, pair, TrainConfig(pretrain_epochs=1, batch_size=4),
-                           checkpoint_dir=tmp_path)
+        cfg = TrainConfig(pretrain_epochs=1, batch_size=4)
+        train(TrainState.fresh("pretrain", gen, None, cfg), pair, cfg, checkpoint_dir=tmp_path)
     finally:
         trace.uninstall()
     summary = tracer.summarize(trace.spans)
