@@ -130,9 +130,7 @@ def cmd_pretrain(args, cfg, out):
 
 def cmd_gan_train(args, cfg, out):
     def build():
-        # Only the generator: the rest of the checkpoint (its Adam moments
-        # among it) would otherwise stay referenced for the whole run.
-        gen = gan.load_checkpoint(args.init, _fingerprint(cfg)).gen
+        gen = gan.load_generator(args.init, _fingerprint(cfg))[0]
         return gen, models.build_discriminator(cfg.discriminator_config(),
                                                seed=cfg["run"]["seed"] + 1, dtype=cfg.dtype())
 
@@ -153,8 +151,7 @@ def cmd_baseline(args, cfg, out):
 def cmd_sr_infer(args, cfg, out):
     _, stats, _ = _info(args)
     gen_cfg = cfg.generator_config()
-    # Only the generator, as for gan-train --init.
-    gen = gan.load_checkpoint(args.checkpoint).gen
+    gen = gan.load_generator(args.checkpoint)[0]
     if gen.input_shape != gen_cfg.input_shape:
         raise ConfigError(
             f"checkpoint generator input {gen.input_shape} does not match config "

@@ -135,8 +135,8 @@ class RunConfig:
             )
         pp = self["preprocess"]
         ratios = (pp["ratio_train"], pp["ratio_val"], pp["ratio_test"])
-        if abs(sum(ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split ratios must sum to 1, got {ratios}")
+        if not (all(0.0 <= r <= 1.0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
+            raise ConfigError(f"split ratios must lie in [0, 1] and sum to 1, got {ratios}")
         for key, least in (("scale", 2), ("window", 1), ("stride", 1), ("seg_len", 1)):
             if pp[key] < least:
                 raise ConfigError(f"preprocess.{key} must be >= {least}, got {pp[key]}")

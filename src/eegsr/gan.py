@@ -382,10 +382,10 @@ def _check_resume_config(saved, cfg, phase, epoch):
                               "the checkpoint")
 
 
-def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
-    """Rebuild a TrainState; refuses a missing directory (ArtifactError), other
-    format versions, mismatched fingerprints, truncated, unparsable or inconsistent
-    contents and, given `expect_config`, a TrainConfig the run cannot resume under."""
+def load_generator(directory, expect_fingerprint=None):
+    """(generator, manifest sections) of a checkpoint, its critic, Adam moments and
+    history unread; refuses a missing directory (ArtifactError), another format
+    version and, given `expect_fingerprint`, another fingerprint."""
     directory = Path(directory)
     if not directory.exists():
         raise ArtifactError(f"checkpoint not found: {directory}")
@@ -395,14 +395,29 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
     try:
         sections = read(manifest)
         head = sections["checkpoint"]
-        if head["format_version"] != FORMAT_VERSION:
-            raise CheckpointError(f"{manifest}: unsupported checkpoint format "
-                                  f"{head['format_version']!r}")
+        version, fingerprint = head["format_version"], head["fingerprint"]
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"{manifest}: corrupt checkpoint manifest ({exc})") from exc
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{manifest}: unsupported checkpoint format {version!r}")
+    if expect_fingerprint is not None and fingerprint != expect_fingerprint:
+        raise CheckpointError(f"checkpoint fingerprint {fingerprint!r} does not match expected "
+                              f"{expect_fingerprint!r}; refusing to load")
+    return load_model(directory / "generator")[0], sections
+
+
+def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
+    """Rebuild a TrainState; refuses what `load_generator` refuses, truncated,
+    unparsable or inconsistent contents and, given `expect_config`, a
+    TrainConfig the run cannot resume under."""
+    directory = Path(directory)
+    gen, sections = load_generator(directory, expect_fingerprint)
+    manifest, head = directory / "manifest.txt", sections["checkpoint"]
+    try:
         phase = head["phase"]
         epoch = int(head["epoch"])
         g_steps = int(head["g_steps"])
         d_steps = int(head["d_steps"])
-        fingerprint = head["fingerprint"]
         best = head["best_val_mse"]
         best_val_mse = float(best) if best else None
         saved_cfg = from_section(TrainConfig, sections["train"])
@@ -420,11 +435,6 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{manifest}: corrupt checkpoint manifest ({exc})") from exc
 
-    if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-        raise CheckpointError(
-            f"checkpoint fingerprint {fingerprint!r} does not match expected "
-            f"{expect_fingerprint!r}; refusing to load"
-        )
     if expect_config is not None:
         _check_resume_config(saved_cfg, expect_config, phase, epoch)
     history = LossHistory.from_csv(directory / "history.csv")
@@ -433,7 +443,6 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
         raise CheckpointError(f"{directory / 'history.csv'}: corrupt checkpoint "
                               f"({len(history)} history rows for {g_steps} generator steps)")
 
-    gen, _ = load_model(directory / "generator")
     g_state = _load_adam(directory, "gen_adam", gen, saved_cfg, g_t)
     disc = d_state = None
     if has_disc:
@@ -444,5 +453,5 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
         phase, gen, disc, g_state, d_state, data_rng, adv_rng,
         history=history, epoch=epoch,
         g_steps=g_steps, d_steps=d_steps, best_val_mse=best_val_mse,
-        fingerprint=fingerprint,
+        fingerprint=head["fingerprint"],
     )

@@ -8,6 +8,8 @@ import numpy as np
 # Added to the root of the second moment before dividing by it.
 EPS = 1e-8
 
+BLOCK = 1 << 16  # elements updated at a time: a step's temporaries are two blocks
+
 
 def check_hyperparameters(lr, beta1, beta2):
     """Raise ValueError unless lr > 0 and both betas lie in [0, 1); NaN fails."""
@@ -41,7 +43,7 @@ class AdamState:
 
 
 def adam_step(params, grads, state):
-    """One in-place Adam update; gradients may be Tensors or arrays."""
+    """One Adam update, in place on C-contiguous arrays; gradients may be Tensors or arrays."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError(
             f"param/grad/state length mismatch: {len(params)}, {len(grads)}, {len(state.m)}"
@@ -53,20 +55,24 @@ def adam_step(params, grads, state):
         g = np.asarray(getattr(g, "data", g), dtype=p.dtype)
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        # p - lr * (m / bc1) / (sqrt(v / bc2) + eps), operation for operation,
-        # through two temporaries; the last becomes the new parameter array.
-        a = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
-        m += a
-        np.multiply(g, g, out=a)
-        a *= 1.0 - state.beta2
-        v *= state.beta2
-        v += a
-        np.divide(v, bc2, out=a)
-        np.sqrt(a, out=a)
-        a += EPS
-        b = np.divide(m, bc1)
-        b *= state.lr
-        b /= a
-        p.data = np.subtract(p.data, b, out=b)
+        if not all(a.flags.c_contiguous for a in (p.data, m, v)):
+            raise ValueError(f"cannot update a non-contiguous {p.shape} parameter in place")
+        flat = [a.reshape(-1) for a in (p.data, g, m, v)]
+        for lo in range(0, p.size, BLOCK):
+            pb, gb, mb, vb = (a[lo : lo + BLOCK] for a in flat)
+            # p - lr * (m / bc1) / (sqrt(v / bc2) + eps), operation for operation.
+            a = np.multiply(gb, 1.0 - state.beta1)
+            mb *= state.beta1
+            mb += a
+            np.multiply(gb, gb, out=a)
+            a *= 1.0 - state.beta2
+            vb *= state.beta2
+            vb += a
+            np.divide(vb, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += EPS
+            b = np.divide(mb, bc1)
+            b *= state.lr
+            b /= a
+            pb -= b
     return state

@@ -9,32 +9,24 @@ Convolution closes under differentiation through a triple of primitives:
 ``conv2d``, ``conv2d_input_grad`` and ``conv2d_weight_grad``. Each one's
 vjp is expressed with the other two plus ``conv2d`` itself.
 
-Each conv kernel lowers to matrix products, in one of two ways chosen from
-shapes alone, by the same rule in all three kernels:
+Each conv kernel lowers to matrix products, neither way through a matrix of
+kh*kw copies of its input nor keeping columns for the backward pass, by a
+rule on the layer's shape and dtype that leaves out the batch, so a sample's
+result does not depend on its batch:
 
-- banded, when ``co*oh <= n*ow``: the height taps and height padding are
-  folded into the weight, one (co*oh x ci*h) band per width tap, and the
-  input is read through width-only columns. The networks' kernels span
-  most of the channel (height) axis, so this replaces the kh*kw copies of
-  im2col and the strided scatter of its adjoint. The forward and the input
-  gradient run one product of the band per sample, over that sample's
-  (kw*ci*h x ow) columns in the NCHW layout already in memory: for a one-
-  column kernel at width stride 1 these columns are a view of the input,
-  and either way the product reshapes to NCHW without a transpose copy
-  (low-memory GEMM convolution, Anderson et al. 2017, arXiv:1709.03395).
-  The weight gradient sums over the batch, so it keeps one product over
-  the whole batch's columns.
-- im2col otherwise: the band does h/kh times the multiply-adds of im2col
-  and grows with co*oh*ci*h*kw, which for the full-width 64-512-map layers
-  at small batch is far larger than the columns (768 MiB for a 512->512
-  9x3 layer), so there im2col is both smaller and faster.
-
-The forward pass is the same whether or not a gradient follows, and keeps
-nothing for the backward pass: the weight gradient builds its own columns.
-The im2col forward runs one sample at a time, each sample's (ci*kh*kw x
-oh*ow) columns freed before the next is built, so its memory is one
-sample's columns whatever the batch (54 MiB for the full-width 512->512 9x3
-layer on a 16x64 map in f32, against 3.4 GiB for a batch of 64 at once).
+- banded, while the band fits in ``BAND_MAX_BYTES``: the height taps and
+  padding are folded into the weight, one (co*oh x ci*h) band per width tap,
+  times each sample's (kw*ci*h x ow) width-only columns in the NCHW layout
+  already in memory (a view of the input for a one-column kernel at width
+  stride 1), or the batch's in the weight gradient. The band does h/kh times
+  the kernel's multiply-adds, so it suits narrow layers only.
+- by kernel rows otherwise (low-memory GEMM convolution, Anderson et al.
+  2017, arXiv:1709.03395; kn2row accumulation, Vasudevan et al. 2017,
+  arXiv:1704.04428): per sample, the sum over kernel rows i of w[:, :, i, :]
+  as a (co x kw*ci) matrix times the view at row offset i of the sample's
+  width columns of the height-padded input; the input gradient scatters the
+  rows back, then the width taps. That holds one sample's columns, kw
+  copies: 9.4 MiB on the full-width 512->512 9x3 layer, 54 MiB for im2col.
 
 The ELU is one node, ``elu_t``, computed branch-free as
 max(x, 0) + alpha*(exp(min(x, 0)) - 1); a select on a data-dependent mask
@@ -486,35 +478,44 @@ def conv_same_geometry(h, w, kh, kw, sh, sw):
     return oh, ow, ph // 2, ph - ph // 2, pw // 2, pw - pw // 2
 
 
-def _im2col(xp, kh, kw, sh, sw, oh, ow):
-    """(n, c, hp, wp) -> (c*kh*kw, n*oh*ow) patch matrix (one copy)."""
-    n, c = xp.shape[0], xp.shape[1]
-    v = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    v = v[:, :, ::sh, ::sw][:, :, :oh, :ow]
-    return v.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow)
+# Largest band, in bytes: it keeps every desk-width conv, both full-width stems
+# and the one-map projection banded, and no other full-width conv. Below it the
+# band ran faster than kernel rows at batch 64, the projection's up to 20x.
+BAND_MAX_BYTES = 2 << 20
 
 
-def _pad_input(x, pt, pb, pl, pr):
-    if pt or pb or pl or pr:
-        return np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    return x
+def _banded(co, oh, kw, ci, h, dtype):
+    """Lowering rule of all three kernels: the (co*oh x kw*ci*h) band fits."""
+    return co * oh * kw * ci * h * np.dtype(dtype).itemsize <= BAND_MAX_BYTES
 
 
-def _banded(co, oh, n, ow):
-    """Shape rule shared by all three kernels: the band has co*oh rows and
-    the width columns it multiplies have n*ow, so banded never needs more
-    memory than those columns."""
-    return co * oh <= n * ow
-
-
-def _width_cols(x, kw, sw, ow, pl, pr):
-    """(n, c, h, w) -> (n, kw, c*h, ow) view of each sample's width-only
-    columns; reshaped to (n, kw*c*h, ow) it is still a view of a contiguous
-    `x` when kw = sw = 1, and one copy otherwise."""
-    n, c, h = x.shape[:3]
-    v = np.lib.stride_tricks.sliding_window_view(_pad_input(x, 0, 0, pl, pr), kw, axis=3)
+def _width_cols(x, kw, sw, ow, pads):
+    """(n, c, h, w) -> (n, kw, c*hp, ow) width-only columns of `x` padded by
+    pads = (top, bottom, left, right); reshaped to (n, kw*c*hp, ow), a view of a
+    contiguous `x` when kw = sw = 1 and nothing is padded, one copy otherwise."""
+    pt, pb, pl, pr = pads
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if any(pads) else x
+    n, c, hp = xp.shape[:3]
+    v = np.lib.stride_tricks.sliding_window_view(xp, kw, axis=3)
     v = v[:, :, :, ::sw][:, :, :, :ow]
-    return v.transpose(0, 4, 1, 2, 3).reshape(n, kw, c * h, ow)
+    return v.transpose(0, 4, 1, 2, 3).reshape(n, kw, c * hp, ow)
+
+
+def _width_scatter(gc, wi, sw, pl, pr):
+    """Adjoint of `_width_cols`: (n, kw, r, ow) columns -> (n, r, wi)."""
+    n, kw, r, ow = gc.shape
+    if kw == 1 and sw == 1:
+        return gc[:, 0]
+    gxw = np.zeros((n, r, wi + pl + pr), dtype=gc.dtype)
+    for j in range(kw):
+        gxw[..., j : j + sw * (ow - 1) + 1 : sw] += gc[:, j]
+    return gxw[..., pl : pl + wi]
+
+
+def _tap_rows(cols, ci, sh, oh, i):
+    """(kw, ci, oh, ow) view of the rows of (kw, ci*hp, ow) columns that kernel row i reads."""
+    kw, _, ow = cols.shape
+    return cols.reshape(kw, ci, -1, ow)[:, :, i : i + sh * (oh - 1) + 1 : sh]
 
 
 @functools.lru_cache(maxsize=64)
@@ -545,17 +546,17 @@ def _conv_forward(x, w, sh, sw):
     n, ci, h, wi = x.shape
     co, _, kh, kw = w.shape
     oh, ow, pt, pb, pl, pr = conv_same_geometry(h, wi, kh, kw, sh, sw)
-    if _banded(co, oh, n, ow):
+    if _banded(co, oh, kw, ci, h, x.dtype):
         # One product per sample on its own columns; (n, co*oh, ow) is NCHW.
-        cols = _width_cols(x, kw, sw, ow, pl, pr).reshape(n, kw * ci * h, ow)
+        cols = _width_cols(x, kw, sw, ow, (0, 0, pl, pr)).reshape(n, kw * ci * h, ow)
         return np.matmul(_band(w, h, sh, oh, pt), cols).reshape(n, co, oh, ow)
-    # One sample at a time; each sample's columns die with its product.
-    w2 = w.reshape(co, -1)
-    y = np.empty((n, co, oh, ow), dtype=np.result_type(x, w))
+    rows_w = w.transpose(2, 0, 3, 1).reshape(kh, co, kw * ci)
+    y = np.zeros((n, co, oh * ow), dtype=np.result_type(x, w))
     for k in range(n):
-        xk = _pad_input(x[k : k + 1], pt, pb, pl, pr)
-        np.matmul(w2, _im2col(xk, kh, kw, sh, sw, oh, ow), out=y[k].reshape(co, oh * ow))
-    return y
+        cols = np.ascontiguousarray(_width_cols(x[k : k + 1], kw, sw, ow, (pt, pb, pl, pr))[0])
+        for i in range(kh):
+            y[k] += rows_w[i] @ _tap_rows(cols, ci, sh, oh, i).reshape(kw * ci, oh * ow)
+    return y.reshape(n, co, oh, ow)
 
 
 def _conv_input_grad(gd, wd, h, wi, sh, sw):
@@ -564,44 +565,46 @@ def _conv_input_grad(gd, wd, h, wi, sh, sw):
     oh2, ow2, pt, pb, pl, pr = conv_same_geometry(h, wi, kh, kw, sh, sw)
     if (oh2, ow2) != (oh, ow):
         raise ValueError(f"output grad shape {(oh, ow)} does not match geometry {(oh2, ow2)}")
-    if _banded(co, oh, n, ow):
+    if _banded(co, oh, kw, ci, h, gd.dtype):
         gc = np.matmul(_band(wd, h, sh, oh, pt).T, gd.reshape(n, co * oh, ow))
-        if kw == 1 and sw == 1:
-            return gc.reshape(n, ci, h, wi)
-        gc = gc.reshape(n, kw, ci * h, ow)
-        gxw = np.zeros((n, ci * h, wi + pl + pr), dtype=gd.dtype)
-        for j in range(kw):
-            gxw[..., j : j + sw * (ow - 1) + 1 : sw] += gc[:, j]
-        return np.ascontiguousarray(gxw[..., pl : pl + wi]).reshape(n, ci, h, wi)
-    g2 = gd.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
-    gcols = wd.reshape(co, ci * kh * kw).T @ g2
-    gc = gcols.reshape(ci, kh, kw, n, oh, ow)
-    gxp = np.zeros((n, ci, h + pt + pb, wi + pl + pr), dtype=gd.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i : i + sh * (oh - 1) + 1 : sh, j : j + sw * (ow - 1) + 1 : sw] += (
-                gc[:, i, j].transpose(1, 0, 2, 3)
-            )
-    return np.ascontiguousarray(gxp[:, :, pt : pt + h, pl : pl + wi])
+        gx = _width_scatter(gc.reshape(n, kw, ci * h, ow), wi, sw, pl, pr)
+        return np.ascontiguousarray(gx).reshape(n, ci, h, wi)
+    rows_w = wd.transpose(2, 0, 3, 1).reshape(kh, co, kw * ci)
+    gx = np.empty((n, ci, h, wi), dtype=np.result_type(gd, wd))
+    for k in range(n):
+        g2 = gd[k].reshape(co, oh * ow)
+        gc = np.zeros((kw, ci * (h + pt + pb), ow), dtype=gx.dtype)
+        for i in range(kh):
+            rows = _tap_rows(gc, ci, sh, oh, i)
+            rows += (rows_w[i].T @ g2).reshape(kw, ci, oh, ow)
+        gx[k] = _width_scatter(gc[None], wi, sw, pl, pr).reshape(ci, -1, wi)[:, pt : pt + h]
+    return gx
 
 
 def _conv_weight_grad(gd, x, kh, kw, sh, sw):
     n, co, oh, ow = gd.shape
     ci, h = x.shape[1], x.shape[2]
     _, _, pt, pb, pl, pr = conv_same_geometry(h, x.shape[3], kh, kw, sh, sw)
-    if _banded(co, oh, n, ow):
+    if _banded(co, oh, kw, ci, h, x.dtype):
         # One whole-batch product, summing over samples and columns at once.
-        cols = _width_cols(x, kw, sw, ow, pl, pr).transpose(1, 2, 0, 3)
+        cols = _width_cols(x, kw, sw, ow, (0, 0, pl, pr)).transpose(1, 2, 0, 3)
         g2 = gd.transpose(1, 2, 0, 3).reshape(co * oh, n * ow)
         gband = (g2 @ cols.reshape(kw * ci * h, n * ow).T).reshape(co, oh, kw, ci, h)
         # Adjoint of the band build: sum each kernel row's diagonal.
         r, s, i = _band_taps(h, kh, sh, oh, pt)
         gw = np.zeros((kh, co, kw, ci), dtype=gband.dtype)
         np.add.at(gw, i, gband[:, r, :, :, s])
-        return np.ascontiguousarray(gw.transpose(1, 3, 0, 2))
-    cols = _im2col(_pad_input(x, pt, pb, pl, pr), kh, kw, sh, sw, oh, ow)
-    g2 = gd.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
-    return (g2 @ cols.T).reshape(co, ci, kh, kw)
+    else:
+        # Summed in the layout of the products, then transposed once: a strided
+        # add into (co, ci, kh, kw) took as long as the product itself.
+        gw = np.zeros((kh, co, kw, ci), dtype=np.result_type(gd, x))
+        for k in range(n):
+            cols = np.ascontiguousarray(_width_cols(x[k : k + 1], kw, sw, ow, (pt, pb, pl, pr))[0])
+            g2 = gd[k].reshape(co, oh * ow)
+            for i in range(kh):
+                rows = _tap_rows(cols, ci, sh, oh, i).reshape(kw * ci, oh * ow)
+                gw[i] += (g2 @ rows.T).reshape(co, kw, ci)
+    return np.ascontiguousarray(gw.transpose(1, 3, 0, 2))
 
 
 def conv2d(x, w, stride=(1, 1)):

@@ -1,6 +1,8 @@
 """Shared test utilities: finite-difference gradients and small fixtures."""
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from eegsr.data import EpochSet
@@ -70,6 +72,21 @@ def check_grads(fn, arrays, rtol=1e-4, h=1e-5):
     return worst
 
 
+LOWERINGS = ("banded", "tap_rows")
+
+
+@contextlib.contextmanager
+def lowering(name):
+    """Run every conv kernel in the block by one lowering, "banded" or
+    "tap_rows", whatever the size of its band."""
+    cap = T.BAND_MAX_BYTES
+    T.BAND_MAX_BYTES = float("inf") if name == "banded" else 0
+    try:
+        yield
+    finally:
+        T.BAND_MAX_BYTES = cap
+
+
 def reference_conv(x, w, stride):
     """Same-padded conv2d and both adjoints by direct summation, f64.
 
@@ -126,7 +143,8 @@ def composed_elu(x, alpha=1.0):
 def _whole_batch_width_cols(x, kw, sw, ow, pl, pr):
     """(n, c, h, w) -> (kw*c*h, n*ow): the columns of every sample side by side."""
     n, c, h = x.shape[:3]
-    v = np.lib.stride_tricks.sliding_window_view(T._pad_input(x, 0, 0, pl, pr), kw, axis=3)
+    v = np.lib.stride_tricks.sliding_window_view(np.pad(x, ((0, 0),) * 3 + ((pl, pr),)), kw,
+                                                 axis=3)
     v = v[:, :, :, ::sw][:, :, :, :ow]
     return v.transpose(4, 1, 2, 0, 3).reshape(kw * c * h, n * ow)
 

@@ -209,12 +209,14 @@ def test_exit_codes(tmp_path, pipeline):
 
 
 # Epoching geometry out of range: each ended in a ZeroDivisionError traceback,
-# a DataError (exit 1) or a command that ran.
+# a DataError (exit 1) or a command that ran; a NaN split ratio, in a
+# ValueError traceback from the split.
 GEOMETRY_FAULTS = {
     "seg_len": ["--set", "preprocess.seg_len=0"],
     "window": ["--set", "preprocess.window=0"],
     "stride": ["--set", "preprocess.stride=0"],
     "scale": ["--set", "preprocess.scale=0"],
+    "ratio": ["--set", "preprocess.ratio_train=nan"],
 }
 
 
@@ -593,12 +595,42 @@ CHECKPOINT_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
 def test_corrupt_checkpoint_is_a_one_line_error(tmp_path, pipeline, capsys, fault):
+    # sr-infer reads only the generator, so only a fault in it stops sr-infer.
     ck = tmp_path / "last"
     shutil.copytree(pipeline["pre"] / "last", ck)
     CHECKPOINT_FAULTS[fault](ck)
     data, out = str(pipeline["data"]), str(tmp_path / "out")
-    for argv in (["sr-infer", "--data", data, "--checkpoint", str(ck), "--out", out],
-                 ["pretrain", "--data", data, "--out", out, "--resume", str(ck)]):
+    infer = ["sr-infer", "--data", data, "--checkpoint", str(ck), "--out", out]
+    resume = ["pretrain", "--data", data, "--out", out, "--resume", str(ck)]
+    for argv in ([infer] if fault in GENERATOR_FAULTS else []) + [resume]:
         assert main(argv + OVERRIDES) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+GENERATOR_FAULTS = ("params-missing", "layer-kind", "layer-source")
+
+
+def test_gan_train_init_refuses_a_generator_of_another_config(tmp_path, pipeline, capsys):
+    # --init reads only the generator, and the fingerprint from the manifest.
+    rc = main(["gan-train", "--data", str(pipeline["data"]), "--out", str(tmp_path / "adv"),
+               "--init", str(pipeline["pre"] / "last")] + OVERRIDES
+              + ["--set", "run.precision=f64"])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and "fingerprint" in err
+
+
+@pytest.mark.parametrize("fault", sorted(set(CHECKPOINT_FAULTS) - set(GENERATOR_FAULTS)))
+def test_sr_infer_reads_only_the_generator(tmp_path, pipeline, fault):
+    # A damaged history, Adam state or counter, which only --resume needs,
+    # used to stop sr-infer as well; it now reconstructs what it did before.
+    ck = tmp_path / "last"
+    shutil.copytree(pipeline["pre"] / "last", ck)
+    CHECKPOINT_FAULTS[fault](ck)
+    for name, checkpoint in (("intact", pipeline["pre"] / "last"), ("damaged", ck)):
+        run("sr-infer", "--data", str(pipeline["data"]), "--checkpoint", str(checkpoint),
+            "--out", str(tmp_path / name))
+    for split in ("val", "test"):
+        intact, damaged = (archive.load_epoch_set(tmp_path / name / split).values
+                           for name in ("intact", "damaged"))
+        assert intact.tobytes() == damaged.tobytes()

@@ -1,6 +1,8 @@
 """Network architectures: shape walks, map arithmetic, parameter counts."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegsr import models
 from eegsr.models import (
@@ -13,7 +15,7 @@ from eegsr.models import (
     sr_predict_set,
 )
 from eegsr.errors import DataError
-from eegsr.nn.tensor import Tensor, _toposort
+from eegsr.nn.tensor import Tensor, _banded, _toposort
 
 from helpers import epoch_set
 
@@ -177,6 +179,25 @@ def test_sr_predict_set_matches_single_forward(monkeypatch):
     assert np.array_equal(sr_predict_set(gen, lr_set).values, pred.values)
     with pytest.raises(DataError):
         sr_predict_set(gen, epoch_set(RNG.normal(size=(2, 16, 32))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1 / 64, 0.125])
+@settings(max_examples=4, deadline=None)
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**16))
+def test_set_prediction_is_the_concatenation_of_single_segments(width, dtype, n, seed):
+    # A segment's reconstruction does not depend on the segments batched
+    # with it, bit for bit; at width 1/8 the 64-map layer runs by kernel rows.
+    gen = build_generator(GeneratorConfig(c_lr=16, scale=2, width=width), seed=seed, dtype=dtype)
+    lr_set = epoch_set(np.random.default_rng(seed).normal(size=(n, 16, 64)))
+    whole = sr_predict_set(gen, lr_set).values
+    singles = [sr_predict_set(gen, epoch_set(lr_set.values[i : i + 1])).values for i in range(n)]
+    assert whole.tobytes() == np.concatenate(singles).tobytes()
+    shapes = [gen.input_shape] + gen.shapes
+    banded = {_banded(co, oh, ls.kernel_dims[1], ci, h, dtype)
+              for ls, (ci, h, _), (co, oh, _) in zip(gen.specs, shapes, shapes[1:])
+              if ls.kind == "conv"}
+    assert banded == ({True} if width < 0.1 else {True, False})
 
 
 def test_generator_forward_single_segment():

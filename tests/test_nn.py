@@ -14,6 +14,7 @@ from eegsr.nn.layers import (
     param_shapes,
     upsample,
 )
+from eegsr.nn import optim
 from eegsr.nn.optim import AdamState, adam_step
 from eegsr.nn.serialize import (
     dtype_code,
@@ -195,6 +196,36 @@ def test_adam_step_bit_identical_to_reference_formula(dtype):
             assert p.data.dtype == dtype
             assert np.array_equal(p.data, r)
             assert np.array_equal(sm, mk) and np.array_equal(sv, vk)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_updates_in_place_block_by_block(dtype):
+    # A parameter longer than one block and not a multiple of it gets the bits
+    # of the whole-array formula; every array the step updates keeps its
+    # identity, and a parameter it cannot update in place is refused.
+    rng = np.random.default_rng(9)
+    shapes = [(2, optim.BLOCK // 2 + 3), (7,)]
+    params = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+    state = AdamState.for_params(params, lr=1e-3, beta1=0.5, beta2=0.9)
+    arrays = [p.data for p in params] + state.m + state.v
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros_like(r) for r in ref]
+    v = [np.zeros_like(r) for r in ref]
+    for t in range(1, 3):
+        grads = [rng.normal(size=s).astype(dtype) for s in shapes]
+        adam_step(params, grads, state)
+        bc1, bc2 = 1.0 - 0.5**t, 1.0 - 0.9**t
+        for k, g in enumerate(grads):
+            m[k] = m[k] * 0.5 + (1.0 - 0.5) * g
+            v[k] = v[k] * 0.9 + (1.0 - 0.9) * (g * g)
+            ref[k] = ref[k] - 1e-3 * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8)
+        assert all(np.array_equal(p.data, r) for p, r in zip(params, ref))
+    assert all(a is b for a, b in zip([p.data for p in params] + state.m + state.v, arrays))
+    strided = Tensor(np.zeros((4, 6), dtype=dtype)[:, ::2], requires_grad=True)
+    state = AdamState.for_params([strided], lr=1e-3, beta1=0.5, beta2=0.9)
+    with pytest.raises(ValueError, match="contiguous"):
+        adam_step([strided], [np.ones(strided.shape, dtype=dtype)], state)
+    assert not strided.data.any()
 
 
 def test_adam_descends_on_quadratic():

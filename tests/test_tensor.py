@@ -28,8 +28,10 @@ from eegsr.nn.tensor import (
 )
 
 from helpers import (
+    LOWERINGS,
     check_grads,
     composed_elu,
+    lowering,
     reference_conv,
     whole_batch_banded_forward,
     whole_batch_banded_input_grad,
@@ -136,68 +138,72 @@ def test_conv2d_centre_value_hand_computed():
     assert y[0, 0, 0, 0] == x[0, 0, 0:2, 0:2].sum()
 
 
-def _lowering(x_shape, w_shape, stride=(1, 1)):
-    oh, ow, *_ = conv_same_geometry(x_shape[2], x_shape[3], w_shape[2], w_shape[3], *stride)
-    return "banded" if _banded(w_shape[0], oh, x_shape[0], ow) else "im2col"
-
-
-# One weight shape per lowering for the gradient tests below, im2col first.
-def _conv_cases(x_shape, w_im2col, w_banded, stride=(1, 1)):
-    assert _lowering(x_shape, w_im2col, stride) == "im2col"
-    assert _lowering(x_shape, w_banded, stride) == "banded"
-    return [(x_shape, w_im2col), (x_shape, w_banded)]
+def _lowering(x_shape, w_shape, stride=(1, 1), dtype=np.float32):
+    """The lowering the shape rule picks; the batch, x_shape[0], plays no part."""
+    oh, *_ = conv_same_geometry(x_shape[2], x_shape[3], w_shape[2], w_shape[3], *stride)
+    co, ci, _, kw = w_shape
+    return "banded" if _banded(co, oh, kw, ci, x_shape[2], dtype) else "tap_rows"
 
 
 def test_conv2d_gradients_against_fd():
-    for xs, ws in _conv_cases((2, 3, 6, 7), (4, 3, 3, 3), (1, 3, 5, 3)):
-        x = RNG.normal(size=xs)
+    for ws in ((4, 3, 3, 3), (1, 3, 5, 3)):
+        x = RNG.normal(size=(2, 3, 6, 7))
         w = RNG.normal(size=ws) * 0.3
-        check_grads(lambda a, b: sum_t(square(conv2d(a, b))), [x, w])
+        for name in LOWERINGS:
+            with lowering(name):
+                check_grads(lambda a, b: sum_t(square(conv2d(a, b))), [x, w])
 
 
 def test_strided_conv_gradients_against_fd():
-    for xs, ws in _conv_cases((2, 2, 8, 9), (3, 2, 3, 3), (1, 2, 3, 3), (2, 3)):
-        x = RNG.normal(size=xs)
+    for ws in ((3, 2, 3, 3), (1, 2, 3, 3)):
+        x = RNG.normal(size=(2, 2, 8, 9))
         w = RNG.normal(size=ws) * 0.3
-        check_grads(lambda a, b: sum_t(square(conv2d(a, b, (2, 3)))), [x, w])
+        for name in LOWERINGS:
+            with lowering(name):
+                check_grads(lambda a, b: sum_t(square(conv2d(a, b, (2, 3)))), [x, w])
 
 
 def test_conv_adjoint_identity():
     # <conv(x, w), g> == <x, input_grad(g, w)> == <w, weight_grad(g, x)>
-    for xs, ws in _conv_cases((2, 3, 6, 6), (4, 3, 3, 3), (2, 3, 3, 3), (2, 2)):
-        x = RNG.normal(size=xs)
+    for ws in ((4, 3, 3, 3), (2, 3, 3, 3)):
+        x = RNG.normal(size=(2, 3, 6, 6))
         w = RNG.normal(size=ws)
         g = RNG.normal(size=(2, ws[0], 3, 3))
-        y = conv2d(Tensor(x), Tensor(w), (2, 2)).data
-        gx = conv2d_input_grad(Tensor(g), Tensor(w), (6, 6), (2, 2)).data
-        gw = conv2d_weight_grad(Tensor(g), Tensor(x), (3, 3), (2, 2)).data
-        lhs = float((y * g).sum())
-        assert abs(lhs - float((x * gx).sum())) < 1e-9 * abs(lhs)
-        assert abs(lhs - float((w * gw).sum())) < 1e-9 * abs(lhs)
+        for name in LOWERINGS:
+            with lowering(name):
+                y = conv2d(Tensor(x), Tensor(w), (2, 2)).data
+                gx = conv2d_input_grad(Tensor(g), Tensor(w), (6, 6), (2, 2)).data
+                gw = conv2d_weight_grad(Tensor(g), Tensor(x), (3, 3), (2, 2)).data
+            lhs = float((y * g).sum())
+            assert abs(lhs - float((x * gx).sum())) < 1e-9 * abs(lhs)
+            assert abs(lhs - float((w * gw).sum())) < 1e-9 * abs(lhs)
 
 
-# (input, weight, stride, lowering): kh > h, kh = 1 with kw = 3, strides
-# (4, 4) and (2, 3), and a single output map, on both sides of the rule.
+# (input, weight, stride), each run by both lowerings: kh > h, kh = 1 with
+# kw = 3, strides (4, 4) and (2, 3), even kernel sizes, a single output map
+# and a single input row.
 REFERENCE_CASES = [
-    pytest.param((64, 1, 8, 16), (2, 1, 9, 1), (1, 1), "banded", id="banded-desk-stem"),
-    pytest.param((3, 2, 16, 10), (1, 2, 17, 1), (1, 1), "banded", id="banded-kh17-h16-co1"),
-    pytest.param((1, 2, 16, 4), (3, 2, 17, 1), (1, 1), "im2col", id="im2col-kh17-h16"),
-    pytest.param((5, 3, 8, 11), (2, 3, 1, 3), (1, 1), "banded", id="banded-1x3"),
-    pytest.param((1, 2, 8, 5), (4, 2, 1, 3), (1, 1), "im2col", id="im2col-1x3"),
-    pytest.param((4, 2, 16, 12), (3, 2, 9, 3), (4, 4), "banded", id="banded-stride4x4"),
-    pytest.param((1, 3, 16, 8), (6, 3, 5, 3), (4, 4), "im2col", id="im2col-stride4x4"),
-    pytest.param((2, 2, 8, 9), (1, 2, 3, 3), (2, 3), "banded", id="banded-stride2x3-co1"),
-    pytest.param((2, 3, 6, 7), (4, 3, 3, 3), (1, 1), "im2col", id="im2col-3x3"),
-    pytest.param((3, 2, 8, 6), (6, 2, 3, 3), (1, 1), "im2col", id="im2col-3x3-n3"),
-    pytest.param((3, 3, 16, 8), (6, 3, 5, 3), (2, 3), "im2col", id="im2col-stride2x3-n3"),
+    pytest.param((64, 1, 8, 16), (2, 1, 9, 1), (1, 1), id="desk-stem"),
+    pytest.param((3, 2, 16, 10), (1, 2, 17, 1), (1, 1), id="kh17-h16-co1"),
+    pytest.param((1, 2, 16, 4), (3, 2, 17, 1), (1, 1), id="kh17-h16"),
+    pytest.param((5, 3, 8, 11), (2, 3, 1, 3), (1, 1), id="1x3"),
+    pytest.param((1, 2, 8, 5), (4, 2, 1, 3), (1, 1), id="1x3-n1"),
+    pytest.param((4, 2, 16, 12), (3, 2, 9, 3), (4, 4), id="stride4x4"),
+    pytest.param((1, 3, 16, 8), (6, 3, 5, 3), (4, 4), id="stride4x4-5x3"),
+    pytest.param((2, 2, 8, 9), (1, 2, 3, 3), (2, 3), id="stride2x3-co1"),
+    pytest.param((2, 3, 6, 7), (4, 3, 3, 3), (1, 1), id="3x3"),
+    pytest.param((3, 2, 8, 6), (6, 2, 3, 3), (1, 1), id="3x3-n3"),
+    pytest.param((3, 3, 16, 8), (6, 3, 5, 3), (2, 3), id="stride2x3-n3"),
+    pytest.param((2, 3, 7, 6), (4, 3, 4, 2), (1, 1), id="4x2"),
+    pytest.param((2, 3, 7, 6), (4, 3, 4, 2), (2, 2), id="4x2-stride2x2"),
     # h = 1 under a 3-row kernel: two of the three kernel rows never touch the input.
-    pytest.param((1, 2, 1, 5), (2, 2, 3, 3), (1, 1), "banded", id="banded-h1"),
+    pytest.param((1, 2, 1, 5), (2, 2, 3, 3), (1, 1), id="h1"),
 ]
 
 
-@pytest.mark.parametrize("x_shape, w_shape, stride, lowering", REFERENCE_CASES)
-def test_conv_kernels_match_reference(x_shape, w_shape, stride, lowering):
-    assert _lowering(x_shape, w_shape, stride) == lowering
+@pytest.mark.parametrize("x_shape, w_shape, stride", REFERENCE_CASES)
+@pytest.mark.parametrize("name", LOWERINGS)
+def test_conv_kernels_match_reference(name, x_shape, w_shape, stride):
     rng = np.random.default_rng(5)
     x = rng.normal(size=x_shape)
     w = rng.normal(size=w_shape)
@@ -208,56 +214,53 @@ def test_conv_kernels_match_reference(x_shape, w_shape, stride, lowering):
         assert a.shape == b.shape
         return np.abs(a - b).max() / np.abs(b).max()
 
-    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    y = conv2d(xt, wt, stride)
-    assert rel(y.data, y_ref) <= 1e-12
-    # The forward is the same computation whether or not a gradient follows.
-    with no_grad():
-        assert np.array_equal(conv2d(xt, wt, stride).data, y.data)
-    gx = conv2d_input_grad(Tensor(g), Tensor(w), x_shape[2:], stride).data
-    assert rel(gx, input_grad(g)) <= 1e-12
-    gw = conv2d_weight_grad(Tensor(g), Tensor(x), w_shape[2:], stride).data
-    assert rel(gw, weight_grad(g)) <= 1e-12
-    # The vjp's weight gradient equals the primitive's.
-    _, gw_vjp = grad(sum_t(mul_const(y, g)), [xt, wt])
-    assert np.array_equal(gw_vjp.data, gw)
+    with lowering(name):
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        y = conv2d(xt, wt, stride)
+        assert rel(y.data, y_ref) <= 1e-12
+        # The forward is the same computation whether or not a gradient follows.
+        with no_grad():
+            assert np.array_equal(conv2d(xt, wt, stride).data, y.data)
+        gx = conv2d_input_grad(Tensor(g), Tensor(w), x_shape[2:], stride).data
+        assert rel(gx, input_grad(g)) <= 1e-12
+        gw = conv2d_weight_grad(Tensor(g), Tensor(x), w_shape[2:], stride).data
+        assert rel(gw, weight_grad(g)) <= 1e-12
+        # The vjp's weight gradient equals the primitive's.
+        _, gw_vjp = grad(sum_t(mul_const(y, g)), [xt, wt])
+        assert np.array_equal(gw_vjp.data, gw)
+        # In f32 each kernel stays within 1e-6 of the f64 reference.
+        x32, w32, g32 = (a.astype(np.float32) for a in (x, w, g))
+        assert rel(conv2d(Tensor(x32), Tensor(w32), stride).data, y_ref) <= 1e-6
+        gx = conv2d_input_grad(Tensor(g32), Tensor(w32), x_shape[2:], stride).data
+        assert rel(gx, input_grad(g)) <= 1e-6
+        gw = conv2d_weight_grad(Tensor(g32), Tensor(x32), w_shape[2:], stride).data
+        assert rel(gw, weight_grad(g)) <= 1e-6
 
 
-def test_im2col_inference_forward_holds_one_sample_of_columns():
-    # Inference and the training forward alike peak at their output plus at
-    # most two samples' patch columns, not the columns of the whole batch of 8.
-    x_shape, w_shape = (8, 32, 16, 32), (64, 32, 3, 3)
-    assert _lowering(x_shape, w_shape) == "im2col"
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=x_shape).astype(np.float32)
-    w = rng.normal(size=w_shape).astype(np.float32)
-    sample_cols = 32 * 3 * 3 * 16 * 32 * x.itemsize
-    for training in (False, True):
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = conv2d(Tensor(x), Tensor(w, requires_grad=training))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert out.requires_grad == training
-        assert peak < out.data.nbytes + 2 * sample_cols, f"training={training}"
-
-
-def _desk_conv_layers():
-    """(input shape, weight shape, stride) of every conv of the desk-width
-    (1/64) generator and critic at scale 2 over 32 channels."""
-    gen = GeneratorConfig(c_lr=16, scale=2, width=1 / 64)
-    disc = DiscriminatorConfig(c_hr=gen.c_hr, width=1 / 64)
+def _conv_layers(width):
+    """(name, input shape, weight shape, stride) of every conv of the
+    generator and critic at scale 2 over 32 channels and the given width."""
+    gen = GeneratorConfig(c_lr=16, scale=2, width=width)
+    disc = DiscriminatorConfig(c_hr=gen.c_hr, width=width)
     layers = []
-    for specs, in_shape in ((generator_specs(gen), gen.input_shape),
-                            (discriminator_specs(disc), disc.input_shape)):
+    for net, specs, in_shape in (("gen", generator_specs(gen), gen.input_shape),
+                                 ("disc", discriminator_specs(disc), disc.input_shape)):
         shapes = [in_shape] + infer_shapes(specs, in_shape)
-        for ls, ps, cur in zip(specs, param_shapes(specs, in_shape), shapes):
+        for k, (ls, ps, cur) in enumerate(zip(specs, param_shapes(specs, in_shape), shapes)):
             if ls.kind == "conv":
-                layers.append((cur, ps[0], ls.stride))
+                layers.append((f"{net}{k}", cur, ps[0], ls.stride))
     return layers
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lowering_rule_bands_the_narrow_convs_at_any_batch(dtype):
+    # Every desk-width (1/64) conv is banded; at full width the two stems and
+    # the generator's one-map projection are, and the other convs run by
+    # kernel rows. The batch does not enter the rule.
+    for width, banded in ((1 / 64, None), (1.0, {"gen0", "gen13", "disc0"})):
+        for name, (ci, h, wi), w_shape, stride in _conv_layers(width):
+            picks = {_lowering((n, ci, h, wi), w_shape, stride, dtype) for n in (1, 7, 64, 256)}
+            assert picks == {"banded" if banded is None or name in banded else "tap_rows"}, name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -265,11 +268,10 @@ def _desk_conv_layers():
 def test_banded_kernels_match_whole_batch_reference(n, dtype):
     # The per-sample products give the bits of one product over the batch.
     rng = np.random.default_rng(n)
-    layers = [(x_shape, w_shape, stride) for x_shape, w_shape, stride in _desk_conv_layers()
-              if _lowering((n,) + x_shape, w_shape, stride) == "banded"]
-    # At n = 1 the generator's 8-map layer is im2col.
-    assert len(layers) == (9 if n == 1 else 10)
-    for (ci, h, wi), w_shape, stride in layers:
+    layers = _conv_layers(1 / 64)
+    assert len(layers) == 10
+    for _, (ci, h, wi), w_shape, stride in layers:
+        assert _lowering((n, ci, h, wi), w_shape, stride, dtype) == "banded"
         x = rng.normal(size=(n, ci, h, wi)).astype(dtype)
         w = rng.normal(size=w_shape).astype(dtype)
         y = conv2d(Tensor(x), Tensor(w), stride).data
@@ -279,6 +281,18 @@ def test_banded_kernels_match_whole_batch_reference(n, dtype):
         gx = conv2d_input_grad(Tensor(g), Tensor(w), (h, wi), stride).data
         assert gx.dtype == dtype and gx.flags.c_contiguous
         assert np.array_equal(gx, whole_batch_banded_input_grad(g, w, h, wi, *stride))
+
+
+def _peak_bytes(run):
+    """(result, tracemalloc peak in bytes above what was held before `run`)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def test_banded_one_column_conv_copies_no_columns():
@@ -294,42 +308,57 @@ def test_banded_one_column_conv_copies_no_columns():
     slack = 64 * 1024
     for run in (lambda: conv2d(Tensor(x), Tensor(w)),
                 lambda: conv2d_input_grad(Tensor(g), Tensor(w), (16, 64))):
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = run()
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        out, peak = _peak_bytes(run)
         assert out.shape == x_shape
         assert peak <= out.data.nbytes + band + slack
 
 
-def test_im2col_columns_built_once_per_training_step(monkeypatch):
-    # The forward builds one sample's columns at a time, with or without a
-    # gradient to follow; the weight gradient builds the batch's columns once.
+def test_tap_rows_kernels_hold_no_kernel_sized_copy_of_their_input():
+    # Each kernel holds one sample's width columns (kw copies of its input),
+    # never the kh*kw = 27 copies of im2col: every peak stays within four
+    # times its input, output and weight together.
+    x_shape, w_shape = (1, 64, 16, 64), (64, 64, 9, 3)
+    assert _lowering(x_shape, w_shape) == "tap_rows"
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=x_shape).astype(np.float32)
+    w = rng.normal(size=w_shape).astype(np.float32)
+    g = rng.normal(size=x_shape).astype(np.float32)
+    for training in (False, True):
+        out, peak = _peak_bytes(lambda: conv2d(Tensor(x), Tensor(w, requires_grad=training)))
+        assert out.requires_grad == training
+        assert peak <= 4 * (x.nbytes + w.nbytes + out.data.nbytes), f"training={training}"
+    for run in (lambda: conv2d_input_grad(Tensor(g), Tensor(w), (16, 64)),
+                lambda: conv2d_weight_grad(Tensor(g), Tensor(x), (9, 3))):
+        out, peak = _peak_bytes(run)
+        assert peak <= 4 * (x.nbytes + w.nbytes + g.nbytes)
+
+
+@pytest.mark.parametrize("name, per_call", [pytest.param("banded", [3], id="banded"),
+                                             pytest.param("tap_rows", [1, 1, 1], id="tap_rows")])
+def test_width_columns_built_per_lowering(monkeypatch, name, per_call):
+    # Banded, the forward and the weight gradient each build the columns of
+    # the whole batch once; by kernel rows, one sample's at a time. Neither
+    # input gradient builds any, with or without a gradient to follow.
     built = []
-    im2col = tensor_module._im2col
+    width_cols = tensor_module._width_cols
 
-    def counting(xp, *args):
-        built.append(xp.shape[0])
-        return im2col(xp, *args)
+    def counting(x, *args):
+        built.append(x.shape[0])
+        return width_cols(x, *args)
 
-    monkeypatch.setattr(tensor_module, "_im2col", counting)
-    x_shape, w_shape = (3, 2, 8, 6), (6, 2, 3, 3)
-    assert _lowering(x_shape, w_shape) == "im2col"
-    x = Tensor(RNG.normal(size=x_shape), requires_grad=True)
-    w = Tensor(RNG.normal(size=w_shape), requires_grad=True)
-    y = conv2d(x, w)
-    assert built == [1, 1, 1]
-    built.clear()
-    grad(sum_t(square(y)), [x, w])
-    assert built == [3]
-    built.clear()
-    with no_grad():
-        conv2d(x, w)
-    assert built == [1, 1, 1]
+    monkeypatch.setattr(tensor_module, "_width_cols", counting)
+    x = Tensor(RNG.normal(size=(3, 2, 8, 6)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(6, 2, 3, 3)), requires_grad=True)
+    with lowering(name):
+        y = conv2d(x, w)
+        assert built == per_call
+        built.clear()
+        grad(sum_t(square(y)), [x, w])
+        assert built == per_call
+        built.clear()
+        with no_grad():
+            conv2d(x, w)
+        assert built == per_call
 
 
 def test_conv_channel_mismatch_raises():
@@ -351,8 +380,8 @@ def test_double_backward_scalar():
 def test_double_backward_through_conv():
     # Gradient-norm penalty pattern: differentiate ||dy/dx||^2 wrt w.
     rng = np.random.default_rng(7)
-    for xs, ws in _conv_cases((2, 2, 5, 5), (3, 2, 3, 3), (2, 2, 3, 3)):
-        x = Tensor(rng.normal(size=xs), requires_grad=True)
+    for ws in ((3, 2, 3, 3), (2, 2, 3, 3)):
+        x = Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
         wv = rng.normal(size=ws) * 0.4
 
         def penalty(w):
@@ -360,7 +389,9 @@ def test_double_backward_through_conv():
             (gx,) = grad(y, [x], create_graph=True)
             return sum_t(gx * gx)
 
-        check_grads(penalty, [wv], rtol=2e-4)
+        for name in LOWERINGS:
+            with lowering(name):
+                check_grads(penalty, [wv], rtol=2e-4)
 
 
 def test_dropout_inference_is_identity_and_training_scales():
