@@ -85,23 +85,24 @@ def cmd_preprocess(args, cfg, out):
 
 
 def _training_run(args, cfg, out, phase, build):
-    """One training phase, shared by pretrain and gan-train: refuse a phase of
-    zero epochs or an archive of another scale, load the normalised train and
-    val pairs, continue --resume (a checkpoint of this phase) or start from
-    the (generator, critic) that `build()` returns, train with checkpoints
-    under `out` and write history.csv. Returns the final TrainState."""
+    """One training phase, shared by pretrain and gan-train: refuse zero
+    epochs or an archive of another scale or segment shape, load the
+    normalised train and val pairs, continue --resume (a checkpoint of this
+    phase) or start from the (generator, critic) that `build()` returns,
+    train with checkpoints under `out` and write history.csv."""
     disc_cfg = cfg.discriminator_config() if phase == "gan" else None
     keep_freed_heap()
     epochs_key = f"{phase}_epochs"
     if cfg["train"][epochs_key] < 1:
         raise ConfigError(f"train.{epochs_key} is 0: nothing would be trained and no "
                           "checkpoint written")
-    montage, stats, _ = _info(args)
-    if montage.scale != cfg["preprocess"]["scale"]:
-        raise ConfigError(
-            f"config scale {cfg['preprocess']['scale']} does not match archived "
-            f"scale {montage.scale}"
-        )
+    montage, stats, epoching = _info(args)
+    gen_cfg = cfg.generator_config()
+    want = (gen_cfg.scale, gen_cfg.c_lr, gen_cfg.seg_len)
+    have = (montage.scale, montage.n_lr, epoching["seg_len"])
+    if want != have:
+        raise ConfigError(f"config (scale, kept channels, segment length) {want} does not "
+                          f"match the archive's {have}")
     train_pair, val_pair = ([data.normalize_set(s, stats) for s in
                              (_load_set(args, split, "lr"), _load_set(args, split, "hr"))]
                             for split in ("train", "val"))

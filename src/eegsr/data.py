@@ -56,8 +56,8 @@ class RawRecording:
             raise DataError(
                 f"{len(self.channel_labels)} channel labels for {self.values.shape[0]} channels"
             )
-        if self.fs <= 0:
-            raise DataError(f"sampling rate must be positive, got {self.fs}")
+        if not 0 < self.fs < math.inf:
+            raise DataError(f"sampling rate fs must be finite and positive, got {self.fs}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.values.shape[1],):
@@ -107,6 +107,8 @@ class EpochSet:
     def __post_init__(self):
         if self.split not in SPLITS:
             raise DataError(f"unknown split {self.split!r}; expected one of {SPLITS}")
+        if not 0 < self.fs < math.inf:
+            raise DataError(f"sampling rate fs must be finite and positive, got {self.fs}")
         # C order fixes the summation order of every reduction over the set.
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.ndim != 3:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DataError
 from .nn.layers import Model, concat, conv, dense, dropout, flatten, upsample
 from .nn.tensor import Tensor, no_grad
+from .psd import N_FEATURES
 
 GEN_STAGE_KERNELS = (128, 128, 128, 128, 256, 512)
 DISC_STAGE_KERNELS = (64, 64, 128, 256)
@@ -194,13 +195,9 @@ def build_discriminator(cfg, seed=0, dtype=np.float32):
 class ClassifierConfig:
     """Dense softmax classifier over band-power feature vectors."""
 
-    n_features: int = 96
-    hidden: tuple[int, ...] = CLASSIFIER_HIDDEN
     class_ids: tuple[int, ...] = (2, 3, 7)
 
     def __post_init__(self):
-        if self.n_features < 1:
-            raise ValueError(f"n_features must be positive, got {self.n_features}")
         if len(self.class_ids) < 2:
             raise ValueError("classifier needs at least two classes")
         if len(set(self.class_ids)) != len(self.class_ids):
@@ -212,13 +209,13 @@ class ClassifierConfig:
 
 
 def classifier_specs(cfg):
-    specs = [dense(units, "relu") for units in cfg.hidden]
+    specs = [dense(units, "relu") for units in CLASSIFIER_HIDDEN]
     specs.append(dense(cfg.n_classes, "softmax"))
     return specs
 
 
 def build_classifier(cfg, seed=0, dtype=np.float32):
-    return Model(classifier_specs(cfg), (cfg.n_features,), seed=seed, dtype=dtype)
+    return Model(classifier_specs(cfg), (N_FEATURES,), seed=seed, dtype=dtype)
 
 
 def sr_predict_set(gen, lr_set):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as F
-from .tensor import Tensor, as_tensor, conv_same_geometry
+from .tensor import Tensor, as_tensor, concat_t, conv_same_geometry, elu_t, repeat_rows
 
 KINDS = ("conv", "dense", "upsample", "concat", "dropout", "flatten")
 ACTIVATIONS = ("linear", "elu", "relu", "softmax")
@@ -130,25 +130,6 @@ def infer_shapes(specs, input_shape):
     return shapes
 
 
-def param_shapes(specs, input_shape):
-    """(weight, bias) shapes per layer; None for parameterless layers."""
-    shapes = infer_shapes(specs, input_shape)
-    out = []
-
-    def shape_of(idx):
-        return tuple(input_shape) if idx == -1 else shapes[idx]
-
-    for i, ls in enumerate(specs):
-        cur = shape_of(i - 1)
-        if ls.kind == "conv":
-            out.append(((ls.kernels, cur[0], ls.kernel_dims[0], ls.kernel_dims[1]), (ls.kernels,)))
-        elif ls.kind == "dense":
-            out.append(((ls.kernels, cur[0]), (ls.kernels,)))
-        else:
-            out.append(None)
-    return out
-
-
 class Model:
     """A layer stack with parameters, seeded init and a forward pass.
 
@@ -167,17 +148,14 @@ class Model:
         self.shapes = infer_shapes(self.specs, self.input_shape)
         self.params = []
         rng = np.random.default_rng(self.seed) if init else None
-        for ls, ps in zip(self.specs, param_shapes(self.specs, self.input_shape)):
-            if ps is None:
+        for ls, cur in zip(self.specs, [self.input_shape] + self.shapes[:-1]):
+            if ls.kind not in ("conv", "dense"):
                 self.params.append(None)
                 continue
-            wshape, bshape = ps
+            wshape = (ls.kernels, cur[0]) + (ls.kernel_dims if ls.kind == "conv" else ())
             if init:
-                if ls.kind == "conv":
-                    fan_in = wshape[1] * wshape[2] * wshape[3]
-                    fan_out = wshape[0] * wshape[2] * wshape[3]
-                else:
-                    fan_in, fan_out = wshape[1], wshape[0]
+                k = int(np.prod(wshape[2:]))
+                fan_in, fan_out = wshape[1] * k, wshape[0] * k
                 if ls.activation in ("elu", "relu"):
                     limit = np.sqrt(6.0 / fan_in)
                 else:
@@ -185,7 +163,7 @@ class Model:
                 w = rng.uniform(-limit, limit, size=wshape).astype(self.dtype)
             else:
                 w = np.zeros(wshape, dtype=self.dtype)
-            b = np.zeros(bshape, dtype=self.dtype)
+            b = np.zeros(ls.kernels, dtype=self.dtype)
             self.params.append((Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)))
 
     def parameters(self):
@@ -211,7 +189,7 @@ class Model:
 
     def _apply_activation(self, ls, x):
         if ls.activation == "elu":
-            return F.elu(x, ls.elu_alpha)
+            return elu_t(x, ls.elu_alpha)
         if ls.activation == "relu":
             return F.relu(x)
         if ls.activation == "softmax":
@@ -249,9 +227,9 @@ class Model:
                 y = F.dense_layer(cur, w, b)
                 y = self._apply_activation(ls, y)
             elif ls.kind == "upsample":
-                y = F.upsample_nn(cur, ls.kernel_dims[0])
+                y = repeat_rows(cur, ls.kernel_dims[0], axis=2)
             elif ls.kind == "concat":
-                y = F.concat_maps([fetch(s) for s in ls.concat_sources])
+                y = concat_t([fetch(s) for s in ls.concat_sources], axis=1)
             elif ls.kind == "flatten":
                 y = F.flatten(cur)
             else:

@@ -94,7 +94,7 @@ def epoch_features(epoch_set):
 
     Row i holds epoch i's 96 powers: channels in FEATURE_CHANNELS order,
     within each channel the 8-30 Hz bins in ascending frequency. Requires a
-    2 Hz bin grid, i.e. fs / WELCH_NPERSEG == 2.
+    Welch bin at each of those frequencies, as fs = 512 gives (a 2 Hz grid).
     """
     names = epoch_set.channel_labels
     if names is None:
@@ -104,7 +104,12 @@ def epoch_features(epoch_set):
         raise DataError(f"epoch set lacks required channels: {missing}")
     rows = [names.index(c) for c in FEATURE_CHANNELS]
     freqs, power = welch_psd(epoch_set.values[:, rows], epoch_set.fs)
-    bins = [int(np.flatnonzero(np.isclose(freqs, f))[0]) for f in BAND_FREQS]
+    hits = [np.flatnonzero(np.isclose(freqs, f)) for f in BAND_FREQS]
+    absent = [f for f, h in zip(BAND_FREQS, hits) if not h.size]
+    if absent:
+        raise DataError(f"fs={epoch_set.fs:g} Hz gives no Welch bin at {absent[0]:g} Hz; the "
+                        "band features need one every 2 Hz from 8 to 30 Hz (fs=512 does)")
+    bins = [int(h[0]) for h in hits]
     return FeatureTable(power[:, :, bins].reshape(len(epoch_set), N_FEATURES),
                         epoch_set.labels, epoch_set.subject_ids, epoch_set.origins)
 

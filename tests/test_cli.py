@@ -634,3 +634,52 @@ def test_sr_infer_reads_only_the_generator(tmp_path, pipeline, fault):
         intact, damaged = (archive.load_epoch_set(tmp_path / name / split).values
                            for name in ("intact", "damaged"))
         assert intact.tobytes() == damaged.tobytes()
+
+
+def test_features_at_another_sampling_rate_is_a_data_error(tmp_path, capsys):
+    # At 1000 Hz the 256-point Welch grid has no bin at 8 Hz; features used
+    # to end in an IndexError traceback.
+    fs = ["--set", "synth.fs=1000"]
+    rec, data = tmp_path / "rec.csv", tmp_path / "data"
+    run("synth", "--out", str(rec), *fs)
+    run("preprocess", "--recording", str(rec), "--out", str(data), *fs)
+    capsys.readouterr()
+    assert main(["features", "--data", str(data), "--out", str(tmp_path / "f")] + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fs=1000 Hz") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_non_finite_sampling_rate_is_a_data_error(tmp_path, pipeline, capsys, value):
+    # A NaN or infinite rate used to pass the `fs <= 0` check of a recording
+    # and of an epoch archive.
+    rec = tmp_path / "rec.csv"
+    text = pipeline["rec"].read_text()  # starts "# fs=512.0 subject=..."
+    rec.write_text(text.replace(text.split()[1], f"fs={value}", 1))
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    _sub_in(data / "val_lr" / "manifest.txt", r"fs = 512\.0", f"fs = {value}")
+    for argv in (["preprocess", "--recording", str(rec), "--out", str(tmp_path / "pre")],
+                 ["baseline", "--data", str(data), "--out", str(tmp_path / "base")]):
+        capsys.readouterr()
+        assert main(argv + OVERRIDES) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sampling rate fs must be finite and positive" in err
+
+
+@pytest.mark.parametrize("command, setting", [("pretrain", "synth.n_channels=64"),
+                                              ("gan-train", "synth.n_channels=64"),
+                                              ("pretrain", "preprocess.seg_len=32")])
+def test_training_on_segments_of_another_shape_is_a_config_error(tmp_path, pipeline, capsys,
+                                                                 command, setting):
+    # An archive of 16 kept channels x 64 samples against a config of 32
+    # channels or 32 samples used to end in a ValueError traceback from the
+    # first forward pass.
+    argv = [command, "--data", str(pipeline["data"]), "--out", str(tmp_path / "o")]
+    if command == "gan-train":
+        argv += ["--init", str(pipeline["pre"] / "last")]
+    assert main(argv + OVERRIDES + ["--set", setting]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "does not match the archive's (2, 16, 64)" in err

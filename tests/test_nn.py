@@ -11,7 +11,6 @@ from eegsr.nn.layers import (
     dropout,
     flatten,
     infer_shapes,
-    param_shapes,
     upsample,
 )
 from eegsr.nn import optim
@@ -57,12 +56,10 @@ def test_concat_shape_mismatch_rejected():
         infer_shapes(specs, (1, 4, 6))
 
 
-def test_param_shapes_conv_and_dense():
-    specs = [conv(8, (5, 3)), flatten(), dense(7)]
-    ps = param_shapes(specs, (2, 6, 10))
-    assert ps[0] == ((8, 2, 5, 3), (8,))
-    assert ps[1] is None
-    assert ps[2] == ((7, 8 * 6 * 10), (7,))
+def test_model_weight_shapes_conv_and_dense():
+    model = Model([conv(8, (5, 3)), flatten(), dense(7)], (2, 6, 10))
+    assert [p.shape for p in model.parameters()] == [(8, 2, 5, 3), (8,), (7, 8 * 6 * 10), (7,)]
+    assert model.params[1] is None
 
 
 def test_model_param_count_small_closed_form():

@@ -6,7 +6,7 @@ import pytest
 
 from eegsr.models import DiscriminatorConfig, GeneratorConfig, discriminator_specs, generator_specs
 from eegsr.nn import functional as F
-from eegsr.nn.layers import infer_shapes, param_shapes
+from eegsr.nn.layers import Model
 from eegsr.nn import tensor as tensor_module
 from eegsr.nn.tensor import (
     Tensor,
@@ -16,6 +16,7 @@ from eegsr.nn.tensor import (
     conv2d_input_grad,
     conv2d_weight_grad,
     conv_same_geometry,
+    elu_t,
     grad,
     mul_const,
     no_grad,
@@ -92,7 +93,7 @@ def test_elementwise_primitives_against_fd():
     x = RNG.uniform(0.5, 2.0, size=(3, 5))
     check_grads(lambda t: sum_t(F.relu(t * t - 1.5)), [x])
     check_grads(lambda t: sum_t(sqrt_t(t)), [x])
-    check_grads(lambda t: sum_t(F.elu(t - 1.0)), [x])
+    check_grads(lambda t: sum_t(elu_t(t - 1.0)), [x])
 
 
 def test_structural_primitives_against_fd():
@@ -245,10 +246,10 @@ def _conv_layers(width):
     layers = []
     for net, specs, in_shape in (("gen", generator_specs(gen), gen.input_shape),
                                  ("disc", discriminator_specs(disc), disc.input_shape)):
-        shapes = [in_shape] + infer_shapes(specs, in_shape)
-        for k, (ls, ps, cur) in enumerate(zip(specs, param_shapes(specs, in_shape), shapes)):
+        model = Model(specs, in_shape, init=False)
+        for k, (ls, p, cur) in enumerate(zip(specs, model.params, [in_shape] + model.shapes)):
             if ls.kind == "conv":
-                layers.append((f"{net}{k}", cur, ps[0], ls.stride))
+                layers.append((f"{net}{k}", cur, p[0].shape, ls.stride))
     return layers
 
 
@@ -396,7 +397,7 @@ def test_double_backward_through_conv():
 
 def test_dropout_inference_is_identity_and_training_scales():
     x = Tensor(RNG.normal(size=(1000,)))
-    assert F.dropout(x, 0.4, training=False) is x
+    assert F.dropout(x, 0.4, training=False, rng=None) is x
     rng = np.random.default_rng(3)
     y = F.dropout(x, 0.4, training=True, rng=rng)
     kept = y.data != 0
@@ -404,14 +405,9 @@ def test_dropout_inference_is_identity_and_training_scales():
     assert abs(kept.mean() - 0.6) < 0.05
 
 
-def test_dropout_requires_rng_in_training():
-    with pytest.raises(ValueError, match="rng"):
-        F.dropout(Tensor(np.ones(4)), 0.5, training=True)
-
-
 def test_elu_fixed_points_and_continuity():
     x = Tensor(np.array([-1.0, 0.0, 1.0, -1e-8, 1e-8, 50.0]))
-    y = F.elu(x).data
+    y = elu_t(x).data
     assert abs(y[0] - (np.exp(-1.0) - 1.0)) < 1e-15
     assert y[1] == 0.0
     assert y[2] == 1.0
@@ -419,7 +415,7 @@ def test_elu_fixed_points_and_continuity():
     assert y[5] == 50.0
     # Derivative at 0 is exactly 1 (identity branch owns the boundary).
     x0 = Tensor(np.array(0.0), requires_grad=True)
-    (g,) = grad(F.elu(x0), [x0])
+    (g,) = grad(elu_t(x0), [x0])
     assert g.item() == 1.0
 
 
@@ -435,7 +431,7 @@ def test_elu_node_matches_composed_elu(dtype, alpha):
     xv = np.concatenate([ELU_INPUTS, [np.inf, -np.inf]]).astype(dtype)
     g = np.random.default_rng(5).normal(size=xv.shape).astype(dtype)
     outs = []
-    for elu in (F.elu, composed_elu):
+    for elu in (elu_t, composed_elu):
         x = Tensor(xv.copy(), requires_grad=True)
         y = elu(x, alpha)
         (gx,) = grad(sum_t(mul_const(y, g)), [x])
@@ -444,7 +440,7 @@ def test_elu_node_matches_composed_elu(dtype, alpha):
         assert new.dtype == dtype and np.array_equal(new, ref)
     xv = ELU_INPUTS.astype(dtype)
     outs = []
-    for elu in (F.elu, composed_elu):
+    for elu in (elu_t, composed_elu):
         x = Tensor(xv.copy(), requires_grad=True)
         y = elu(x, alpha)
         (g1,) = grad(sum_t(y * y), [x], create_graph=True)
@@ -485,9 +481,9 @@ def test_loss_dispatch_and_shape_mismatch():
         F.mse(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
 
-def test_upsample_nn_repeats_rows():
+def test_repeat_rows_upsamples_the_height_axis():
     x = np.arange(6, dtype=np.float64).reshape(1, 1, 3, 2)
-    y = F.upsample_nn(Tensor(x), 3).data
+    y = repeat_rows(Tensor(x), 3, axis=2).data
     assert y.shape == (1, 1, 9, 2)
     assert np.array_equal(y[0, 0, 0:3], np.broadcast_to(x[0, 0, 0], (3, 2)))
     assert np.array_equal(y[0, 0, 3:6], np.broadcast_to(x[0, 0, 1], (3, 2)))
