@@ -56,7 +56,6 @@ def _fingerprint(cfg, disc_cfg=None):
 
 def cmd_synth(args, cfg, out):
     rec = data.generate_synthetic(cfg.synth_config(), seed=cfg["run"]["seed"])
-    rec.subject_id = cfg["synth"]["subject"]
     archive.save_recording(out, rec)
     print(f"wrote {rec.n_channels}x{rec.n_samples} recording to {out}")
 

@@ -58,19 +58,9 @@ class TrainConfig:
             raise ValueError("checkpoint_every must be >= 1")
 
 
-# Dataclass tuple fields spelt as one config key per element.
-_ELEMENT_KEYS = {"band": ("band_low", "band_high")}
-
-
 def _section_keys(cls):
     """Keys and defaults of a config dataclass in field order, without `seed`."""
-    keys = {}
-    for f in fields(cls):
-        if f.name in _ELEMENT_KEYS:
-            keys.update(zip(_ELEMENT_KEYS[f.name], f.default))
-        elif f.name != "seed":
-            keys[f.name] = f.default
-    return keys
+    return {f.name: f.default for f in fields(cls) if f.name != "seed"}
 
 
 # section -> key -> default.
@@ -79,7 +69,7 @@ SCHEMA = {
         "seed": 0,
         "precision": "f32",
     },
-    "synth": {**_section_keys(SyntheticConfig), "subject": "s01"},
+    "synth": _section_keys(SyntheticConfig),
     "preprocess": {
         "scale": 2,
         "window": 512,
@@ -144,8 +134,8 @@ class RunConfig:
             raise ConfigError(
                 f"window {pp['window']} must divide evenly into segments of {pp['seg_len']}"
             )
-        # Checked here, not only by the model configs, so that commands that
-        # build no network refuse them too.
+        # The one check of these ranges: the model configs take them as they
+        # are, and commands that build no network refuse them too.
         m = self["model"]
         for key in ("gen_dropout", "disc_dropout"):
             if not 0.0 < m[key] < 1.0:
@@ -170,16 +160,8 @@ class RunConfig:
 
     def _dataclass(self, section, cls):
         """Build `cls` from its section; `seed` comes from [run]."""
-        values = self[section]
-        kwargs = {}
-        for f in fields(cls):
-            if f.name == "seed":
-                kwargs[f.name] = self["run"]["seed"]
-            elif f.name in _ELEMENT_KEYS:
-                kwargs[f.name] = tuple(values[k] for k in _ELEMENT_KEYS[f.name])
-            else:
-                kwargs[f.name] = values[f.name]
-        return self._build(f"[{section}]", cls, **kwargs)
+        values = {**self[section], "seed": self["run"]["seed"]}
+        return self._build(f"[{section}]", cls, **{f.name: values[f.name] for f in fields(cls)})
 
     def synth_config(self):
         return self._dataclass("synth", SyntheticConfig)

@@ -195,18 +195,19 @@ class SyntheticConfig:
     """Low-rank oscillatory surrogate recordings.
 
     Channels are a fixed random mixture (`mixing_seed`) of `n_sources`
-    band-limited oscillators plus white noise, so channel structure is
-    learnable while class identity lives purely in the spectrum: each class
-    shifts every oscillator's frequencies by its entry in
+    oscillators in [band_low, band_high] Hz plus white noise, so channel
+    structure is learnable while class identity lives purely in the spectrum:
+    each class shifts every oscillator's frequencies by its entry in
     `class_band_offsets`. Labels change in contiguous blocks of
-    `label_block` samples.
+    `label_block` samples. `subject` names the recording's subject.
     """
 
     n_channels: int = 32
     n_samples: int = 8544
     fs: float = 512.0
     n_sources: int = 4
-    band: tuple[float, float] = (7.0, 30.0)
+    band_low: float = 7.0
+    band_high: float = 30.0
     sines_per_source: int = 3
     amplitude: float = 10.0
     noise_sigma: float = 1.0
@@ -215,6 +216,7 @@ class SyntheticConfig:
     class_ids: tuple[int, ...] = (2, 3, 7)
     class_band_offsets: tuple[float, ...] = (0.0, 6.0, -4.0)
     label_block: int = 2048
+    subject: str = "s01"
 
     def __post_init__(self):
         check_finite(self)
@@ -222,8 +224,8 @@ class SyntheticConfig:
             raise DataError(
                 f"n_sources must be in [1, n_channels], got {self.n_sources}/{self.n_channels}"
             )
-        if not 0 < self.band[0] < self.band[1] < self.fs / 2:
-            raise DataError(f"band {self.band} must lie inside (0, fs/2)")
+        if not 0 < self.band_low < self.band_high < self.fs / 2:
+            raise DataError(f"band ({self.band_low}, {self.band_high}) must lie inside (0, fs/2)")
         if self.noise_sigma < 0 or self.amplitude <= 0:
             raise DataError("noise_sigma must be >= 0 and amplitude > 0")
         if self.n_classes < 1:
@@ -252,7 +254,7 @@ def generate_synthetic(cfg, seed=0):
         block_of = np.zeros(n, dtype=np.int64)
         labels = None
 
-    freqs = rng.uniform(cfg.band[0], cfg.band[1], size=(cfg.n_sources, cfg.sines_per_source))
+    freqs = rng.uniform(cfg.band_low, cfg.band_high, size=(cfg.n_sources, cfg.sines_per_source))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=freqs.shape)
     amps = rng.uniform(0.5, 1.0, size=freqs.shape)
 
@@ -275,7 +277,8 @@ def generate_synthetic(cfg, seed=0):
         names = CHANNEL_LABELS_32
     else:
         names = tuple(f"ch{i:02d}" for i in range(cfg.n_channels))
-    return RawRecording(values, fs=cfg.fs, channel_labels=names, labels=labels)
+    return RawRecording(values, fs=cfg.fs, channel_labels=names, labels=labels,
+                        subject_id=cfg.subject)
 
 
 def _window_label(labels, start, window):
@@ -435,17 +438,9 @@ def compute_norm_stats(epoch_set):
     return NormStats(mu=float(vals.mean()), sigma=max(float(vals.std()), SIGMA_FLOOR))
 
 
-def normalize_array(values, stats):
-    return (np.asarray(values) - stats.mu) / stats.sigma
-
-
-def denormalize_array(values, stats):
-    return np.asarray(values) * stats.sigma + stats.mu
-
-
 def normalize_set(epoch_set, stats):
-    return replace(epoch_set, values=normalize_array(epoch_set.values, stats))
+    return replace(epoch_set, values=(epoch_set.values - stats.mu) / stats.sigma)
 
 
 def denormalize_set(epoch_set, stats):
-    return replace(epoch_set, values=denormalize_array(epoch_set.values, stats))
+    return replace(epoch_set, values=epoch_set.values * stats.sigma + stats.mu)

@@ -99,13 +99,21 @@ class LossHistory:
         return cls(LossRecord(step, *row) for step, row in zip(steps, losses))
 
 
-def pair_arrays(lr_set, hr_set, dtype):
-    """Stack an aligned (lr, hr) pair of epoch sets into 4-D batches."""
+def pair_arrays(lr_set, hr_set, gen):
+    """Stack an aligned (lr, hr) pair of epoch sets into 4-D batches for `gen`.
+
+    The one check of training segments: their (channels, samples) must be the
+    generator's input and output shapes, so no loss or layer meets another.
+    """
     check_aligned(lr_set, hr_set)
     if len(lr_set) == 0:
         raise DataError("cannot train on an empty pair of epoch sets")
-    x = lr_set.values.astype(dtype)[:, None]
-    y = hr_set.values.astype(dtype)[:, None]
+    for side, s, want in (("lr", lr_set, gen.input_shape), ("hr", hr_set, gen.shapes[-1])):
+        if s.values.shape[1:] != want[1:]:
+            raise DataError(f"training {side} segments of shape {s.values.shape[1:]} do not "
+                            f"match the generator's {side} shape {want[1:]}")
+    x = lr_set.values.astype(gen.dtype)[:, None]
+    y = hr_set.values.astype(gen.dtype)[:, None]
     return x, y
 
 
@@ -140,8 +148,6 @@ def gradient_penalty(disc, real, fake, weight, rng):
     """
     real = np.asarray(real, dtype=disc.dtype)
     fake = np.asarray(fake, dtype=disc.dtype)
-    if real.shape != fake.shape:
-        raise DataError(f"real {real.shape} and fake {fake.shape} batches differ in shape")
     eps = rng.uniform(size=(real.shape[0], 1, 1, 1)).astype(disc.dtype)
     xhat = Tensor(eps * real + (1.0 - eps) * fake, requires_grad=True)
     scores = disc.forward(xhat, training=True, rng=rng)
@@ -210,11 +216,8 @@ class TrainState:
         the two random streams seeded from `cfg.seed`."""
         if phase == "gan" and disc is None:
             raise DataError("adversarial training needs a critic")
-
-        def adam(model):
-            return AdamState.for_params(model.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
-
-        return cls(phase, gen, disc, adam(gen), None if disc is None else adam(disc),
+        d_state = None if disc is None else AdamState.for_params(disc.parameters())
+        return cls(phase, gen, disc, AdamState.for_params(gen.parameters()), d_state,
                    np.random.default_rng(cfg.seed),
                    np.random.default_rng(cfg.seed + _ADV_SEED_OFFSET),
                    fingerprint=fingerprint)
@@ -248,7 +251,7 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
     n_epochs = cfg.pretrain_epochs if phase == "pretrain" else cfg.gan_epochs
     gen, disc = state.gen, state.disc
 
-    x, y = pair_arrays(train_pair[0], train_pair[1], gen.dtype)
+    x, y = pair_arrays(train_pair[0], train_pair[1], gen)
     n = x.shape[0]
     g_params = gen.parameters()
     d_params = disc.parameters() if disc is not None else None
@@ -279,7 +282,7 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
             # has been used, so the critic step and the next forward pass do
             # not run with a dead step's graph alive.
             del total, adv, mse
-            adam_step(g_params, gs, state.g_state)
+            adam_step(g_params, gs, state.g_state, cfg)
             del gs
             state.g_steps += 1
 
@@ -297,7 +300,7 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
                 _check_finite(last_d_loss, step, abort)
                 ds = grad(d_loss, d_params)
                 del d_loss, gp, fake
-                adam_step(d_params, ds, state.d_state)
+                adam_step(d_params, ds, state.d_state, cfg)
                 del ds
                 state.d_steps += 1
 
@@ -323,12 +326,11 @@ def _save_adam(directory, prefix, state, dtype):
     write_arrays(directory / f"{prefix}_v.bin", state.v, dtype)
 
 
-def _load_adam(directory, prefix, model, cfg, t):
+def _load_adam(directory, prefix, model, t):
     shapes = [p.shape for p in model.parameters()]
-    state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, t=t)
-    state.m = read_arrays(directory / f"{prefix}_m.bin", shapes, model.dtype)
-    state.v = read_arrays(directory / f"{prefix}_v.bin", shapes, model.dtype)
-    return state
+    m = read_arrays(directory / f"{prefix}_m.bin", shapes, model.dtype)
+    v = read_arrays(directory / f"{prefix}_v.bin", shapes, model.dtype)
+    return AdamState(t, m, v)
 
 
 def save_checkpoint(directory, state, cfg):
@@ -443,11 +445,11 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
         raise CheckpointError(f"{directory / 'history.csv'}: corrupt checkpoint "
                               f"({len(history)} history rows for {g_steps} generator steps)")
 
-    g_state = _load_adam(directory, "gen_adam", gen, saved_cfg, g_t)
+    g_state = _load_adam(directory, "gen_adam", gen, g_t)
     disc = d_state = None
     if has_disc:
         disc, _ = load_model(directory / "discriminator")
-        d_state = _load_adam(directory, "disc_adam", disc, saved_cfg, d_t)
+        d_state = _load_adam(directory, "disc_adam", disc, d_t)
 
     return TrainState(
         phase, gen, disc, g_state, d_state, data_rng, adv_rng,

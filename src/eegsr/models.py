@@ -14,7 +14,6 @@ layout exactly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,23 +37,14 @@ def _scaled(kernels, width):
     return max(1, round(kernels * width))
 
 
-def _check_layers(cfg):
-    """Range checks shared by the generator and critic configs."""
-    if not 0.0 < cfg.width <= 1.0:
-        raise ValueError(f"width must be in (0, 1], got {cfg.width}")
-    if not 0.0 < cfg.dropout_rate < 1.0:
-        raise ValueError(f"dropout_rate must be in (0, 1), got {cfg.dropout_rate}")
-    if not math.isfinite(cfg.elu_alpha):
-        raise ValueError(f"elu_alpha must be finite, got {cfg.elu_alpha}")
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Shape of the reconstruction network.
 
     c_lr is the kept-channel count, scale the montage reduction factor; the
     output covers the c_lr * (scale - 1) missing channels over seg_len
-    samples.
+    samples. Only scale and c_lr are checked here; the run config checks
+    seg_len and the [model] ranges when it is loaded.
     """
 
     c_lr: int
@@ -69,9 +59,6 @@ class GeneratorConfig:
             raise ValueError(f"scale must be 2 or 4, got {self.scale}")
         if self.c_lr < 4:
             raise ValueError(f"c_lr must be >= 4, got {self.c_lr}")
-        if self.seg_len < 1:
-            raise ValueError(f"seg_len must be positive, got {self.seg_len}")
-        _check_layers(self)
 
     @property
     def c_hr(self):
@@ -133,20 +120,14 @@ def build_generator(cfg, seed=0, dtype=np.float32):
 
 @dataclass(frozen=True)
 class DiscriminatorConfig:
-    """Shape of the critic scoring reconstructed channel blocks."""
+    """Shape of the critic scoring reconstructed channel blocks; its values
+    come from a checked `GeneratorConfig` and run config."""
 
     c_hr: int
     seg_len: int = 64
     dropout_rate: float = 0.25
     elu_alpha: float = 1.0
     width: float = 1.0
-
-    def __post_init__(self):
-        if self.c_hr < 4:
-            raise ValueError(f"c_hr must be >= 4, got {self.c_hr}")
-        if self.seg_len < 1:
-            raise ValueError(f"seg_len must be positive, got {self.seg_len}")
-        _check_layers(self)
 
     @property
     def input_shape(self):

@@ -1,7 +1,8 @@
 """Network-level operations composed from autodiff primitives.
 
-The layer operations check nothing: `layers.Model` checks a stack once, when
-it is built, and checks each batch's shape where its forward pass starts.
+Nothing here checks its input: `layers.Model` checks a stack when it is
+built and each batch where its forward pass starts, and `gan.pair_arrays`
+checks training targets against the generator's output shape.
 """
 from __future__ import annotations
 
@@ -63,14 +64,8 @@ def flatten(x):
     return reshape(x, (n, x.size // n))
 
 
-def _check_same_shape(pred, target):
-    if pred.shape != target.shape:
-        raise ValueError(f"loss shape mismatch: prediction {pred.shape} vs target {target.shape}")
-
-
 def mse(pred, target):
     pred, target = as_tensor(pred), as_tensor(target)
-    _check_same_shape(pred, target)
     d = pred - target
     return mean_t(mul(d, d))
 
@@ -78,6 +73,5 @@ def mse(pred, target):
 def cross_entropy(pred, target):
     """-sum(target * log(pred + eps)) of each (n, k) row, averaged over rows."""
     pred, target = as_tensor(pred), as_tensor(target)
-    _check_same_shape(pred, target)
     ll = mul(as_tensor(target, dtype=pred.dtype), log_t(pred + LOG_EPS))
     return mul_const(-sum_t(ll), 1.0 / pred.shape[0])

@@ -1,4 +1,10 @@
-"""Adam with bias correction."""
+"""Adam with bias correction.
+
+A step reads lr and the betas from the training config that checked them
+(`TrainConfig`, `ClassifierTrainConfig`); `AdamState` holds what it changes.
+It takes the gradients `grad` returns as they are, and refuses only a
+parameter it cannot update in place.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -24,55 +30,42 @@ def check_hyperparameters(lr, beta1, beta2):
 class AdamState:
     """Optimizer moments and step counter for one parameter list."""
 
-    lr: float
-    beta1: float
-    beta2: float
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
-    def __post_init__(self):
-        check_hyperparameters(self.lr, self.beta1, self.beta2)
-
     @classmethod
-    def for_params(cls, params, lr, beta1, beta2):
-        state = cls(lr=lr, beta1=beta1, beta2=beta2)
-        state.m = [np.zeros(p.shape, dtype=p.dtype) for p in params]
-        state.v = [np.zeros(p.shape, dtype=p.dtype) for p in params]
-        return state
+    def for_params(cls, params):
+        return cls(m=[np.zeros(p.shape, dtype=p.dtype) for p in params],
+                   v=[np.zeros(p.shape, dtype=p.dtype) for p in params])
 
 
-def adam_step(params, grads, state):
-    """One Adam update, in place on C-contiguous arrays; gradients may be Tensors or arrays."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError(
-            f"param/grad/state length mismatch: {len(params)}, {len(grads)}, {len(state.m)}"
-        )
+def adam_step(params, grads, state, cfg):
+    """One Adam update at `cfg`'s lr and betas, in place on C-contiguous arrays;
+    gradients may be Tensors or arrays."""
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - cfg.beta1**state.t
+    bc2 = 1.0 - cfg.beta2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         g = np.asarray(getattr(g, "data", g), dtype=p.dtype)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
         if not all(a.flags.c_contiguous for a in (p.data, m, v)):
             raise ValueError(f"cannot update a non-contiguous {p.shape} parameter in place")
         flat = [a.reshape(-1) for a in (p.data, g, m, v)]
         for lo in range(0, p.size, BLOCK):
             pb, gb, mb, vb = (a[lo : lo + BLOCK] for a in flat)
             # p - lr * (m / bc1) / (sqrt(v / bc2) + eps), operation for operation.
-            a = np.multiply(gb, 1.0 - state.beta1)
-            mb *= state.beta1
+            a = np.multiply(gb, 1.0 - cfg.beta1)
+            mb *= cfg.beta1
             mb += a
             np.multiply(gb, gb, out=a)
-            a *= 1.0 - state.beta2
-            vb *= state.beta2
+            a *= 1.0 - cfg.beta2
+            vb *= cfg.beta2
             vb += a
             np.divide(vb, bc2, out=a)
             np.sqrt(a, out=a)
             a += EPS
             b = np.divide(mb, bc1)
-            b *= state.lr
+            b *= cfg.lr
             b /= a
             pb -= b
     return state

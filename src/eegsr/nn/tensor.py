@@ -276,14 +276,12 @@ def sqrt_t(a):
 def mul_const(a, c):
     """Multiply by a non-differentiated constant (scalar or array).
 
-    The constant must broadcast to `a`'s shape without enlarging it; this is
+    The constant broadcasts into `a`'s shape without enlarging it; this is
     the workhorse behind dropout masks, relu masks and scalar scaling, and it
     is linear, so its vjp is itself.
     """
     a = as_tensor(a)
     c = np.asarray(c, dtype=a.dtype)
-    if np.broadcast_shapes(a.shape, c.shape) != a.shape:
-        raise ValueError(f"constant of shape {c.shape} does not broadcast into {a.shape}")
 
     def vjp(g, needs):
         return (mul_const(g, c),)
@@ -391,8 +389,6 @@ def transpose(a, axes=None):
 
 def matmul(a, b):
     a, b = _pair(a, b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
 
     def vjp(g, needs):
         ga = matmul(g, transpose(b)) if needs[0] else None
@@ -404,8 +400,6 @@ def matmul(a, b):
 
 def concat_t(parts, axis):
     parts = [as_tensor(p) for p in parts]
-    if not parts:
-        raise ValueError("concat of zero tensors")
     axis = axis % parts[0].ndim
     bounds = []
     start = 0
@@ -449,11 +443,6 @@ def pad_axis(a, axis, before, after):
 def repeat_rows(a, factor, axis=2):
     """Repeat each index along `axis` `factor` times (nearest-neighbour upsample)."""
     a = as_tensor(a)
-    factor = int(factor)
-    if factor < 1:
-        raise ValueError(f"repeat factor must be >= 1, got {factor}")
-    if factor == 1:
-        return a
     axis = axis % a.ndim
     expanded = a.shape[:axis] + (a.shape[axis], factor) + a.shape[axis + 1 :]
 
@@ -465,7 +454,9 @@ def repeat_rows(a, factor, axis=2):
 
 # ---------------------------------------------------------------------------
 # Convolution primitives (NCHW, stride >= 1, symmetric-as-possible zero
-# padding with the extra row/column at the bottom/right, output ceil(n/s))
+# padding with the extra row/column at the bottom/right, output ceil(n/s)).
+# They check no shapes: `layers.infer_shapes` checks a stack's maps and
+# geometry once, when it is built, and `Model.forward` each batch's shape.
 # ---------------------------------------------------------------------------
 
 
@@ -562,9 +553,7 @@ def _conv_forward(x, w, sh, sw):
 def _conv_input_grad(gd, wd, h, wi, sh, sw):
     n, co, oh, ow = gd.shape
     ci, kh, kw = wd.shape[1], wd.shape[2], wd.shape[3]
-    oh2, ow2, pt, pb, pl, pr = conv_same_geometry(h, wi, kh, kw, sh, sw)
-    if (oh2, ow2) != (oh, ow):
-        raise ValueError(f"output grad shape {(oh, ow)} does not match geometry {(oh2, ow2)}")
+    _, _, pt, pb, pl, pr = conv_same_geometry(h, wi, kh, kw, sh, sw)
     if _banded(co, oh, kw, ci, h, gd.dtype):
         gc = np.matmul(_band(wd, h, sh, oh, pt).T, gd.reshape(n, co * oh, ow))
         gx = _width_scatter(gc.reshape(n, kw, ci * h, ow), wi, sw, pl, pr)
@@ -611,12 +600,6 @@ def conv2d(x, w, stride=(1, 1)):
     """Same-padded 2-D convolution (cross-correlation), NCHW by OIHW."""
     x, w = as_tensor(x), as_tensor(w)
     sh, sw = int(stride[0]), int(stride[1])
-    if x.ndim != 4 or w.ndim != 4:
-        raise ValueError(f"conv2d expects 4-D input and weight, got {x.shape}, {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ValueError(
-            f"conv2d channel mismatch: input has {x.shape[1]} maps, weight expects {w.shape[1]}"
-        )
     y = _conv_forward(x.data, w.data, sh, sw)
     h, wi = x.shape[2], x.shape[3]
     kh, kw = w.shape[2], w.shape[3]

@@ -169,7 +169,7 @@ def train_classifier(model, x, labels, cfg, class_ids=(2, 3, 7)):
     targets = _one_hot(np.asarray(labels), class_ids)
     x = np.asarray(x, dtype=np.float64)
     params = model.parameters()
-    state = AdamState.for_params(params, cfg.lr, cfg.beta1, cfg.beta2)
+    state = AdamState.for_params(params)
     rng = np.random.default_rng(cfg.seed)
     trace = []
     for _ in range(cfg.epochs):
@@ -183,7 +183,7 @@ def train_classifier(model, x, labels, cfg, class_ids=(2, 3, 7)):
             losses.append(loss.item())
             gs = grad(loss, params)
             del probs, loss
-            adam_step(params, gs, state)
+            adam_step(params, gs, state, cfg)
             del gs
         trace.append(float(np.mean(losses)))
     return trace

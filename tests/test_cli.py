@@ -230,8 +230,9 @@ def test_out_of_range_geometry_is_a_config_error(tmp_path, pipeline, capsys, key
 
 
 TRAINING_FAULTS = ["model.gen_dropout=1.0", "model.gen_dropout=0.0", "model.disc_dropout=-0.5",
-                   "model.elu_alpha=nan", "train.beta1=-1", "train.beta2=1.0", "train.lr=nan",
-                   "train.lr=inf", "train.adv_weight=nan",
+                   "model.disc_dropout=nan", "model.elu_alpha=nan", "model.elu_alpha=inf",
+                   "model.width=0", "model.width=1.5", "train.beta1=-1", "train.beta2=1.0",
+                   "train.lr=nan", "train.lr=inf", "train.adv_weight=nan",
                    # the removed smoothed loss mode and its target label
                    "train.loss_mode=dcgan_smoothed", "train.real_label=0.9"]
 
@@ -683,3 +684,45 @@ def test_training_on_segments_of_another_shape_is_a_config_error(tmp_path, pipel
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "does not match the archive's (2, 16, 64)" in err
+
+
+@pytest.fixture(scope="module")
+def scale4(pipeline, tmp_path_factory):
+    """A scale-4 preprocess of the pipeline's recording: 8 kept channels, 24 missing."""
+    out = tmp_path_factory.mktemp("scale4") / "data"
+    run("preprocess", "--recording", str(pipeline["rec"]), "--out", str(out),
+        "--set", "preprocess.scale=4")
+    return out
+
+
+# One archive of the scale-2 preprocess swapped for its scale-4 twin, whose
+# info.txt still says scale 2. pretrain and gan-train used to end in a
+# ValueError traceback, from Model.forward (train_lr) or F.mse (train_hr);
+# the other commands already exited 1.
+SWAPPED_ARCHIVES = [("pretrain", "train_lr"), ("pretrain", "train_hr"),
+                    ("gan-train", "train_lr"), ("gan-train", "train_hr"),
+                    ("sr-infer", "val_lr"), ("baseline", "val_lr"),
+                    ("features", "val_hr"), ("evaluate", "val_hr")]
+
+
+@pytest.mark.parametrize("command, name", SWAPPED_ARCHIVES)
+def test_archive_of_another_shape_is_a_data_error(tmp_path, pipeline, scale4, capsys,
+                                                  command, name):
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(pipeline["data"], data)
+    shutil.rmtree(data / name)
+    shutil.copytree(scale4 / name, data / name)
+    extra = {"gan-train": ["--init", str(pipeline["pre"] / "last")],
+             "sr-infer": ["--checkpoint", str(pipeline["adv"] / "best")],
+             "evaluate": ["--baseline", str(pipeline["base"])]}.get(command, [])
+    capsys.readouterr()
+    assert main([command, "--data", str(data), "--out", str(out)] + extra + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if command in ("pretrain", "gan-train"):
+        side = name[-2:]
+        have = {"lr": "(8, 64)", "hr": "(24, 64)"}[side]
+        assert (f"training {side} segments of shape {have} do not match the generator's "
+                f"{side} shape (16, 64)") in err
+    # features writes the train tables before it reads the val archives.
+    assert not out.exists() or command == "features"

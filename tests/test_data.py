@@ -93,7 +93,7 @@ def test_validation_rejects_bad_configs():
     with pytest.raises(DataError):
         SyntheticConfig(n_sources=0)
     with pytest.raises(DataError):
-        SyntheticConfig(band=(30.0, 7.0))
+        SyntheticConfig(band_low=30.0, band_high=7.0)
     with pytest.raises(DataError):
         SyntheticConfig(n_classes=4, class_ids=(1, 2))
 

@@ -1,6 +1,6 @@
 """Every imported name in src/ and tests/ is used, every function in src/ has
 a caller outside the tests, and so has every defaulted parameter (no linter
-is installed)."""
+is installed); the autodiff primitives and layer operations raise nothing."""
 import ast
 from pathlib import Path
 
@@ -183,3 +183,30 @@ def test_one_owner_per_file_format():
                                 if module in imported_modules(path.read_text()))
                  for module in FORMAT_OWNERS}
     assert importers == {module: [owner] for module, owner in FORMAT_OWNERS.items()}
+
+
+def raises_outside(source, allowed=()):
+    """Lines of the `raise` statements in `source` outside the functions named in `allowed`."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name in allowed for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and id(node) not in inside)
+
+
+def test_raises_outside_are_found():
+    source = ("def grad():\n    raise ValueError\n"
+              "def f():\n    def g():\n        raise TypeError\n    raise KeyError\n")
+    assert raises_outside(source, ("grad",)) == [5, 6]
+    assert raises_outside(source) == [2, 5, 6]
+
+
+def test_layer_operations_and_primitives_check_nothing():
+    """A value is checked once, where it enters: a stack by `LayerSpec` and
+    `infer_shapes`, a batch by `Model.forward`, training segments by
+    `gan.pair_arrays`, a gradient's output by `grad`. Behind those entries
+    the layer operations, losses and autodiff primitives check nothing."""
+    nn = ROOT / "src" / "eegsr" / "nn"
+    found = [f"{name}:{line}" for name, allowed in (("functional.py", ()), ("tensor.py", ("grad",)))
+             for line in raises_outside((nn / name).read_text(), allowed)]
+    assert not found, "re-checks behind the entry points:\n" + "\n".join(found)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from eegsr.config import TrainConfig
 from eegsr.errors import ArtifactError, CheckpointError
 from eegsr.nn.layers import (
     Model,
@@ -146,8 +147,9 @@ def test_adam_first_step_matches_hand_computation():
     # (for eps -> 0); check against the exact update formula instead.
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     g = Tensor(np.array([0.5, -1.5]))
-    state = AdamState.for_params([p], lr=0.01, beta1=0.9, beta2=0.999)
-    adam_step([p], [g], state)
+    cfg = TrainConfig(lr=0.01, beta1=0.9, beta2=0.999)
+    state = AdamState.for_params([p])
+    adam_step([p], [g], state, cfg)
     m = 0.1 * g.data
     v = 0.001 * g.data**2
     mhat = m / (1 - 0.9)
@@ -159,11 +161,12 @@ def test_adam_first_step_matches_hand_computation():
 
 def test_adam_two_steps_track_moments():
     p = Tensor(np.array([0.3]), requires_grad=True)
-    state = AdamState.for_params([p], lr=0.1, beta1=0.5, beta2=0.75)
+    cfg = TrainConfig(lr=0.1, beta1=0.5, beta2=0.75)
+    state = AdamState.for_params([p])
     ref = 0.3
     m = v = 0.0
     for t, gval in enumerate((0.2, -0.4), start=1):
-        adam_step([p], [Tensor(np.array([gval]))], state)
+        adam_step([p], [Tensor(np.array([gval]))], state, cfg)
         m = 0.5 * m + 0.5 * gval
         v = 0.75 * v + 0.25 * gval**2
         mhat = m / (1 - 0.5**t)
@@ -177,13 +180,14 @@ def test_adam_step_bit_identical_to_reference_formula(dtype):
     rng = np.random.default_rng(3)
     shapes = [(4, 3, 5, 2), (7,), (1,)]
     params = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
-    state = AdamState.for_params(params, lr=2e-3, beta1=0.9, beta2=0.999)
+    cfg = TrainConfig(lr=2e-3, beta1=0.9, beta2=0.999)
+    state = AdamState.for_params(params)
     ref = [p.data.copy() for p in params]
     m = [np.zeros_like(r) for r in ref]
     v = [np.zeros_like(r) for r in ref]
     for t in range(1, 4):
         grads = [rng.normal(size=s).astype(dtype) for s in shapes]
-        adam_step(params, grads, state)
+        adam_step(params, grads, state, cfg)
         bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
         for k, g in enumerate(grads):
             m[k] = m[k] * 0.9 + (1.0 - 0.9) * g
@@ -203,14 +207,15 @@ def test_adam_step_updates_in_place_block_by_block(dtype):
     rng = np.random.default_rng(9)
     shapes = [(2, optim.BLOCK // 2 + 3), (7,)]
     params = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
-    state = AdamState.for_params(params, lr=1e-3, beta1=0.5, beta2=0.9)
+    cfg = TrainConfig(lr=1e-3, beta1=0.5, beta2=0.9)
+    state = AdamState.for_params(params)
     arrays = [p.data for p in params] + state.m + state.v
     ref = [p.data.copy() for p in params]
     m = [np.zeros_like(r) for r in ref]
     v = [np.zeros_like(r) for r in ref]
     for t in range(1, 3):
         grads = [rng.normal(size=s).astype(dtype) for s in shapes]
-        adam_step(params, grads, state)
+        adam_step(params, grads, state, cfg)
         bc1, bc2 = 1.0 - 0.5**t, 1.0 - 0.9**t
         for k, g in enumerate(grads):
             m[k] = m[k] * 0.5 + (1.0 - 0.5) * g
@@ -219,18 +224,19 @@ def test_adam_step_updates_in_place_block_by_block(dtype):
         assert all(np.array_equal(p.data, r) for p, r in zip(params, ref))
     assert all(a is b for a, b in zip([p.data for p in params] + state.m + state.v, arrays))
     strided = Tensor(np.zeros((4, 6), dtype=dtype)[:, ::2], requires_grad=True)
-    state = AdamState.for_params([strided], lr=1e-3, beta1=0.5, beta2=0.9)
+    state = AdamState.for_params([strided])
     with pytest.raises(ValueError, match="contiguous"):
-        adam_step([strided], [np.ones(strided.shape, dtype=dtype)], state)
+        adam_step([strided], [np.ones(strided.shape, dtype=dtype)], state, cfg)
     assert not strided.data.any()
 
 
 def test_adam_descends_on_quadratic():
     p = Tensor(np.array([5.0]), requires_grad=True)
-    state = AdamState.for_params([p], lr=0.1, beta1=0.9, beta2=0.999)
+    cfg = TrainConfig(lr=0.1, beta1=0.9, beta2=0.999)
+    state = AdamState.for_params([p])
     for _ in range(200):
         (g,) = grad(sum_t(p * p), [p])
-        adam_step([p], [g], state)
+        adam_step([p], [g], state, cfg)
     assert abs(p.data[0]) < 0.5
 
 

@@ -362,13 +362,6 @@ def test_width_columns_built_per_lowering(monkeypatch, name, per_call):
         assert built == per_call
 
 
-def test_conv_channel_mismatch_raises():
-    x = Tensor(np.zeros((1, 3, 5, 5)))
-    w = Tensor(np.zeros((2, 4, 3, 3)))
-    with pytest.raises(ValueError, match="3 maps.*expects"):
-        conv2d(x, w)
-
-
 def test_double_backward_scalar():
     # d/dx of (dy/dx) for y = x^3: second derivative 6x.
     x = Tensor(np.array(1.3), requires_grad=True)
@@ -474,11 +467,6 @@ def test_losses_reference_values_and_grads():
     probs = RNG.uniform(0.1, 0.9, size=(4, 3))
     onehot = np.eye(3)[[0, 2, 1, 0]]
     check_grads(lambda x: F.cross_entropy(x, Tensor(onehot)), [probs])
-
-
-def test_loss_dispatch_and_shape_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        F.mse(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
 
 def test_repeat_rows_upsamples_the_height_axis():
