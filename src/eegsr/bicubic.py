@@ -40,8 +40,6 @@ def interpolation_weights(montage):
     the edge channel.
     """
     n_lr = montage.n_lr
-    if n_lr < 2:
-        raise DataError(f"cubic interpolation needs at least 2 kept channels, got {n_lr}")
     weights = np.zeros((montage.n_hr, n_lr))
     for row, m in enumerate(montage.hr_indices):
         u = m / montage.scale

@@ -175,17 +175,20 @@ def _reassemble_full(lr_set, hr_set, montage, group):
 def cmd_features(args, cfg, out):
     montage, _, epoching = _info(args)
     group = epoching["window"] // epoching["seg_len"]
+    # Build every table before writing any: a failing split leaves none behind.
+    tables = []
     for split in ("train", "val", "test"):
         lr_set, hr_set = _load_set(args, split, "lr"), _load_set(args, split, "hr")
         full = _reassemble_full(lr_set, hr_set, montage, group)
-        archive.write_features_csv(out / f"{split}_hr.csv", psd.epoch_features(full))
-        print(f"features {split}_hr: {len(full)} epochs")
+        tables.append((f"{split}_hr", psd.epoch_features(full)))
         if args.sr and split in ("val", "test"):
             pred = archive.load_epoch_set(Path(args.sr) / split)
             pred = replace(pred, channel_labels=hr_set.channel_labels)
             full_sr = _reassemble_full(lr_set, pred, montage, group)
-            archive.write_features_csv(out / f"{split}_sr.csv", psd.epoch_features(full_sr))
-            print(f"features {split}_sr: {len(full_sr)} epochs")
+            tables.append((f"{split}_sr", psd.epoch_features(full_sr)))
+    for name, features in tables:
+        archive.write_features_csv(out / f"{name}.csv", features)
+        print(f"features {name}: {len(features)} epochs")
 
 
 def cmd_train_clf(args, cfg, out):

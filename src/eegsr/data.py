@@ -4,6 +4,11 @@ A recording is channels x samples. Epochs are fixed windows cut from it on a
 regular stride; segments are non-overlapping sub-windows of epochs. A montage
 split keeps every `scale`-th channel as the low-resolution input and treats
 the rest as the targets to reconstruct.
+
+Window, stride, segment length, scale and split ratios are checked at config
+load, recordings and epoch sets by their dataclasses. The functions here check
+only what those cannot: a recording shorter than a window, a scale that does
+not divide the channels, an empty split, rows that do not align.
 """
 from __future__ import annotations
 
@@ -297,8 +302,6 @@ def extract_epochs(rec, window=512, stride=32):
     Yields (n_samples - window) // stride + 1 epochs; fails if the recording
     is shorter than one window.
     """
-    if window < 1 or stride < 1:
-        raise DataError(f"window and stride must be positive, got {window}, {stride}")
     if rec.n_samples < window:
         raise DataError(
             f"recording has {rec.n_samples} samples, shorter than one {window}-sample window"
@@ -317,8 +320,6 @@ def segment_epochs(epoch_set, seg_len=64):
     if not len(epoch_set):
         raise DataError("cannot segment an empty epoch set")
     n, c, n_samples = epoch_set.values.shape
-    if n_samples % seg_len != 0:
-        raise DataError(f"epoch length {n_samples} is not divisible by segment length {seg_len}")
     k = n_samples // seg_len
     values = epoch_set.values.reshape(n, c, k, seg_len).transpose(0, 2, 1, 3)
     meta = _rows(epoch_set, np.repeat(np.arange(n), k))
@@ -356,12 +357,6 @@ def split_dataset(epoch_set, ratios=(0.75, 0.20, 0.05)):
     test receives the remainder, so every epoch lands in exactly one part.
     Subjects follow each other in order of first appearance.
     """
-    if not len(epoch_set):
-        raise DataError("cannot split an empty epoch set")
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise DataError(f"ratios must be three non-negative numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"ratios must sum to 1, got {sum(ratios)}")
     subjects, first = np.unique(epoch_set.subject_ids, return_index=True)
     parts = ([], [], [])
     for subject in subjects[np.argsort(first)]:
@@ -380,8 +375,6 @@ def split_dataset(epoch_set, ratios=(0.75, 0.20, 0.05)):
 
 def make_montage(n_channels, scale):
     """Keep every scale-th channel (indices 0, scale, 2*scale, ...)."""
-    if scale < 2:
-        raise DataError(f"scale must be >= 2, got {scale}")
     if n_channels % scale != 0:
         raise DataError(f"{n_channels} channels do not divide evenly by scale {scale}")
     lr = tuple(range(0, n_channels, scale))
@@ -392,11 +385,6 @@ def make_montage(n_channels, scale):
 def downsample_set(epoch_set, montage):
     """Split a full-layout set into kept-channel and missing-channel sets;
     returns (lr_set, hr_set)."""
-    n_channels = epoch_set.values.shape[1]
-    if n_channels != montage.n_channels:
-        raise DataError(
-            f"epoch set has {n_channels} channels, montage expects {montage.n_channels}"
-        )
     names = epoch_set.channel_labels
 
     def part(rows):

@@ -102,15 +102,15 @@ class LossHistory:
 def pair_arrays(lr_set, hr_set, gen):
     """Stack an aligned (lr, hr) pair of epoch sets into 4-D batches for `gen`.
 
-    The one check of training segments: their (channels, samples) must be the
-    generator's input and output shapes, so no loss or layer meets another.
+    The one check of training and validation segments: (channels, samples)
+    must be the generator's input and output shapes, so no loss or layer meets another.
     """
     check_aligned(lr_set, hr_set)
     if len(lr_set) == 0:
-        raise DataError("cannot train on an empty pair of epoch sets")
+        raise DataError(f"{lr_set.split} pair of epoch sets is empty")
     for side, s, want in (("lr", lr_set, gen.input_shape), ("hr", hr_set, gen.shapes[-1])):
         if s.values.shape[1:] != want[1:]:
-            raise DataError(f"training {side} segments of shape {s.values.shape[1:]} do not "
+            raise DataError(f"{s.split} {side} segments of shape {s.values.shape[1:]} do not "
                             f"match the generator's {side} shape {want[1:]}")
     x = lr_set.values.astype(gen.dtype)[:, None]
     y = hr_set.values.astype(gen.dtype)[:, None]
@@ -225,7 +225,6 @@ class TrainState:
 
 def evaluate_mse(gen, lr_set, hr_set):
     """Inference-mode MSE of the generator over an aligned epoch-set pair."""
-    check_aligned(lr_set, hr_set)
     return sr_metrics(sr_predict_set(gen, lr_set), hr_set)[0]
 
 
@@ -252,6 +251,8 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
     gen, disc = state.gen, state.disc
 
     x, y = pair_arrays(train_pair[0], train_pair[1], gen)
+    if val_pair is not None:  # refused here, not after the first epoch
+        pair_arrays(val_pair[0], val_pair[1], gen)
     n = x.shape[0]
     g_params = gen.parameters()
     d_params = disc.parameters() if disc is not None else None

@@ -178,14 +178,8 @@ class Model:
 
     def set_parameters(self, arrays):
         """Load flat parameter arrays (w0, b0, w1, b1, ...) in layer order."""
-        tensors = self.parameters()
-        if len(arrays) != len(tensors):
-            raise ValueError(f"expected {len(tensors)} parameter arrays, got {len(arrays)}")
-        for t, a in zip(tensors, arrays):
-            a = np.asarray(a, dtype=self.dtype)
-            if a.shape != t.shape:
-                raise ValueError(f"parameter shape mismatch: expected {t.shape}, got {a.shape}")
-            t.data = a.copy()
+        for t, a in zip(self.parameters(), arrays):
+            t.data = np.array(a, dtype=self.dtype)
 
     def _apply_activation(self, ls, x):
         if ls.activation == "elu":

@@ -7,6 +7,8 @@ versus reconstructed signals. Reports serialise to markdown tables and to
 CSV, written and read through `eegsr.table` (repr floats, so value-exact).
 Malformed text, a table without rows and a row or group of rows that does
 not make a valid record raise ParseError naming the file and the line.
+Records check their own values, scoring checks row alignment and the class
+set, and the writers check nothing.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import table
+from .data import check_aligned
 from .errors import DataError, ParseError
 
 DATASETS = ("val", "test")
@@ -76,11 +79,9 @@ class ClassMetrics:
 
 
 def sr_metrics(pred_set, truth_set):
-    """(mse, mae) of predicted missing-channel blocks against the truth."""
-    if len(pred_set) != len(truth_set):
-        raise DataError(
-            f"prediction/truth mismatch: {len(pred_set)} vs {len(truth_set)} epochs"
-        )
+    """(mse, mae) of predicted missing-channel blocks against the truth,
+    whose rows they must match (`check_aligned`)."""
+    check_aligned(pred_set, truth_set)
     if len(pred_set) == 0:
         raise DataError("cannot score an empty set")
     p = pred_set.values
@@ -100,13 +101,6 @@ def classification_metrics(predicted, truth, class_ids, scale, source, seed=None
     """
     predicted = np.asarray(predicted, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
-    if predicted.shape != truth.shape or predicted.ndim != 1:
-        raise DataError(
-            f"prediction/truth must be equal-length vectors, got {predicted.shape} "
-            f"and {truth.shape}"
-        )
-    if predicted.size == 0:
-        raise DataError("cannot score an empty prediction set")
     class_ids = tuple(int(c) for c in class_ids)
     unknown = set(truth.tolist()) - set(class_ids)
     if unknown:
@@ -154,8 +148,6 @@ def _seeds(t, column):
 
 
 def write_sr_csv(path, records):
-    if not records:
-        raise DataError("no reconstruction records to write")
     table.write(path, SR_CSV_HEADER, ([r.dataset, r.scale, r.method, r.mse, r.mae,
                                        "" if r.seed is None else r.seed] for r in records))
 
@@ -187,8 +179,6 @@ def read_sr_csv(path):
 
 
 def write_class_csv(path, metrics_list):
-    if not metrics_list:
-        raise DataError("no classification metrics to write")
     rows = []
     for m in metrics_list:
         seed = "" if m.seed is None else m.seed
@@ -248,8 +238,6 @@ def _fmt(v):
 def sr_markdown(records):
     """One row per (dataset, scale); bicubic and adversarial columns side
     by side, '-' where a method was not evaluated."""
-    if not records:
-        raise DataError("no reconstruction records to format")
     cells = {}
     for r in records:
         cells[(r.dataset, r.scale, r.method)] = r
@@ -270,8 +258,6 @@ def sr_markdown(records):
 
 def class_markdown(metrics_list):
     """Accuracy, then per-class precision and recall, per feature source."""
-    if not metrics_list:
-        raise DataError("no classification metrics to format")
     by_key = {(m.scale, m.source): m for m in metrics_list}
     scales = sorted({m.scale for m in metrics_list})
     lines = [
@@ -310,8 +296,6 @@ def class_markdown(metrics_list):
 def emit_report(out_dir, sr_records=None, class_metrics=None):
     """Write the CSV and markdown tables of whichever report families are
     present; returns written paths."""
-    if not sr_records and not class_metrics:
-        raise DataError("nothing to report")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

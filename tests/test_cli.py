@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from eegsr import archive, models, psd
+from eegsr import archive, gan, models, psd
 from eegsr.archive import FEATURE_HEADER, read_features_csv, write_features_csv
 from eegsr.cli import HEAP_SETTINGS, main
 from eegsr.errors import ParseError
@@ -697,21 +697,24 @@ def scale4(pipeline, tmp_path_factory):
 
 # One archive of the scale-2 preprocess swapped for its scale-4 twin, whose
 # info.txt still says scale 2. pretrain and gan-train used to end in a
-# ValueError traceback, from Model.forward (train_lr) or F.mse (train_hr);
-# the other commands already exited 1.
-SWAPPED_ARCHIVES = [("pretrain", "train_lr"), ("pretrain", "train_hr"),
+# ValueError traceback, from Model.forward (train_lr) or F.mse (train_hr),
+# and to refuse a val archive only after a full epoch; the other commands
+# already exited 1, features after writing train_hr.csv.
+SWAPPED_ARCHIVES = [("pretrain", "train_lr"), ("pretrain", "train_hr"), ("pretrain", "val_lr"),
                     ("gan-train", "train_lr"), ("gan-train", "train_hr"),
-                    ("sr-infer", "val_lr"), ("baseline", "val_lr"),
+                    ("gan-train", "val_hr"), ("sr-infer", "val_lr"), ("baseline", "val_lr"),
                     ("features", "val_hr"), ("evaluate", "val_hr")]
 
 
 @pytest.mark.parametrize("command, name", SWAPPED_ARCHIVES)
 def test_archive_of_another_shape_is_a_data_error(tmp_path, pipeline, scale4, capsys,
-                                                  command, name):
+                                                  monkeypatch, command, name):
     data, out = tmp_path / "data", tmp_path / "out"
     shutil.copytree(pipeline["data"], data)
     shutil.rmtree(data / name)
     shutil.copytree(scale4 / name, data / name)
+    steps = []
+    monkeypatch.setattr(gan, "generator_loss", lambda *a: steps.append(a))
     extra = {"gan-train": ["--init", str(pipeline["pre"] / "last")],
              "sr-infer": ["--checkpoint", str(pipeline["adv"] / "best")],
              "evaluate": ["--baseline", str(pipeline["base"])]}.get(command, [])
@@ -720,9 +723,24 @@ def test_archive_of_another_shape_is_a_data_error(tmp_path, pipeline, scale4, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if command in ("pretrain", "gan-train"):
-        side = name[-2:]
+        split, side = name.split("_")
         have = {"lr": "(8, 64)", "hr": "(24, 64)"}[side]
-        assert (f"training {side} segments of shape {have} do not match the generator's "
+        assert (f"{split} {side} segments of shape {have} do not match the generator's "
                 f"{side} shape (16, 64)") in err
-    # features writes the train tables before it reads the val archives.
-    assert not out.exists() or command == "features"
+    assert not steps and not out.exists()
+
+
+def test_evaluate_refuses_unaligned_predictions(tmp_path, pipeline, capsys):
+    # A baseline row that starts elsewhere than its truth row is not scored.
+    base, out = tmp_path / "base", tmp_path / "out"
+    shutil.copytree(pipeline["base"], base)
+    meta = base / "val" / "meta.csv"
+    with open(meta, newline="") as fh:
+        origin = int(list(csv.reader(fh))[3][3])
+    corrupt_cell(meta, 4, 3, str(origin + 1))
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(pipeline["data"]), "--baseline", str(base),
+                 "--out", str(out)] + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sets misaligned at epoch 2: ") and err.count("\n") == 1, err
+    assert not out.exists()

@@ -193,12 +193,6 @@ def test_split_is_per_subject():
     assert len(train) + len(val) + len(test) == 30
 
 
-def test_split_rejects_bad_ratios():
-    eset = random_set(10, 2, 8)
-    with pytest.raises(DataError):
-        split_dataset(eset, ratios=(0.5, 0.5, 0.5))
-
-
 def test_montage_keeps_every_scale_th_channel():
     m = make_montage(32, 2)
     assert m.lr_indices == tuple(range(0, 32, 2))

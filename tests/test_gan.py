@@ -336,7 +336,7 @@ def test_pair_arrays_refuses_segments_of_another_shape():
     lr, hr = paired_sets(3)
     for side, lr_values, hr_values in (("lr", lr.values[:, :2], hr.values),
                                        ("hr", lr.values, hr.values[:, :, :4])):
-        with pytest.raises(DataError, match=f"training {side} segments of shape"):
+        with pytest.raises(DataError, match=f"unsplit {side} segments of shape"):
             pair_arrays(replace(lr, values=lr_values), replace(hr, values=hr_values), gen)
 
 

@@ -210,3 +210,27 @@ def test_layer_operations_and_primitives_check_nothing():
     found = [f"{name}:{line}" for name, allowed in (("functional.py", ()), ("tensor.py", ("grad",)))
              for line in raises_outside((nn / name).read_text(), allowed)]
     assert not found, "re-checks behind the entry points:\n" + "\n".join(found)
+
+
+# Functions that take only values an entry check has already checked (config
+# load, an artifact reader, a record's __post_init__), by file under src/eegsr/.
+CHECKED_AT_ENTRY = {
+    "data.py": ("split_dataset", "downsample_set"),
+    "bicubic.py": ("interpolation_weights",),
+    "psd.py": ("train_classifier",),
+    "report.py": ("write_sr_csv", "write_class_csv", "sr_markdown", "class_markdown",
+                  "emit_report"),
+    "nn/layers.py": ("set_parameters",),
+}
+
+
+def test_functions_behind_the_entry_checks_check_nothing():
+    """Data is checked where it enters: ratios, window and scale at config
+    load, archives and models by their readers, metric records by their
+    dataclasses. The functions they feed raise nothing of their own."""
+    found = []
+    for name, functions in CHECKED_AT_ENTRY.items():
+        source = (ROOT / "src" / "eegsr" / name).read_text()
+        inside = set(raises_outside(source)) - set(raises_outside(source, functions))
+        found += [f"{name}:{line}" for line in sorted(inside)]
+    assert not found, "re-checks behind the entry points:\n" + "\n".join(found)

@@ -204,13 +204,6 @@ def test_classifier_determinism():
     assert np.array_equal(outs[0], outs[1])
 
 
-def test_train_classifier_validates_class_count():
-    x, labels = separable_features(5)
-    model = build_classifier(ClassifierConfig(), seed=0)
-    with pytest.raises(DataError):
-        train_classifier(model, x, labels, ClassifierTrainConfig(epochs=1), class_ids=(2, 3))
-
-
 def test_train_classifier_rejects_unknown_label():
     x, labels = separable_features(5)
     labels = labels.copy()
