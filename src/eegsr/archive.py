@@ -8,9 +8,10 @@ feature tables as one CSV of the same metadata columns plus the band
 powers. Every CSV is written and read through `eegsr.table`, floats by
 repr, so a write/read cycle is value-exact. The archive manifest and
 `info.txt` are INI text in the format of `eegsr.ini`, with `MontageSplit`
-and `NormStats` mapped field by field. A missing file raises ArtifactError;
-corrupt content (a malformed table or manifest, a value file of the wrong
-size) raises ParseError.
+and `NormStats` mapped field by field; the value file is read and written
+by `eegsr.nn.serialize`. A missing file raises the OSError that opening it
+raises; corrupt content (a malformed table or manifest, a value file of the
+wrong size) raises ParseError.
 """
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ import numpy as np
 
 from . import table
 from .data import EpochSet, MontageSplit, NormStats, RawRecording
-from .errors import ArtifactError, DataError, ParseError
+from .errors import DataError, ParseError
 from .ini import from_section, read, section_of, write
-from .nn.serialize import dtype_code, dtype_from_code
+from .nn.serialize import dtype_code, dtype_from_code, read_arrays, write_arrays
 from .psd import N_FEATURES, FeatureTable
 
 FORMAT_VERSION = "1"
@@ -44,9 +45,6 @@ def save_recording(path, rec):
 def load_recording(path):
     """Read a recording CSV; malformed content reports its line number. The
     `# fs=...` line must give the sampling rate; the subject defaults to s01."""
-    path = Path(path)
-    if not path.is_file():
-        raise ArtifactError(f"recording not found: {path}")
     t = table.read(path)
     meta = dict(token.split("=", 1) for token in (t.comment or "").split() if "=" in token)
     has_labels = t.header[-1] == "label"
@@ -111,7 +109,7 @@ def save_epoch_set(directory, epoch_set):
         "channel_labels": epoch_set.channel_labels or (),
         "has_channel_labels": int(epoch_set.channel_labels is not None),
     }})
-    values.astype(ARCHIVE_DTYPE).tofile(directory / "values.bin")
+    write_arrays(directory / "values.bin", [values], ARCHIVE_DTYPE)
     table.write(directory / "meta.csv", META_HEADER, _meta_rows(epoch_set))
 
 
@@ -119,9 +117,6 @@ def load_epoch_set(directory):
     """Rebuild an epoch set from save_epoch_set output."""
     directory = Path(directory)
     manifest = directory / "manifest.txt"
-    for path in (manifest, directory / "values.bin", directory / "meta.csv"):
-        if not path.is_file():
-            raise ArtifactError(f"epoch archive not found: {directory} (no {path.name})")
     try:
         head = read(manifest)["archive"]
         if head["format_version"] != FORMAT_VERSION:
@@ -137,19 +132,14 @@ def load_epoch_set(directory):
             channel_labels = None
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{manifest}: corrupt archive manifest ({exc})") from exc
-    values = np.fromfile(directory / "values.bin", dtype=dtype)
-    if values.size != int(np.prod(shape)):
-        raise ParseError(
-            f"{directory}: values.bin holds {values.size} values, manifest declares "
-            f"{int(np.prod(shape))}"
-        )
+    [values] = read_arrays(directory / "values.bin", [shape], dtype)
     t = table.read(directory / "meta.csv", META_HEADER)
     if len(t.cells) != shape[0]:
         raise ParseError(
             f"{directory}: meta.csv lists {len(t.cells)} epochs, manifest declares {shape[0]}"
         )
     labels, subject_ids, origins = _read_metadata(t)
-    return EpochSet(values.reshape(shape), labels, subject_ids, origins,
+    return EpochSet(values, labels, subject_ids, origins,
                     split=split, fs=fs, channel_labels=channel_labels)
 
 
@@ -160,9 +150,6 @@ def write_features_csv(path, features):
 
 
 def read_features_csv(path):
-    path = Path(path)
-    if not path.is_file():
-        raise ArtifactError(f"feature table not found: {path}")
     t = table.read(path, FEATURE_HEADER)
     return FeatureTable(t.parse(slice(len(META_HEADER), None), float, "band power"),
                         *_read_metadata(t))
@@ -178,9 +165,6 @@ def save_preprocess_info(path, montage, stats, window, stride, seg_len):
 
 
 def load_preprocess_info(path):
-    path = Path(path)
-    if not path.is_file():
-        raise ArtifactError(f"preprocessing info not found: {path}")
     try:
         sections = read(path)
         montage = from_section(MontageSplit, sections["montage"])

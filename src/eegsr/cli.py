@@ -4,15 +4,16 @@ Each subcommand reads and writes artifacts under a run directory, so the
 experiment decomposes into resumable, individually rerunnable steps, listed
 in pipeline order in `COMMANDS`. `main` is the one runner: it resolves the
 config from --config and repeatable --set section.key=value overrides
-(every command but report takes them), creates --out (for synth, its
-directory; removed again if the command fails without writing to it),
-calls `cmd_<name>(args, cfg, out)` and then writes the resolved config
-beside the outputs: `config.txt`, for synth `<out>.config.txt`. Exit codes
-(`EXIT_CODES`): 2 a missing input artifact or a usage error, 3 an invalid
+(every command but report takes them), refuses an absent input path (every
+option in `COMMANDS` names one), creates --out (for synth, its directory;
+removed again if the command fails without writing to it), calls
+`cmd_<name>(args, cfg, out)` and then writes the resolved config beside the
+outputs: `config.txt`, for synth `<out>.config.txt`. Exit codes
+(`EXIT_CODES`): 2 an absent input path or a usage error, 3 an invalid
 config (including a training phase of zero epochs and a --resume under a
 changed training config), 4 a numeric abort in training, 1 any other
-error: a corrupt input artifact (a malformed table or manifest, a truncated
-value file) or an OSError (say, --out below an existing file).
+error: an input that exists but is incomplete (a file inside it missing),
+malformed, inconsistent or incompatible, or another OSError.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import archive, bicubic, data, gan, models, psd, report, table
 from .config import load_config, save_config
-from .errors import ArtifactError, CheckpointError, ConfigError, EegsrError, NumericAbort
+from .errors import ArtifactError, ConfigError, EegsrError, NumericAbort, ParseError
 from .ini import parse_value
 from .nn.serialize import load_model, save_model
 
@@ -110,7 +111,7 @@ def _training_run(args, cfg, out, phase, build):
     if args.resume:
         state = gan.load_checkpoint(args.resume, fingerprint, train_cfg)
         if state.phase != phase:
-            raise CheckpointError(f"checkpoint phase {state.phase!r} cannot resume {phase!r}")
+            raise ParseError(f"checkpoint phase {state.phase!r} cannot resume {phase!r}")
     else:
         state = gan.TrainState.fresh(phase, *build(), train_cfg, fingerprint)
     gan.train(state, train_pair, train_cfg, val_pair, checkpoint_dir=out)
@@ -210,15 +211,17 @@ def cmd_train_clf(args, cfg, out):
 def _load_classifier(directory):
     model, extra = load_model(Path(directory) / "model")
     try:
-        class_ids = parse_value(tuple[int, ...], extra["class_ids"])
+        clf_cfg = models.ClassifierConfig(parse_value(tuple[int, ...], extra["class_ids"]))
         mu = np.asarray(parse_value(tuple[float, ...], extra["scaler_mu"]))
         sigma = np.asarray(parse_value(tuple[float, ...], extra["scaler_sigma"]))
         if len(mu) != psd.N_FEATURES or len(sigma) != psd.N_FEATURES:
             raise ValueError(f"scaler has {len(mu)} means and {len(sigma)} deviations "
                              f"for {psd.N_FEATURES} features")
+        if clf_cfg.n_classes != model.shapes[-1][0]:
+            raise ValueError(f"{clf_cfg.n_classes} class ids for {model.shapes[-1][0]} outputs")
     except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"{directory}: corrupt classifier model ({exc})") from exc
-    return model, class_ids, psd.FeatureScaler(mu=mu, sigma=sigma)
+        raise ParseError(f"{directory}: corrupt classifier model ({exc})") from exc
+    return model, clf_cfg.class_ids, psd.FeatureScaler(mu=mu, sigma=sigma)
 
 
 def cmd_evaluate(args, cfg, out):
@@ -278,8 +281,8 @@ def cmd_report(args, cfg, out):
 DATA = ("--data", {"required": True, "help": "preprocess output directory"})
 
 # name: (help, whether it takes the config options, its options). An option
-# is a flag and its add_argument keywords; a list of options is a group of
-# which exactly one is required. Every command also takes --out.
+# is an input path's flag and its add_argument keywords; a list of options is
+# a group of which exactly one is required. Every command also takes --out.
 COMMANDS = {
     "synth": ("write a surrogate labelled recording", True, []),
     "preprocess": ("epochs, montage split, archives and normalization stats", True,
@@ -308,7 +311,8 @@ COMMANDS = {
 
 def build_parser():
     """The parser of every command. Each sets `fn` to the module's current
-    `cmd_<name>`, looked up now, so a wrapper patched over it is the one run."""
+    `cmd_<name>`, looked up now, so a wrapper patched over it is the one run,
+    and `inputs` to the actions of its input path options."""
     parser = argparse.ArgumentParser(
         prog="eegsr",
         description="EEG channel super-resolution: training, baselines and evaluation",
@@ -321,14 +325,14 @@ def build_parser():
             p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                            help="override one config value (repeatable)")
         p.add_argument("--out", required=True, help="output directory (synth: recording CSV)")
+        inputs = []
         for option in options:
             if isinstance(option, list):
                 group = p.add_mutually_exclusive_group(required=True)
-                for flag, kwargs in option:
-                    group.add_argument(flag, **kwargs)
+                inputs += [group.add_argument(flag, **kwargs) for flag, kwargs in option]
             else:
-                p.add_argument(option[0], **option[1])
-        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
+                inputs.append(p.add_argument(option[0], **option[1]))
+        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")], inputs=inputs)
     return parser
 
 
@@ -359,8 +363,12 @@ def keep_freed_heap():
 
 
 def _run(args):
-    """Resolve the config, run the command into --out and write its config."""
+    """Resolve the config, refuse absent inputs, run the command into --out, save the config."""
     cfg = load_config(args.config, _overrides(args)) if "config" in args else None
+    for action in args.inputs:
+        path = getattr(args, action.dest)
+        if path is not None and not Path(path).exists():
+            raise ArtifactError(f"{action.option_strings[0]} {path}: not found")
     out = Path(args.out)
     if args.command == "synth":  # --out names the recording file
         directory, config_path = out.parent, out.with_suffix(".config.txt")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Only the command line decides
+that an input is absent (ArtifactError); a reader raises ParseError for an
+input it cannot use."""
 
 
 class EegsrError(Exception):
@@ -10,7 +12,7 @@ class DataError(EegsrError):
 
 
 class ParseError(EegsrError):
-    """Malformed file content; carries a line number when known."""
+    """An input that exists but cannot be used; carries a line number when known."""
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -24,11 +26,11 @@ class ConfigError(EegsrError):
 
 
 class ArtifactError(EegsrError):
-    """A required input artifact is missing or unreadable."""
+    """An input path that does not exist, or inputs that name nothing to do."""
 
 
-class CheckpointError(EegsrError):
-    """Checkpoint directory is incomplete, corrupt, or incompatible."""
+# The benchmark harness imports and catches this name.
+CheckpointError = ParseError
 
 
 class NumericAbort(EegsrError):

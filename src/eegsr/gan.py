@@ -27,7 +27,7 @@ import numpy as np
 from . import table
 from .config import TrainConfig
 from .data import check_aligned
-from .errors import ArtifactError, CheckpointError, ConfigError, DataError, NumericAbort, ParseError
+from .errors import ConfigError, DataError, NumericAbort, ParseError
 from .ini import from_section, read, section_of, write
 from .models import DISC_FINAL_STRIDE, sr_predict_set
 from .nn import functional as F
@@ -88,14 +88,9 @@ class LossHistory:
 
     @classmethod
     def from_csv(cls, path):
-        try:
-            t = table.read(path, HISTORY_COLUMNS)
-            steps = t.parse(0, int, "step").tolist()
-            losses = t.parse(slice(1, None), float, "loss").tolist()
-        except OSError as exc:
-            raise CheckpointError(f"{path}: cannot read history ({exc.strerror})") from exc
-        except ParseError as exc:
-            raise CheckpointError(str(exc)) from exc
+        t = table.read(path, HISTORY_COLUMNS)
+        steps = t.parse(0, int, "step").tolist()
+        losses = t.parse(slice(1, None), float, "loss").tolist()
         return cls(LossRecord(step, *row) for step, row in zip(steps, losses))
 
 
@@ -177,7 +172,7 @@ def generator_loss(gen, disc, lr_batch, hr_batch, adv_weight, data_rng, adv_rng)
     """
     pred = gen.forward(Tensor(lr_batch), training=True, rng=data_rng)
     mse = F.mse(pred, Tensor(np.asarray(hr_batch, dtype=gen.dtype)))
-    if adv_weight == 0.0 or disc is None:
+    if adv_weight == 0.0:
         return mse, Tensor(np.zeros((), dtype=gen.dtype)), mse
     adv = -mean_t(disc.forward(pred, training=True, rng=adv_rng))
     total = adv * adv_weight + mse
@@ -214,8 +209,6 @@ class TrainState:
     def fresh(cls, phase, gen, disc, cfg, fingerprint=""):
         """The state before the first step of `phase`: new Adam moments and
         the two random streams seeded from `cfg.seed`."""
-        if phase == "gan" and disc is None:
-            raise DataError("adversarial training needs a critic")
         d_state = None if disc is None else AdamState.for_params(disc.parameters())
         return cls(phase, gen, disc, AdamState.for_params(gen.parameters()), d_state,
                    np.random.default_rng(cfg.seed),
@@ -387,25 +380,22 @@ def _check_resume_config(saved, cfg, phase, epoch):
 
 def load_generator(directory, expect_fingerprint=None):
     """(generator, manifest sections) of a checkpoint, its critic, Adam moments and
-    history unread; refuses a missing directory (ArtifactError), another format
-    version and, given `expect_fingerprint`, another fingerprint."""
+    history unread; refuses another format version and, given
+    `expect_fingerprint`, another fingerprint (ParseError). A missing file
+    raises the OSError that opening it raises."""
     directory = Path(directory)
-    if not directory.exists():
-        raise ArtifactError(f"checkpoint not found: {directory}")
     manifest = directory / "manifest.txt"
-    if not manifest.is_file():
-        raise CheckpointError(f"{directory}: not a checkpoint (missing manifest.txt)")
     try:
         sections = read(manifest)
         head = sections["checkpoint"]
         version, fingerprint = head["format_version"], head["fingerprint"]
     except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"{manifest}: corrupt checkpoint manifest ({exc})") from exc
+        raise ParseError(f"{manifest}: corrupt checkpoint manifest ({exc})") from exc
     if version != FORMAT_VERSION:
-        raise CheckpointError(f"{manifest}: unsupported checkpoint format {version!r}")
+        raise ParseError(f"{manifest}: unsupported checkpoint format {version!r}")
     if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-        raise CheckpointError(f"checkpoint fingerprint {fingerprint!r} does not match expected "
-                              f"{expect_fingerprint!r}; refusing to load")
+        raise ParseError(f"checkpoint fingerprint {fingerprint!r} does not match expected "
+                         f"{expect_fingerprint!r}; refusing to load")
     return load_model(directory / "generator")[0], sections
 
 
@@ -436,15 +426,15 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
             raise ValueError(f"inconsistent counters: epoch {epoch}, g/d steps {g_steps}/"
                              f"{d_steps}, g/d Adam steps {g_t}/{d_t}")
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{manifest}: corrupt checkpoint manifest ({exc})") from exc
+        raise ParseError(f"{manifest}: corrupt checkpoint manifest ({exc})") from exc
 
     if expect_config is not None:
         _check_resume_config(saved_cfg, expect_config, phase, epoch)
     history = LossHistory.from_csv(directory / "history.csv")
     # One row per generator step, the step of an abort checkpoint included.
     if len(history) != g_steps:
-        raise CheckpointError(f"{directory / 'history.csv'}: corrupt checkpoint "
-                              f"({len(history)} history rows for {g_steps} generator steps)")
+        raise ParseError(f"{directory / 'history.csv'}: corrupt checkpoint "
+                         f"({len(history)} history rows for {g_steps} generator steps)")
 
     g_state = _load_adam(directory, "gen_adam", gen, g_t)
     disc = d_state = None

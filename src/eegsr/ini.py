@@ -60,11 +60,12 @@ def write(path, sections):
 def read(path, inline_comments=False):
     """{section: {key: text}} of an INI file. `inline_comments` lets `#` after
     whitespace start a comment, as in hand-written config files. Malformed
-    text raises ValueError."""
+    text raises ValueError, a missing file FileNotFoundError."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",) if inline_comments else None)
     cp.optionxform = str
     try:
-        cp.read(path)
+        with open(path) as fh:
+            cp.read_file(fh)
         return {name: dict(cp[name]) for name in cp.sections()}
     except configparser.Error as exc:
         raise ValueError(str(exc)) from exc

@@ -3,8 +3,9 @@
 A saved model is a directory holding `manifest.txt` (layer specs, shapes,
 dtype, seed) and `params.bin` (every parameter tensor concatenated in
 declaration order). The manifest is INI text in the format of `eegsr.ini`,
-one `[layerN]` section per `LayerSpec`, field by field. The same array-file
-helpers back optimizer moments in training checkpoints.
+one `[layerN]` section per `LayerSpec`, field by field. `write_arrays` and
+`read_arrays` are the one writer and reader of raw binaries: model
+parameters, optimizer moments in training checkpoints and epoch archives.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ArtifactError, CheckpointError
+from ..errors import ParseError
 from ..ini import from_section, parse_value, read, section_of, write
 from .layers import LayerSpec, Model
 
@@ -33,7 +34,7 @@ def dtype_from_code(code):
     try:
         return _DTYPE_CODES[code]
     except KeyError:
-        raise CheckpointError(f"unknown dtype code {code!r}") from None
+        raise ParseError(f"unknown dtype code {code!r}") from None
 
 
 def write_arrays(path, arrays, dtype):
@@ -41,26 +42,22 @@ def write_arrays(path, arrays, dtype):
     dt = _DTYPE_CODES[dtype_code(dtype)]
     with open(path, "wb") as fh:
         for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype=dt).tobytes())
+            fh.write(np.ascontiguousarray(a, dtype=dt))
 
 
 def read_arrays(path, shapes, dtype):
-    """Read back arrays of the given shapes from a raw binary file."""
-    dt = _DTYPE_CODES[dtype_code(dtype)]
-    try:
-        raw = np.fromfile(path, dtype=dt)
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read arrays ({exc.strerror})") from exc
+    """Arrays of the given shapes from a raw binary file, as views of one buffer."""
+    raw = np.fromfile(path, dtype=_DTYPE_CODES[dtype_code(dtype)])
     total = sum(int(np.prod(s)) for s in shapes)
     if raw.size != total:
-        raise CheckpointError(
+        raise ParseError(
             f"{path}: expected {total} values for declared shapes, found {raw.size}"
         )
     out = []
     offset = 0
     for s in shapes:
         n = int(np.prod(s))
-        out.append(raw[offset : offset + n].reshape(s).copy())
+        out.append(raw[offset : offset + n].reshape(s))
         offset += n
     return out
 
@@ -86,16 +83,12 @@ def save_model(directory, model, extra=None):
 def load_model(directory):
     """Rebuild a model (and its [extra] dict) from a saved directory."""
     directory = Path(directory)
-    if not directory.exists():
-        raise ArtifactError(f"model not found: {directory}")
     manifest = directory / "manifest.txt"
-    if not manifest.is_file():
-        raise CheckpointError(f"{directory}: missing manifest.txt")
     try:
         sections = read(manifest)
         head = sections["model"]
         if head["format_version"] != FORMAT_VERSION:
-            raise CheckpointError(f"unsupported model format {head['format_version']!r}")
+            raise ParseError(f"unsupported model format {head['format_version']!r}")
         dtype = dtype_from_code(head["dtype"])
         seed = int(head["seed"])
         input_shape = parse_value(tuple[int, ...], head["input_shape"])
@@ -103,7 +96,7 @@ def load_model(directory):
                  for i in range(int(head["layers"]))]
         model = Model(specs, input_shape, seed=seed, dtype=dtype, init=False)
     except (IndexError, KeyError, ValueError) as exc:
-        raise CheckpointError(f"{manifest}: corrupt model manifest ({exc})") from exc
+        raise ParseError(f"{manifest}: corrupt model manifest ({exc})") from exc
     shapes = [t.shape for t in model.parameters()]
     arrays = read_arrays(directory / "params.bin", shapes, dtype)
     model.set_parameters(arrays)

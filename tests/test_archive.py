@@ -20,7 +20,7 @@ from eegsr.data import (
     RawRecording,
     make_montage,
 )
-from eegsr.errors import ArtifactError, ParseError
+from eegsr.errors import ParseError
 
 from helpers import epoch_set, same_set
 
@@ -61,7 +61,8 @@ def test_recording_round_trip_without_labels(tmp_path):
 
 
 def test_recording_missing_file():
-    with pytest.raises(ArtifactError):
+    # The command line refuses an absent --recording (exit 2); a reader only reads.
+    with pytest.raises(FileNotFoundError):
         load_recording("/nonexistent/rec.csv")
 
 
@@ -124,11 +125,11 @@ def test_epoch_set_round_trip_unlabelled(tmp_path):
 
 
 def test_epoch_archive_missing_pieces(tmp_path):
-    with pytest.raises(ArtifactError):
+    with pytest.raises(FileNotFoundError):
         load_epoch_set(tmp_path / "nothing")
     save_epoch_set(tmp_path / "arc", sample_epoch_set())
     (tmp_path / "arc" / "values.bin").unlink()
-    with pytest.raises(ArtifactError):
+    with pytest.raises(FileNotFoundError, match="values.bin"):
         load_epoch_set(tmp_path / "arc")
 
 
@@ -136,7 +137,7 @@ def test_epoch_archive_detects_truncated_values(tmp_path):
     save_epoch_set(tmp_path / "arc", sample_epoch_set())
     blob = (tmp_path / "arc" / "values.bin").read_bytes()
     (tmp_path / "arc" / "values.bin").write_bytes(blob[:-8])
-    with pytest.raises(ParseError, match="holds 319 values"):
+    with pytest.raises(ParseError, match="expected 320 values for declared shapes, found 319"):
         load_epoch_set(tmp_path / "arc")
 
 
@@ -167,5 +168,5 @@ def test_preprocess_info_corrupt(tmp_path):
     path.write_text("[montage]\nn_channels = pear\n")
     with pytest.raises(ParseError):
         load_preprocess_info(path)
-    with pytest.raises(ArtifactError):
+    with pytest.raises(FileNotFoundError):
         load_preprocess_info(tmp_path / "absent.txt")

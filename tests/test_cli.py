@@ -10,7 +10,7 @@ import pytest
 
 from eegsr import archive, gan, models, psd
 from eegsr.archive import FEATURE_HEADER, read_features_csv, write_features_csv
-from eegsr.cli import HEAP_SETTINGS, main
+from eegsr.cli import COMMANDS, HEAP_SETTINGS, main
 from eegsr.errors import ParseError
 from eegsr.psd import FeatureTable
 
@@ -208,6 +208,71 @@ def test_exit_codes(tmp_path, pipeline):
                  "--set", "baditem"]) == 3
 
 
+def input_flags():
+    """(command, flag) of every input path option in `COMMANDS`."""
+    return [(name, flag) for name, (_, _, options) in COMMANDS.items() for option in options
+            for flag, _ in (option if isinstance(option, list) else [option])]
+
+
+def other_required(command, flag):
+    """The flags `command` requires besides `flag`: its required options and
+    the first of each required group that `flag` is not in."""
+    for option in COMMANDS[command][2]:
+        if isinstance(option, list):
+            if flag not in dict(option):
+                yield option[0][0]
+        elif option[1].get("required") and option[0] != flag:
+            yield option[0]
+
+
+# An input of each required kind that exists, as a pipeline path.
+PRESENT = {"--recording": ("rec",), "--data": ("data",), "--init": ("pre", "last"),
+           "--checkpoint": ("adv", "best"), "--features": ("feats",), "--metrics": ("metrics",)}
+
+
+@pytest.mark.parametrize("command, flag", input_flags())
+def test_absent_input_path_is_a_usage_error(tmp_path, pipeline, capsys, command, flag):
+    absent, out = tmp_path / "absent", tmp_path / "out"
+    argv = [command, flag, str(absent), "--out", str(out)]
+    for other in other_required(command, flag):
+        key, *rest = PRESENT[other]
+        argv += [other, str(pipeline[key].joinpath(*rest))]
+    assert main(argv + (OVERRIDES if COMMANDS[command][1] else [])) == 2
+    assert capsys.readouterr().err == f"error: {flag} {absent}: not found\n"
+    assert not out.exists()
+
+
+# A part removed from an input that exists, and the command run on the copy.
+# Each was refused as absent (exit 2) by whichever reader missed it.
+INCOMPLETE_INPUTS = {
+    "checkpoint-generator": (("adv", "best"), "generator", lambda p, c: [
+        "sr-infer", "--data", str(p["data"]), "--checkpoint", str(c)]),
+    "resume-discriminator": (("adv", "last"), "discriminator", lambda p, c: [
+        "gan-train", "--data", str(p["data"]), "--resume", str(c)]),
+    "data-values": (("data",), "val_lr/values.bin", lambda p, c: ["baseline", "--data", str(c)]),
+    "data-info": (("data",), "info.txt", lambda p, c: ["features", "--data", str(c)]),
+    "features-table": (("feats",), "train_hr.csv", lambda p, c: [
+        "train-clf", "--features", str(c)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCOMPLETE_INPUTS))
+def test_part_missing_from_an_input_is_a_one_line_error(tmp_path, pipeline, capsys, case):
+    (key, *rest), part, argv = INCOMPLETE_INPUTS[case]
+    copy, out = tmp_path / "copy", tmp_path / "out"
+    shutil.copytree(pipeline[key].joinpath(*rest), copy)
+    removed = copy / part
+    if removed.is_dir():
+        shutil.rmtree(removed)
+    else:
+        removed.unlink()
+    capsys.readouterr()
+    assert main(argv(pipeline, copy) + ["--out", str(out)] + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(removed) in err, err
+    assert "Traceback" not in err and not out.exists()
+
+
 # Epoching geometry out of range: each ended in a ZeroDivisionError traceback,
 # a DataError (exit 1) or a command that ran; a NaN split ratio, in a
 # ValueError traceback from the split.
@@ -306,6 +371,22 @@ def test_classifier_scaler_length_is_checked(tmp_path, pipeline, capsys, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "corrupt classifier model" in err
     assert f"for {psd.N_FEATURES} features" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ids, named", [("2,3", "2 class ids for 3 outputs"),
+                                        ("2,2,7", "duplicate class ids")])
+def test_classifier_class_ids_are_checked(tmp_path, pipeline, capsys, ids, named):
+    # Two ids for three outputs were scored, or ended in an IndexError
+    # traceback once a row's argmax was the third; duplicate ids were scored.
+    clf = tmp_path / "clf"
+    shutil.copytree(pipeline["clf"], clf)
+    _sub_in(clf / "model" / "manifest.txt", r"class_ids = .*", f"class_ids = {ids}")
+    argv = ["evaluate", "--data", str(pipeline["data"]), "--features", str(pipeline["feats"]),
+            "--classifier", str(clf), "--out", str(tmp_path / "metrics")]
+    assert main(argv + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "corrupt classifier model" in err and named in err
+    assert err.count("\n") == 1 and not (tmp_path / "metrics").exists()
 
 
 def test_heap_settings_fit_a_c_int():

@@ -1,6 +1,8 @@
 """Every imported name in src/ and tests/ is used, every function in src/ has
 a caller outside the tests, and so has every defaulted parameter (no linter
-is installed); the autodiff primitives and layer operations raise nothing."""
+is installed); the autodiff primitives and layer operations raise nothing;
+each file format has one owner, and only the command line refuses an absent
+input."""
 import ast
 from pathlib import Path
 
@@ -185,13 +187,32 @@ def test_one_owner_per_file_format():
     assert importers == {module: [owner] for module, owner in FORMAT_OWNERS.items()}
 
 
-def raises_outside(source, allowed=()):
-    """Lines of the `raise` statements in `source` outside the functions named in `allowed`."""
+# The raw binary format's one owner: the only module that calls numpy's file I/O.
+BINARY_OWNER = "eegsr/nn/serialize.py"
+
+
+def test_one_owner_of_the_binary_format():
+    src = ROOT / "src"
+    callers = sorted(str(path.relative_to(src)) for path in src.rglob("*.py")
+                     if {"fromfile", "tofile"} & referenced_names(path.read_text()))
+    assert callers == [BINARY_OWNER]
+
+
+def raised_name(node):
+    """Name of the exception a `raise` statement raises; None for a bare `raise`."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None))
+
+
+def raises_outside(source, allowed=(), kind=None):
+    """Lines of the `raise` statements in `source` outside the functions named
+    in `allowed`; given `kind`, only those raising the exception of that name."""
     tree = ast.parse(source)
     inside = {id(node) for fn in ast.walk(tree)
               if isinstance(fn, ast.FunctionDef) and fn.name in allowed for node in ast.walk(fn)}
     return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Raise) and id(node) not in inside)
+                  if isinstance(node, ast.Raise) and id(node) not in inside
+                  and kind in (None, raised_name(node)))
 
 
 def test_raises_outside_are_found():
@@ -199,6 +220,8 @@ def test_raises_outside_are_found():
               "def f():\n    def g():\n        raise TypeError\n    raise KeyError\n")
     assert raises_outside(source, ("grad",)) == [5, 6]
     assert raises_outside(source) == [2, 5, 6]
+    assert raises_outside(source, kind="KeyError") == [6]
+    assert raises_outside("raise errors.KeyError('x')\nraise\n", kind="KeyError") == [1]
 
 
 def test_layer_operations_and_primitives_check_nothing():
@@ -234,3 +257,13 @@ def test_functions_behind_the_entry_checks_check_nothing():
         inside = set(raises_outside(source)) - set(raises_outside(source, functions))
         found += [f"{name}:{line}" for line in sorted(inside)]
     assert not found, "re-checks behind the entry points:\n" + "\n".join(found)
+
+
+def test_only_the_command_line_refuses_an_absent_input():
+    """Whether an input exists is checked once, where its path enters: the
+    command line raises ArtifactError, and each reader behind it only reads."""
+    src = ROOT / "src"
+    found = [f"{path.relative_to(src)}:{line}" for path in sorted(src.rglob("*.py"))
+             if path != src / "eegsr" / "cli.py"
+             for line in raises_outside(path.read_text(), kind="ArtifactError")]
+    assert not found, "ArtifactError raised outside the command line:\n" + "\n".join(found)

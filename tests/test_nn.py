@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from eegsr.config import TrainConfig
-from eegsr.errors import ArtifactError, CheckpointError
+from eegsr.errors import ParseError
 from eegsr.nn.layers import (
     Model,
     concat,
@@ -248,7 +248,7 @@ def test_dtype_codes_round_trip():
         assert dtype_from_code(dtype_code(dt)) == np.dtype(dt)
     with pytest.raises(ValueError):
         dtype_code(np.int32)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(ParseError):
         dtype_from_code("f16")
 
 
@@ -264,7 +264,7 @@ def test_write_read_arrays_round_trip(tmp_path):
 def test_read_arrays_size_mismatch(tmp_path):
     path = tmp_path / "params.bin"
     write_arrays(path, [np.zeros(4)], np.float64)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(ParseError):
         read_arrays(path, [(5,)], np.float64)
 
 
@@ -307,7 +307,7 @@ def test_load_model_draws_no_random_numbers(tmp_path, monkeypatch):
 
 
 def test_load_model_missing_dir(tmp_path):
-    with pytest.raises(ArtifactError, match="model not found"):
+    with pytest.raises(FileNotFoundError, match="manifest.txt"):
         load_model(tmp_path / "nope")
 
 
@@ -315,5 +315,5 @@ def test_load_model_corrupt_manifest(tmp_path):
     model = Model([dense(2)], (3,))
     save_model(tmp_path / "m", model)
     (tmp_path / "m" / "manifest.txt").write_text("not an ini file at all\n")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(ParseError):
         load_model(tmp_path / "m")
