@@ -64,32 +64,34 @@ def cmd_synth(args, cfg, out):
 def cmd_preprocess(args, cfg, out):
     pp = cfg["preprocess"]
     rec = archive.load_recording(args.recording)
-    epochs = data.extract_epochs(rec, window=pp["window"], stride=pp["stride"])
-    train, val, test = data.split_dataset(
-        epochs, ratios=(pp["ratio_train"], pp["ratio_val"], pp["ratio_test"])
-    )
     montage = data.make_montage(rec.n_channels, pp["scale"])
+    parts = list(data.split_dataset(
+        data.extract_epochs(rec, window=pp["window"], stride=pp["stride"]),
+        ratios=(pp["ratio_train"], pp["ratio_val"], pp["ratio_test"])))
     # Build every split before writing any, so a failing split leaves no
-    # archives behind.
+    # archives behind. Each stage's input is dropped once its output exists:
+    # the epoch set once split, each part once segmented, its segments once
+    # split by the montage.
     splits = []
-    for name, part in (("train", train), ("val", val), ("test", test)):
-        segments = data.segment_epochs(part, seg_len=pp["seg_len"])
-        splits.append((name, len(part), *data.downsample_set(segments, montage)))
-    stats = data.compute_norm_stats(splits[0][2])
-    for name, n_epochs, lr_set, hr_set in splits:
-        archive.save_epoch_set(out / f"{name}_lr", lr_set)
-        archive.save_epoch_set(out / f"{name}_hr", hr_set)
-        print(f"{name}: {n_epochs} epochs -> {len(lr_set)} segments")
+    while parts:
+        n_epochs = len(parts[0])
+        splits.append((n_epochs, *data.downsample_set(
+            data.segment_epochs(parts.pop(0), seg_len=pp["seg_len"]), montage)))
+    stats = data.compute_norm_stats(splits[0][1])
+    for n_epochs, lr_set, hr_set in splits:
+        archive.save_epoch_set(out / f"{lr_set.split}_lr", lr_set)
+        archive.save_epoch_set(out / f"{hr_set.split}_hr", hr_set)
+        print(f"{lr_set.split}: {n_epochs} epochs -> {len(lr_set)} segments")
     archive.save_preprocess_info(out / "info.txt", montage, stats,
                                  pp["window"], pp["stride"], pp["seg_len"])
 
 
 def _training_run(args, cfg, out, phase, build):
     """One training phase, shared by pretrain and gan-train: refuse zero
-    epochs or an archive of another scale or segment shape, load the
-    normalised train and val pairs, continue --resume (a checkpoint of this
-    phase) or start from the (generator, critic) that `build()` returns,
-    train with checkpoints under `out` and write history.csv."""
+    epochs or an archive of another scale or segment shape, continue --resume
+    (a checkpoint of this phase) or start from the (generator, critic) that
+    `build()` returns, load the normalised train and val pairs, train with
+    checkpoints under `out` and write history.csv."""
     disc_cfg = cfg.discriminator_config() if phase == "gan" else None
     keep_freed_heap()
     epochs_key = f"{phase}_epochs"
@@ -103,9 +105,6 @@ def _training_run(args, cfg, out, phase, build):
     if want != have:
         raise ConfigError(f"config (scale, kept channels, segment length) {want} does not "
                           f"match the archive's {have}")
-    train_pair, val_pair = ([data.normalize_set(s, stats) for s in
-                             (_load_set(args, split, "lr"), _load_set(args, split, "hr"))]
-                            for split in ("train", "val"))
     fingerprint = _fingerprint(cfg, disc_cfg)
     train_cfg = cfg.train_config()
     if args.resume:
@@ -114,7 +113,13 @@ def _training_run(args, cfg, out, phase, build):
             raise ParseError(f"checkpoint phase {state.phase!r} cannot resume {phase!r}")
     else:
         state = gan.TrainState.fresh(phase, *build(), train_cfg, fingerprint)
-    gan.train(state, train_pair, train_cfg, val_pair, checkpoint_dir=out)
+
+    def pair(split):
+        return [data.normalize_set(_load_set(args, split, side), stats) for side in ("lr", "hr")]
+
+    # No reference to the float64 train pair is kept here, so `train` frees
+    # it once it has its float32 batches.
+    gan.train(state, pair("train"), train_cfg, pair("val"), checkpoint_dir=out)
     state.history.to_csv(out / "history.csv")
     return state
 
@@ -159,34 +164,33 @@ def cmd_sr_infer(args, cfg, out):
             f"{gen_cfg.input_shape}"
         )
     for split in ("val", "test"):
-        lr_set = _load_set(args, split, "lr")
-        lr_norm = data.normalize_set(lr_set, stats)
-        pred_norm = models.sr_predict_set(gen, lr_norm)
-        pred = data.denormalize_set(pred_norm, stats)
+        pred = data.denormalize_set(models.sr_predict_set(
+            gen, data.normalize_set(_load_set(args, split, "lr"), stats)), stats)
         archive.save_epoch_set(out / split, pred)
         print(f"sr {split}: {len(pred)} segments")
-
-
-def _reassemble_full(lr_set, hr_set, montage, group):
-    """Segments -> full-length epochs with all channels in place."""
-    return data.assemble_channels(data.regroup_segments(lr_set, group),
-                                  data.regroup_segments(hr_set, group), montage)
 
 
 def cmd_features(args, cfg, out):
     montage, _, epoching = _info(args)
     group = epoching["window"] // epoching["seg_len"]
+
+    def regrouped(path):  # the archive's segments joined into epochs
+        return data.regroup_segments(archive.load_epoch_set(path), group)
+
+    def full(split, hr_set):  # `hr_set` with the split's kept channels from --data
+        return data.assemble_channels(regrouped(Path(args.data) / f"{split}_lr"), hr_set,
+                                      montage)
+
     # Build every table before writing any: a failing split leaves none behind.
+    # Each loaded archive goes once regrouped, each regrouped set once assembled.
     tables = []
     for split in ("train", "val", "test"):
-        lr_set, hr_set = _load_set(args, split, "lr"), _load_set(args, split, "hr")
-        full = _reassemble_full(lr_set, hr_set, montage, group)
-        tables.append((f"{split}_hr", psd.epoch_features(full)))
+        full_hr = full(split, regrouped(Path(args.data) / f"{split}_hr"))
+        tables.append((f"{split}_hr", psd.epoch_features(full_hr)))
         if args.sr and split in ("val", "test"):
-            pred = archive.load_epoch_set(Path(args.sr) / split)
-            pred = replace(pred, channel_labels=hr_set.channel_labels)
-            full_sr = _reassemble_full(lr_set, pred, montage, group)
-            tables.append((f"{split}_sr", psd.epoch_features(full_sr)))
+            hr_labels = [full_hr.channel_labels[i] for i in montage.hr_indices]
+            pred = replace(regrouped(Path(args.sr) / split), channel_labels=hr_labels)
+            tables.append((f"{split}_sr", psd.epoch_features(full(split, pred))))
     for name, features in tables:
         archive.write_features_csv(out / f"{name}.csv", features)
         print(f"features {name}: {len(features)} epochs")
@@ -245,25 +249,25 @@ def cmd_evaluate(args, cfg, out):
             sr_records.append(report.MetricsRecord(
                 dataset=split, scale=scale, method=method, mse=mse, mae=mae, seed=seed,
             ))
-    if sr_records:
-        report.write_sr_csv(out / "reconstruction.csv", sr_records)
-        print(f"wrote {len(sr_records)} reconstruction rows")
-
     class_rows = []
     if args.classifier:
         model, class_ids, scaler = _load_classifier(args.classifier)
         for source in ("hr", "sr"):
             path = Path(args.features) / f"test_{source}.csv"
-            if not path.exists():
+            if source == "sr" and not path.exists():  # written only by features --sr
                 continue
             x, labels = archive.read_features_csv(path).labelled()
             pred_ids, _ = psd.predict(model, scaler.apply(x), class_ids)
             class_rows.append(report.classification_metrics(
                 pred_ids, labels, class_ids, scale=scale, source=source, seed=seed,
             ))
-        if class_rows:
-            report.write_class_csv(out / "classification.csv", class_rows)
-            print(f"wrote {len(class_rows)} classification conditions")
+    # Written only once every input has been read: a refused input leaves no table.
+    if sr_records:
+        report.write_sr_csv(out / "reconstruction.csv", sr_records)
+        print(f"wrote {len(sr_records)} reconstruction rows")
+    if class_rows:
+        report.write_class_csv(out / "classification.csv", class_rows)
+        print(f"wrote {len(class_rows)} classification conditions")
 
 
 def cmd_report(args, cfg, out):

@@ -243,7 +243,8 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
     n_epochs = cfg.pretrain_epochs if phase == "pretrain" else cfg.gan_epochs
     gen, disc = state.gen, state.disc
 
-    x, y = pair_arrays(train_pair[0], train_pair[1], gen)
+    x, y = pair_arrays(*train_pair, gen)
+    del train_pair  # training reads only x and y: a caller keeping no reference frees the sets
     if val_pair is not None:  # refused here, not after the first epoch
         pair_arrays(val_pair[0], val_pair[1], gen)
     n = x.shape[0]

@@ -29,8 +29,8 @@ DISC_DENSE_UNITS = 128
 # Stride of the critic's downsampling conv; the config fingerprint names it.
 DISC_FINAL_STRIDE = (4, 4)
 CLASSIFIER_HIDDEN = (512, 256, 128, 64)
-# Segments per inference batch.
-INFER_BATCH = 256
+# Bytes of layer outputs one inference chunk may hold.
+INFER_BYTES = 16 << 20
 
 
 def _scaled(kernels, width):
@@ -200,20 +200,23 @@ def build_classifier(cfg, seed=0, dtype=np.float32):
 
 
 def sr_predict_set(gen, lr_set):
-    """Batched inference over a set of kept-channel segments.
+    """Chunked inference over a set of kept-channel segments.
 
-    Returns a set of reconstructed missing-channel segments with the
-    metadata of `lr_set` and no channel labels. Inference mode is
-    deterministic.
+    Each chunk holds as many segments (at least one) as fit the layer
+    outputs of their forward pass into INFER_BYTES, and is cast to the
+    generator's dtype on its own. Returns a set of reconstructed
+    missing-channel segments with the metadata of `lr_set` and no channel
+    labels. Inference mode is deterministic.
     """
     if lr_set.values.shape[1:] != gen.input_shape[1:]:
         raise DataError(f"segment shape {lr_set.values.shape[1:]} does not match generator "
                         f"{gen.input_shape[1:]}")
-    vals = lr_set.values.astype(gen.dtype)[:, None]
-    outs = []
+    per_segment = sum(int(np.prod(s)) for s in gen.shapes) * gen.dtype.itemsize
+    chunk = max(1, INFER_BYTES // per_segment)
+    vals = lr_set.values
+    pred = np.empty((len(vals),) + gen.shapes[-1][1:])
     with no_grad():
-        for i in range(0, vals.shape[0], INFER_BATCH):
-            out = gen.forward(Tensor(vals[i : i + INFER_BATCH]), training=False)
-            outs.append(out.data[:, 0].astype(np.float64))
-    pred = np.concatenate(outs, axis=0)
+        for lo in range(0, len(vals), chunk):
+            x = Tensor(vals[lo : lo + chunk, None].astype(gen.dtype))
+            pred[lo : lo + chunk] = gen.forward(x, training=False).data[:, 0]
     return replace(lr_set, values=pred, channel_labels=None)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 
@@ -170,3 +171,15 @@ def whole_batch_banded_input_grad(gd, wd, h, wi, sh, sw):
     for j in range(kw):
         gxw[..., j : j + sw * (ow - 1) + 1 : sw] += gc[j]
     return np.ascontiguousarray(gxw[..., pl : pl + wi].transpose(2, 0, 1, 3))
+
+
+def peak_bytes(run):
+    """(result, tracemalloc peak in bytes above what was held before `run`)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -14,6 +14,8 @@ from eegsr.cli import COMMANDS, HEAP_SETTINGS, main
 from eegsr.errors import ParseError
 from eegsr.psd import FeatureTable
 
+from helpers import peak_bytes
+
 OVERRIDES = [
     "--set", "synth.n_samples=1216",
     "--set", "synth.n_classes=3",
@@ -253,6 +255,10 @@ INCOMPLETE_INPUTS = {
     "data-info": (("data",), "info.txt", lambda p, c: ["features", "--data", str(c)]),
     "features-table": (("feats",), "train_hr.csv", lambda p, c: [
         "train-clf", "--features", str(c)]),
+    # evaluate scored what was left and exited 0.
+    "features-test-hr": (("feats",), "test_hr.csv", lambda p, c: [
+        "evaluate", "--data", str(p["data"]), "--baseline", str(p["base"]),
+        "--features", str(c), "--classifier", str(p["clf"])]),
 }
 
 
@@ -271,6 +277,17 @@ def test_part_missing_from_an_input_is_a_one_line_error(tmp_path, pipeline, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(removed) in err, err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_evaluate_scores_sr_features_only_when_written(tmp_path, pipeline):
+    # features writes test_sr.csv only under --sr: its absence is no error.
+    feats, out = tmp_path / "feats", tmp_path / "out"
+    shutil.copytree(pipeline["feats"], feats)
+    (feats / "test_sr.csv").unlink()
+    run("evaluate", "--data", str(pipeline["data"]), "--features", str(feats),
+        "--classifier", str(pipeline["clf"]), "--out", str(out))
+    rows = (out / "classification.csv").read_text().splitlines()[1:]
+    assert rows and {row.split(",")[1] for row in rows} == {"hr"}
 
 
 # Epoching geometry out of range: each ended in a ZeroDivisionError traceback,
@@ -435,6 +452,18 @@ def test_preprocess_failure_leaves_no_archives(tmp_path):
     out = tmp_path / "data"
     assert main(["preprocess", "--recording", str(rec), "--out", str(out)]) == 1
     assert not list(out.glob("*_lr")) and not list(out.glob("*_hr"))
+
+
+def test_preprocess_holds_one_stage_at_a_time(tmp_path):
+    # A desk-size recording: each stage's input is dropped once its output
+    # exists, so the traced peak stays within 3x the archive bytes written
+    # (2.2x here; keeping every stage alive takes 3.9x).
+    rec, out = tmp_path / "rec.csv", tmp_path / "data"
+    assert main(["synth", "--out", str(rec), "--set", "synth.n_samples=8544"]) == 0
+    rc, peak = peak_bytes(lambda: main(["preprocess", "--recording", str(rec), "--out", str(out)]))
+    assert rc == 0
+    written = sum(f.stat().st_size for f in out.rglob("*") if f.is_file())
+    assert peak <= 3 * written, (peak, written)
 
 
 def test_scale_mismatch_rejected(tmp_path, pipeline):

@@ -1,9 +1,12 @@
 """Every imported name in src/ and tests/ is used, every function in src/ has
 a caller outside the tests, and so has every defaulted parameter (no linter
 is installed); the autodiff primitives and layer operations raise nothing;
-each file format has one owner, and only the command line refuses an absent
-input."""
+each file format has one owner, only the command line refuses an absent
+input, and importing the command line loads only known modules."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -267,3 +270,24 @@ def test_only_the_command_line_refuses_an_absent_input():
              if path != src / "eegsr" / "cli.py"
              for line in raises_outside(path.read_text(), kind="ArtifactError")]
     assert not found, "ArtifactError raised outside the command line:\n" + "\n".join(found)
+
+
+# Top-level modules that `import eegsr.cli` adds to a fresh interpreter: every
+# command pays for loading them before it starts work.
+CLI_MODULES = {
+    "__future__", "_ast", "_blake2", "_compat_pickle", "_contextvars", "_csv", "_ctypes",
+    "_datetime", "_hashlib", "_json", "_opcode", "_pickle", "argparse", "ast", "configparser",
+    "contextvars", "copy", "csv", "ctypes", "dataclasses", "datetime", "dis", "eegsr",
+    "gettext", "hashlib", "importlib", "inspect", "json", "linecache", "numbers", "numpy",
+    "opcode", "pickle", "platform", "textwrap", "token", "tokenize",
+}
+
+
+def test_the_command_line_loads_only_known_modules():
+    code = ("import sys; before = set(sys.modules); import eegsr.cli; "
+            "print(*{name.split('.')[0] for name in set(sys.modules) - before})")
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path})
+    new = sorted(set(proc.stdout.split()) - CLI_MODULES)
+    assert not new, f"importing eegsr.cli loads modules outside CLI_MODULES: {new}"

@@ -17,7 +17,7 @@ from eegsr.models import (
 from eegsr.errors import DataError
 from eegsr.nn.tensor import Tensor, _banded, _toposort
 
-from helpers import epoch_set
+from helpers import epoch_set, peak_bytes
 
 RNG = np.random.default_rng(20260805)
 
@@ -152,7 +152,7 @@ def test_desk_training_forward_node_counts():
         assert len(_toposort(out)) <= most
 
 
-def test_sr_predict_set_matches_single_forward(monkeypatch):
+def test_sr_predict_set_matches_single_forward():
     cfg = GeneratorConfig(c_lr=16, scale=2, width=1 / 64)
     gen = build_generator(cfg, seed=1, dtype=np.float64)
     lr_set = epoch_set(RNG.normal(size=(4, 16, 64)), label=2, fs=512.0,
@@ -162,14 +162,26 @@ def test_sr_predict_set_matches_single_forward(monkeypatch):
     assert pred.channel_labels is None
     assert np.array_equal(pred.origins, lr_set.origins)
     assert pred.labels.tolist() == [2] * 4
-    # One segment per forward gives the batched result; inference is deterministic.
-    monkeypatch.setattr(models, "INFER_BATCH", 1)
-    single = sr_predict_set(gen, lr_set)
-    monkeypatch.undo()
-    np.testing.assert_allclose(single.values, pred.values, atol=1e-12)
+    # One segment per call gives the set's result; inference is deterministic.
+    singles = [sr_predict_set(gen, epoch_set(lr_set.values[i : i + 1])).values for i in range(4)]
+    np.testing.assert_allclose(np.concatenate(singles), pred.values, atol=1e-12)
     assert np.array_equal(sr_predict_set(gen, lr_set).values, pred.values)
     with pytest.raises(DataError):
         sr_predict_set(gen, epoch_set(RNG.normal(size=(2, 16, 32))))
+
+
+@pytest.mark.parametrize("width", [1 / 64, 0.125])
+def test_sr_predict_set_memory_does_not_grow_with_the_set(width):
+    # Segments run in chunks that hold INFER_BYTES of layer outputs, so four
+    # chunks' worth of segments peak where one chunk does.
+    gen = build_generator(GeneratorConfig(c_lr=16, scale=2, width=width), seed=0)
+    chunk = models.INFER_BYTES // (sum(int(np.prod(s)) for s in gen.shapes) * 4)
+    assert chunk == (63 if width < 0.1 else 7)
+    peaks = []
+    for n in (chunk, 4 * chunk):
+        lr_set = epoch_set(RNG.normal(size=(n, 16, 64)))
+        peaks.append(peak_bytes(lambda: sr_predict_set(gen, lr_set))[1])
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1,5 +1,4 @@
 """Autodiff engine: primitive gradients, convolution adjoints, grad-of-grad."""
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from helpers import (
     check_grads,
     composed_elu,
     lowering,
+    peak_bytes,
     reference_conv,
     whole_batch_banded_forward,
     whole_batch_banded_input_grad,
@@ -284,18 +284,6 @@ def test_banded_kernels_match_whole_batch_reference(n, dtype):
         assert np.array_equal(gx, whole_batch_banded_input_grad(g, w, h, wi, *stride))
 
 
-def _peak_bytes(run):
-    """(result, tracemalloc peak in bytes above what was held before `run`)."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = run()
-        return out, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_banded_one_column_conv_copies_no_columns():
     # kw = sw = 1: the forward multiplies views of x and the input gradient
     # views of g, so each allocates its output, the band and little else.
@@ -309,7 +297,7 @@ def test_banded_one_column_conv_copies_no_columns():
     slack = 64 * 1024
     for run in (lambda: conv2d(Tensor(x), Tensor(w)),
                 lambda: conv2d_input_grad(Tensor(g), Tensor(w), (16, 64))):
-        out, peak = _peak_bytes(run)
+        out, peak = peak_bytes(run)
         assert out.shape == x_shape
         assert peak <= out.data.nbytes + band + slack
 
@@ -325,12 +313,12 @@ def test_tap_rows_kernels_hold_no_kernel_sized_copy_of_their_input():
     w = rng.normal(size=w_shape).astype(np.float32)
     g = rng.normal(size=x_shape).astype(np.float32)
     for training in (False, True):
-        out, peak = _peak_bytes(lambda: conv2d(Tensor(x), Tensor(w, requires_grad=training)))
+        out, peak = peak_bytes(lambda: conv2d(Tensor(x), Tensor(w, requires_grad=training)))
         assert out.requires_grad == training
         assert peak <= 4 * (x.nbytes + w.nbytes + out.data.nbytes), f"training={training}"
     for run in (lambda: conv2d_input_grad(Tensor(g), Tensor(w), (16, 64)),
                 lambda: conv2d_weight_grad(Tensor(g), Tensor(x), (9, 3))):
-        out, peak = _peak_bytes(run)
+        out, peak = peak_bytes(run)
         assert peak <= 4 * (x.nbytes + w.nbytes + g.nbytes)
 
 
