@@ -31,6 +31,7 @@ from .errors import ConfigError, DataError, NumericAbort, ParseError
 from .ini import from_section, read, section_of, write
 from .models import DISC_FINAL_STRIDE, sr_predict_set
 from .nn import functional as F
+from .nn.layers import copy_into
 from .nn.optim import AdamState, adam_step
 from .nn.serialize import (
     dtype_code,
@@ -273,9 +274,8 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
             g_total, g_adv, g_mse = total.item(), adv.item(), mse.item()
             _check_finite(g_total, step, abort)
             gs = grad(total, g_params)
-            # Drop each graph (its activations and gradients) as soon as it
-            # has been used, so the critic step and the next forward pass do
-            # not run with a dead step's graph alive.
+            # `grad` consumed the graph; drop the losses and, once applied, the
+            # gradients, so that no array of a used step outlives it.
             del total, adv, mse
             adam_step(g_params, gs, state.g_state, cfg)
             del gs
@@ -322,10 +322,14 @@ def _save_adam(directory, prefix, state, dtype):
 
 
 def _load_adam(directory, prefix, model, t):
-    shapes = [p.shape for p in model.parameters()]
-    m = read_arrays(directory / f"{prefix}_m.bin", shapes, model.dtype)
-    v = read_arrays(directory / f"{prefix}_v.bin", shapes, model.dtype)
-    return AdamState(t, m, v)
+    """Moments copied into arrays laid out as their parameters, so that none
+    keeps a whole file's buffer alive."""
+    state = AdamState.for_params(model.parameters())
+    state.t = t
+    for moments, name in ((state.m, "m"), (state.v, "v")):
+        shapes = [a.shape for a in moments]
+        copy_into(moments, read_arrays(directory / f"{prefix}_{name}.bin", shapes, model.dtype))
+    return state
 
 
 def save_checkpoint(directory, state, cfg):

@@ -130,6 +130,20 @@ def infer_shapes(specs, input_shape):
     return shapes
 
 
+def filter_blocks(a):
+    """Views of `a` eight filters (entries of its first axis) at a time: a
+    kernel-row-ordered weight moved by blocks stays in cache and needs no
+    transient larger than a block."""
+    return [a[lo : lo + 8] for lo in range(0, len(a), 8)]
+
+
+def copy_into(arrays, sources):
+    """Copy each source into its array, cast, by filter blocks."""
+    for a, s in zip(arrays, sources):
+        for dst, src in zip(filter_blocks(a), filter_blocks(s)):
+            dst[...] = src
+
+
 class Model:
     """A layer stack with parameters, seeded init and a forward pass.
 
@@ -138,6 +152,10 @@ class Model:
     same parameters. With ``init=False`` every parameter starts at zero and
     no random numbers are drawn, for a caller that loads saved parameters
     with ``set_parameters``.
+
+    A conv weight has the OIHW shape (co, ci, kh, kw) but lies in memory in
+    kernel-row order (kh, co, kw, ci), the order the kernel-rows lowering of
+    `tensor` reads: each kernel row is one (co, kw*ci) matrix, a view.
     """
 
     def __init__(self, specs, input_shape, seed=0, dtype=np.float32, init=True):
@@ -149,20 +167,25 @@ class Model:
         self.params = []
         rng = np.random.default_rng(self.seed) if init else None
         for ls, cur in zip(self.specs, [self.input_shape] + self.shapes[:-1]):
-            if ls.kind not in ("conv", "dense"):
+            if ls.kind == "conv":
+                (kh, kw), co, ci = ls.kernel_dims, ls.kernels, cur[0]
+                w = np.zeros((kh, co, kw, ci), dtype=self.dtype).transpose(1, 3, 0, 2)
+            elif ls.kind == "dense":
+                w = np.zeros((ls.kernels, cur[0]), dtype=self.dtype)
+            else:
                 self.params.append(None)
                 continue
-            wshape = (ls.kernels, cur[0]) + (ls.kernel_dims if ls.kind == "conv" else ())
             if init:
-                k = int(np.prod(wshape[2:]))
-                fan_in, fan_out = wshape[1] * k, wshape[0] * k
+                k = int(np.prod(w.shape[2:]))
+                fan_in, fan_out = w.shape[1] * k, w.shape[0] * k
                 if ls.activation in ("elu", "relu"):
                     limit = np.sqrt(6.0 / fan_in)
                 else:
                     limit = np.sqrt(6.0 / (fan_in + fan_out))
-                w = rng.uniform(-limit, limit, size=wshape).astype(self.dtype)
-            else:
-                w = np.zeros(wshape, dtype=self.dtype)
+                # Drawn in OIHW order a block at a time: the numbers of one draw,
+                # with no float64 copy of the whole weight.
+                for block in filter_blocks(w):
+                    block[...] = rng.uniform(-limit, limit, size=block.shape)
             b = np.zeros(ls.kernels, dtype=self.dtype)
             self.params.append((Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)))
 
@@ -177,9 +200,9 @@ class Model:
         return sum(t.size for t in self.parameters())
 
     def set_parameters(self, arrays):
-        """Load flat parameter arrays (w0, b0, w1, b1, ...) in layer order."""
-        for t, a in zip(self.parameters(), arrays):
-            t.data = np.array(a, dtype=self.dtype)
+        """Copy flat parameter arrays (w0, b0, w1, b1, ...), in layer order, into
+        the model's own arrays, which keep their memory order."""
+        copy_into([t.data for t in self.parameters()], arrays)
 
     def _apply_activation(self, ls, x):
         if ls.activation == "elu":

@@ -3,7 +3,9 @@
 A step reads lr and the betas from the training config that checked them
 (`TrainConfig`, `ClassifierTrainConfig`); `AdamState` holds what it changes.
 It takes the gradients `grad` returns as they are, and refuses only a
-parameter it cannot update in place.
+parameter it cannot update in place. Moments lie in memory as their
+parameter does, so a kernel-row-ordered conv weight (see `layers.Model`),
+its moments and its gradient are updated block by block as one flat run.
 """
 from __future__ import annotations
 
@@ -36,21 +38,25 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params):
-        return cls(m=[np.zeros(p.shape, dtype=p.dtype) for p in params],
-                   v=[np.zeros(p.shape, dtype=p.dtype) for p in params])
+        """Zero moments, each in its parameter's memory order."""
+        return cls(m=[np.zeros_like(p.data) for p in params],
+                   v=[np.zeros_like(p.data) for p in params])
 
 
 def adam_step(params, grads, state, cfg):
-    """One Adam update at `cfg`'s lr and betas, in place on C-contiguous arrays;
-    gradients may be Tensors or arrays."""
+    """One Adam update at `cfg`'s lr and betas, in place on arrays contiguous in
+    the parameter's memory order; gradients may be Tensors or arrays."""
     state.t += 1
     bc1 = 1.0 - cfg.beta1**state.t
     bc2 = 1.0 - cfg.beta2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         g = np.asarray(getattr(g, "data", g), dtype=p.dtype)
-        if not all(a.flags.c_contiguous for a in (p.data, m, v)):
+        # Axes from the largest stride to the smallest: the parameter's memory order.
+        axes = np.argsort(p.data.strides)[::-1]
+        p_, g_, m_, v_ = (a.transpose(axes) for a in (p.data, g, m, v))
+        if not all(a.flags.c_contiguous for a in (p_, m_, v_)):
             raise ValueError(f"cannot update a non-contiguous {p.shape} parameter in place")
-        flat = [a.reshape(-1) for a in (p.data, g, m, v)]
+        flat = [a.reshape(-1) for a in (p_, g_, m_, v_)]
         for lo in range(0, p.size, BLOCK):
             pb, gb, mb, vb = (a[lo : lo + BLOCK] for a in flat)
             # p - lr * (m / bc1) / (sqrt(v / bc2) + eps), operation for operation.

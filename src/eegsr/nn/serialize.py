@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ParseError
 from ..ini import from_section, parse_value, read, section_of, write
-from .layers import LayerSpec, Model
+from .layers import LayerSpec, Model, filter_blocks
 
 FORMAT_VERSION = "1"
 
@@ -38,11 +38,14 @@ def dtype_from_code(code):
 
 
 def write_arrays(path, arrays, dtype):
-    """Concatenate arrays into one raw little-endian binary file."""
+    """Concatenate arrays into one raw little-endian binary file, each in C order
+    whatever its memory order; one that is not C-ordered, such as a
+    kernel-row-ordered conv weight, is written a block of filters at a time."""
     dt = _DTYPE_CODES[dtype_code(dtype)]
     with open(path, "wb") as fh:
         for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype=dt))
+            for block in [a] if a.flags.c_contiguous else filter_blocks(a):
+                fh.write(np.ascontiguousarray(block, dtype=dt))
 
 
 def read_arrays(path, shapes, dtype):

@@ -27,6 +27,14 @@ result does not depend on its batch:
   width columns of the height-padded input; the input gradient scatters the
   rows back, then the width taps. That holds one sample's columns, kw
   copies: 9.4 MiB on the full-width 512->512 9x3 layer, 54 MiB for im2col.
+  A `layers.Model` weight lies in memory in that order, (kh, co, kw, ci)
+  behind its (co, ci, kh, kw) shape: its rows are views, and the weight
+  gradient is summed and returned in that order.
+
+``grad`` without ``create_graph`` consumes the graph as it walks it: each
+visited node drops its parents and its vjp, so an activation is freed once
+its node is visited, during the backward pass rather than after it (memory
+sharing, Chen et al. 2016, arXiv:1604.06174).
 
 The ELU is one node, ``elu_t``, computed branch-free as
 max(x, 0) + alpha*(exp(min(x, 0)) - 1); a select on a data-dependent mask
@@ -160,7 +168,7 @@ def _node(data, parents, vjp):
 
 
 def zeros_like(t):
-    return Tensor(np.zeros(t.shape, dtype=t.dtype))
+    return Tensor(np.zeros_like(t.data))
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +592,8 @@ def _conv_weight_grad(gd, x, kh, kw, sh, sw):
         gw = np.zeros((kh, co, kw, ci), dtype=gband.dtype)
         np.add.at(gw, i, gband[:, r, :, :, s])
     else:
-        # Summed in the layout of the products, then transposed once: a strided
-        # add into (co, ci, kh, kw) took as long as the product itself.
+        # Summed in the layout of the products: a strided add into
+        # (co, ci, kh, kw) took as long as the product itself.
         gw = np.zeros((kh, co, kw, ci), dtype=np.result_type(gd, x))
         for k in range(n):
             cols = np.ascontiguousarray(_width_cols(x[k : k + 1], kw, sw, ow, (pt, pb, pl, pr))[0])
@@ -593,7 +601,7 @@ def _conv_weight_grad(gd, x, kh, kw, sh, sw):
             for i in range(kh):
                 rows = _tap_rows(cols, ci, sh, oh, i).reshape(kw * ci, oh * ow)
                 gw[i] += (g2 @ rows.T).reshape(co, kw, ci)
-    return np.ascontiguousarray(gw.transpose(1, 3, 0, 2))
+    return gw.transpose(1, 3, 0, 2)  # (co, ci, kh, kw) in kernel-row order, as a Model weight
 
 
 def conv2d(x, w, stride=(1, 1)):
@@ -663,7 +671,7 @@ def _toposort(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node._parents or ():  # None once consumed; grad refuses it
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     return order
@@ -673,8 +681,11 @@ def grad(output, wrt, create_graph=False):
     """Gradients of a scalar `output` with respect to each tensor in `wrt`.
 
     With ``create_graph=True`` the returned gradients carry their own
-    computation graph and can be differentiated again. Targets the output
-    does not depend on get zero gradients.
+    computation graph and can be differentiated again, and the graph of
+    `output` is kept. Without it each node drops its parents and its vjp once
+    visited, freeing activations during the backward pass; a later `grad`
+    through any node of the consumed graph raises RuntimeError. Targets the
+    output does not depend on get zero gradients.
     """
     wrt = list(wrt)
     if not isinstance(output, Tensor):
@@ -689,6 +700,9 @@ def grad(output, wrt, create_graph=False):
     # A node matters only if some wrt tensor is reachable from it.
     needed = {}
     for node in order:
+        if node._parents is None:
+            raise RuntimeError("grad over a graph an earlier grad consumed; run the forward "
+                               "again, or keep the graph with create_graph=True")
         needed[id(node)] = id(node) in wrt_ids or any(
             needed.get(id(p), False) for p in node._parents
         )
@@ -696,18 +710,20 @@ def grad(output, wrt, create_graph=False):
     cot = {id(output): Tensor(np.ones(output.shape, dtype=output.dtype))}
     ctx = contextlib.nullcontext() if create_graph else no_grad()
     with ctx:
-        for node in reversed(order):
+        while order:
+            node = order.pop()
+            parents, vjp = node._parents, node._vjp
+            if vjp is not None and not create_graph:
+                node._parents, node._vjp = None, None
             g = cot.get(id(node))
-            if g is None or node._vjp is None:
+            if g is None or vjp is None:
                 continue
-            needs = tuple(
-                p.requires_grad and needed.get(id(p), False) for p in node._parents
-            )
+            needs = tuple(p.requires_grad and needed.get(id(p), False) for p in parents)
             if id(node) not in wrt_ids:
                 del cot[id(node)]
             if not any(needs):
                 continue
-            for p, pg in zip(node._parents, node._vjp(g, needs)):
+            for p, pg in zip(parents, vjp(g, needs)):
                 if pg is None:
                     continue
                 prev = cot.get(id(p))

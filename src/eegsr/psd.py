@@ -179,7 +179,6 @@ def train_classifier(model, x, labels, cfg, class_ids=(2, 3, 7)):
             loss = F.cross_entropy(probs, Tensor(targets[sel].astype(model.dtype)))
             losses.append(loss.item())
             gs = grad(loss, params)
-            del probs, loss
             adam_step(params, gs, state, cfg)
             del gs
         trace.append(float(np.mean(losses)))

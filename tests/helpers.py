@@ -35,16 +35,16 @@ def fd_grad(fn, arrays, index, h=1e-5):
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     x = arrays[index]
     g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
+    # By index, not through x.reshape(-1): that is a copy when x is not
+    # C-ordered, such as a kernel-row-ordered conv weight.
+    for i in np.ndindex(x.shape):
+        orig = x[i]
+        x[i] = orig + h
         fp = float(fn(*arrays))
-        flat[i] = orig - h
+        x[i] = orig - h
         fm = float(fn(*arrays))
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        x[i] = orig
+        g[i] = (fp - fm) / (2.0 * h)
     return g
 
 

@@ -76,17 +76,19 @@ def _fd_worst(targets, make_loss, per_tensor=10, seed=5):
     pick = np.random.default_rng(seed)
     worst = 0.0
     for t, g in zip(targets, analytic):
-        flat = t.data.reshape(-1)
-        gf = np.asarray(g.data, dtype=np.float64).reshape(-1)
-        for i in pick.choice(flat.size, size=min(per_tensor, flat.size), replace=False):
-            keep = flat[i]
-            flat[i] = keep + FD_H
+        # Perturbed by index: t.data.reshape(-1) is a copy for a conv weight,
+        # which lies in kernel-row order.
+        for k in pick.choice(t.size, size=min(per_tensor, t.size), replace=False):
+            i = np.unravel_index(k, t.shape)
+            keep = t.data[i]
+            t.data[i] = keep + FD_H
             lp = make_loss().item()
-            flat[i] = keep - FD_H
+            t.data[i] = keep - FD_H
             lm = make_loss().item()
-            flat[i] = keep
+            t.data[i] = keep
             fd = (lp - lm) / (2.0 * FD_H)
-            worst = max(worst, abs(fd - gf[i]) / max(abs(fd), abs(gf[i]), 1e-6))
+            gi = float(g.data[i])
+            worst = max(worst, abs(fd - gi) / max(abs(fd), abs(gi), 1e-6))
     return worst
 
 

@@ -382,6 +382,37 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert ck.history.records == result.history.records
 
 
+def test_checkpoint_files_are_c_ordered_and_weights_stay_kernel_row_ordered(tmp_path):
+    # The files hold each array in C order of its shape, as before conv
+    # weights lay in kernel-row order; built, stepped, loaded and resumed
+    # networks and their Adam moments keep that order.
+    def c_bytes(arrays):
+        return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+
+    def kernel_row_ordered(arrays):
+        convs = [a for a in arrays if a.ndim == 4]
+        return convs and all(a.transpose(2, 0, 3, 1).flags.c_contiguous for a in convs)
+
+    gen, disc = tiny_models()
+    assert kernel_row_ordered([p.data for p in gen.parameters() + disc.parameters()])
+    pair = paired_sets(8)
+    state = run_phase("gan", gen, disc, pair, tiny_cfg(gan_epochs=1), checkpoint_dir=tmp_path)
+    last = tmp_path / "last"
+    for net, model, adam, moments in (("generator", gen, "gen_adam", state.g_state),
+                                      ("discriminator", disc, "disc_adam", state.d_state)):
+        params = [p.data for p in model.parameters()]
+        assert (last / net / "params.bin").read_bytes() == c_bytes(params)
+        assert (last / f"{adam}_m.bin").read_bytes() == c_bytes(moments.m)
+        assert (last / f"{adam}_v.bin").read_bytes() == c_bytes(moments.v)
+        assert kernel_row_ordered(params + moments.m + moments.v)
+    ck = load_checkpoint(last)
+    for s in (ck, train(load_checkpoint(last), pair, tiny_cfg(gan_epochs=2))):
+        for model, moments in ((s.gen, s.g_state), (s.disc, s.d_state)):
+            assert kernel_row_ordered([p.data for p in model.parameters()] + moments.m + moments.v)
+    for a, b in zip(state.g_state.m + state.d_state.v, ck.g_state.m + ck.d_state.v):
+        assert np.array_equal(a, b)
+
+
 def test_checkpoint_resume_equals_uninterrupted(tmp_path):
     pair = paired_sets(16, seed=8)
 

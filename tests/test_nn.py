@@ -26,6 +26,8 @@ from eegsr.nn.serialize import (
 )
 from eegsr.nn.tensor import Tensor, grad, sum_t
 
+from helpers import peak_bytes
+
 RNG = np.random.default_rng(20260802)
 
 
@@ -130,6 +132,37 @@ def test_set_parameters_round_trip():
         assert np.array_equal(p.data, a)
 
 
+def kernel_row_ordered(w):
+    """(co, ci, kh, kw) in memory as (kh, co, kw, ci)."""
+    return w.ndim == 4 and w.transpose(2, 0, 3, 1).flags.c_contiguous
+
+
+def test_conv_weights_lie_in_kernel_row_order():
+    specs = [conv(20, (3, 2), "elu"), conv(3, (1, 1)), flatten(), dense(2)]
+    built = Model(specs, (2, 5, 4), seed=7)
+    blank = Model(specs, (2, 5, 4), init=False)
+    blank.set_parameters([np.ascontiguousarray(p.data) for p in built.parameters()])
+    for model in (built, blank):
+        ws = [p.data for p in model.parameters()]
+        assert [w.shape for w in ws[::2]] == [(20, 2, 3, 2), (3, 20, 1, 1), (2, 3 * 5 * 4)]
+        assert kernel_row_ordered(ws[0]) and kernel_row_ordered(ws[2])
+        assert ws[4].flags.c_contiguous
+    for a, b in zip(built.parameters(), blank.parameters()):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_init_draws_the_numbers_of_one_draw_per_weight():
+    # Drawn a block of filters at a time, a weight holds the numbers of one
+    # C-order (co, ci, kh, kw) draw, cast once: 20 filters are 8 + 8 + 4.
+    model = Model([conv(20, (3, 2), "elu"), conv(3, (1, 1)), flatten(), dense(2)],
+                  (2, 5, 4), seed=7)
+    rng = np.random.default_rng(7)
+    for w, limit in zip(model.parameters()[::2], (np.sqrt(6 / 12), np.sqrt(6 / 23),
+                                                  np.sqrt(6 / 62))):
+        want = rng.uniform(-limit, limit, size=w.shape).astype(np.float32)
+        assert np.array_equal(w.data, want)
+
+
 def test_gradients_flow_through_model():
     model = Model([conv(2, (3, 1), "elu"), flatten(), dense(1)], (1, 4, 6),
                   seed=5, dtype=np.float64)
@@ -230,6 +263,26 @@ def test_adam_step_updates_in_place_block_by_block(dtype):
     assert not strided.data.any()
 
 
+def test_adam_updates_a_kernel_row_weight_in_its_memory_order():
+    # Moments take the weight's memory order, and a step updates the weight
+    # in place to the bits of the same step on C-ordered copies, whatever
+    # the order of the gradient.
+    cfg = TrainConfig(lr=1e-3, beta1=0.5, beta2=0.9)
+    w = Model([conv(9, (3, 2))], (4, 3, 3), seed=0).parameters()[0]
+    ref = Tensor(np.ascontiguousarray(w.data), requires_grad=True)
+    state, ref_state = AdamState.for_params([w]), AdamState.for_params([ref])
+    assert all(kernel_row_ordered(a) for a in state.m + state.v)
+    held = w.data
+    kernel_row_grad = Model([conv(9, (3, 2))], (4, 3, 3), seed=1).parameters()[0]
+    for g in (RNG.normal(size=w.shape), kernel_row_grad):
+        adam_step([w], [g], state, cfg)
+        adam_step([ref], [np.ascontiguousarray(getattr(g, "data", g))], ref_state, cfg)
+        assert w.data is held and kernel_row_ordered(w.data)
+        assert np.array_equal(w.data, ref.data)
+        assert np.array_equal(state.m[0], ref_state.m[0])
+        assert np.array_equal(state.v[0], ref_state.v[0])
+
+
 def test_adam_descends_on_quadratic():
     p = Tensor(np.array([5.0]), requires_grad=True)
     cfg = TrainConfig(lr=0.1, beta1=0.9, beta2=0.999)
@@ -259,6 +312,18 @@ def test_write_read_arrays_round_trip(tmp_path):
     back = read_arrays(path, [a.shape for a in arrays], np.float64)
     for a, b in zip(arrays, back):
         assert np.array_equal(a, b)
+
+
+def test_write_arrays_writes_c_order_a_block_of_filters_at_a_time(tmp_path):
+    # A kernel-row-ordered weight goes to the file in C order of its shape,
+    # without a C-ordered copy of the whole weight.
+    w = np.zeros((9, 64, 3, 64), dtype=np.float32).transpose(1, 3, 0, 2)
+    w[...] = RNG.normal(size=w.shape)
+    b = np.arange(3.0)
+    path = tmp_path / "a.bin"
+    _, peak = peak_bytes(lambda: write_arrays(path, [w, b], np.float32))
+    assert path.read_bytes() == np.ascontiguousarray(w).tobytes() + b.astype("<f4").tobytes()
+    assert peak < w.nbytes / 4
 
 
 def test_read_arrays_size_mismatch(tmp_path):

@@ -1,11 +1,12 @@
 """Autodiff engine: primitive gradients, convolution adjoints, grad-of-grad."""
+import weakref
 
 import numpy as np
 import pytest
 
 from eegsr.models import DiscriminatorConfig, GeneratorConfig, discriminator_specs, generator_specs
 from eegsr.nn import functional as F
-from eegsr.nn.layers import Model
+from eegsr.nn.layers import Model, conv
 from eegsr.nn import tensor as tensor_module
 from eegsr.nn.tensor import (
     Tensor,
@@ -322,6 +323,24 @@ def test_tap_rows_kernels_hold_no_kernel_sized_copy_of_their_input():
         assert peak <= 4 * (x.nbytes + w.nbytes + g.nbytes)
 
 
+def test_tap_rows_kernels_read_a_model_weight_where_it_lies():
+    # A Model conv weight lies in kernel-row order, so the forward and the
+    # input gradient read its rows as views and allocate nothing near its
+    # size, and the weight gradient allocates its one kernel-row-ordered sum.
+    x_shape, w_shape = (1, 128, 4, 4), (128, 128, 9, 3)
+    assert _lowering(x_shape, w_shape) == "tap_rows"
+    w = Model([conv(128, (9, 3))], x_shape[1:], seed=0).parameters()[0]
+    assert w.shape == w_shape
+    x = RNG.normal(size=x_shape).astype(np.float32)
+    g = RNG.normal(size=x_shape).astype(np.float32)
+    for run in (lambda: conv2d(Tensor(x), w), lambda: conv2d_input_grad(Tensor(g), w, (4, 4))):
+        _, peak = peak_bytes(run)
+        assert peak < w.data.nbytes / 2
+    gw, peak = peak_bytes(lambda: conv2d_weight_grad(Tensor(g), Tensor(x), (9, 3)))
+    assert w.data.nbytes <= peak < 1.5 * w.data.nbytes
+    assert gw.shape == w_shape and gw.data.transpose(2, 0, 3, 1).flags.c_contiguous
+
+
 @pytest.mark.parametrize("name, per_call", [pytest.param("banded", [3], id="banded"),
                                              pytest.param("tap_rows", [1, 1, 1], id="tap_rows")])
 def test_width_columns_built_per_lowering(monkeypatch, name, per_call):
@@ -348,6 +367,34 @@ def test_width_columns_built_per_lowering(monkeypatch, name, per_call):
         with no_grad():
             conv2d(x, w)
         assert built == per_call
+
+
+def test_grad_consumes_the_graph_it_walks():
+    # Without create_graph each node drops its parents and its vjp once
+    # visited: an activation of a loss the caller still holds is freed by
+    # grad, and a second grad through the graph is refused, not answered
+    # with zeros.
+    x = Tensor(RNG.normal(size=(2, 3, 4, 5)))
+    w = Tensor(RNG.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    h = elu_t(conv2d(x, w))
+    activation = weakref.ref(h.data)
+    loss = sum_t(h * h)
+    del h
+    (gw,) = grad(loss, [w])
+    assert activation() is None
+    assert np.abs(gw.data).sum() > 0
+    for again in (loss, loss * 2.0):
+        with pytest.raises(RuntimeError, match="consumed"):
+            grad(again, [w])
+
+
+def test_create_graph_keeps_the_graph():
+    x = Tensor(RNG.normal(size=5), requires_grad=True)
+    y = sum_t(x * x * x)
+    (g1,) = grad(y, [x], create_graph=True)
+    (g2,) = grad(y, [x])
+    assert np.array_equal(g1.data, g2.data)
+    assert np.allclose(g2.data, 3 * x.data**2)
 
 
 def test_double_backward_scalar():

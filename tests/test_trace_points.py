@@ -9,6 +9,8 @@ import numpy as np
 from eegsr import cli
 from eegsr.gan import TrainConfig, TrainState, train
 from eegsr.models import GeneratorConfig, build_generator
+from eegsr.nn.layers import Model, conv
+from eegsr.nn.tensor import Tensor
 
 from helpers import epoch_set
 
@@ -61,3 +63,18 @@ def test_runner_dispatches_through_the_patched_command(tmp_path):
     summary = tracer.summarize(trace.spans)
     assert summary["cli.synth"]["calls"] == 1
     assert summary["archive.save_recording"]["calls"] == 1
+
+
+def test_conv_gmac_of_a_model_weight_is_exact():
+    # The tracer reads a conv's MACs off the weight's shape, so a Model conv
+    # weight keeps its OIHW shape (co, ci, kh, kw) whatever its memory order.
+    tracer = load_tracer()
+    model = Model([conv(6, (9, 3), stride=(2, 1))], (4, 16, 8), seed=0)
+    trace = tracer.install("test")
+    try:
+        model.forward(Tensor(np.zeros((2, 4, 16, 8), dtype=np.float32)))
+    finally:
+        trace.uninstall()
+    n, co, oh, ow, ci, kh, kw = 2, 6, 8, 8, 4, 9, 3
+    assert tracer.summarize(trace.spans)["tensor.conv2d"]["work"] == (
+        n * co * oh * ow * ci * kh * kw / 1e9)
