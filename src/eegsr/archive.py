@@ -42,10 +42,19 @@ def save_recording(path, rec):
     table.write(path, header, rows, comment=f"fs={float(rec.fs)!r} subject={rec.subject_id}")
 
 
+def _samples(block):
+    """(values, labels or None) of a block of recording rows."""
+    has_labels = block.header[-1] == "label"
+    n_channels = len(block.header) - has_labels
+    return (block.parse(slice(0, n_channels), float, "sample"),
+            block.parse(-1, int, "label") if has_labels else None)
+
+
 def load_recording(path):
-    """Read a recording CSV; malformed content reports its line number. The
-    `# fs=...` line must give the sampling rate; the subject defaults to s01."""
-    t = table.read(path)
+    """Read a recording CSV, a block of rows at a time; malformed content
+    reports its line number. The `# fs=...` line must give the sampling
+    rate; the subject defaults to s01."""
+    t = table.read(path, each=_samples)
     meta = dict(token.split("=", 1) for token in (t.comment or "").split() if "=" in token)
     has_labels = t.header[-1] == "label"
     n_channels = len(t.header) - has_labels
@@ -59,11 +68,12 @@ def load_recording(path):
         fs = float(meta["fs"])
     except ValueError:
         raise ParseError(f"sampling rate must be a number, got {meta['fs']!r}", line=1) from None
+    values, labels = zip(*t.cells)
     return RawRecording(
-        t.parse(slice(0, n_channels), float, "sample").T,
+        np.concatenate(values).T,
         fs=fs,
         channel_labels=t.header[:n_channels],
-        labels=t.parse(-1, int, "label") if has_labels else None,
+        labels=np.concatenate(labels) if has_labels else None,
         subject_id=meta.get("subject", "s01"),
     )
 

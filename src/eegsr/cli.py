@@ -65,19 +65,23 @@ def cmd_preprocess(args, cfg, out):
     pp = cfg["preprocess"]
     rec = archive.load_recording(args.recording)
     montage = data.make_montage(rec.n_channels, pp["scale"])
-    parts = list(data.split_dataset(
+    train, *rest = data.split_dataset(
         data.extract_epochs(rec, window=pp["window"], stride=pp["stride"]),
-        ratios=(pp["ratio_train"], pp["ratio_val"], pp["ratio_test"])))
+        ratios=(pp["ratio_train"], pp["ratio_val"], pp["ratio_test"]))
+
+    def segments(part):
+        return (len(part), *(data.segment_epochs(side, seg_len=pp["seg_len"])
+                             for side in data.downsample_set(part, montage)))
+
     # Build every split before writing any, so a failing split leaves no
-    # archives behind. Each stage's input is dropped once its output exists:
-    # the epoch set once split, each part once segmented, its segments once
-    # split by the montage.
-    splits = []
-    while parts:
-        n_epochs = len(parts[0])
-        splits.append((n_epochs, *data.downsample_set(
-            data.segment_epochs(parts.pop(0), seg_len=pp["seg_len"]), montage)))
+    # archives behind. The epochs, their parts and their channel sets are
+    # views of the recording, and segmenting copies each side of a split
+    # once, so the segments to be written are all that is held. The train
+    # statistics come before the other splits, which their transient copy
+    # of the train lr values then does not meet.
+    splits = [segments(train)]
     stats = data.compute_norm_stats(splits[0][1])
+    splits += map(segments, rest)
     for n_epochs, lr_set, hr_set in splits:
         archive.save_epoch_set(out / f"{lr_set.split}_lr", lr_set)
         archive.save_epoch_set(out / f"{hr_set.split}_hr", hr_set)

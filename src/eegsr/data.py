@@ -115,7 +115,11 @@ class EpochSet:
         if not 0 < self.fs < math.inf:
             raise DataError(f"sampling rate fs must be finite and positive, got {self.fs}")
         # C order fixes the summation order of every reduction over the set.
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        # A read-only view (the windows of a recording, parts and channels of
+        # them) stays a view until `segment_epochs` copies it.
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.flags.writeable:
+            self.values = np.ascontiguousarray(self.values)
         if self.values.ndim != 3:
             raise DataError(
                 f"epoch set values must be (epochs, channels, samples), got shape "
@@ -130,6 +134,16 @@ class EpochSet:
 
     def __len__(self):
         return self.values.shape[0]
+
+
+def _view_index(indices):
+    """Ascending `indices` as a slice when they are evenly spaced, so that
+    selecting them is a view; as a list otherwise."""
+    i = [int(k) for k in indices]
+    step = i[1] - i[0] if len(i) > 1 else 1
+    if i and step > 0 and i == list(range(i[0], i[-1] + 1, step)):
+        return slice(i[0], i[-1] + 1, step)
+    return i
 
 
 def _rows(epoch_set, rows):
@@ -324,7 +338,9 @@ def segment_epochs(epoch_set, seg_len=64):
     values = epoch_set.values.reshape(n, c, k, seg_len).transpose(0, 2, 1, 3)
     meta = _rows(epoch_set, np.repeat(np.arange(n), k))
     meta["origins"] += np.tile(np.arange(k) * seg_len, n)
-    return replace(epoch_set, values=values.reshape(n * k, c, seg_len), **meta)
+    # In C order, also where the reshape of a read-only set is a view.
+    values = np.ascontiguousarray(values.reshape(n * k, c, seg_len))
+    return replace(epoch_set, values=values, **meta)
 
 
 def regroup_segments(segment_set, group_size):
@@ -368,7 +384,7 @@ def split_dataset(epoch_set, ratios=(0.75, 0.20, 0.05)):
     out = []
     for name, part in zip(("train", "val", "test"), parts):
         rows = np.concatenate(part)
-        out.append(replace(epoch_set, values=epoch_set.values[rows], split=name,
+        out.append(replace(epoch_set, values=epoch_set.values[_view_index(rows)], split=name,
                            **_rows(epoch_set, rows)))
     return tuple(out)
 
@@ -388,7 +404,7 @@ def downsample_set(epoch_set, montage):
     names = epoch_set.channel_labels
 
     def part(rows):
-        return replace(epoch_set, values=epoch_set.values[:, list(rows)],
+        return replace(epoch_set, values=epoch_set.values[:, _view_index(rows)],
                        channel_labels=tuple(names[i] for i in rows) if names else None)
 
     return part(montage.lr_indices), part(montage.hr_indices)

@@ -10,7 +10,6 @@ import numpy as np
 
 from .tensor import (
     as_tensor,
-    conv2d,
     exp_t,
     log_t,
     matmul,
@@ -36,21 +35,6 @@ def softmax(x):
     shift = np.max(x.data, axis=-1, keepdims=True)
     e = exp_t(x - shift)
     return e / sum_t(e, axis=-1, keepdims=True)
-
-
-def dropout(x, rate, training, rng):
-    """Inverted dropout: identity at inference, mask/(1-rate) scaling in training."""
-    if not training:
-        return x
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype)
-    mask /= 1.0 - rate
-    return mul_const(x, mask)
-
-
-def conv_layer(x, w, b, stride=(1, 1)):
-    """Convolution plus per-map bias."""
-    y = conv2d(x, w, stride)
-    return y + reshape(b, (1, b.size, 1, 1))
 
 
 def dense_layer(x, w, b):

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as F
-from .tensor import Tensor, as_tensor, concat_t, conv_same_geometry, elu_t, repeat_rows
+from .tensor import (Tensor, as_tensor, concat_t, conv2d, conv_same_geometry, elu_dropout,
+                     repeat_rows)
 
 KINDS = ("conv", "dense", "upsample", "concat", "dropout", "flatten")
 ACTIVATIONS = ("linear", "elu", "relu", "softmax")
@@ -156,6 +157,12 @@ class Model:
     A conv weight has the OIHW shape (co, ci, kh, kw) but lies in memory in
     kernel-row order (kh, co, kw, ci), the order the kernel-rows lowering of
     `tensor` reads: each kernel row is one (co, kw*ci) matrix, a view.
+
+    A conv layer is one `conv2d` node that adds its bias. An ELU layer whose
+    output only the dropout layer after it reads leaves its activation to
+    that layer, so each dropout is one `elu_dropout` node, with or without
+    an activation; the nodes hold a layer's output, its conv output and a
+    bool mask.
     """
 
     def __init__(self, specs, input_shape, seed=0, dtype=np.float32, init=True):
@@ -164,6 +171,10 @@ class Model:
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         self.shapes = infer_shapes(self.specs, self.input_shape)
+        read = {src for ls in self.specs for src in ls.concat_sources}
+        self.elu_into_dropout = {i for i, (ls, nxt) in enumerate(zip(self.specs, self.specs[1:]))
+                                 if ls.activation == "elu" and nxt.kind == "dropout"
+                                 and i not in read}
         self.params = []
         rng = np.random.default_rng(self.seed) if init else None
         for ls, cur in zip(self.specs, [self.input_shape] + self.shapes[:-1]):
@@ -206,7 +217,7 @@ class Model:
 
     def _apply_activation(self, ls, x):
         if ls.activation == "elu":
-            return elu_t(x, ls.elu_alpha)
+            return elu_dropout(x, ls.elu_alpha, 0.0, None)
         if ls.activation == "relu":
             return F.relu(x)
         if ls.activation == "softmax":
@@ -235,21 +246,25 @@ class Model:
 
         for i, ls in enumerate(self.specs):
             cur = fetch(i - 1)
-            if ls.kind == "conv":
+            if ls.kind in ("conv", "dense"):
                 w, b = self.params[i]
-                y = F.conv_layer(cur, w, b, ls.stride)
-                y = self._apply_activation(ls, y)
-            elif ls.kind == "dense":
-                w, b = self.params[i]
-                y = F.dense_layer(cur, w, b)
-                y = self._apply_activation(ls, y)
+                if ls.kind == "conv":
+                    y = conv2d(cur, w, ls.stride, b)
+                else:
+                    y = F.dense_layer(cur, w, b)
+                if i not in self.elu_into_dropout:
+                    y = self._apply_activation(ls, y)
+            elif ls.kind == "dropout":
+                fused = i - 1 in self.elu_into_dropout
+                alpha = self.specs[i - 1].elu_alpha if fused else None
+                y = elu_dropout(cur, alpha, ls.dropout_rate, rng if training else None)
+                if fused:
+                    outs[i - 1] = None  # read by this layer alone; a graph keeps it if needed
             elif ls.kind == "upsample":
                 y = repeat_rows(cur, ls.kernel_dims[0], axis=2)
             elif ls.kind == "concat":
                 y = concat_t([fetch(s) for s in ls.concat_sources], axis=1)
-            elif ls.kind == "flatten":
+            else:  # flatten
                 y = F.flatten(cur)
-            else:
-                y = F.dropout(cur, ls.dropout_rate, training, rng)
             outs.append(y)
         return outs[-1]

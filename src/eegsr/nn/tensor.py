@@ -36,11 +36,14 @@ visited node drops its parents and its vjp, so an activation is freed once
 its node is visited, during the backward pass rather than after it (memory
 sharing, Chen et al. 2016, arXiv:1604.06174).
 
-The ELU is one node, ``elu_t``, computed branch-free as
-max(x, 0) + alpha*(exp(min(x, 0)) - 1); a select on a data-dependent mask
-ran about seven times slower per element. Outside ``create_graph`` its vjp
-is one numpy expression; under it, the vjp is composed from primitives, so
-the gradient penalty differentiates through it.
+A conv layer with its activation and dropout is two nodes, so that each
+holds one array the size of the layer's output: ``conv2d`` adds the bias in
+place into its output, and ``elu_dropout`` applies the ELU, computed
+branch-free as max(x, 0) + alpha*(exp(min(x, 0)) - 1) (a select on a
+data-dependent mask ran about seven times slower per element), then the
+dropout mask, which it keeps as bools. Outside ``create_graph`` its vjp is
+numpy expressions that recompute exp(min(x, 0)); under it, the vjp is
+composed from primitives, so the gradient penalty differentiates through it.
 """
 from __future__ import annotations
 
@@ -317,25 +320,50 @@ def maximum_const(a, c):
     return _node(np.maximum(a.data, c), (a,), vjp)
 
 
-def elu_t(a, alpha=1.0):
-    """Exponential linear unit as one node, branch-free:
-    max(a, 0) + alpha * (exp(min(a, 0)) - 1)."""
-    a = as_tensor(a)
-    alpha = a.dtype.type(alpha)
-    e = np.exp(np.minimum(a.data, 0))
-    out = e - 1
-    out *= alpha
-    out += np.maximum(a.data, 0)
+def elu_dropout(a, alpha, rate, rng):
+    """An activation and a dropout as one node: the ELU
+    max(a, 0) + alpha * (exp(min(a, 0)) - 1), or none with alpha None, then,
+    given an rng, an inverted-dropout mask that keeps each element with
+    probability 1 - rate and scales it by 1 / (1 - rate).
 
-    # The derivative is 1 from 0 up, where e == 1, and alpha * e below 0.
-    # Scaling g by alpha before e keeps the rounding of the composed ELU
-    # (min, exp, -1, *alpha, select) that this node replaces.
+    The node keeps only a bool keep-mask, drawn a sample at a time with the
+    numbers of one float64 draw of the whole mask, and its backward
+    recomputes exp(min(a, 0)) from its parent `a` instead of keeping it.
+    """
+    a = as_tensor(a)
+    if alpha is None and rng is None:
+        return a
+    if alpha is None:
+        out = a.data.copy()
+    else:
+        alpha = a.dtype.type(alpha)
+        out = np.exp(np.minimum(a.data, 0))
+        out -= 1
+        out *= alpha
+        out += np.maximum(a.data, 0)
+    keep = None
+    if rng is not None:
+        keep = np.empty(a.shape, dtype=bool)
+        for row in keep.reshape(len(keep), -1):
+            np.greater_equal(rng.random(row.size), rate, out=row)
+        kept = a.dtype.type(1) / a.dtype.type(1.0 - rate)
+        # Times keep, then times `kept`: the bits of one product with a
+        # float mask of 0 and `kept`.
+        out *= keep
+        out *= kept
+
+    # The ELU's derivative is 1 from 0 up, where exp(min(a, 0)) == 1, and
+    # alpha * exp(a) below 0. Scaling g by alpha before the exponential keeps
+    # the rounding of the composed ELU (min, exp, -1, *alpha, select).
     def vjp(g, needs):
-        if alpha != 1:
-            g = mul_const(g, np.where(a.data < 0, alpha, 1))
-        if _grad_enabled:
-            return (mul(g, exp_t(minimum_const(a, 0.0))),)
-        return (Tensor(g.data * e),)
+        if keep is not None:
+            g = mul_const(g, np.where(keep, kept, 0))
+        if alpha is not None:
+            if alpha != 1:
+                g = mul_const(g, np.where(a.data < 0, alpha, 1))
+            g = mul(g, exp_t(minimum_const(a, 0.0)) if _grad_enabled
+                    else Tensor(np.exp(np.minimum(a.data, 0))))
+        return (g,)
 
     return _node(out, (a,), vjp)
 
@@ -604,20 +632,30 @@ def _conv_weight_grad(gd, x, kh, kw, sh, sw):
     return gw.transpose(1, 3, 0, 2)  # (co, ci, kh, kw) in kernel-row order, as a Model weight
 
 
-def conv2d(x, w, stride=(1, 1)):
-    """Same-padded 2-D convolution (cross-correlation), NCHW by OIHW."""
+def conv2d(x, w, stride=(1, 1), b=None):
+    """Same-padded 2-D convolution (cross-correlation), NCHW by OIHW, plus
+    the per-map bias `b`, when given, added in place into the output."""
     x, w = as_tensor(x), as_tensor(w)
     sh, sw = int(stride[0]), int(stride[1])
     y = _conv_forward(x.data, w.data, sh, sw)
     h, wi = x.shape[2], x.shape[3]
-    kh, kw = w.shape[2], w.shape[3]
+    co, kh, kw = w.shape[0], w.shape[2], w.shape[3]
+    parents = (x, w)
+    if b is not None:
+        y += b.data.reshape(1, co, 1, 1)
+        parents = (x, w, b)
 
     def vjp(g, needs):
         gx = conv2d_input_grad(g, w, (h, wi), (sh, sw)) if needs[0] else None
         gw = conv2d_weight_grad(g, x, (kh, kw), (sh, sw)) if needs[1] else None
-        return (gx, gw)
+        gb = None
+        if len(needs) > 2 and needs[2]:
+            # Reduced as the vjp of a broadcast (1, co, 1, 1) add reduces it,
+            # which fixes the summation order of the bias gradient.
+            gb = reshape(_unbroadcast(g, (1, co, 1, 1)), b.shape)
+        return (gx, gw, gb)
 
-    return _node(y, (x, w), vjp)
+    return _node(y, parents, vjp)
 
 
 def conv2d_input_grad(g, w, input_hw, stride=(1, 1)):

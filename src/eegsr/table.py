@@ -5,7 +5,8 @@ tables, `history.csv` and `loss.csv` are all a header line of column names
 then one line per row, cells comma-separated, every line ended by `\\n`. A
 cell is written by `eegsr.ini.format_value` (floats by repr, so exactly).
 `read` checks the header and the width of every row and returns the cells
-as text; `Table.parse` turns columns of them into int or float arrays. Any
+as text, or hands them a block of rows at a time to a parser of the
+caller's; `Table.parse` turns columns of them into int or float arrays. Any
 malformed text, undecodable bytes included, raises ParseError naming the
 file and the line. The recording's first line, `# fs=... subject=...`, is
 the one line a table may carry above its header.
@@ -13,7 +14,7 @@ the one line a table may carry above its header.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +38,8 @@ def write(path, header, rows, comment=None):
 @dataclass(frozen=True)
 class Table:
     """The cells of a table file below its header, as a (rows, columns)
-    object array of str, with the file line of the first row and the text of
+    object array of str (read with `each`, the list of what it returned for
+    each block of rows), with the file line of the first row and the text of
     a leading `#` line (None without one)."""
 
     path: Path
@@ -69,32 +71,47 @@ class Table:
             raise
 
 
-def read(path, header=None):
+def read(path, header=None, each=None):
     """Table of the CSV file at `path`. Its header must equal `header`, or
-    with None hold at least one column; every row must be as wide."""
-    data = Path(path).read_bytes()
+    with None hold at least one column; every row must be as wide.
+
+    The file is read and its rows checked a block at a time. With `each`,
+    each block goes to `each` as a Table of its own rows, and `cells` is the
+    list of what it returns: a large table is parsed without its cells ever
+    all being held as text."""
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})",
-                         line=data.count(b"\n", 0, exc.start) + 1) from None
-    fh = io.StringIO(text, newline="")
-    comment = fh.readline()[1:].strip() if text.startswith("#") else None
-    skipped = comment is not None
-    reader = csv.reader(fh)
-    try:
-        found = next(reader, None)
-        if not found or (header is not None and found != list(header)):
-            want = "a header" if header is None else "header " + ",".join(header)
-            raise ParseError(f"{path}: expected {want}, found {found or 'nothing'}",
-                             line=skipped + 1)
-        rows = list(reader)
-    except csv.Error as exc:
-        raise ParseError(f"{path}: {exc}", line=skipped + reader.line_num) from None
-    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    bad = np.flatnonzero(widths != len(found))
-    if bad.size:
-        raise ParseError(f"{path}: expected {len(found)} columns, found {widths[bad[0]]}",
-                         line=skipped + bad[0] + 2)
-    cells = np.array(rows, dtype=object).reshape(len(rows), len(found))
-    return Table(Path(path), found, cells, skipped + 2, comment)
+        with open(path, encoding="utf-8", newline="") as fh:
+            first = fh.readline()
+            comment = first[1:].strip() if first.startswith("#") else None
+            skipped = comment is not None
+            reader = csv.reader(itertools.chain([] if skipped else [first], fh))
+            try:
+                found = next(reader, None)
+                if not found or (header is not None and found != list(header)):
+                    want = "a header" if header is None else "header " + ",".join(header)
+                    raise ParseError(f"{path}: expected {want}, found {found or 'nothing'}",
+                                     line=skipped + 1)
+                blocks, line = [], skipped + 2
+                while rows := list(itertools.islice(reader, 1024)):
+                    bad = next((i for i, row in enumerate(rows) if len(row) != len(found)), None)
+                    if bad is not None:
+                        raise ParseError(f"{path}: expected {len(found)} columns, found "
+                                         f"{len(rows[bad])}", line=line + bad)
+                    block = Table(Path(path), found, np.array(rows, dtype=object), line, comment)
+                    blocks.append(block.cells if each is None else each(block))
+                    line += len(rows)
+            except csv.Error as exc:
+                raise ParseError(f"{path}: {exc}", line=skipped + reader.line_num) from None
+    except UnicodeDecodeError:
+        # The decoder reads ahead of the rows; the bytes locate the line.
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})",
+                             line=data.count(b"\n", 0, exc.start) + 1) from None
+        raise
+    if each is None:
+        blocks = np.concatenate(blocks) if blocks else np.empty((0, len(found)), dtype=object)
+    return Table(Path(path), found, blocks, skipped + 2, comment)
+

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 
 from eegsr.data import EpochSet
+from eegsr.nn import functional as F
 from eegsr.nn import tensor as T
 from eegsr.nn.tensor import Tensor, grad
 
@@ -28,6 +29,11 @@ def same_set(a, b):
             and np.array_equal(a.subject_ids, b.subject_ids)
             and np.array_equal(a.origins, b.origins)
             and (a.split, a.fs, a.channel_labels) == (b.split, b.fs, b.channel_labels))
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def fd_grad(fn, arrays, index, h=1e-5):
@@ -134,11 +140,70 @@ def _select(mask, a, b):
 
 
 def composed_elu(x, alpha=1.0):
-    """The five-node ELU that `elu_t` replaced: min, exp, -1, *alpha, then a
-    select on x >= 0, node for node."""
+    """The five-node ELU that the one-node ELU replaced: min, exp, -1, *alpha,
+    then a select on x >= 0, node for node."""
     x = T.as_tensor(x)
     neg_branch = T.mul_const(T.exp_t(T.minimum_const(x, 0.0)) - 1.0, alpha)
     return _select(x.data >= 0, x, neg_branch)
+
+
+def elu_t(a, alpha=1.0):
+    """The one-node ELU that `tensor.elu_dropout` took in, as it was:
+    max(a, 0) + alpha * (exp(min(a, 0)) - 1), branch-free."""
+    a = T.as_tensor(a)
+    alpha = a.dtype.type(alpha)
+    e = np.exp(np.minimum(a.data, 0))
+    out = e - 1
+    out *= alpha
+    out += np.maximum(a.data, 0)
+
+    # The derivative is 1 from 0 up, where e == 1, and alpha * e below 0.
+    # Scaling g by alpha before e keeps the rounding of the composed ELU
+    # (min, exp, -1, *alpha, select) that this node replaces.
+    def vjp(g, needs):
+        if alpha != 1:
+            g = T.mul_const(g, np.where(a.data < 0, alpha, 1))
+        if T._grad_enabled:
+            return (T.mul(g, T.exp_t(T.minimum_const(a, 0.0))),)
+        return (Tensor(g.data * e),)
+
+    return T._node(out, (a,), vjp)
+
+
+def composed_layers_forward(model, x, training=False, rng=None):
+    """`Model.forward` as it was before the fused nodes, node for node: conv2d,
+    then an add of the bias reshaped to (1, co, 1, 1), then `elu_t`,
+    then a dropout as a float mask of 0 and 1 / (1 - rate) drawn in one call
+    and applied by mul_const."""
+    outs = []
+    for i, ls in enumerate(model.specs):
+        cur = x if i == 0 else outs[i - 1]
+        if ls.kind in ("conv", "dense"):
+            w, b = model.params[i]
+            if ls.kind == "conv":
+                y = T.conv2d(cur, w, ls.stride) + T.reshape(b, (1, b.size, 1, 1))
+            else:
+                y = F.dense_layer(cur, w, b)
+            if ls.activation == "elu":
+                y = elu_t(y, ls.elu_alpha)
+            elif ls.activation == "relu":
+                y = F.relu(y)
+            elif ls.activation == "softmax":
+                y = F.softmax(y)
+        elif ls.kind == "upsample":
+            y = T.repeat_rows(cur, ls.kernel_dims[0], axis=2)
+        elif ls.kind == "concat":
+            y = T.concat_t([x if s == -1 else outs[s] for s in ls.concat_sources], axis=1)
+        elif ls.kind == "flatten":
+            y = F.flatten(cur)
+        elif training:
+            mask = (rng.random(cur.shape) >= ls.dropout_rate).astype(cur.dtype)
+            mask /= 1.0 - ls.dropout_rate
+            y = T.mul_const(cur, mask)
+        else:
+            y = cur
+        outs.append(y)
+    return outs[-1]
 
 
 def _whole_batch_width_cols(x, kw, sw, ow, pl, pr):

@@ -18,11 +18,13 @@ from eegsr.data import (
     EpochSet,
     NormStats,
     RawRecording,
+    SyntheticConfig,
+    generate_synthetic,
     make_montage,
 )
 from eegsr.errors import ParseError
 
-from helpers import epoch_set, same_set
+from helpers import epoch_set, peak_bytes, same_set
 
 RNG = np.random.default_rng(20260804)
 
@@ -76,6 +78,47 @@ def test_recording_parse_errors_carry_line_numbers(tmp_path):
         load_recording(path)
     path.write_text("# fs=100.0\na,label\n1.0,2.5\n")
     with pytest.raises(ParseError, match="line 3"):
+        load_recording(path)
+
+
+def desk_recording(path):
+    """A desk-size recording (32 channels, 8544 labelled samples: 2.1 MiB
+    of values, a 5 MiB file) written to `path`."""
+    rec = generate_synthetic(SyntheticConfig(n_samples=8544, n_classes=3, label_block=1024))
+    save_recording(path, rec)
+    return rec
+
+
+def test_recording_is_parsed_a_block_of_rows_at_a_time(tmp_path):
+    # No cell is held as text beyond its block: the traced peak of reading a
+    # desk-size recording stays within 4x its value bytes (3.4x here; 25x
+    # with every cell, the text and the file's bytes held at once).
+    rec = desk_recording(tmp_path / "rec.csv")
+    back, peak = peak_bytes(lambda: load_recording(tmp_path / "rec.csv"))
+    assert np.array_equal(back.values, rec.values) and np.array_equal(back.labels, rec.labels)
+    assert peak <= 4 * back.values.nbytes, peak / back.values.nbytes
+
+
+@pytest.mark.parametrize("row, cell, message", [
+    (8000, 5, "sample must be a number, got 'pear'"),
+    (6500, -1, "label must be an integer, got 'pear'"),
+    (8543, None, "expected 33 columns, found 32"),
+])
+def test_a_bad_cell_in_a_late_block_names_its_line(tmp_path, row, cell, message):
+    # Rows go a block at a time; an error in a late block still names the
+    # file line of its row: row r of the table is line r + 3, below the
+    # `# fs=` line and the header.
+    path = tmp_path / "rec.csv"
+    desk_recording(path)
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[row + 2].rstrip("\n").split(",")
+    if cell is None:
+        del cells[-1]
+    else:
+        cells[cell] = "pear"
+    lines[row + 2] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError, match=f"^line {row + 3}: .*{message}"):
         load_recording(path)
 
 

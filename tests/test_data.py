@@ -230,6 +230,29 @@ def test_downsample_splits_channel_labels():
     assert hr.channel_labels == tuple(CHANNEL_LABELS_32[i] for i in m.hr_indices)
 
 
+@pytest.mark.parametrize("scale", [2, 4])
+@pytest.mark.parametrize("n_samples", [1152, 192])
+def test_the_stages_of_a_recording_are_views_until_segmented(scale, n_samples):
+    # The window view of a recording, its parts and their evenly spaced
+    # channels stay views of the recording; segment_epochs copies each once,
+    # into C order (a one-epoch part included, where its reshape is a view),
+    # and the result is the part segmented, then split by the montage, as
+    # the stages ran before.
+    rec = small_recording(n_samples=n_samples)
+    m = make_montage(32, scale)
+    eps = extract_epochs(rec, window=128, stride=32)
+    assert np.shares_memory(eps.values, rec.values)
+    for part in split_dataset(eps, ratios=(0.34, 0.34, 0.32)):
+        assert np.shares_memory(part.values, rec.values)
+        sides = downsample_set(part, m)
+        assert np.shares_memory(sides[0].values, rec.values)
+        assert np.shares_memory(sides[1].values, rec.values) == (scale == 2)
+        for side, ref in zip(sides, downsample_set(segment_epochs(part, seg_len=32), m)):
+            seg = segment_epochs(side, seg_len=32)
+            assert seg.values.flags.c_contiguous and seg.values.flags.writeable
+            assert same_set(seg, ref)
+
+
 def test_norm_stats_and_round_trip():
     eset = random_set(4, 8, 32)
     stats = compute_norm_stats(eset)

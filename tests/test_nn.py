@@ -4,6 +4,13 @@ import pytest
 
 from eegsr.config import TrainConfig
 from eegsr.errors import ParseError
+from eegsr.models import (
+    DiscriminatorConfig,
+    GeneratorConfig,
+    build_generator,
+    discriminator_specs,
+    generator_specs,
+)
 from eegsr.nn.layers import (
     Model,
     concat,
@@ -26,7 +33,7 @@ from eegsr.nn.serialize import (
 )
 from eegsr.nn.tensor import Tensor, grad, sum_t
 
-from helpers import peak_bytes
+from helpers import composed_layers_forward, peak_bytes, same_bits
 
 RNG = np.random.default_rng(20260802)
 
@@ -170,6 +177,63 @@ def test_gradients_flow_through_model():
     gs = grad(sum_t(out), model.parameters())
     assert all(np.isfinite(g.data).all() for g in gs)
     assert any(np.abs(g.data).sum() > 0 for g in gs)
+
+
+# Stacks through every path of the fused nodes: a linear conv into its
+# dropout, an ELU conv or dense layer into its dropout, dropouts after a
+# concat and after an upsample, an ELU conv with no dropout, and an ELU conv
+# whose output a concat reads before its dropout does.
+FUSED_CASES = {
+    "generator-x4": (lambda a: generator_specs(GeneratorConfig(4, 4, 8, 0.1, a, 1 / 64)),
+                     (1, 4, 8)),
+    "critic": (lambda a: discriminator_specs(DiscriminatorConfig(4, 8, 0.25, a, 1 / 32)),
+               (1, 4, 8)),
+    "other-paths": (lambda a: [
+        conv(3, (3, 1), "elu", elu_alpha=a), dropout(0.5), conv(2, (1, 3), "elu", elu_alpha=a),
+        dropout(0.5), concat(0, 3), dropout(0.25), upsample(2), dropout(0.5),
+        conv(2, (2, 2), "elu"), flatten(), dense(3, "elu"), dropout(0.5), dense(1)], (1, 3, 5)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_fused_nodes_give_the_bits_of_the_composed_layers(case, alpha, dtype):
+    # conv2d with its bias and one elu_dropout node per layer against conv2d,
+    # a bias add, the one-node ELU and a float mask, node for node: the
+    # forward at inference and in training, the first-order gradients of the
+    # input and every parameter, and the gradient penalty's second-order
+    # gradients of every parameter. Both sides draw the same numbers.
+    specs, input_shape = FUSED_CASES[case]
+    model = Model(specs(alpha), input_shape, seed=3, dtype=dtype)
+    xv = np.random.default_rng(4).normal(size=(3,) + input_shape).astype(dtype)
+    params = model.parameters()
+    results = []
+    for forward in (model.forward, lambda *a: composed_layers_forward(model, *a)):
+        rng = np.random.default_rng(5)
+        infer = forward(Tensor(xv), False, None).data
+        x = Tensor(xv, requires_grad=True)
+        out = forward(x, True, rng)
+        g = np.random.default_rng(6).normal(size=out.shape).astype(dtype)
+        first = grad(sum_t(out * Tensor(g)), [x] + params)
+        x = Tensor(xv, requires_grad=True)
+        (gx,) = grad(sum_t(forward(x, True, rng)), [x], create_graph=True)
+        second = grad(sum_t(gx * gx), params)
+        results.append([infer, out.data] + [t.data for t in first + second] + [rng.random(4)])
+    for new, ref in zip(*results):
+        assert same_bits(new, ref)
+
+
+def test_a_training_forward_holds_its_layer_outputs_about_once():
+    # A desk-width generator forward at batch 64 keeps per conv layer its conv
+    # output and the elu_dropout node's output and bool mask: traced peak 1.07x
+    # the sum of its layer outputs (fused pairs counted twice), 2.06x with a
+    # bias add, an ELU with its exponential and a float mask each a node.
+    gen = build_generator(GeneratorConfig(16, 2, 64, width=1 / 64))
+    x = Tensor(np.random.default_rng(0).normal(size=(64,) + gen.input_shape).astype(np.float32))
+    outputs = sum(int(np.prod(s)) for s in gen.shapes) * 64 * gen.dtype.itemsize
+    _, peak = peak_bytes(lambda: gen.forward(x, training=True, rng=np.random.default_rng(1)))
+    assert peak <= 1.25 * outputs, peak / outputs
 
 
 # -- Adam --
