@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .nn.layers import Model, concat, conv, dense, dropout, flatten, upsample
+from .nn.layers import Model, concat, conv, dense, flatten, upsample
 from .nn.tensor import Tensor, no_grad
 from .psd import N_FEATURES
 
@@ -89,24 +89,16 @@ def generator_specs(cfg):
     rate = cfg.dropout_rate
     a = cfg.elu_alpha
 
-    specs = [
-        conv(k[0], tall, "linear"),
-        dropout(rate),
-        conv(k[1], short, "elu", elu_alpha=a),
-        dropout(rate),
-    ]
+    specs = [conv(k[0], tall, "linear", dropout_rate=rate),
+             conv(k[1], short, "elu", elu_alpha=a, dropout_rate=rate)]
     if cfg.scale == 4:
-        specs += [
-            upsample(cfg.scale - 1),
-            conv(k[2], tall, "elu", elu_alpha=a),
-            dropout(rate),
-        ]
+        specs += [upsample(cfg.scale - 1), conv(k[2], tall, "elu", elu_alpha=a, dropout_rate=rate)]
     b0 = len(specs) - 1
-    specs += [conv(k[3], short, "elu", elu_alpha=a), dropout(rate)]
+    specs += [conv(k[3], short, "elu", elu_alpha=a, dropout_rate=rate)]
     s1 = len(specs) - 1
-    specs += [concat(b0, s1), conv(k[4], short, "elu", elu_alpha=a), dropout(rate)]
+    specs += [concat(b0, s1), conv(k[4], short, "elu", elu_alpha=a, dropout_rate=rate)]
     s2 = len(specs) - 1
-    specs += [concat(b0, s1, s2), conv(k[5], wide, "elu", elu_alpha=a), dropout(rate)]
+    specs += [concat(b0, s1, s2), conv(k[5], wide, "elu", elu_alpha=a, dropout_rate=rate)]
     s3 = len(specs) - 1
     specs += [concat(b0, s1, s2, s3), conv(1, tall, "linear")]
     return specs
@@ -146,26 +138,18 @@ def discriminator_specs(cfg):
     rate = cfg.dropout_rate
     a = cfg.elu_alpha
 
-    specs = [
-        conv(k[0], (cfg.c_hr + 1, 1), "linear"),
-        dropout(rate),
-        conv(k[1], (1, 3), "elu", elu_alpha=a),
-        dropout(rate),
-    ]
-    d1, d2 = 1, 3
-    specs += [concat(d1, d2), conv(k[2], (cfg.c_hr // 2 + 1, 1), "elu", elu_alpha=a),
-              dropout(rate)]
-    d3 = len(specs) - 1
-    specs += [
-        concat(d1, d2, d3),
-        conv(k[3], (cfg.c_hr // 4 + 1, 3), "elu", stride=DISC_FINAL_STRIDE, elu_alpha=a),
-        dropout(rate),
+    return [
+        conv(k[0], (cfg.c_hr + 1, 1), "linear", dropout_rate=rate),
+        conv(k[1], (1, 3), "elu", elu_alpha=a, dropout_rate=rate),
+        concat(0, 1),
+        conv(k[2], (cfg.c_hr // 2 + 1, 1), "elu", elu_alpha=a, dropout_rate=rate),
+        concat(0, 1, 3),
+        conv(k[3], (cfg.c_hr // 4 + 1, 3), "elu", stride=DISC_FINAL_STRIDE, elu_alpha=a,
+             dropout_rate=rate),
         flatten(),
-        dense(head, "elu"),
-        dropout(rate),
+        dense(head, "elu", dropout_rate=rate),
         dense(1, "linear"),
     ]
-    return specs
 
 
 def build_discriminator(cfg, seed=0, dtype=np.float32):

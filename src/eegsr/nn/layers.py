@@ -9,7 +9,7 @@ from . import functional as F
 from .tensor import (Tensor, as_tensor, concat_t, conv2d, conv_same_geometry, elu_dropout,
                      repeat_rows)
 
-KINDS = ("conv", "dense", "upsample", "concat", "dropout", "flatten")
+KINDS = ("conv", "dense", "upsample", "concat", "flatten")
 ACTIVATIONS = ("linear", "elu", "relu", "softmax")
 
 
@@ -19,13 +19,14 @@ class LayerSpec:
 
     kind
         conv: same-padded 2-D convolution, `kernels` output maps,
-        `kernel_dims` (kh, kw), `stride` (sh, sw), then `activation`.
-        dense: affine layer with `kernels` units, then `activation`.
+        `kernel_dims` (kh, kw), `stride` (sh, sw), then `activation`, then
+        inverted dropout at `dropout_rate` in training.
+        dense: affine layer with `kernels` units, then `activation`, then
+        dropout as for conv.
         upsample: nearest-neighbour repeat along the height axis;
         the factor is `kernel_dims[0]`.
         concat: join the outputs of earlier layers (by index, -1 for the
         model input) along the map axis.
-        dropout: inverted dropout at `dropout_rate`.
         flatten: collapse maps and spatial dims to a feature vector.
     """
 
@@ -51,13 +52,14 @@ class LayerSpec:
             raise ValueError(f"stride must be positive, got {self.stride}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.kind == "dropout" and self.dropout_rate == 0.0:
-            raise ValueError("dropout layer with rate 0 is a no-op; remove it")
+        if self.kind not in ("conv", "dense") and self.dropout_rate:
+            raise ValueError(f"{self.kind} layer takes no dropout_rate")
         if self.kind == "concat" and len(self.concat_sources) < 2:
             raise ValueError("concat needs at least two sources")
 
 
-def conv(kernels, kernel_dims, activation="linear", stride=(1, 1), elu_alpha=1.0):
+def conv(kernels, kernel_dims, activation="linear", stride=(1, 1), elu_alpha=1.0,
+         dropout_rate=0.0):
     return LayerSpec(
         "conv",
         kernels=kernels,
@@ -65,11 +67,12 @@ def conv(kernels, kernel_dims, activation="linear", stride=(1, 1), elu_alpha=1.0
         stride=tuple(stride),
         activation=activation,
         elu_alpha=elu_alpha,
+        dropout_rate=dropout_rate,
     )
 
 
-def dense(units, activation="linear"):
-    return LayerSpec("dense", kernels=units, activation=activation)
+def dense(units, activation="linear", dropout_rate=0.0):
+    return LayerSpec("dense", kernels=units, activation=activation, dropout_rate=dropout_rate)
 
 
 def upsample(factor):
@@ -78,10 +81,6 @@ def upsample(factor):
 
 def concat(*sources):
     return LayerSpec("concat", concat_sources=tuple(sources))
-
-
-def dropout(rate):
-    return LayerSpec("dropout", dropout_rate=rate)
 
 
 def flatten():
@@ -124,10 +123,8 @@ def infer_shapes(specs, input_shape):
             if len(hw) != 1:
                 raise ValueError(f"layer {i}: concat spatial dims differ: {sorted(hw)}")
             shapes.append((sum(s[0] for s in srcs),) + srcs[0][1:])
-        elif ls.kind == "flatten":
+        else:  # flatten
             shapes.append((int(np.prod(cur)),))
-        else:  # dropout
-            shapes.append(cur)
     return shapes
 
 
@@ -158,11 +155,9 @@ class Model:
     kernel-row order (kh, co, kw, ci), the order the kernel-rows lowering of
     `tensor` reads: each kernel row is one (co, kw*ci) matrix, a view.
 
-    A conv layer is one `conv2d` node that adds its bias. An ELU layer whose
-    output only the dropout layer after it reads leaves its activation to
-    that layer, so each dropout is one `elu_dropout` node, with or without
-    an activation; the nodes hold a layer's output, its conv output and a
-    bool mask.
+    A conv layer is one `conv2d` node that adds its bias, then, given an ELU
+    or a dropout rate, one `elu_dropout` node for both; the nodes hold the
+    layer's output, its conv output and a bool mask.
     """
 
     def __init__(self, specs, input_shape, seed=0, dtype=np.float32, init=True):
@@ -171,10 +166,6 @@ class Model:
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         self.shapes = infer_shapes(self.specs, self.input_shape)
-        read = {src for ls in self.specs for src in ls.concat_sources}
-        self.elu_into_dropout = {i for i, (ls, nxt) in enumerate(zip(self.specs, self.specs[1:]))
-                                 if ls.activation == "elu" and nxt.kind == "dropout"
-                                 and i not in read}
         self.params = []
         rng = np.random.default_rng(self.seed) if init else None
         for ls, cur in zip(self.specs, [self.input_shape] + self.shapes[:-1]):
@@ -215,15 +206,6 @@ class Model:
         the model's own arrays, which keep their memory order."""
         copy_into([t.data for t in self.parameters()], arrays)
 
-    def _apply_activation(self, ls, x):
-        if ls.activation == "elu":
-            return elu_dropout(x, ls.elu_alpha, 0.0, None)
-        if ls.activation == "relu":
-            return F.relu(x)
-        if ls.activation == "softmax":
-            return F.softmax(x)
-        return x
-
     def forward(self, x, training=False, rng=None):
         """Run the stack over a batch; returns the final layer's Tensor.
 
@@ -237,8 +219,8 @@ class Model:
             raise ValueError(
                 f"input shape {x.shape[1:]} does not match model input {self.input_shape}"
             )
-        if training and rng is None and any(ls.kind == "dropout" for ls in self.specs):
-            raise ValueError("training forward with dropout layers needs an rng")
+        if training and rng is None and any(ls.dropout_rate for ls in self.specs):
+            raise ValueError("training forward with dropout needs an rng")
         outs = []
 
         def fetch(idx):
@@ -252,14 +234,13 @@ class Model:
                     y = conv2d(cur, w, ls.stride, b)
                 else:
                     y = F.dense_layer(cur, w, b)
-                if i not in self.elu_into_dropout:
-                    y = self._apply_activation(ls, y)
-            elif ls.kind == "dropout":
-                fused = i - 1 in self.elu_into_dropout
-                alpha = self.specs[i - 1].elu_alpha if fused else None
-                y = elu_dropout(cur, alpha, ls.dropout_rate, rng if training else None)
-                if fused:
-                    outs[i - 1] = None  # read by this layer alone; a graph keeps it if needed
+                if ls.activation == "relu":
+                    y = F.relu(y)
+                elif ls.activation == "softmax":
+                    y = F.softmax(y)
+                rate = ls.dropout_rate
+                y = elu_dropout(y, ls.elu_alpha if ls.activation == "elu" else None, rate,
+                                rng if training and rate else None)
             elif ls.kind == "upsample":
                 y = repeat_rows(cur, ls.kernel_dims[0], axis=2)
             elif ls.kind == "concat":

@@ -172,9 +172,9 @@ def elu_t(a, alpha=1.0):
 
 def composed_layers_forward(model, x, training=False, rng=None):
     """`Model.forward` as it was before the fused nodes, node for node: conv2d,
-    then an add of the bias reshaped to (1, co, 1, 1), then `elu_t`,
-    then a dropout as a float mask of 0 and 1 / (1 - rate) drawn in one call
-    and applied by mul_const."""
+    then an add of the bias reshaped to (1, co, 1, 1), then the layer's
+    activation (`elu_t` for an ELU), then its dropout as a float mask of 0
+    and 1 / (1 - rate) drawn in one call and applied by mul_const."""
     outs = []
     for i, ls in enumerate(model.specs):
         cur = x if i == 0 else outs[i - 1]
@@ -190,18 +190,16 @@ def composed_layers_forward(model, x, training=False, rng=None):
                 y = F.relu(y)
             elif ls.activation == "softmax":
                 y = F.softmax(y)
+            if training and ls.dropout_rate:
+                mask = (rng.random(y.shape) >= ls.dropout_rate).astype(y.dtype)
+                mask /= 1.0 - ls.dropout_rate
+                y = T.mul_const(y, mask)
         elif ls.kind == "upsample":
             y = T.repeat_rows(cur, ls.kernel_dims[0], axis=2)
         elif ls.kind == "concat":
             y = T.concat_t([x if s == -1 else outs[s] for s in ls.concat_sources], axis=1)
-        elif ls.kind == "flatten":
-            y = F.flatten(cur)
-        elif training:
-            mask = (rng.random(cur.shape) >= ls.dropout_rate).astype(cur.dtype)
-            mask /= 1.0 - ls.dropout_rate
-            y = T.mul_const(cur, mask)
         else:
-            y = cur
+            y = F.flatten(cur)
         outs.append(y)
     return outs[-1]
 

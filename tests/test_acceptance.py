@@ -46,7 +46,7 @@ from eegsr.models import (
     build_generator,
 )
 from eegsr.nn import functional as F
-from eegsr.nn.layers import Model, concat, conv, dense, dropout, flatten, upsample
+from eegsr.nn.layers import Model, concat, conv, dense, flatten, upsample
 from eegsr.nn.tensor import Tensor, grad
 from eegsr.report import sr_metrics
 
@@ -118,7 +118,7 @@ def test_01_gradient_checks():
     proj_case("dense block concat",
               [conv(2, (1, 3), "elu"), conv(2, (1, 3), "elu"), concat(0, 1),
                conv(1, (1, 3), "elu")], (1, 2, 8))
-    proj_case("dropout", [conv(2, (1, 3), "elu"), dropout(0.5),
+    proj_case("dropout", [conv(2, (1, 3), "elu", dropout_rate=0.5),
                           conv(1, (1, 3), "linear")], (1, 2, 8),
               training=True, rng_seed=17)
     proj_case("flatten dense", [flatten(), dense(5)], (2, 3, 4))
@@ -162,7 +162,7 @@ def test_02_architecture_conformance():
     if g4.shapes[-1] != (1, 24, 64):
         failures.append(f"scale-4 output {g4.shapes[-1]}")
     heights = [s[1] for s in g4.shapes]
-    if heights[:4] != [8, 8, 8, 8] or set(heights[4:]) != {24}:
+    if heights[:2] != [8, 8] or set(heights[2:]) != {24}:
         failures.append(f"scale-4 height walk {heights}")
 
     maps = [s[0] for s in g2.shapes]

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from eegsr import archive, gan, models, psd
+from eegsr import archive, gan, ini, models, psd
 from eegsr.archive import FEATURE_HEADER, read_features_csv, write_features_csv
 from eegsr.cli import COMMANDS, HEAP_SETTINGS, main
 from eegsr.errors import ParseError
@@ -722,6 +722,39 @@ def test_corrupt_checkpoint_is_a_one_line_error(tmp_path, pipeline, capsys, faul
 
 
 GENERATOR_FAULTS = ("params-missing", "layer-kind", "layer-source")
+
+
+def test_a_generator_with_dropout_layers_is_refused(tmp_path, pipeline, capsys):
+    # Generators once spelled each dropout as a layer of its own after the
+    # layer whose rate it now is; such a manifest names a kind that is gone.
+    ck = tmp_path / "best"
+    shutil.copytree(pipeline["adv"] / "best", ck)
+    manifest = ck.joinpath(*MODEL)
+    sections = ini.read(manifest)
+    layers, moved = [], {}
+    for i in range(int(sections["model"]["layers"])):
+        layer = sections.pop(f"layer{i}")
+        rate, layer["dropout_rate"] = layer["dropout_rate"], "0.0"
+        if layer["kind"] == "concat":
+            layer["concat_sources"] = ",".join(str(moved[int(s)])
+                                               for s in layer["concat_sources"].split(","))
+        layers.append(layer)
+        if float(rate):
+            layers.append(dict(layer, kind="dropout", kernels="0", kernel_dims="1,1",
+                               stride="1,1", activation="linear", elu_alpha="1.0",
+                               dropout_rate=rate))
+        moved[i] = len(layers) - 1
+    sections["model"]["layers"] = str(len(layers))
+    sections.update((f"layer{i}", layer) for i, layer in enumerate(layers))
+    ini.write(manifest, sections)
+    assert "kind = dropout" in manifest.read_text()
+    out = tmp_path / "out"
+    assert main(["sr-infer", "--data", str(pipeline["data"]), "--checkpoint", str(ck),
+                 "--out", str(out)] + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unknown layer kind 'dropout'" in err
+    assert not out.exists()
 
 
 def test_gan_train_init_refuses_a_generator_of_another_config(tmp_path, pipeline, capsys):

@@ -10,7 +10,7 @@ from eegsr.config import SCHEMA, RunConfig, TrainConfig, load_config, save_confi
 from eegsr.data import SIGMA_FLOOR, NormStats, SyntheticConfig, make_montage
 from eegsr.errors import ConfigError
 from eegsr.ini import format_value, from_section, section_of
-from eegsr.nn.layers import LayerSpec, concat, conv, dropout
+from eegsr.nn.layers import LayerSpec, concat, conv, dense
 from eegsr.psd import ClassifierTrainConfig
 
 # A value other than the default for every key of the dataclass sections
@@ -122,7 +122,7 @@ def test_save_load_roundtrip(tmp_path):
     for obj in (cfg.synth_config(), cfg.train_config(), cfg.classifier_train_config(),
                 SyntheticConfig(), TrainConfig(), ClassifierTrainConfig(),
                 LayerSpec("flatten"), conv(3, (9, 3), "elu", stride=(2, 1), elu_alpha=0.5),
-                concat(-1, 0, 2), dropout(0.25), make_montage(32, 4),
+                concat(-1, 0, 2), dense(4, "elu", dropout_rate=0.25), make_montage(32, 4),
                 NormStats(mu=np.float64(-0.1), sigma=np.float64(1 / 3))):
         assert from_section(type(obj), section_text(obj)) == obj, obj
 

@@ -1,11 +1,13 @@
 """Generated gradient oracle: random layer stacks against central differences.
 
 Each example draws a small f64 stack of convolutions (one- and three-column
-kernels, even and odd kernel heights, strides), ELU, dropout with a fixed
-rng, nearest-neighbour upsampling, concatenation, flatten and dense layers,
-and the lowering every conv runs by: banded or by kernel rows. Autodiff must
-match central differences for an MSE with respect to the parameters and the
-input, and for the gradient penalty with respect to the critic parameters.
+kernels, even and odd kernel heights, strides, linear or ELU),
+nearest-neighbour upsampling, concatenation, flatten and dense layers, a
+dropout rate on each conv and on the dense ELU layer (0, 0.25 or 0.5, its
+mask drawn from a fixed rng), and the lowering every conv runs by: banded or
+by kernel rows. Autodiff must match central differences for an MSE with
+respect to the parameters and the input, and for the gradient penalty with
+respect to the critic parameters.
 """
 import numpy as np
 from hypothesis import example, given, settings
@@ -13,12 +15,13 @@ from hypothesis import strategies as st
 
 from eegsr.gan import gradient_penalty
 from eegsr.nn import functional as F
-from eegsr.nn.layers import Model, concat, conv, dense, dropout, flatten, upsample
+from eegsr.nn.layers import Model, concat, conv, dense, flatten, upsample
 from eegsr.nn.tensor import Tensor, _banded, conv_same_geometry
 
 from helpers import LOWERINGS, check_grads, lowering
 
 STRIDES = [(1, 1), (2, 1), (1, 2), (2, 2)]
+RATES = [0.0, 0.25, 0.5]
 
 
 @st.composite
@@ -32,17 +35,16 @@ def layer_stacks(draw, scored):
     specs = []
     for step in range(draw(st.integers(1, 4))):
         kind = "conv" if step == 0 else draw(
-            st.sampled_from(["conv", "conv", "dropout", "upsample", "concat"]))
+            st.sampled_from(["conv", "conv", "upsample", "concat"]))
         c, h, w = shape
         if kind == "conv":
             kh, kw = draw(st.integers(1, h + 1)), draw(st.sampled_from([1, 3]))
             sh, sw = draw(st.sampled_from(STRIDES))
             oh, ow, *_ = conv_same_geometry(h, w, kh, kw, sh, sw)
             co = draw(st.integers(1, 3))
-            specs.append(conv(co, (kh, kw), draw(st.sampled_from(["elu", "linear"])), (sh, sw)))
+            specs.append(conv(co, (kh, kw), draw(st.sampled_from(["elu", "linear"])), (sh, sw),
+                              dropout_rate=draw(st.sampled_from(RATES))))
             shape = (co, oh, ow)
-        elif kind == "dropout":
-            specs.append(dropout(draw(st.sampled_from([0.25, 0.5]))))
         elif kind == "upsample" and h <= 4:
             specs.append(upsample(2))
             shape = (c, 2 * h, w)
@@ -58,12 +60,14 @@ def layer_stacks(draw, scored):
             continue
         shapes[len(specs) - 1] = shape
     if scored or draw(st.booleans()):
-        specs += [flatten(), dense(draw(st.integers(1, 3)), "elu"), dense(1)]
+        specs += [flatten(), dense(draw(st.integers(1, 3)), "elu", draw(st.sampled_from(RATES))),
+                  dense(1)]
     return specs, in_shape, n
 
 
 # Two stacks run every time, one by each lowering.
-BANDED = ([conv(1, (3, 1), "elu"), dropout(0.5), conv(1, (2, 3), "elu", (1, 2))], (1, 4, 6), 2)
+BANDED = ([conv(1, (3, 1), "elu", dropout_rate=0.5), conv(1, (2, 3), "elu", (1, 2))], (1, 4, 6),
+          2)
 TAP_ROWS = ([conv(3, (3, 3), "elu"), conv(2, (1, 3), "linear", (2, 1))], (2, 4, 3), 1)
 
 

@@ -11,7 +11,7 @@ from eegsr.archive import save_epoch_set, save_preprocess_info
 from eegsr.config import TrainConfig, load_config, save_config
 from eegsr.data import NormStats, make_montage
 from eegsr.gan import TrainState, save_checkpoint
-from eegsr.nn.layers import Model, concat, conv, dense, dropout, flatten
+from eegsr.nn.layers import Model, concat, conv, dense, flatten
 from eegsr.nn.serialize import save_model
 
 from helpers import epoch_set
@@ -81,7 +81,7 @@ format_version = 1
 dtype = f64
 seed = 5
 input_shape = 1,4,2
-layers = 6
+layers = 5
 
 [layer0]
 kind = conv
@@ -110,7 +110,7 @@ kernel_dims = 1,2
 stride = 2,1
 activation = linear
 elu_alpha = 1.0
-dropout_rate = 0.0
+dropout_rate = 0.25
 concat_sources =\x20
 
 [layer3]
@@ -124,16 +124,6 @@ dropout_rate = 0.0
 concat_sources =\x20
 
 [layer4]
-kind = dropout
-kernels = 0
-kernel_dims = 1,1
-stride = 1,1
-activation = linear
-elu_alpha = 1.0
-dropout_rate = 0.25
-concat_sources =\x20
-
-[layer5]
 kind = dense
 kernels = 3
 kernel_dims = 1,1
@@ -215,7 +205,8 @@ seg_len = 32
 
 def small_model():
     return Model([conv(2, (3, 1), "elu", elu_alpha=0.5), concat(-1, 0),
-                  conv(1, (1, 2), stride=(2, 1)), flatten(), dropout(0.25), dense(3, "softmax")],
+                  conv(1, (1, 2), stride=(2, 1), dropout_rate=0.25), flatten(),
+                  dense(3, "softmax")],
                  (1, 4, 2), seed=5, dtype=np.float64)
 
 

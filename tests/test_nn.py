@@ -1,7 +1,10 @@
 """Layer stack: shape inference, initialization, Adam, model serialization."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from eegsr import ini
 from eegsr.config import TrainConfig
 from eegsr.errors import ParseError
 from eegsr.models import (
@@ -16,7 +19,6 @@ from eegsr.nn.layers import (
     concat,
     conv,
     dense,
-    dropout,
     flatten,
     infer_shapes,
     upsample,
@@ -116,7 +118,7 @@ def test_forward_rejects_wrong_input_shape():
 
 
 def test_dropout_needs_rng_in_training():
-    model = Model([dropout(0.5), dense(2)], (4,))
+    model = Model([dense(4, dropout_rate=0.5), dense(2)], (4,))
     x = Tensor(np.zeros((1, 4), dtype=np.float32))
     with pytest.raises(ValueError):
         model.forward(x, training=True)
@@ -125,10 +127,23 @@ def test_dropout_needs_rng_in_training():
 
 
 def test_dropout_inactive_at_inference():
-    model = Model([dropout(0.9)], (50,), dtype=np.float64)
-    x = RNG.normal(size=(2, 50))
-    out = model.forward(Tensor(x), training=False)
-    assert np.array_equal(out.data, x)
+    x = Tensor(RNG.normal(size=(2, 50)))
+    plain, dropped = (Model([dense(50, "elu", dropout_rate=rate)], (50,), dtype=np.float64)
+                      for rate in (0.0, 0.9))
+    assert np.array_equal(dropped.forward(x, training=False).data, plain.forward(x).data)
+
+
+@pytest.mark.parametrize("layer", [concat(-1, -1), upsample(2), flatten()])
+def test_only_conv_and_dense_layers_take_a_dropout_rate(layer, tmp_path):
+    with pytest.raises(ValueError, match="takes no dropout_rate"):
+        replace(layer, dropout_rate=0.25)
+    # Read from a manifest, the same spec is a corrupt model.
+    save_model(tmp_path, Model([conv(1, (1, 1)), layer, flatten(), dense(1)], (1, 2, 3)))
+    sections = ini.read(tmp_path / "manifest.txt")
+    sections["layer1"]["dropout_rate"] = "0.25"
+    ini.write(tmp_path / "manifest.txt", sections)
+    with pytest.raises(ParseError, match="takes no dropout_rate"):
+        load_model(tmp_path)
 
 
 def test_set_parameters_round_trip():
@@ -179,19 +194,19 @@ def test_gradients_flow_through_model():
     assert any(np.abs(g.data).sum() > 0 for g in gs)
 
 
-# Stacks through every path of the fused nodes: a linear conv into its
-# dropout, an ELU conv or dense layer into its dropout, dropouts after a
-# concat and after an upsample, an ELU conv with no dropout, and an ELU conv
-# whose output a concat reads before its dropout does.
+# Stacks through every path of the fused nodes: a linear conv with dropout,
+# an ELU conv with and without one, an ELU conv that a concat reads, and an
+# ELU dense layer with dropout.
 FUSED_CASES = {
     "generator-x4": (lambda a: generator_specs(GeneratorConfig(4, 4, 8, 0.1, a, 1 / 64)),
                      (1, 4, 8)),
     "critic": (lambda a: discriminator_specs(DiscriminatorConfig(4, 8, 0.25, a, 1 / 32)),
                (1, 4, 8)),
     "other-paths": (lambda a: [
-        conv(3, (3, 1), "elu", elu_alpha=a), dropout(0.5), conv(2, (1, 3), "elu", elu_alpha=a),
-        dropout(0.5), concat(0, 3), dropout(0.25), upsample(2), dropout(0.5),
-        conv(2, (2, 2), "elu"), flatten(), dense(3, "elu"), dropout(0.5), dense(1)], (1, 3, 5)),
+        conv(3, (3, 1), "linear", dropout_rate=0.5),
+        conv(2, (1, 3), "elu", elu_alpha=a, dropout_rate=0.5), concat(0, 1), upsample(2),
+        conv(2, (2, 2), "elu", elu_alpha=a), flatten(), dense(3, "elu", dropout_rate=0.5),
+        dense(1)], (1, 3, 5)),
 }
 
 
@@ -227,11 +242,13 @@ def test_fused_nodes_give_the_bits_of_the_composed_layers(case, alpha, dtype):
 def test_a_training_forward_holds_its_layer_outputs_about_once():
     # A desk-width generator forward at batch 64 keeps per conv layer its conv
     # output and the elu_dropout node's output and bool mask: traced peak 1.07x
-    # the sum of its layer outputs (fused pairs counted twice), 2.06x with a
-    # bias add, an ELU with its exponential and a float mask each a node.
+    # the sum of its layer outputs (a layer with an ELU or a dropout counted
+    # twice), 2.06x with a bias add, an ELU with its exponential and a float
+    # mask each a node.
     gen = build_generator(GeneratorConfig(16, 2, 64, width=1 / 64))
     x = Tensor(np.random.default_rng(0).normal(size=(64,) + gen.input_shape).astype(np.float32))
-    outputs = sum(int(np.prod(s)) for s in gen.shapes) * 64 * gen.dtype.itemsize
+    outputs = sum(int(np.prod(s)) * (2 if ls.activation == "elu" or ls.dropout_rate else 1)
+                  for ls, s in zip(gen.specs, gen.shapes)) * 64 * gen.dtype.itemsize
     _, peak = peak_bytes(lambda: gen.forward(x, training=True, rng=np.random.default_rng(1)))
     assert peak <= 1.25 * outputs, peak / outputs
 
@@ -399,10 +416,9 @@ def test_read_arrays_size_mismatch(tmp_path):
 
 def test_save_load_model_bit_exact(tmp_path):
     specs = [
-        conv(4, (3, 1), "elu", elu_alpha=0.7),
-        dropout(0.25),
+        conv(4, (3, 1), "elu", elu_alpha=0.7, dropout_rate=0.25),
         conv(2, (1, 3), "elu", stride=(2, 2)),
-        concat(2, 2),
+        concat(1, 1),
         flatten(),
         dense(3, "softmax"),
     ]

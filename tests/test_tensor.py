@@ -264,7 +264,7 @@ def test_lowering_rule_bands_the_narrow_convs_at_any_batch(dtype):
     # Every desk-width (1/64) conv is banded; at full width the two stems and
     # the generator's one-map projection are, and the other convs run by
     # kernel rows. The batch does not enter the rule.
-    for width, banded in ((1 / 64, None), (1.0, {"gen0", "gen13", "disc0"})):
+    for width, banded in ((1 / 64, None), (1.0, {"gen0", "gen8", "disc0"})):
         for name, (ci, h, wi), w_shape, stride in _conv_layers(width):
             picks = {_lowering((n, ci, h, wi), w_shape, stride, dtype) for n in (1, 7, 64, 256)}
             assert picks == {"banded" if banded is None or name in banded else "tap_rows"}, name
