@@ -18,7 +18,6 @@ malformed, inconsistent or incompatible, or another OSError.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -97,7 +96,6 @@ def _training_run(args, cfg, out, phase, build):
     `build()` returns, load the normalised train and val pairs, train with
     checkpoints under `out` and write history.csv."""
     disc_cfg = cfg.discriminator_config() if phase == "gan" else None
-    keep_freed_heap()
     epochs_key = f"{phase}_epochs"
     if cfg["train"][epochs_key] < 1:
         raise ConfigError(f"train.{epochs_key} is 0: nothing would be trained and no "
@@ -201,7 +199,6 @@ def cmd_features(args, cfg, out):
 
 
 def cmd_train_clf(args, cfg, out):
-    keep_freed_heap()
     x, labels = archive.read_features_csv(Path(args.features) / "train_hr.csv").labelled()
     scaler = psd.FeatureScaler.fit(x)
     clf_cfg = cfg.classifier_config()
@@ -342,32 +339,6 @@ def build_parser():
                 inputs.append(p.add_argument(option[0], **option[1]))
         p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")], inputs=inputs)
     return parser
-
-
-# glibc mallopt(3) settings, each value a C int. 32 MiB is glibc's own
-# ceiling for the dynamic mmap threshold; 2**31 - 1 means the heap top is
-# never trimmed in practice.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 2**31 - 1))
-
-
-def keep_freed_heap():
-    """Keep freed heap pages in the process for the next training step.
-
-    Every step frees its graph once its gradients are taken; by default glibc
-    trims the heap top that leaves and the next step faults the same pages
-    back in. Blocks below 32 MiB come from the heap and stay there; larger
-    ones are still mapped and unmapped. Does nothing without `mallopt`.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in HEAP_SETTINGS:
-        mallopt(param, value)
 
 
 def _run(args):

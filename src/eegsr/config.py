@@ -11,7 +11,6 @@ format of `eegsr.ini`; rerunning from that file reproduces the run.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -83,7 +82,6 @@ SCHEMA = {
         "width": 1.0,
         "gen_dropout": 0.1,
         "disc_dropout": 0.25,
-        "elu_alpha": 1.0,
     },
     "train": _section_keys(TrainConfig),
     "classifier": _section_keys(ClassifierTrainConfig),
@@ -142,8 +140,6 @@ class RunConfig:
                 raise ConfigError(f"model.{key} must be in (0, 1), got {m[key]}")
         if not 0.0 < m["width"] <= 1.0:
             raise ConfigError(f"model.width must be in (0, 1], got {m['width']}")
-        if not math.isfinite(m["elu_alpha"]):
-            raise ConfigError(f"model.elu_alpha must be finite, got {m['elu_alpha']}")
         # Constructing the derived configs runs their own validation.
         self.synth_config()
         self.train_config()
@@ -176,14 +172,13 @@ class RunConfig:
         pp, m = self["preprocess"], self["model"]
         return self._build("generator", GeneratorConfig,
                            c_lr=self["synth"]["n_channels"] // pp["scale"], scale=pp["scale"],
-                           seg_len=pp["seg_len"], dropout_rate=m["gen_dropout"],
-                           elu_alpha=m["elu_alpha"], width=m["width"])
+                           seg_len=pp["seg_len"], dropout_rate=m["gen_dropout"], width=m["width"])
 
     def discriminator_config(self):
         gen, m = self.generator_config(), self["model"]
         return self._build("critic", DiscriminatorConfig,
                            c_hr=gen.c_hr, seg_len=gen.seg_len, dropout_rate=m["disc_dropout"],
-                           elu_alpha=m["elu_alpha"], width=m["width"])
+                           width=m["width"])
 
     def classifier_config(self):
         ids = tuple(self["synth"]["class_ids"])[: max(self["synth"]["n_classes"], 2)]

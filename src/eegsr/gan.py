@@ -115,16 +115,17 @@ def pair_arrays(lr_set, hr_set, gen):
 
 def config_fingerprint(gen_cfg, disc_cfg=None, dtype=np.float32, loss_mode="wgan_gp"):
     """Hash of everything that fixes network identity and loss semantics."""
+    # The ELU's alpha is fixed at 1.0; still hashed, so older checkpoints keep their hash.
     parts = [
         f"gen:c_lr={gen_cfg.c_lr},scale={gen_cfg.scale},seg_len={gen_cfg.seg_len},"
-        f"dropout={gen_cfg.dropout_rate!r},alpha={gen_cfg.elu_alpha!r},width={gen_cfg.width!r}",
+        f"dropout={gen_cfg.dropout_rate!r},alpha=1.0,width={gen_cfg.width!r}",
         f"dtype={dtype_code(dtype)}",
         f"loss_mode={loss_mode}",
     ]
     if disc_cfg is not None:
         parts.insert(1, (
             f"disc:c_hr={disc_cfg.c_hr},seg_len={disc_cfg.seg_len},"
-            f"dropout={disc_cfg.dropout_rate!r},alpha={disc_cfg.elu_alpha!r},"
+            f"dropout={disc_cfg.dropout_rate!r},alpha=1.0,"
             f"stride={DISC_FINAL_STRIDE},width={disc_cfg.width!r}"
         ))
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
@@ -418,6 +419,7 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
         d_steps = int(head["d_steps"])
         best = head["best_val_mse"]
         best_val_mse = float(best) if best else None
+        sections["train"].pop("real_label", None)  # saved before the smoothed loss mode went
         saved_cfg = from_section(TrainConfig, sections["train"])
         g_t = int(head["g_adam_t"])
         has_disc = head["has_disc"] == "1"

@@ -5,7 +5,8 @@ config.txt, checkpoint and model `manifest.txt`, epoch-archive
 `key = value` lines, keys case-preserved and in the order written. A value
 is written by `format_value` (floats by repr, so exactly; tuples
 comma-joined) and read back by `parse_value` as a given type. A dataclass
-maps to a section field by field through `section_of` and `from_section`.
+maps to a section field by field through `section_of` and `from_section`,
+which refuses a key that names no field rather than ignoring it.
 """
 from __future__ import annotations
 
@@ -42,8 +43,12 @@ def section_of(obj):
 
 def from_section(cls, section):
     """Dataclass `cls` from the text of a section: each field parses as its
-    annotated type. A missing key raises KeyError, a bad value ValueError."""
+    annotated type. A missing key raises KeyError; a bad value, or a key that
+    names no field, ValueError."""
     hints = typing.get_type_hints(cls)
+    for key in section:
+        if key not in hints:
+            raise ValueError(f"unknown {cls.__name__} key {key!r}")
     return cls(**{f.name: parse_value(hints[f.name], section[f.name]) for f in fields(cls)})
 
 

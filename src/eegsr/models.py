@@ -51,7 +51,6 @@ class GeneratorConfig:
     scale: int
     seg_len: int = 64
     dropout_rate: float = 0.1
-    elu_alpha: float = 1.0
     width: float = 1.0
 
     def __post_init__(self):
@@ -87,18 +86,17 @@ def generator_specs(cfg):
     short = (cfg.c_lr // 2 + 1, 1)
     wide = (cfg.c_lr // 2 + 1, 3)
     rate = cfg.dropout_rate
-    a = cfg.elu_alpha
 
     specs = [conv(k[0], tall, "linear", dropout_rate=rate),
-             conv(k[1], short, "elu", elu_alpha=a, dropout_rate=rate)]
+             conv(k[1], short, "elu", dropout_rate=rate)]
     if cfg.scale == 4:
-        specs += [upsample(cfg.scale - 1), conv(k[2], tall, "elu", elu_alpha=a, dropout_rate=rate)]
+        specs += [upsample(cfg.scale - 1), conv(k[2], tall, "elu", dropout_rate=rate)]
     b0 = len(specs) - 1
-    specs += [conv(k[3], short, "elu", elu_alpha=a, dropout_rate=rate)]
+    specs += [conv(k[3], short, "elu", dropout_rate=rate)]
     s1 = len(specs) - 1
-    specs += [concat(b0, s1), conv(k[4], short, "elu", elu_alpha=a, dropout_rate=rate)]
+    specs += [concat(b0, s1), conv(k[4], short, "elu", dropout_rate=rate)]
     s2 = len(specs) - 1
-    specs += [concat(b0, s1, s2), conv(k[5], wide, "elu", elu_alpha=a, dropout_rate=rate)]
+    specs += [concat(b0, s1, s2), conv(k[5], wide, "elu", dropout_rate=rate)]
     s3 = len(specs) - 1
     specs += [concat(b0, s1, s2, s3), conv(1, tall, "linear")]
     return specs
@@ -118,7 +116,6 @@ class DiscriminatorConfig:
     c_hr: int
     seg_len: int = 64
     dropout_rate: float = 0.25
-    elu_alpha: float = 1.0
     width: float = 1.0
 
     @property
@@ -136,16 +133,14 @@ def discriminator_specs(cfg):
     k = [_scaled(n, cfg.width) for n in DISC_STAGE_KERNELS]
     head = _scaled(DISC_DENSE_UNITS, cfg.width)
     rate = cfg.dropout_rate
-    a = cfg.elu_alpha
 
     return [
         conv(k[0], (cfg.c_hr + 1, 1), "linear", dropout_rate=rate),
-        conv(k[1], (1, 3), "elu", elu_alpha=a, dropout_rate=rate),
+        conv(k[1], (1, 3), "elu", dropout_rate=rate),
         concat(0, 1),
-        conv(k[2], (cfg.c_hr // 2 + 1, 1), "elu", elu_alpha=a, dropout_rate=rate),
+        conv(k[2], (cfg.c_hr // 2 + 1, 1), "elu", dropout_rate=rate),
         concat(0, 1, 3),
-        conv(k[3], (cfg.c_hr // 4 + 1, 3), "elu", stride=DISC_FINAL_STRIDE, elu_alpha=a,
-             dropout_rate=rate),
+        conv(k[3], (cfg.c_hr // 4 + 1, 3), "elu", stride=DISC_FINAL_STRIDE, dropout_rate=rate),
         flatten(),
         dense(head, "elu", dropout_rate=rate),
         dense(1, "linear"),

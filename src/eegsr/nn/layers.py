@@ -35,7 +35,6 @@ class LayerSpec:
     kernel_dims: tuple[int, int] = (1, 1)
     stride: tuple[int, int] = (1, 1)
     activation: str = "linear"
-    elu_alpha: float = 1.0
     dropout_rate: float = 0.0
     concat_sources: tuple[int, ...] = ()
 
@@ -58,15 +57,13 @@ class LayerSpec:
             raise ValueError("concat needs at least two sources")
 
 
-def conv(kernels, kernel_dims, activation="linear", stride=(1, 1), elu_alpha=1.0,
-         dropout_rate=0.0):
+def conv(kernels, kernel_dims, activation="linear", stride=(1, 1), dropout_rate=0.0):
     return LayerSpec(
         "conv",
         kernels=kernels,
         kernel_dims=tuple(kernel_dims),
         stride=tuple(stride),
         activation=activation,
-        elu_alpha=elu_alpha,
         dropout_rate=dropout_rate,
     )
 
@@ -239,7 +236,7 @@ class Model:
                 elif ls.activation == "softmax":
                     y = F.softmax(y)
                 rate = ls.dropout_rate
-                y = elu_dropout(y, ls.elu_alpha if ls.activation == "elu" else None, rate,
+                y = elu_dropout(y, ls.activation == "elu", rate,
                                 rng if training and rate else None)
             elif ls.kind == "upsample":
                 y = repeat_rows(cur, ls.kernel_dims[0], axis=2)

@@ -39,7 +39,7 @@ sharing, Chen et al. 2016, arXiv:1604.06174).
 A conv layer with its activation and dropout is two nodes, so that each
 holds one array the size of the layer's output: ``conv2d`` adds the bias in
 place into its output, and ``elu_dropout`` applies the ELU, computed
-branch-free as max(x, 0) + alpha*(exp(min(x, 0)) - 1) (a select on a
+branch-free as max(x, 0) + exp(min(x, 0)) - 1 (a select on a
 data-dependent mask ran about seven times slower per element), then the
 dropout mask, which it keeps as bools. Outside ``create_graph`` its vjp is
 numpy expressions that recompute exp(min(x, 0)); under it, the vjp is
@@ -320,27 +320,25 @@ def maximum_const(a, c):
     return _node(np.maximum(a.data, c), (a,), vjp)
 
 
-def elu_dropout(a, alpha, rate, rng):
-    """An activation and a dropout as one node: the ELU
-    max(a, 0) + alpha * (exp(min(a, 0)) - 1), or none with alpha None, then,
-    given an rng, an inverted-dropout mask that keeps each element with
-    probability 1 - rate and scales it by 1 / (1 - rate).
+def elu_dropout(a, elu, rate, rng):
+    """An activation and a dropout as one node: the ELU (alpha 1)
+    max(a, 0) + exp(min(a, 0)) - 1 if `elu`, or none, then, given an rng, an
+    inverted-dropout mask that keeps each element with probability 1 - rate
+    and scales it by 1 / (1 - rate).
 
     The node keeps only a bool keep-mask, drawn a sample at a time with the
     numbers of one float64 draw of the whole mask, and its backward
     recomputes exp(min(a, 0)) from its parent `a` instead of keeping it.
     """
     a = as_tensor(a)
-    if alpha is None and rng is None:
+    if not elu and rng is None:
         return a
-    if alpha is None:
-        out = a.data.copy()
-    else:
-        alpha = a.dtype.type(alpha)
+    if elu:
         out = np.exp(np.minimum(a.data, 0))
         out -= 1
-        out *= alpha
         out += np.maximum(a.data, 0)
+    else:
+        out = a.data.copy()
     keep = None
     if rng is not None:
         keep = np.empty(a.shape, dtype=bool)
@@ -352,15 +350,11 @@ def elu_dropout(a, alpha, rate, rng):
         out *= keep
         out *= kept
 
-    # The ELU's derivative is 1 from 0 up, where exp(min(a, 0)) == 1, and
-    # alpha * exp(a) below 0. Scaling g by alpha before the exponential keeps
-    # the rounding of the composed ELU (min, exp, -1, *alpha, select).
+    # The ELU's derivative is exp(min(a, 0)): 1 from 0 up, exp(a) below 0.
     def vjp(g, needs):
         if keep is not None:
             g = mul_const(g, np.where(keep, kept, 0))
-        if alpha is not None:
-            if alpha != 1:
-                g = mul_const(g, np.where(a.data < 0, alpha, 1))
+        if elu:
             g = mul(g, exp_t(minimum_const(a, 0.0)) if _grad_enabled
                     else Tensor(np.exp(np.minimum(a.data, 0))))
         return (g,)

@@ -139,30 +139,24 @@ def _select(mask, a, b):
     return T._node(np.where(mask, a.data, b.data), (a, b), vjp)
 
 
-def composed_elu(x, alpha=1.0):
-    """The five-node ELU that the one-node ELU replaced: min, exp, -1, *alpha,
-    then a select on x >= 0, node for node."""
+def composed_elu(x):
+    """The composed ELU that the one-node ELU replaced: min, exp, -1, then a
+    select on x >= 0, node for node (its exact *alpha node at alpha 1 left out)."""
     x = T.as_tensor(x)
-    neg_branch = T.mul_const(T.exp_t(T.minimum_const(x, 0.0)) - 1.0, alpha)
+    neg_branch = T.exp_t(T.minimum_const(x, 0.0)) - 1.0
     return _select(x.data >= 0, x, neg_branch)
 
 
-def elu_t(a, alpha=1.0):
-    """The one-node ELU that `tensor.elu_dropout` took in, as it was:
-    max(a, 0) + alpha * (exp(min(a, 0)) - 1), branch-free."""
+def elu_t(a):
+    """The one-node ELU that `tensor.elu_dropout` took in, as it was at
+    alpha 1: max(a, 0) + exp(min(a, 0)) - 1, branch-free."""
     a = T.as_tensor(a)
-    alpha = a.dtype.type(alpha)
     e = np.exp(np.minimum(a.data, 0))
     out = e - 1
-    out *= alpha
     out += np.maximum(a.data, 0)
 
-    # The derivative is 1 from 0 up, where e == 1, and alpha * e below 0.
-    # Scaling g by alpha before e keeps the rounding of the composed ELU
-    # (min, exp, -1, *alpha, select) that this node replaces.
+    # The derivative is 1 from 0 up, where e == 1, and e below 0.
     def vjp(g, needs):
-        if alpha != 1:
-            g = T.mul_const(g, np.where(a.data < 0, alpha, 1))
         if T._grad_enabled:
             return (T.mul(g, T.exp_t(T.minimum_const(a, 0.0))),)
         return (Tensor(g.data * e),)
@@ -185,7 +179,7 @@ def composed_layers_forward(model, x, training=False, rng=None):
             else:
                 y = F.dense_layer(cur, w, b)
             if ls.activation == "elu":
-                y = elu_t(y, ls.elu_alpha)
+                y = elu_t(y)
             elif ls.activation == "relu":
                 y = F.relu(y)
             elif ls.activation == "softmax":

@@ -1,6 +1,5 @@
 """End-to-end command-line pipeline at toy scale, plus exit-code contract."""
 import csv
-import ctypes
 import json
 import re
 import shutil
@@ -10,7 +9,7 @@ import pytest
 
 from eegsr import archive, gan, ini, models, psd
 from eegsr.archive import FEATURE_HEADER, read_features_csv, write_features_csv
-from eegsr.cli import COMMANDS, HEAP_SETTINGS, main
+from eegsr.cli import COMMANDS, main
 from eegsr.errors import ParseError
 from eegsr.psd import FeatureTable
 
@@ -312,11 +311,13 @@ def test_out_of_range_geometry_is_a_config_error(tmp_path, pipeline, capsys, key
 
 
 TRAINING_FAULTS = ["model.gen_dropout=1.0", "model.gen_dropout=0.0", "model.disc_dropout=-0.5",
-                   "model.disc_dropout=nan", "model.elu_alpha=nan", "model.elu_alpha=inf",
-                   "model.width=0", "model.width=1.5", "train.beta1=-1", "train.beta2=1.0",
-                   "train.lr=nan", "train.lr=inf", "train.adv_weight=nan",
-                   # the removed smoothed loss mode and its target label
-                   "train.loss_mode=dcgan_smoothed", "train.real_label=0.9"]
+                   "model.disc_dropout=nan", "model.width=0", "model.width=1.5",
+                   "train.beta1=-1", "train.beta2=1.0", "train.lr=nan", "train.lr=inf",
+                   "train.adv_weight=nan",
+                   # removed: the smoothed loss mode, its target label and the
+                   # ELU's alpha, now the constant 1
+                   "train.loss_mode=dcgan_smoothed", "train.real_label=0.9",
+                   "model.elu_alpha=1.0"]
 
 
 @pytest.mark.parametrize("setting", TRAINING_FAULTS)
@@ -404,13 +405,6 @@ def test_classifier_class_ids_are_checked(tmp_path, pipeline, capsys, ids, named
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "corrupt classifier model" in err and named in err
     assert err.count("\n") == 1 and not (tmp_path / "metrics").exists()
-
-
-def test_heap_settings_fit_a_c_int():
-    # ctypes truncates a wider value without a word: 1 << 40 would pass 0.
-    for param, value in HEAP_SETTINGS:
-        assert ctypes.c_int(param).value == param
-        assert ctypes.c_int(value).value == value
 
 
 def test_unwritable_output_is_a_one_line_error(tmp_path, pipeline, capsys):
@@ -741,8 +735,7 @@ def test_a_generator_with_dropout_layers_is_refused(tmp_path, pipeline, capsys):
         layers.append(layer)
         if float(rate):
             layers.append(dict(layer, kind="dropout", kernels="0", kernel_dims="1,1",
-                               stride="1,1", activation="linear", elu_alpha="1.0",
-                               dropout_rate=rate))
+                               stride="1,1", activation="linear", dropout_rate=rate))
         moved[i] = len(layers) - 1
     sections["model"]["layers"] = str(len(layers))
     sections.update((f"layer{i}", layer) for i, layer in enumerate(layers))
@@ -754,6 +747,24 @@ def test_a_generator_with_dropout_layers_is_refused(tmp_path, pipeline, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "unknown layer kind 'dropout'" in err
+    assert not out.exists()
+
+
+def test_a_generator_with_an_elu_alpha_is_refused(tmp_path, pipeline, capsys):
+    # The ELU's alpha was once a setting saved with each layer; it is now the
+    # constant 1, so a manifest that names another alpha is refused, not run at 1.
+    ck = tmp_path / "best"
+    shutil.copytree(pipeline["adv"] / "best", ck)
+    manifest = ck.joinpath(*MODEL)
+    sections = ini.read(manifest)
+    for i in range(int(sections["model"]["layers"])):
+        sections[f"layer{i}"]["elu_alpha"] = "0.5"
+    ini.write(manifest, sections)
+    out = tmp_path / "out"
+    assert main(["sr-infer", "--data", str(pipeline["data"]), "--checkpoint", str(ck),
+                 "--out", str(out)] + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'elu_alpha'" in err
     assert not out.exists()
 
 

@@ -121,7 +121,7 @@ def test_save_load_roundtrip(tmp_path):
     # tuples (empty ones too) and numpy floats included, reads back as it was.
     for obj in (cfg.synth_config(), cfg.train_config(), cfg.classifier_train_config(),
                 SyntheticConfig(), TrainConfig(), ClassifierTrainConfig(),
-                LayerSpec("flatten"), conv(3, (9, 3), "elu", stride=(2, 1), elu_alpha=0.5),
+                LayerSpec("flatten"), conv(3, (9, 3), "elu", stride=(2, 1)),
                 concat(-1, 0, 2), dense(4, "elu", dropout_rate=0.25), make_montage(32, 4),
                 NormStats(mu=np.float64(-0.1), sigma=np.float64(1 / 3))):
         assert from_section(type(obj), section_text(obj)) == obj, obj
@@ -137,14 +137,16 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=60, deadline=None)
 @given(mu=finite, sigma=st.floats(min_value=SIGMA_FLOOR, allow_infinity=False),
-       alpha=finite, sources=st.lists(st.integers(-1, 10**6), min_size=2), numpy=st.booleans())
-def test_sections_round_trip_exactly(mu, sigma, alpha, sources, numpy):
+       rate=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       sources=st.lists(st.integers(-1, 10**6), min_size=2), numpy=st.booleans())
+def test_sections_round_trip_exactly(mu, sigma, rate, sources, numpy):
     wrap = np.float64 if numpy else float
     stats = NormStats(mu=wrap(mu), sigma=wrap(sigma))
     back = from_section(NormStats, section_text(stats))
     assert (back.mu, back.sigma) == (mu, sigma) and type(back.mu) is float
-    for spec in (LayerSpec("concat", concat_sources=tuple(sources), elu_alpha=wrap(alpha)),
-                 LayerSpec("dense", kernels=len(sources), elu_alpha=alpha)):
+    for spec in (LayerSpec("concat", concat_sources=tuple(sources)),
+                 LayerSpec("dense", kernels=len(sources), dropout_rate=wrap(rate)),
+                 LayerSpec("conv", kernels=1, dropout_rate=rate)):
         assert from_section(LayerSpec, section_text(spec)) == spec
 
 
@@ -155,7 +157,7 @@ def test_dataclass_sections_come_from_the_dataclasses():
         "class_ids", "class_band_offsets", "label_block", "subject"]
     for section, cls in (("train", TrainConfig), ("classifier", ClassifierTrainConfig)):
         assert list(SCHEMA[section]) == [f.name for f in fields(cls) if f.name != "seed"]
-    assert sum(len(keys) for keys in SCHEMA.values()) == 44
+    assert sum(len(keys) for keys in SCHEMA.values()) == 43
     cfg = load_config(overrides={"run.seed": "9"})
     assert cfg.synth_config() == SyntheticConfig()
     assert cfg.train_config() == TrainConfig(seed=9)

@@ -51,7 +51,6 @@ ratio_test = 0.05
 width = 0.015625
 gen_dropout = 0.1
 disc_dropout = 0.25
-elu_alpha = 1.0
 
 [train]
 pretrain_epochs = 50
@@ -89,7 +88,6 @@ kernels = 2
 kernel_dims = 3,1
 stride = 1,1
 activation = elu
-elu_alpha = 0.5
 dropout_rate = 0.0
 concat_sources =\x20
 
@@ -99,7 +97,6 @@ kernels = 0
 kernel_dims = 1,1
 stride = 1,1
 activation = linear
-elu_alpha = 1.0
 dropout_rate = 0.0
 concat_sources = -1,0
 
@@ -109,7 +106,6 @@ kernels = 1
 kernel_dims = 1,2
 stride = 2,1
 activation = linear
-elu_alpha = 1.0
 dropout_rate = 0.25
 concat_sources =\x20
 
@@ -119,7 +115,6 @@ kernels = 0
 kernel_dims = 1,1
 stride = 1,1
 activation = linear
-elu_alpha = 1.0
 dropout_rate = 0.0
 concat_sources =\x20
 
@@ -129,7 +124,6 @@ kernels = 3
 kernel_dims = 1,1
 stride = 1,1
 activation = softmax
-elu_alpha = 1.0
 dropout_rate = 0.0
 concat_sources =\x20
 
@@ -204,7 +198,7 @@ seg_len = 32
 
 
 def small_model():
-    return Model([conv(2, (3, 1), "elu", elu_alpha=0.5), concat(-1, 0),
+    return Model([conv(2, (3, 1), "elu"), concat(-1, 0),
                   conv(1, (1, 2), stride=(2, 1), dropout_rate=0.25), flatten(),
                   dense(3, "softmax")],
                  (1, 4, 2), seed=5, dtype=np.float64)

@@ -96,10 +96,10 @@ def test_elementwise_primitives_against_fd():
     x = RNG.uniform(0.5, 2.0, size=(3, 5))
     check_grads(lambda t: sum_t(F.relu(t * t - 1.5)), [x])
     check_grads(lambda t: sum_t(sqrt_t(t)), [x])
-    for alpha, rate in ((1.0, 0.0), (0.5, 0.0), (0.5, 0.3), (None, 0.3)):
+    for elu, rate in ((True, 0.0), (True, 0.3), (False, 0.3)):
         # A fresh rng per call: every evaluation draws the same mask.
         check_grads(lambda t: sum_t(square(elu_dropout(
-            t - 1.0, alpha, rate, np.random.default_rng(2) if rate else None))), [x])
+            t - 1.0, elu, rate, np.random.default_rng(2) if rate else None))), [x])
 
 
 def test_structural_primitives_against_fd():
@@ -381,7 +381,7 @@ def test_grad_consumes_the_graph_it_walks():
     # with zeros.
     x = Tensor(RNG.normal(size=(2, 3, 4, 5)))
     w = Tensor(RNG.normal(size=(4, 3, 3, 3)), requires_grad=True)
-    h = elu_dropout(conv2d(x, w), 1.0, 0.0, None)
+    h = elu_dropout(conv2d(x, w), True, 0.0, None)
     activation = weakref.ref(h.data)
     loss = sum_t(h * h)
     del h
@@ -430,9 +430,9 @@ def test_double_backward_through_conv():
 
 def test_dropout_inference_is_identity_and_training_scales():
     x = Tensor(RNG.normal(size=(1000,)))
-    assert elu_dropout(x, None, 0.4, None) is x
+    assert elu_dropout(x, False, 0.4, None) is x
     rng = np.random.default_rng(3)
-    y = elu_dropout(x, None, 0.4, rng)
+    y = elu_dropout(x, False, 0.4, rng)
     kept = y.data != 0
     assert np.allclose(y.data[kept], x.data[kept] / 0.6)
     assert abs(kept.mean() - 0.6) < 0.05
@@ -440,7 +440,7 @@ def test_dropout_inference_is_identity_and_training_scales():
 
 def test_elu_fixed_points_and_continuity():
     x = Tensor(np.array([-1.0, 0.0, 1.0, -1e-8, 1e-8, 50.0]))
-    y = elu_dropout(x, 1.0, 0.0, None).data
+    y = elu_dropout(x, True, 0.0, None).data
     assert abs(y[0] - (np.exp(-1.0) - 1.0)) < 1e-15
     assert y[1] == 0.0
     assert y[2] == 1.0
@@ -448,7 +448,7 @@ def test_elu_fixed_points_and_continuity():
     assert y[5] == 50.0
     # Derivative at 0 is exactly 1 (identity branch owns the boundary).
     x0 = Tensor(np.array(0.0), requires_grad=True)
-    (g,) = grad(elu_dropout(x0, 1.0, 0.0, None), [x0])
+    (g,) = grad(elu_dropout(x0, True, 0.0, None), [x0])
     assert g.item() == 1.0
 
 
@@ -459,8 +459,8 @@ ELU_INPUTS = np.concatenate([[0.0, -0.0, 1e-8, -1e-8, -30.0, -200.0, -1e4, -1e30
 def _elu_then_mask(elu):
     """`elu`, then a float mask of 0 and 1 / (1 - rate) drawn in one call and
     applied by mul_const: the nodes `elu_dropout` replaced."""
-    def nodes(x, alpha, rate, rng):
-        y = x if alpha is None else elu(x, alpha)
+    def nodes(x, with_elu, rate, rng):
+        y = elu(x) if with_elu else x
         if rng is None:
             return y
         mask = (rng.random(x.shape) >= rate).astype(x.dtype)
@@ -471,8 +471,7 @@ def _elu_then_mask(elu):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("alpha", [1.0, 0.3])
-def test_elu_node_matches_composed_elu(dtype, alpha):
+def test_elu_node_matches_composed_elu(dtype):
     # The one node gives the bits of the one-node ELU and float mask it
     # replaced (zeros signed as before, infinities included), and the values
     # of the five-node ELU: forward, vjp, and the first and second derivative
@@ -480,7 +479,7 @@ def test_elu_node_matches_composed_elu(dtype, alpha):
     # dropout alone.
     def run(fn, xv, second):
         x = Tensor(xv.copy(), requires_grad=True)
-        y = fn(x, elu_alpha, rate, np.random.default_rng(6) if rate else None)
+        y = fn(x, with_elu, rate, np.random.default_rng(6) if rate else None)
         if not second:
             (gx,) = grad(sum_t(mul_const(y, g)), [x])
             return y.data, gx.data
@@ -490,7 +489,7 @@ def test_elu_node_matches_composed_elu(dtype, alpha):
 
     first = np.concatenate([ELU_INPUTS, [np.inf, -np.inf]]).astype(dtype).reshape(3, -1)
     g = np.random.default_rng(5).normal(size=first.shape).astype(dtype)
-    for elu_alpha, rate in ((alpha, 0.0), (alpha, 0.15), (None, 0.25)):
+    for with_elu, rate in ((True, 0.0), (True, 0.15), (False, 0.25)):
         for xv, second in ((first, False), (ELU_INPUTS.astype(dtype).reshape(1, -1), True)):
             # Without an ELU, y * y of -1e30 overflows, on both sides alike.
             with np.errstate(over="ignore", invalid="ignore"):
