@@ -5,13 +5,18 @@ optional trailing integer `label` column, and a leading `# key=value` line
 for sampling rate and subject). Epoch sets persist as a directory holding a
 text manifest, a raw little-endian value file and a per-epoch metadata CSV;
 feature tables as one CSV of the same metadata columns plus the band
-powers. Every CSV is written and read through `eegsr.table`, floats by
-repr, so a write/read cycle is value-exact. The archive manifest and
-`info.txt` are INI text in the format of `eegsr.ini`, with `MontageSplit`
-and `NormStats` mapped field by field; the value file is read and written
-by `eegsr.nn.serialize`. A missing file raises the OSError that opening it
-raises; corrupt content (a malformed table or manifest, a value file of the
-wrong size) raises ParseError.
+powers. Overlapping windows repeat segments, so the value file holds each
+bytewise-distinct row once, in order of first appearance (`n_distinct` in
+the manifest), and the metadata CSV names in its archive-only `value_row`
+column the distinct row each of its `n_epochs` rows holds. An archive of
+another format version is refused. Every CSV is written and read through
+`eegsr.table`, floats by repr, so a write/read cycle is value-exact. The
+archive manifest and `info.txt` are INI text in the format of `eegsr.ini`,
+with `MontageSplit` and `NormStats` mapped field by field; the value file
+is read and written by `eegsr.nn.serialize`. A missing file raises the
+OSError that opening it raises; corrupt content (a malformed table or
+manifest, a value file of the wrong size, a `value_row` that names no
+distinct row or a distinct row that no row names) raises ParseError.
 """
 from __future__ import annotations
 
@@ -20,13 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import table
-from .data import EpochSet, MontageSplit, NormStats, RawRecording
+from .data import EpochSet, MontageSplit, NormStats, RawRecording, distinct_rows
 from .errors import DataError, ParseError
 from .ini import from_section, read, section_of, write
 from .nn.serialize import dtype_code, dtype_from_code, read_arrays, write_arrays
 from .psd import N_FEATURES, FeatureTable
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 # Written archives hold little-endian float64; reading honours the manifest.
 ARCHIVE_DTYPE = np.dtype("<f8")
@@ -80,6 +85,8 @@ def load_recording(path):
 
 META_HEADER = ["epoch_index", "subject_id", "label", "origin_index"]
 FEATURE_HEADER = META_HEADER + [f"f{i:03d}" for i in range(N_FEATURES)]
+# An archive's meta.csv adds the row of values.bin that each row holds.
+ARCHIVE_HEADER = META_HEADER + ["value_row"]
 
 
 def _meta_rows(rows):
@@ -102,16 +109,19 @@ def _read_metadata(t):
 
 
 def save_epoch_set(directory, epoch_set):
-    """Persist an epoch set: manifest.txt + values.bin + meta.csv."""
+    """Persist an epoch set: manifest.txt + values.bin (its distinct rows) +
+    meta.csv (every row, with the distinct row it holds)."""
     if not len(epoch_set):
         raise DataError("refusing to archive an empty epoch set")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     values = epoch_set.values
+    distinct, index = distinct_rows(values)
     write(directory / "manifest.txt", {"archive": {
         "format_version": FORMAT_VERSION,
         "dtype": dtype_code(ARCHIVE_DTYPE),
         "n_epochs": values.shape[0],
+        "n_distinct": len(distinct),
         "n_channels": values.shape[1],
         "n_samples": values.shape[2],
         "fs": float(epoch_set.fs),
@@ -119,20 +129,28 @@ def save_epoch_set(directory, epoch_set):
         "channel_labels": epoch_set.channel_labels or (),
         "has_channel_labels": int(epoch_set.channel_labels is not None),
     }})
-    write_arrays(directory / "values.bin", [values], ARCHIVE_DTYPE)
-    table.write(directory / "meta.csv", META_HEADER, _meta_rows(epoch_set))
+    write_arrays(directory / "values.bin", [distinct], ARCHIVE_DTYPE)
+    table.write(directory / "meta.csv", ARCHIVE_HEADER,
+                (meta + (row,) for meta, row in zip(_meta_rows(epoch_set), index.tolist())))
 
 
 def load_epoch_set(directory):
-    """Rebuild an epoch set from save_epoch_set output."""
+    """Rebuild an epoch set from save_epoch_set output: C-ordered, bit for bit
+    the set that was saved."""
     directory = Path(directory)
     manifest = directory / "manifest.txt"
     try:
         head = read(manifest)["archive"]
         if head["format_version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported archive version {head['format_version']!r}")
+            raise ParseError(f"{manifest}: archive format version {head['format_version']!r} "
+                             f"is not {FORMAT_VERSION!r}; rerun the preprocess, baseline or "
+                             "sr-infer command that wrote it")
         dtype = dtype_from_code(head["dtype"])
         shape = (int(head["n_epochs"]), int(head["n_channels"]), int(head["n_samples"]))
+        n_distinct = int(head["n_distinct"])
+        if not 0 <= n_distinct <= shape[0]:
+            raise ValueError(f"n_distinct {n_distinct} outside [0, n_epochs]")
+        values = np.empty(shape, dtype)
         fs = float(head["fs"])
         split = head["split"]
         if head["has_channel_labels"] == "1":
@@ -142,13 +160,29 @@ def load_epoch_set(directory):
             channel_labels = None
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{manifest}: corrupt archive manifest ({exc})") from exc
-    [values] = read_arrays(directory / "values.bin", [shape], dtype)
-    t = table.read(directory / "meta.csv", META_HEADER)
+    # The distinct rows are read into the leading rows of the set.
+    read_arrays(directory / "values.bin", [(n_distinct,) + shape[1:]], dtype, into=values)
+    t = table.read(directory / "meta.csv", ARCHIVE_HEADER)
     if len(t.cells) != shape[0]:
         raise ParseError(
             f"{directory}: meta.csv lists {len(t.cells)} epochs, manifest declares {shape[0]}"
         )
     labels, subject_ids, origins = _read_metadata(t)
+    index = t.parse(len(META_HEADER), int, "value_row")
+    limit = np.minimum(n_distinct, np.arange(len(index)) + 1)
+    bad = np.flatnonzero((index < 0) | (index >= limit))
+    if bad.size:
+        raise ParseError(f"{t.path}: value_row must name a distinct row in [0, {n_distinct}) "
+                         f"at or before its own, got {index[bad[0]]}",
+                         line=t.first_line + bad[0])
+    unnamed = np.flatnonzero(np.bincount(index, minlength=n_distinct) == 0)
+    if unnamed.size:
+        raise ParseError(f"{t.path}: no row names distinct row {unnamed[0]} of values.bin")
+    # From the last row back, each row's distinct row is still in place:
+    # index[i] <= i, and only rows after i have been overwritten.
+    for i in range(len(index) - 1, -1, -1):
+        if index[i] != i:
+            values[i] = values[index[i]]
     return EpochSet(values, labels, subject_ids, origins,
                     split=split, fs=fs, channel_labels=channel_labels)
 

@@ -146,6 +146,22 @@ def _view_index(indices):
     return i
 
 
+def distinct_rows(values):
+    """(distinct, index): the rows of `values` that differ in their bytes, in
+    order of first appearance, and for each row the position of its row in
+    `distinct`, so that `distinct[index]` is `values` bit for bit and
+    `index[i] <= i`. NaN payloads and the sign of zero tell rows apart.
+    `distinct` is a view of `values` when every row is distinct."""
+    index = np.empty(len(values), dtype=np.int64)
+    first, seen = [], {}
+    for i, row in enumerate(values):
+        index[i] = seen.setdefault(row.tobytes(), len(first))
+        if index[i] == len(first):
+            first.append(i)
+    del seen  # its keys are a copy of the distinct rows; freed before `distinct` is taken
+    return values[_view_index(first)], index
+
+
 def _rows(epoch_set, rows):
     """The metadata columns of the given rows, as keyword arguments of
     dataclasses.replace."""

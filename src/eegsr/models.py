@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import distinct_rows
 from .errors import DataError
 from .nn.layers import Model, concat, conv, dense, flatten, upsample
 from .nn.tensor import Tensor, no_grad
@@ -181,8 +182,10 @@ def build_classifier(cfg, seed=0, dtype=np.float32):
 def sr_predict_set(gen, lr_set):
     """Chunked inference over a set of kept-channel segments.
 
-    Each chunk holds as many segments (at least one) as fit the layer
-    outputs of their forward pass into INFER_BYTES, and is cast to the
+    Each bytewise-distinct segment runs once: a segment's reconstruction
+    does not depend on the segments batched with it, so its repeats take its
+    result. Each chunk holds as many segments (at least one) as fit the
+    layer outputs of their forward pass into INFER_BYTES, and is cast to the
     generator's dtype on its own. Returns a set of reconstructed
     missing-channel segments with the metadata of `lr_set` and no channel
     labels. Inference mode is deterministic.
@@ -192,10 +195,11 @@ def sr_predict_set(gen, lr_set):
                         f"{gen.input_shape[1:]}")
     per_segment = sum(int(np.prod(s)) for s in gen.shapes) * gen.dtype.itemsize
     chunk = max(1, INFER_BYTES // per_segment)
-    vals = lr_set.values
+    vals, index = distinct_rows(lr_set.values)
     pred = np.empty((len(vals),) + gen.shapes[-1][1:])
     with no_grad():
         for lo in range(0, len(vals), chunk):
             x = Tensor(vals[lo : lo + chunk, None].astype(gen.dtype))
             pred[lo : lo + chunk] = gen.forward(x, training=False).data[:, 0]
-    return replace(lr_set, values=pred, channel_labels=None)
+    return replace(lr_set, values=pred if len(pred) == len(index) else pred[index],
+                   channel_labels=None)

@@ -9,6 +9,7 @@ parameters, optimizer moments in training checkpoints and epoch archives.
 """
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +49,20 @@ def write_arrays(path, arrays, dtype):
                 fh.write(np.ascontiguousarray(block, dtype=dt))
 
 
-def read_arrays(path, shapes, dtype):
-    """Arrays of the given shapes from a raw binary file, as views of one buffer."""
-    raw = np.fromfile(path, dtype=_DTYPE_CODES[dtype_code(dtype)])
+def read_arrays(path, shapes, dtype, into=None):
+    """Arrays of the given shapes from a raw binary file, as views of one
+    buffer: a new one, or the leading values of `into`, a C-ordered array of
+    the dtype, which the file is read into in place."""
+    dt = _DTYPE_CODES[dtype_code(dtype)]
     total = sum(int(np.prod(s)) for s in shapes)
-    if raw.size != total:
-        raise ParseError(
-            f"{path}: expected {total} values for declared shapes, found {raw.size}"
-        )
+    raw = (np.empty(total, dt) if into is None else into.reshape(-1))[:total]
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != raw.nbytes:
+            found = f"{size} bytes" if size % dt.itemsize else size // dt.itemsize
+            raise ParseError(f"{path}: expected {total} values for declared shapes, "
+                             f"found {found}")
+        fh.readinto(raw)
     out = []
     offset = 0
     for s in shapes:

@@ -21,6 +21,20 @@ def epoch_set(values, label=None, subject="s01", origins=None, **kwargs):
                     np.arange(n) * t if origins is None else origins, **kwargs)
 
 
+# Float bit patterns that equality misjudges: both zeros, and NaNs of several
+# payloads and signs. Rows holding them are distinct by their bytes.
+ODD_BITS = (0, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+            0x7FF0000000000001)
+
+
+def odd_rows():
+    """Six (1, 2) rows of ODD_BITS that differ only in the sign of a zero or
+    the payload of a NaN: rows 0..5 repeat distinct rows 0, 1, 0, 2, 3, 2."""
+    bits = np.array([ODD_BITS[:2], ODD_BITS[1:3], ODD_BITS[:2], ODD_BITS[2:4], ODD_BITS[3:5],
+                     ODD_BITS[2:4]], dtype=np.uint64)
+    return bits.view(np.float64)[:, None]
+
+
 def same_set(a, b):
     """Bit-identical values (-0.0 and 0.0 differ) and identical metadata."""
     return (a.values.shape == b.values.shape and a.values.tobytes() == b.values.tobytes()

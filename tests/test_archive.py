@@ -1,4 +1,6 @@
 """On-disk artifacts: recordings, epoch archives, preprocessing info."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from eegsr.data import (
 )
 from eegsr.errors import ParseError
 
-from helpers import epoch_set, peak_bytes, same_set
+from helpers import ODD_BITS, epoch_set, odd_rows, peak_bytes, same_set
 
 RNG = np.random.default_rng(20260804)
 
@@ -131,14 +133,16 @@ def test_recording_requires_sampling_rate(tmp_path):
 
 @st.composite
 def archivable_sets(draw):
-    """Any shape (zero channels or samples too), labels or none, several
-    subjects, channel labels none or one name per channel (() at zero
-    channels), any value but NaN."""
+    """Any shape (zero channels or samples too), rows drawn with repeats from
+    a pool of rows of any float64 bits, labels or none, several subjects,
+    channel labels none or one name per channel (() at zero channels)."""
     n, c, t = draw(st.integers(1, 6)), draw(st.integers(0, 5)), draw(st.integers(0, 9))
     column = lambda elements: st.lists(elements, min_size=n, max_size=n)  # noqa: E731
     name = st.text("abcXYZ019_-", min_size=1, max_size=4)
+    bits = st.sampled_from(ODD_BITS) | st.integers(0, 2**64 - 1)
+    pool = draw(hnp.arrays(np.uint64, (draw(st.integers(1, n)), c, t), elements=bits))
     return EpochSet(
-        draw(hnp.arrays(np.float64, (n, c, t), elements=st.floats(allow_nan=False, width=64))),
+        pool.view(np.float64)[draw(column(st.integers(0, len(pool) - 1)))],
         draw(st.none() | column(st.integers(-2**63, 2**63 - 1))),
         draw(column(name)),
         draw(column(st.integers(-2**63, 2**63 - 1))),
@@ -151,11 +155,29 @@ def archivable_sets(draw):
 @settings(max_examples=80, deadline=None)
 @given(archivable_sets())
 def test_epoch_set_round_trip_exact(tmp_path_factory, eset):
-    # The first fixed case: labelled, one subject, named channels.
-    for case in (sample_epoch_set(), eset):
+    # The fixed cases: labelled, one subject, named channels; repeated rows
+    # of signed zeros and NaN payloads.
+    for case in (sample_epoch_set(), epoch_set(odd_rows(), label=2, split="test"), eset):
         arc = tmp_path_factory.mktemp("arc")
         save_epoch_set(arc, case)
-        assert same_set(load_epoch_set(arc), case)
+        back = load_epoch_set(arc)
+        assert same_set(back, case) and back.values.flags.c_contiguous
+
+
+@settings(max_examples=40, deadline=None)
+@given(archivable_sets())
+def test_values_bin_holds_each_distinct_row_once(tmp_path_factory, eset):
+    # In order of first appearance; meta.csv's last column names each row's.
+    for case in (epoch_set(odd_rows(), label=2, split="test"), eset):
+        arc = tmp_path_factory.mktemp("arc")
+        save_epoch_set(arc, case)
+        keys = [row.astype("<f8").tobytes() for row in case.values]
+        firsts = list(dict.fromkeys(keys))
+        assert (arc / "values.bin").read_bytes() == b"".join(firsts)
+        lines = (arc / "meta.csv").read_text().splitlines()
+        assert lines[0].endswith(",value_row")
+        assert [int(line.rsplit(",", 1)[1]) for line in lines[1:]] == [
+            firsts.index(key) for key in keys]
 
 
 def test_epoch_set_round_trip_unlabelled(tmp_path):
@@ -177,10 +199,16 @@ def test_epoch_archive_missing_pieces(tmp_path):
 
 
 def test_epoch_archive_detects_truncated_values(tmp_path):
-    save_epoch_set(tmp_path / "arc", sample_epoch_set())
+    # values.bin holds the 3 distinct rows of 5, 64 values each.
+    eset = sample_epoch_set()
+    save_epoch_set(tmp_path / "arc", replace(eset, values=eset.values[[0, 1, 0, 2, 1]]))
     blob = (tmp_path / "arc" / "values.bin").read_bytes()
     (tmp_path / "arc" / "values.bin").write_bytes(blob[:-8])
-    with pytest.raises(ParseError, match="expected 320 values for declared shapes, found 319"):
+    with pytest.raises(ParseError, match="expected 192 values for declared shapes, found 191"):
+        load_epoch_set(tmp_path / "arc")
+    (tmp_path / "arc" / "values.bin").write_bytes(blob[:-4])
+    with pytest.raises(ParseError, match="expected 192 values for declared shapes, found 1532 "
+                                         "bytes"):
         load_epoch_set(tmp_path / "arc")
 
 

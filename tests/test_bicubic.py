@@ -1,6 +1,8 @@
 """Keys cubic interpolation along the channel axis, against a naive oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegsr.bicubic import (
     bicubic_predict_set,
@@ -147,6 +149,22 @@ def test_predict_set_matches_per_epoch():
     assert pred.subject_ids.tolist() == ["s02"] * 3
     assert pred.origins.tolist() == [96, 0, 12]
     assert pred.channel_labels is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(scale=st.sampled_from([2, 4]), n=st.integers(2, 9), t=st.integers(1, 70),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_row_does_not_depend_on_the_other_rows(scale, n, t, seed):
+    # Bit for bit, so that the repeated rows of an archive predict to
+    # repeated rows, and a row's result is the same at any place in a set.
+    m = make_montage(32, scale)
+    lr_set = epoch_set(np.random.default_rng(seed).normal(size=(n, m.n_lr, t)))
+    whole = bicubic_predict_set(lr_set, m).values
+    singles = [bicubic_predict_set(epoch_set(lr_set.values[i : i + 1]), m).values
+               for i in range(n)]
+    assert whole.tobytes() == np.concatenate(singles).tobytes()
+    backwards = bicubic_predict_set(epoch_set(lr_set.values[::-1]), m).values
+    assert backwards.tobytes() == whole[::-1].tobytes()
 
 
 def test_bicubic_epoch_keeps_metadata():

@@ -451,15 +451,17 @@ def test_preprocess_failure_leaves_no_archives(tmp_path):
 def test_preprocess_holds_one_stage_at_a_time(tmp_path):
     # A desk-size recording: the recording is parsed a block of rows at a
     # time and every split's segments are gathered from views of it, so the
-    # traced peak stays within 1.35x the archive bytes written (1.23x here;
-    # 2.19x with the epoch set, a part and its segments copied in turn, 3.94x
-    # keeping every stage alive).
+    # traced peak stays within 1.35x the bytes of the segments archived
+    # (1.19x here; 2.19x with the epoch set, a part and its segments copied
+    # in turn, 3.94x keeping every stage alive). The archives store each
+    # distinct segment once, so the segments are counted as loaded.
     rec, out = tmp_path / "rec.csv", tmp_path / "data"
     assert main(["synth", "--out", str(rec), "--set", "synth.n_samples=8544"]) == 0
     rc, peak = peak_bytes(lambda: main(["preprocess", "--recording", str(rec), "--out", str(out)]))
     assert rc == 0
-    written = sum(f.stat().st_size for f in out.rglob("*") if f.is_file())
-    assert peak <= 1.35 * written, (peak, written)
+    segments = sum(archive.load_epoch_set(arc).values.nbytes for arc in out.iterdir()
+                   if arc.is_dir())
+    assert peak <= 1.35 * segments, (peak, segments)
 
 
 def test_scale_mismatch_rejected(tmp_path, pipeline):
@@ -495,6 +497,91 @@ def test_features_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n")
     with pytest.raises(ParseError, match="line 1"):
         read_features_csv(path)
+
+
+def _n_distinct(arc):
+    return int(re.search(r"^n_distinct = (\d+)$", (arc / "manifest.txt").read_text(),
+                         re.M).group(1))
+
+
+def _extra_distinct_row(arc, in_values=True):
+    """One more distinct row in the manifest, named by no row; in values.bin too
+    unless `in_values` is False."""
+    n = _n_distinct(arc)
+    blob = (arc / "values.bin").read_bytes()
+    if in_values:
+        (arc / "values.bin").write_bytes(blob + blob[: len(blob) // n])
+    manifest = arc / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(f"n_distinct = {n}\n",
+                                                     f"n_distinct = {n + 1}\n"))
+
+
+# The distinct rows of an epoch archive, faults in the data's val_lr read by
+# baseline: (the fault, the file its error names, the meta.csv line or None).
+ARCHIVE_FAULTS = {
+    "value-row-past-the-distinct-rows": (lambda arc: corrupt_cell(
+        arc / "meta.csv", 19, 4, str(_n_distinct(arc))), "meta.csv", 19),
+    "value-row-negative": (lambda arc: corrupt_cell(arc / "meta.csv", 3, 4, "-1"),
+                           "meta.csv", 3),
+    "value-row-ahead-of-its-row": (lambda arc: corrupt_cell(arc / "meta.csv", 2, 4, "1"),
+                                   "meta.csv", 2),
+    "value-row-not-an-integer": (lambda arc: corrupt_cell(arc / "meta.csv", 18, 4, "1.0"),
+                                 "meta.csv", 18),
+    "distinct-row-named-by-no-row": (_extra_distinct_row, "meta.csv", None),
+    "values-short-of-n-distinct": (lambda arc: _extra_distinct_row(arc, in_values=False),
+                                   "values.bin", None),
+    "values-truncated": (lambda arc: (arc / "values.bin").write_bytes(
+        (arc / "values.bin").read_bytes()[:-8]), "values.bin", None),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ARCHIVE_FAULTS))
+def test_corrupt_distinct_rows_are_a_one_line_parse_error(tmp_path, pipeline, capsys, fault):
+    change, name, line = ARCHIVE_FAULTS[fault]
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(pipeline["data"], data)
+    change(data / "val_lr")
+    capsys.readouterr()
+    assert main(["baseline", "--data", str(data), "--out", str(out)] + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " if line is None else f"error: line {line}: ")
+    assert err.count("\n") == 1 and str(data / "val_lr" / name) in err, err
+    assert "Traceback" not in err and not out.exists()
+
+
+def _write_version_1_archive(arc):
+    """Rewrite an archive by hand as the first format wrote it: every row in
+    values.bin, no n_distinct, no value_row column."""
+    eset = archive.load_epoch_set(arc)
+    n, c, t = eset.values.shape
+    (arc / "manifest.txt").write_text(
+        f"[archive]\nformat_version = 1\ndtype = f64\nn_epochs = {n}\nn_channels = {c}\n"
+        f"n_samples = {t}\nfs = {eset.fs!r}\nsplit = {eset.split}\n"
+        f"channel_labels = {','.join(eset.channel_labels)}\nhas_channel_labels = 1\n\n")
+    eset.values.astype("<f8").tofile(arc / "values.bin")
+    (arc / "meta.csv").write_text("epoch_index,subject_id,label,origin_index\n" + "".join(
+        f"{i},{s},{label},{o}\n" for i, (s, label, o) in
+        enumerate(zip(eset.subject_ids, eset.labels, eset.origins))))
+
+
+@pytest.mark.parametrize("command", ["baseline", "sr-infer", "features"])
+def test_an_archive_of_format_version_1_is_refused(tmp_path, pipeline, capsys, command):
+    # Archives written before the distinct rows must be rebuilt; the first
+    # format loaded and ran.
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(pipeline["data"], data)
+    for split in ("train", "val", "test"):
+        _write_version_1_archive(data / f"{split}_lr")
+    argv = [command, "--data", str(data), "--out", str(out)]
+    if command == "sr-infer":
+        argv += ["--checkpoint", str(pipeline["adv"] / "best")]
+    capsys.readouterr()
+    assert main(argv + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "archive format version '1'" in err and "_lr/manifest.txt" in err
+    assert "rerun the preprocess, baseline or sr-infer command" in err
+    assert not out.exists()
 
 
 def corrupt_cell(path, line, column, text):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eegsr.data import (
     CHANNEL_LABELS_32,
@@ -16,6 +17,7 @@ from eegsr.data import (
     assemble_channels,
     compute_norm_stats,
     denormalize_set,
+    distinct_rows,
     downsample_set,
     extract_epochs,
     generate_synthetic,
@@ -27,7 +29,7 @@ from eegsr.data import (
 )
 from eegsr.errors import DataError
 
-from helpers import epoch_set, same_set
+from helpers import ODD_BITS, epoch_set, odd_rows, peak_bytes, same_set
 
 RNG = np.random.default_rng(20260803)
 
@@ -305,3 +307,40 @@ def test_biosemi_layout_has_the_feature_sites():
         assert name in CHANNEL_LABELS_32
     assert len(CHANNEL_LABELS_32) == 32
     assert len(set(CHANNEL_LABELS_32)) == 32
+
+
+@st.composite
+def rows_with_repeats(draw):
+    """n rows drawn with repeats from a pool of k rows of any float64 bits."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(0, 12))
+    c, t = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    bits = st.sampled_from(ODD_BITS) | st.integers(0, 2**64 - 1)
+    pool = draw(hnp.arrays(np.uint64, (k, c, t), elements=bits)).view(np.float64)
+    return pool[draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_with_repeats())
+def test_distinct_rows_are_the_first_appearances_bit_for_bit(values):
+    distinct, index = distinct_rows(values)
+    keys = [row.tobytes() for row in values]
+    firsts = list(dict.fromkeys(keys))
+    assert [row.tobytes() for row in distinct] == firsts
+    assert index.tolist() == [firsts.index(key) for key in keys]
+    assert distinct[index].tobytes() == values.tobytes()
+    assert (index <= np.arange(len(values))).all()
+    if len(firsts) == len(values):
+        assert np.shares_memory(distinct, values) or not values.size
+
+
+def test_distinct_rows_tell_the_sign_of_zero_and_nan_payloads_apart():
+    assert distinct_rows(odd_rows())[1].tolist() == [0, 1, 0, 2, 3, 2]
+
+
+def test_distinct_rows_hold_at_most_the_distinct_rows():
+    # Beyond its input, the helper holds the distinct rows once (as keys,
+    # then as the rows it returns) and the index; sorting a copy of the set
+    # to find its repeats would hold all 400 rows.
+    values = RNG.normal(size=(50, 16, 64))[RNG.integers(0, 50, 400)]
+    (distinct, index), peak = peak_bytes(lambda: distinct_rows(values))
+    assert peak <= 1.25 * distinct.nbytes + index.nbytes, peak / distinct.nbytes

@@ -190,14 +190,15 @@ def test_one_owner_per_file_format():
     assert importers == {module: [owner] for module, owner in FORMAT_OWNERS.items()}
 
 
-# The raw binary format's one owner: the only module that calls numpy's file I/O.
+# The raw binary format's one owner: the only module that calls numpy's file
+# I/O or reads a file into an array.
 BINARY_OWNER = "eegsr/nn/serialize.py"
 
 
 def test_one_owner_of_the_binary_format():
     src = ROOT / "src"
     callers = sorted(str(path.relative_to(src)) for path in src.rglob("*.py")
-                     if {"fromfile", "tofile"} & referenced_names(path.read_text()))
+                     if {"fromfile", "tofile", "readinto"} & referenced_names(path.read_text()))
     assert callers == [BINARY_OWNER]
 
 

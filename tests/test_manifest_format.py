@@ -166,9 +166,10 @@ seed = 0
 
 ARCHIVE = """\
 [archive]
-format_version = 1
+format_version = 2
 dtype = f64
 n_epochs = 2
+n_distinct = 1
 n_channels = 3
 n_samples = 4
 fs = 256.5

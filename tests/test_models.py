@@ -187,12 +187,16 @@ def test_sr_predict_set_memory_does_not_grow_with_the_set(width):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("width", [1 / 64, 0.125])
 @settings(max_examples=4, deadline=None)
-@given(n=st.integers(2, 7), seed=st.integers(0, 2**16))
-def test_set_prediction_is_the_concatenation_of_single_segments(width, dtype, n, seed):
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**16), data=st.data())
+def test_set_prediction_is_the_concatenation_of_single_segments(width, dtype, n, seed, data):
     # A segment's reconstruction does not depend on the segments batched
     # with it, bit for bit; at width 1/8 the 64-map layer runs by kernel rows.
+    # Rows repeat, as the segments of overlapping epochs do.
     gen = build_generator(GeneratorConfig(c_lr=16, scale=2, width=width), seed=seed, dtype=dtype)
-    lr_set = epoch_set(np.random.default_rng(seed).normal(size=(n, 16, 64)))
+    pool = np.random.default_rng(seed).normal(size=(n, 16, 64))
+    lr_set = epoch_set(pool[data.draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                               max_size=2 * n))])
+    n = len(lr_set)
     whole = sr_predict_set(gen, lr_set).values
     singles = [sr_predict_set(gen, epoch_set(lr_set.values[i : i + 1])).values for i in range(n)]
     assert whole.tobytes() == np.concatenate(singles).tobytes()
@@ -201,6 +205,18 @@ def test_set_prediction_is_the_concatenation_of_single_segments(width, dtype, n,
               for ls, (ci, h, _), (co, oh, _) in zip(gen.specs, shapes, shapes[1:])
               if ls.kind == "conv"}
     assert banded == ({True} if width < 0.1 else {True, False})
+
+
+def test_each_distinct_segment_is_predicted_once():
+    gen = build_generator(GeneratorConfig(c_lr=16, scale=2, width=1 / 64), seed=0)
+    pool = RNG.normal(size=(3, 16, 64))
+    lr_set = epoch_set(pool[[0, 1, 0, 2, 1, 1]])
+    forward, rows = gen.forward, []
+    gen.forward = lambda x, **kw: rows.append(len(x.data)) or forward(x, **kw)
+    pred = sr_predict_set(gen, lr_set).values
+    assert rows == [3]
+    assert pred[[0, 1, 3]].tobytes() == sr_predict_set(gen, epoch_set(pool)).values.tobytes()
+    assert pred[[2, 4, 5]].tobytes() == pred[[0, 1, 1]].tobytes()
 
 
 def test_generator_forward_single_segment():
