@@ -33,12 +33,11 @@ SIGMA_FLOOR = 1e-8
 
 
 def check_finite(cfg):
-    """Raise ValueError naming the first float field of dataclass `cfg`, or
-    tuple field holding a float, whose value is not finite."""
+    """Raise ValueError naming the first float field of dataclass `cfg` whose
+    value is not finite."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        items = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
@@ -225,62 +224,57 @@ class NormStats:
             raise DataError(f"sigma below floor {SIGMA_FLOOR}: {self.sigma}")
 
 
+# The surrogate's fixed shape. Channels are a fixed random mixture (drawn
+# from MIXING_SEED) of N_SOURCES oscillators, each a sum of SINES_PER_SOURCE
+# sines in BAND Hz, scaled by AMPLITUDE, plus white noise of NOISE_SIGMA.
+# Class c shifts every sine by CLASS_BAND_OFFSETS[c] Hz, so class identity
+# lives purely in the spectrum. The recording is sampled at FS Hz; its
+# subject is RawRecording's default, s01.
+FS = 512.0
+N_SOURCES = 4
+BAND = (7.0, 30.0)
+SINES_PER_SOURCE = 3
+AMPLITUDE = 10.0
+NOISE_SIGMA = 1.0
+MIXING_SEED = 90
+CLASS_BAND_OFFSETS = (0.0, 6.0, -4.0)
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Low-rank oscillatory surrogate recordings.
-
-    Channels are a fixed random mixture (`mixing_seed`) of `n_sources`
-    oscillators in [band_low, band_high] Hz plus white noise, so channel
-    structure is learnable while class identity lives purely in the spectrum:
-    each class shifts every oscillator's frequencies by its entry in
-    `class_band_offsets`. Labels change in contiguous blocks of
-    `label_block` samples. `subject` names the recording's subject.
-    """
+    """What a run needs of its surrogate recording: `n_channels` x `n_samples`
+    at FS Hz, in `n_classes` classes with ids `class_ids` whose labels change
+    in contiguous blocks of `label_block` samples (a single class writes no
+    labels)."""
 
     n_channels: int = 32
     n_samples: int = 8544
-    fs: float = 512.0
-    n_sources: int = 4
-    band_low: float = 7.0
-    band_high: float = 30.0
-    sines_per_source: int = 3
-    amplitude: float = 10.0
-    noise_sigma: float = 1.0
-    mixing_seed: int = 90
-    n_classes: int = 1
+    n_classes: int = 3
     class_ids: tuple[int, ...] = (2, 3, 7)
-    class_band_offsets: tuple[float, ...] = (0.0, 6.0, -4.0)
     label_block: int = 2048
-    subject: str = "s01"
 
     def __post_init__(self):
-        check_finite(self)
-        if not 1 <= self.n_sources <= self.n_channels:
-            raise DataError(
-                f"n_sources must be in [1, n_channels], got {self.n_sources}/{self.n_channels}"
-            )
-        if not 0 < self.band_low < self.band_high < self.fs / 2:
-            raise DataError(f"band ({self.band_low}, {self.band_high}) must lie inside (0, fs/2)")
-        if self.noise_sigma < 0 or self.amplitude <= 0:
-            raise DataError("noise_sigma must be >= 0 and amplitude > 0")
-        if self.n_classes < 1:
-            raise DataError("n_classes must be >= 1")
-        if self.n_classes > 1:
-            if len(self.class_ids) < self.n_classes:
-                raise DataError("class_ids shorter than n_classes")
-            if len(self.class_band_offsets) < self.n_classes:
-                raise DataError("class_band_offsets shorter than n_classes")
+        if self.n_channels < N_SOURCES:
+            raise DataError(f"n_channels must be >= {N_SOURCES}, the surrogate's sources, "
+                            f"got {self.n_channels}")
+        if not 1 <= self.n_classes <= len(CLASS_BAND_OFFSETS):
+            raise DataError(f"n_classes must be in [1, {len(CLASS_BAND_OFFSETS)}], "
+                            f"got {self.n_classes}")
+        if self.n_classes > 1 and len(self.class_ids) < self.n_classes:
+            raise DataError("class_ids shorter than n_classes")
+        if len(set(self.class_ids)) != len(self.class_ids):
+            raise DataError(f"class_ids repeats an id: {self.class_ids}")
         if self.label_block < 1:
             raise DataError("label_block must be >= 1")
 
 
 def generate_synthetic(cfg, seed=0):
     """Build a surrogate recording per `cfg`; `seed` drives everything except
-    the mixing matrix, which is pinned by `cfg.mixing_seed`."""
+    the mixing matrix, which is pinned by MIXING_SEED."""
     rng = np.random.default_rng(seed)
-    mixing = np.random.default_rng(cfg.mixing_seed).normal(size=(cfg.n_channels, cfg.n_sources))
+    mixing = np.random.default_rng(MIXING_SEED).normal(size=(cfg.n_channels, N_SOURCES))
     n = cfg.n_samples
-    t = np.arange(n) / cfg.fs
+    t = np.arange(n) / FS
 
     if cfg.n_classes > 1:
         block_of = (np.arange(n) // cfg.label_block) % cfg.n_classes
@@ -289,31 +283,27 @@ def generate_synthetic(cfg, seed=0):
         block_of = np.zeros(n, dtype=np.int64)
         labels = None
 
-    freqs = rng.uniform(cfg.band_low, cfg.band_high, size=(cfg.n_sources, cfg.sines_per_source))
+    freqs = rng.uniform(*BAND, size=(N_SOURCES, SINES_PER_SOURCE))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=freqs.shape)
     amps = rng.uniform(0.5, 1.0, size=freqs.shape)
 
-    half = cfg.fs / 2.0
-    sources = np.zeros((cfg.n_sources, n))
+    sources = np.zeros((N_SOURCES, n))
     for c in range(cfg.n_classes):
         mask = block_of == c
         if not mask.any():
             continue
-        offset = cfg.class_band_offsets[c] if cfg.n_classes > 1 else 0.0
-        fc = np.clip(freqs + offset, 0.5, half - 0.5)
+        fc = np.clip(freqs + CLASS_BAND_OFFSETS[c], 0.5, FS / 2.0 - 0.5)
         phase_term = 2.0 * np.pi * fc[:, :, None] * t[mask][None, None, :] + phases[:, :, None]
         sources[:, mask] = (amps[:, :, None] * np.sin(phase_term)).sum(axis=1)
 
-    values = cfg.amplitude * (mixing @ sources)
-    if cfg.noise_sigma > 0:
-        values = values + rng.normal(0.0, cfg.noise_sigma, size=values.shape)
+    values = AMPLITUDE * (mixing @ sources)
+    values = values + rng.normal(0.0, NOISE_SIGMA, size=values.shape)
 
     if cfg.n_channels == 32:
         names = CHANNEL_LABELS_32
     else:
         names = tuple(f"ch{i:02d}" for i in range(cfg.n_channels))
-    return RawRecording(values, fs=cfg.fs, channel_labels=names, labels=labels,
-                        subject_id=cfg.subject)
+    return RawRecording(values, fs=FS, channel_labels=names, labels=labels)
 
 
 def _window_label(labels, start, window):

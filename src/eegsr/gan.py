@@ -419,7 +419,6 @@ def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
         d_steps = int(head["d_steps"])
         best = head["best_val_mse"]
         best_val_mse = float(best) if best else None
-        sections["train"].pop("real_label", None)  # saved before the smoothed loss mode went
         saved_cfg = from_section(TrainConfig, sections["train"])
         g_t = int(head["g_adam_t"])
         has_disc = head["has_disc"] == "1"

@@ -35,7 +35,7 @@ class MetricsRecord:
     method: str
     mse: float
     mae: float
-    seed: int | None = None
+    seed: int
 
     def __post_init__(self):
         if self.dataset not in DATASETS:
@@ -62,8 +62,8 @@ class ClassMetrics:
     precision: tuple[float, ...]
     recall: tuple[float, ...]
     support: tuple[int, ...]
+    seed: int
     undefined: tuple[str, ...] = field(default_factory=tuple)
-    seed: int | None = None
 
     def __post_init__(self):
         if self.source not in CLASS_SOURCES:
@@ -92,7 +92,7 @@ def sr_metrics(pred_set, truth_set):
     return float((diff**2).mean()), float(np.abs(diff).mean())
 
 
-def classification_metrics(predicted, truth, class_ids, scale, source, seed=None):
+def classification_metrics(predicted, truth, class_ids, scale, source, seed):
     """Accuracy and per-class precision/recall from predicted vs true ids.
 
     A class with no predictions gets precision 0 and an `undefined` flag
@@ -139,17 +139,9 @@ CLASS_CSV_HEADER = ["scale", "source", "metric", "class", "value", "undefined", 
 CLASS_METRICS = ("precision", "recall", "support")  # one row each per class
 
 
-def _seeds(t, column):
-    """Seed of each row of a metric table; an empty cell means none."""
-    seeded = t.cells[:, column] != ""
-    seeds = np.full(len(t.cells), None)
-    seeds[seeded] = t.parse(column, int, "seed", seeded).tolist()
-    return seeds.tolist()
-
-
 def write_sr_csv(path, records):
-    table.write(path, SR_CSV_HEADER, ([r.dataset, r.scale, r.method, r.mse, r.mae,
-                                       "" if r.seed is None else r.seed] for r in records))
+    table.write(path, SR_CSV_HEADER, ([r.dataset, r.scale, r.method, r.mse, r.mae, r.seed]
+                                      for r in records))
 
 
 def _read_rows(path, header):
@@ -175,18 +167,17 @@ def read_sr_csv(path):
             for line, (dataset, scale, method, (mse, mae), seed) in enumerate(zip(
                 t.cells[:, 0].tolist(), t.parse(1, int, "scale").tolist(),
                 t.cells[:, 2].tolist(), t.parse(slice(3, 5), float, "error").tolist(),
-                _seeds(t, 5)), start=t.first_line)]
+                t.parse(5, int, "seed").tolist()), start=t.first_line)]
 
 
 def write_class_csv(path, metrics_list):
     rows = []
     for m in metrics_list:
-        seed = "" if m.seed is None else m.seed
-        rows.append([m.scale, m.source, "accuracy", "", m.accuracy, "", seed])
+        rows.append([m.scale, m.source, "accuracy", "", m.accuracy, "", m.seed])
         for i, c in enumerate(m.class_ids):
             for name in CLASS_METRICS:
                 flag = "1" if f"{name}:{c}" in m.undefined else ""
-                rows.append([m.scale, m.source, name, c, getattr(m, name)[i], flag, seed])
+                rows.append([m.scale, m.source, name, c, getattr(m, name)[i], flag, m.seed])
     table.write(path, CLASS_CSV_HEADER, rows)
 
 
@@ -203,8 +194,8 @@ def read_class_csv(path):
     groups = {}
     for line, (scale, source, name, c, value, flag, seed) in enumerate(zip(
             t.parse(0, int, "scale").tolist(), t.cells[:, 1].tolist(), metric.tolist(),
-            class_ids.tolist(), values.tolist(), t.cells[:, 5].tolist(), _seeds(t, 6)),
-            start=t.first_line):
+            class_ids.tolist(), values.tolist(), t.cells[:, 5].tolist(),
+            t.parse(6, int, "seed").tolist()), start=t.first_line):
         entry = groups.setdefault((scale, source), {"accuracy": None, "classes": {},
                                                     "undefined": [], "seed": seed,
                                                     "line": line})

@@ -140,6 +140,21 @@ def test_report_files(pipeline):
     assert "| Dataset | Scale |" in text
 
 
+def test_default_classes_run_from_synth_to_train_clf(tmp_path, capsys):
+    # No setting names the classes: the default recording has the three that
+    # train-clf takes by default. With one class by default, the README's run
+    # made its recording with n_classes = 3 and train-clf refused its labels.
+    small = ["--set", "synth.n_samples=1216", "--set", "synth.label_block=256",
+             "--set", "classifier.epochs=3", "--set", "run.seed=7"]
+    rec, data, feats, clf = (tmp_path / name for name in ("rec.csv", "data", "feats", "clf"))
+    for argv in (["synth", "--out", str(rec)],
+                 ["preprocess", "--recording", str(rec), "--out", str(data)],
+                 ["features", "--data", str(data), "--out", str(feats)],
+                 ["train-clf", "--features", str(feats), "--out", str(clf)]):
+        assert main(argv + small) == 0, capsys.readouterr().err
+    assert "class_ids = 2,3,7\n" in (clf / "model" / "manifest.txt").read_text()
+
+
 def test_pretrain_resume_noop(pipeline):
     # resuming a finished run performs no further steps and exits cleanly
     rc = main(["pretrain", "--data", str(pipeline["data"]),
@@ -335,10 +350,17 @@ def test_out_of_range_training_value_is_a_config_error(tmp_path, pipeline, capsy
 
 # Values that escaped config validation: a [classifier] lr or beta out of
 # range ended in a traceback from the optimizer, a non-finite one trained to
-# a nan loss, and each [synth] value ran and exited 0.
+# a nan loss, and a repeated class id ran and merged two classes under one
+# label.
 LOAD_FAULTS = ["classifier.lr=0", "classifier.lr=nan", "classifier.lr=inf", "classifier.beta1=1",
-               "classifier.beta2=-0.5", "synth.noise_sigma=nan", "synth.amplitude=inf",
-               "synth.fs=inf", "synth.class_band_offsets=nan,0,0"]
+               "classifier.beta2=-0.5", "synth.class_ids=2,2,7"]
+
+# The [synth] keys that became constants of eegsr.data, with the values
+# every config.txt and rec.config.txt written before then holds.
+REMOVED_SYNTH_KEYS = {"fs": "512.0", "n_sources": "4", "band_low": "7.0", "band_high": "30.0",
+                      "sines_per_source": "3", "amplitude": "10.0", "noise_sigma": "1.0",
+                      "mixing_seed": "90", "class_band_offsets": "0.0,6.0,-4.0",
+                      "subject": "s01"}
 
 
 @pytest.mark.parametrize("setting", LOAD_FAULTS)
@@ -350,6 +372,16 @@ def test_out_of_range_value_is_refused_at_config_load(tmp_path, pipeline, capsys
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1 and key in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_SYNTH_KEYS))
+def test_config_naming_a_removed_synth_key_is_refused(tmp_path, pipeline, capsys, key):
+    config = tmp_path / "old.config.txt"
+    text = pipeline["rec"].with_suffix(".config.txt").read_text()
+    config.write_text(text.replace("[synth]\n", f"[synth]\n{key} = {REMOVED_SYNTH_KEYS[key]}\n"))
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 3
+    assert capsys.readouterr().err == f"config error: unknown key {key!r} in section [synth]\n"
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_evaluate_with_nothing_to_evaluate_is_a_usage_error(tmp_path, pipeline, capsys):
@@ -632,13 +664,16 @@ def test_malformed_sampling_rate_is_a_parse_error(tmp_path, pipeline, capsys):
 
 def test_malformed_metric_table_is_a_parse_error(tmp_path, pipeline, capsys):
     # A non-numeric mse, a short row, a non-integer scale, a non-numeric value,
-    # and rows whose record is refused: an unknown dataset, an unknown source.
+    # rows whose record is refused: an unknown dataset, an unknown source; and
+    # an empty seed, which read as a record without one.
     for name, line, column, text in (("reconstruction.csv", 2, 3, "zero"),
                                      ("reconstruction.csv", 3, slice(3, None), []),
                                      ("classification.csv", 3, 0, "two"),
                                      ("classification.csv", 4, 4, "high"),
                                      ("reconstruction.csv", 4, 0, "foo"),
-                                     ("classification.csv", 2, 1, "xx")):
+                                     ("classification.csv", 2, 1, "xx"),
+                                     ("reconstruction.csv", 5, 5, ""),
+                                     ("classification.csv", 5, 6, "")):
         metrics = tmp_path / f"metrics-{name}-{line}"
         shutil.copytree(pipeline["metrics"], metrics)
         corrupt_cell(metrics / name, line, column, text)
@@ -751,19 +786,25 @@ def _sub_in(path, pattern, new):
 
 
 def test_resume_reads_format_2_train_sections(tmp_path, pipeline, capsys):
-    # Checkpoints written before the smoothed loss mode was removed carry a
-    # real_label line, which is ignored; one that trained with that mode is
-    # refused.
+    # A [train] section holds the fields of TrainConfig and nothing else: the
+    # real_label line of a checkpoint from before the smoothed loss mode was
+    # removed is refused, like that mode itself.
     ck = tmp_path / "last"
     shutil.copytree(pipeline["adv"] / "last", ck)
     manifest = ck / "manifest.txt"
+    argv = ["gan-train", "--data", str(pipeline["data"]), "--resume", str(ck),
+            "--out", str(tmp_path / "refused")] + OVERRIDES
+
+    def refused(named):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not (tmp_path / "refused").exists()
+
     _sub_in(manifest, r"loss_mode = wgan_gp\n", "loss_mode = wgan_gp\nreal_label = 0.875\n")
-    argv = ["gan-train", "--data", str(pipeline["data"]), "--resume", str(ck)] + OVERRIDES
-    assert main(argv + ["--out", str(tmp_path / "resumed")]) == 0
-    _sub_in(manifest, r"loss_mode = wgan_gp", "loss_mode = dcgan_smoothed")
-    assert main(argv + ["--out", str(tmp_path / "refused")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "dcgan_smoothed" in err
+    refused("real_label")
+    _sub_in(manifest, r"loss_mode = wgan_gp\nreal_label = 0\.875", "loss_mode = dcgan_smoothed")
+    refused("dcgan_smoothed")
 
 
 FOREIGN_RNG = json.dumps(np.random.Philox(0).state, default=lambda a: a.tolist())
@@ -883,10 +924,11 @@ def test_sr_infer_reads_only_the_generator(tmp_path, pipeline, fault):
 def test_features_at_another_sampling_rate_is_a_data_error(tmp_path, capsys):
     # At 1000 Hz the 256-point Welch grid has no bin at 8 Hz; features used
     # to end in an IndexError traceback.
-    fs = ["--set", "synth.fs=1000"]
     rec, data = tmp_path / "rec.csv", tmp_path / "data"
-    run("synth", "--out", str(rec), *fs)
-    run("preprocess", "--recording", str(rec), "--out", str(data), *fs)
+    run("synth", "--out", str(rec))
+    text = rec.read_text()  # starts "# fs=512.0 subject=..."
+    rec.write_text(text.replace("# fs=512.0 ", "# fs=1000.0 ", 1))
+    run("preprocess", "--recording", str(rec), "--out", str(data))
     capsys.readouterr()
     assert main(["features", "--data", str(data), "--out", str(tmp_path / "f")] + OVERRIDES) == 1
     err = capsys.readouterr().err

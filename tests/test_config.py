@@ -16,12 +16,8 @@ from eegsr.psd import ClassifierTrainConfig
 # A value other than the default for every key of the dataclass sections
 # that has one: train.loss_mode has a single legal value.
 NON_DEFAULT = {
-    "synth.n_channels": "16", "synth.n_samples": "4096", "synth.fs": "256.5",
-    "synth.n_sources": "3", "synth.band_low": "6.25", "synth.band_high": "31.0",
-    "synth.sines_per_source": "2", "synth.amplitude": "7.5", "synth.noise_sigma": "0.1",
-    "synth.mixing_seed": "11", "synth.n_classes": "3", "synth.class_ids": "1,4,6",
-    "synth.class_band_offsets": "0.5,-1.25,3.0", "synth.label_block": "512",
-    "synth.subject": "s07",
+    "synth.n_channels": "16", "synth.n_samples": "4096", "synth.n_classes": "2",
+    "synth.class_ids": "1,4,6", "synth.label_block": "512",
     "train.pretrain_epochs": "3", "train.gan_epochs": "4", "train.batch_size": "8",
     "train.lr": "3e-05", "train.beta1": "0.25", "train.beta2": "0.875",
     "train.gp_weight": "5.5", "train.training_ratio": "2", "train.adv_weight": "0.125",
@@ -152,12 +148,10 @@ def test_sections_round_trip_exactly(mu, sigma, rate, sources, numpy):
 
 def test_dataclass_sections_come_from_the_dataclasses():
     assert list(SCHEMA["synth"]) == [
-        "n_channels", "n_samples", "fs", "n_sources", "band_low", "band_high",
-        "sines_per_source", "amplitude", "noise_sigma", "mixing_seed", "n_classes",
-        "class_ids", "class_band_offsets", "label_block", "subject"]
+        "n_channels", "n_samples", "n_classes", "class_ids", "label_block"]
     for section, cls in (("train", TrainConfig), ("classifier", ClassifierTrainConfig)):
         assert list(SCHEMA[section]) == [f.name for f in fields(cls) if f.name != "seed"]
-    assert sum(len(keys) for keys in SCHEMA.values()) == 43
+    assert sum(len(keys) for keys in SCHEMA.values()) == 33
     cfg = load_config(overrides={"run.seed": "9"})
     assert cfg.synth_config() == SyntheticConfig()
     assert cfg.train_config() == TrainConfig(seed=9)
@@ -182,8 +176,8 @@ def test_derived_configs():
 
 
 def test_classifier_config_class_count():
-    cfg = load_config(overrides={"synth.n_classes": "3"})
+    cfg = load_config()
     assert cfg.classifier_config().class_ids == (2, 3, 7)
     # single-class synthesis still yields a 2-way head so training is defined
-    cfg1 = load_config()
+    cfg1 = load_config(overrides={"synth.n_classes": "1"})
     assert len(cfg1.classifier_config().class_ids) == 2

@@ -84,7 +84,7 @@ def test_synthetic_seed_changes_signal_but_not_mixing():
 def test_synthetic_classes_differ_spectrally():
     # Class blocks shift every oscillator, so the dominant frequencies of the
     # same channel must differ between blocks.
-    cfg = SyntheticConfig(n_samples=4096, n_classes=2, label_block=2048, noise_sigma=0.0)
+    cfg = SyntheticConfig(n_samples=4096, n_classes=2, label_block=2048)
     rec = generate_synthetic(cfg, seed=3)
     spec_a = np.abs(np.fft.rfft(rec.values[0, :2048]))
     spec_b = np.abs(np.fft.rfft(rec.values[0, 2048:]))
@@ -92,12 +92,11 @@ def test_synthetic_classes_differ_spectrally():
 
 
 def test_validation_rejects_bad_configs():
-    with pytest.raises(DataError):
-        SyntheticConfig(n_sources=0)
-    with pytest.raises(DataError):
-        SyntheticConfig(band_low=30.0, band_high=7.0)
-    with pytest.raises(DataError):
-        SyntheticConfig(n_classes=4, class_ids=(1, 2))
+    for bad in ({"n_channels": 3}, {"n_classes": 0}, {"n_classes": 4, "class_ids": (1, 2, 3, 4)},
+                {"n_classes": 3, "class_ids": (1, 2)}, {"class_ids": (2, 2, 7)},
+                {"label_block": 0}):
+        with pytest.raises(DataError):
+            SyntheticConfig(**bad)
 
 
 def test_epoch_count_formula():

@@ -24,19 +24,9 @@ precision = f64
 [synth]
 n_channels = 16
 n_samples = 8544
-fs = 512.0
-n_sources = 4
-band_low = 6.25
-band_high = 30.0
-sines_per_source = 3
-amplitude = 10.0
-noise_sigma = 1.0
-mixing_seed = 90
-n_classes = 3
+n_classes = 2
 class_ids = 1,4,6
-class_band_offsets = 0.0,6.0,-4.0
 label_block = 2048
-subject = s07
 
 [preprocess]
 scale = 4
@@ -208,9 +198,8 @@ def small_model():
 def test_config_text(tmp_path):
     cfg = load_config(overrides={
         "run.seed": "42", "run.precision": "f64", "synth.n_channels": "16",
-        "synth.band_low": "6.25", "synth.n_classes": "3", "synth.class_ids": "1,4,6",
-        "synth.subject": "s07", "preprocess.scale": "4", "model.width": "0.015625",
-        "train.lr": "3e-05"})
+        "synth.n_classes": "2", "synth.class_ids": "1,4,6", "preprocess.scale": "4",
+        "model.width": "0.015625", "train.lr": "3e-05"})
     save_config(tmp_path / "config.txt", cfg)
     assert (tmp_path / "config.txt").read_text() == CONFIG
 

@@ -56,16 +56,16 @@ def test_sr_metrics_rejects_mismatch():
 
 
 def test_metrics_record_validation():
-    MetricsRecord("val", 2, "bicubic", mse=4.0, mae=2.0)
+    MetricsRecord("val", 2, "bicubic", mse=4.0, mae=2.0, seed=0)
     with pytest.raises(DataError):
-        MetricsRecord("train", 2, "bicubic", mse=1.0, mae=0.5)
+        MetricsRecord("train", 2, "bicubic", mse=1.0, mae=0.5, seed=0)
     with pytest.raises(DataError):
-        MetricsRecord("val", 2, "nearest", mse=1.0, mae=0.5)
+        MetricsRecord("val", 2, "nearest", mse=1.0, mae=0.5, seed=0)
     with pytest.raises(DataError):
-        MetricsRecord("val", 2, "wgan", mse=-1.0, mae=0.5)
+        MetricsRecord("val", 2, "wgan", mse=-1.0, mae=0.5, seed=0)
     # mae above the rms bound is impossible for any real residual vector
     with pytest.raises(DataError):
-        MetricsRecord("val", 2, "wgan", mse=1.0, mae=1.5)
+        MetricsRecord("val", 2, "wgan", mse=1.0, mae=1.5, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_classification_known_confusion():
     # correct, 2 true; class 2: all correct.
     truth = [0, 0, 0, 1, 1, 2, 2]
     pred = [0, 0, 1, 1, 1, 2, 2]
-    m = classification_metrics(pred, truth, class_ids=(0, 1, 2), scale=2, source="hr")
+    m = classification_metrics(pred, truth, class_ids=(0, 1, 2), scale=2, source="hr", seed=0)
     assert m.accuracy == pytest.approx(6 / 7)
     assert m.precision == pytest.approx((1.0, 2 / 3, 1.0))
     assert m.recall == pytest.approx((2 / 3, 1.0, 1.0))
@@ -89,7 +89,7 @@ def test_classification_micro_recall_equals_accuracy():
     rng = np.random.default_rng(11)
     truth = rng.integers(0, 3, size=200)
     pred = rng.integers(0, 3, size=200)
-    m = classification_metrics(pred, truth, class_ids=(0, 1, 2), scale=2, source="sr")
+    m = classification_metrics(pred, truth, class_ids=(0, 1, 2), scale=2, source="sr", seed=0)
     micro = sum(r * s for r, s in zip(m.recall, m.support)) / sum(m.support)
     assert micro == pytest.approx(m.accuracy)
 
@@ -99,7 +99,7 @@ def test_classification_undefined_flags():
     # true members.
     truth = [0, 0, 2, 2]
     pred = [0, 0, 0, 0]
-    m = classification_metrics(pred, truth, class_ids=(0, 2, 3), scale=2, source="hr")
+    m = classification_metrics(pred, truth, class_ids=(0, 2, 3), scale=2, source="hr", seed=0)
     assert m.precision[1] == 0.0
     assert "precision:2" in m.undefined
     assert "recall:3" in m.undefined
@@ -109,18 +109,18 @@ def test_classification_undefined_flags():
 
 def test_classification_rejects_bad_input():
     with pytest.raises(DataError):
-        classification_metrics([0], [5], (0, 1), 2, "hr")
+        classification_metrics([0], [5], (0, 1), 2, "hr", 0)
     with pytest.raises(DataError):
-        classification_metrics([0], [0], (0,), 2, "train")
+        classification_metrics([0], [0], (0,), 2, "train", 0)
 
 
 def test_class_metrics_validation():
     with pytest.raises(DataError):
         ClassMetrics(2, "hr", accuracy=1.2, class_ids=(0,), precision=(1.0,),
-                     recall=(1.0,), support=(1,))
+                     recall=(1.0,), support=(1,), seed=0)
     with pytest.raises(DataError):
         ClassMetrics(2, "hr", accuracy=0.5, class_ids=(0, 1), precision=(1.0,),
-                     recall=(1.0, 0.0), support=(1, 1))
+                     recall=(1.0, 0.0), support=(1, 1), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_class_metrics_validation():
 def test_sr_csv_roundtrip(tmp_path):
     records = [
         MetricsRecord("val", 2, "bicubic", mse=1.23456789012345678, mae=0.9, seed=7),
-        MetricsRecord("test", 4, "wgan", mse=2.0, mae=1.25),
+        MetricsRecord("test", 4, "wgan", mse=2.0, mae=1.25, seed=0),
     ]
     path = tmp_path / "sr.csv"
     write_sr_csv(path, records)
@@ -163,7 +163,7 @@ def test_class_csv_roundtrip(tmp_path):
 
 
 def test_class_csv_keeps_undefined_flags(tmp_path):
-    m = classification_metrics([0, 0], [0, 1], (0, 1), scale=2, source="hr")
+    m = classification_metrics([0, 0], [0, 1], (0, 1), scale=2, source="hr", seed=0)
     path = tmp_path / "cls.csv"
     write_class_csv(path, [m])
     back = read_class_csv(path)[0]
@@ -171,7 +171,7 @@ def test_class_csv_keeps_undefined_flags(tmp_path):
 
 
 def test_class_csv_needs_every_metric_row(tmp_path):
-    m = classification_metrics([0, 1], [0, 1], (0, 1), scale=2, source="hr")
+    m = classification_metrics([0, 1], [0, 1], (0, 1), scale=2, source="hr", seed=0)
     path = tmp_path / "cls.csv"
     write_class_csv(path, [m])
     lines = path.read_text().splitlines(keepends=True)
@@ -188,9 +188,9 @@ def test_class_csv_needs_every_metric_row(tmp_path):
 
 def test_sr_markdown_cells():
     records = [
-        MetricsRecord("val", 2, "bicubic", mse=1.0, mae=0.5),
-        MetricsRecord("val", 2, "wgan", mse=0.25, mae=0.25),
-        MetricsRecord("test", 2, "bicubic", mse=2.0, mae=1.0),
+        MetricsRecord("val", 2, "bicubic", mse=1.0, mae=0.5, seed=0),
+        MetricsRecord("val", 2, "wgan", mse=0.25, mae=0.25, seed=0),
+        MetricsRecord("test", 2, "bicubic", mse=2.0, mae=1.0, seed=0),
     ]
     text = sr_markdown(records)
     lines = text.strip().splitlines()
@@ -201,16 +201,16 @@ def test_sr_markdown_cells():
 
 
 def test_class_markdown_pairs_sources():
-    hr = classification_metrics([0, 1], [0, 1], (0, 1), scale=2, source="hr")
-    sr = classification_metrics([0, 0], [0, 1], (0, 1), scale=2, source="sr")
+    hr = classification_metrics([0, 1], [0, 1], (0, 1), scale=2, source="hr", seed=0)
+    sr = classification_metrics([0, 0], [0, 1], (0, 1), scale=2, source="sr", seed=0)
     text = class_markdown([hr, sr])
     assert "| 2 | Accuracy | - | 1.0000 | 0.5000 |" in text
     assert "Precision" in text and "Recall" in text
 
 
 def test_emit_report_writes_csv_and_markdown(tmp_path):
-    records = [MetricsRecord("val", 2, "bicubic", mse=1.0, mae=0.5)]
-    cls = [classification_metrics([0], [0], (0,), scale=2, source="hr")]
+    records = [MetricsRecord("val", 2, "bicubic", mse=1.0, mae=0.5, seed=0)]
+    cls = [classification_metrics([0], [0], (0,), scale=2, source="hr", seed=0)]
     written = emit_report(tmp_path, sr_records=records, class_metrics=cls)
     names = sorted(p.name for p in written)
     assert names == ["classification.csv", "classification.md",
