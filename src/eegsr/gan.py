@@ -48,6 +48,10 @@ HISTORY_COLUMNS = ("step", "g_total", "g_adv", "g_mse", "d_loss", "gp")
 # Checkpoint manifest format; version 2 stores every TrainConfig field.
 FORMAT_VERSION = "2"
 
+# The [checkpoint] keys of a generator checkpoint (`best`): its format and
+# fingerprint, which `load_generator` checks, and the epoch that selected it.
+GENERATOR_KEYS = ("format_version", "phase", "epoch", "fingerprint", "best_val_mse")
+
 # Offset separating the adversarial stream's seed from the data stream's.
 _ADV_SEED_OFFSET = 0x9E3779B9
 
@@ -237,9 +241,11 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
     "pretrain" trains the generator on MSE alone: the warm start for
     adversarial training. "gan" updates the generator on every batch and the
     critic on every `training_ratio`-th batch, on that same batch. When
-    `checkpoint_dir` is given, writes `last` every `checkpoint_every` epochs,
-    `best` on validation improvement and, in the adversarial phase, `abort`
-    before raising NumericAbort. A loaded checkpoint continues bit-exactly.
+    `checkpoint_dir` is given, writes the resumable checkpoints `last` every
+    `checkpoint_every` epochs and, in the adversarial phase, `abort` before
+    raising NumericAbort; and on validation improvement `best`, the selected
+    generator alone (`save_generator`). A loaded checkpoint continues
+    bit-exactly.
     """
     phase = state.phase
     n_epochs = cfg.pretrain_epochs if phase == "pretrain" else cfg.gan_epochs
@@ -305,7 +311,8 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
             val_mse = evaluate_mse(gen, val_pair[0], val_pair[1])
             if state.best_val_mse is None or val_mse < state.best_val_mse:
                 state.best_val_mse = val_mse
-                write_checkpoint("best")
+                if checkpoint_dir is not None:
+                    save_generator(Path(checkpoint_dir) / "best", state)
         if state.epoch % cfg.checkpoint_every == 0 or state.epoch == n_epochs:
             write_checkpoint("last")
 
@@ -333,34 +340,47 @@ def _load_adam(directory, prefix, model, t):
     return state
 
 
-def save_checkpoint(directory, state, cfg):
-    """Write a resumable TrainState. Deterministic byte-for-byte for a fixed
-    state (no timestamps)."""
+def _checkpoint_head(state):
+    """The [checkpoint] section of a resumable checkpoint, in written order."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "phase": state.phase,
+        "epoch": state.epoch,
+        "g_steps": state.g_steps,
+        "d_steps": state.d_steps,
+        "fingerprint": state.fingerprint,
+        "best_val_mse": "" if state.best_val_mse is None else state.best_val_mse,
+        "g_adam_t": state.g_state.t,
+        "d_adam_t": "" if state.d_state is None else state.d_state.t,
+        "has_disc": int(state.disc is not None),
+        "data_rng": json.dumps(state.data_rng.bit_generator.state),
+        "adv_rng": json.dumps(state.adv_rng.bit_generator.state),
+    }
+
+
+def save_generator(directory, state):
+    """Write the generator half of a checkpoint: `generator/` and a manifest
+    whose [checkpoint] section holds only `GENERATOR_KEYS`, what
+    `load_generator` reads. A generator checkpoint cannot be resumed."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_model(directory / "generator", state.gen)
+    head = _checkpoint_head(state)
+    write(directory / "manifest.txt", {"checkpoint": {k: head[k] for k in GENERATOR_KEYS}})
+
+
+def save_checkpoint(directory, state, cfg):
+    """Write a resumable TrainState: the generator half (`save_generator`), then
+    the Adam moments, the critic, the full manifest and `history.csv`.
+    Deterministic byte-for-byte for a fixed state (no timestamps)."""
+    directory = Path(directory)
+    save_generator(directory, state)
     _save_adam(directory, "gen_adam", state.g_state, state.gen.dtype)
     if state.disc is not None:
         save_model(directory / "discriminator", state.disc)
         _save_adam(directory, "disc_adam", state.d_state, state.disc.dtype)
-
-    write(directory / "manifest.txt", {
-        "checkpoint": {
-            "format_version": FORMAT_VERSION,
-            "phase": state.phase,
-            "epoch": state.epoch,
-            "g_steps": state.g_steps,
-            "d_steps": state.d_steps,
-            "fingerprint": state.fingerprint,
-            "best_val_mse": "" if state.best_val_mse is None else state.best_val_mse,
-            "g_adam_t": state.g_state.t,
-            "d_adam_t": "" if state.d_state is None else state.d_state.t,
-            "has_disc": int(state.disc is not None),
-            "data_rng": json.dumps(state.data_rng.bit_generator.state),
-            "adv_rng": json.dumps(state.adv_rng.bit_generator.state),
-        },
-        "train": section_of(cfg),
-    })
+    write(directory / "manifest.txt", {"checkpoint": _checkpoint_head(state),
+                                       "train": section_of(cfg)})
     state.history.to_csv(directory / "history.csv")
 
 
@@ -385,10 +405,10 @@ def _check_resume_config(saved, cfg, phase, epoch):
 
 
 def load_generator(directory, expect_fingerprint=None):
-    """(generator, manifest sections) of a checkpoint, its critic, Adam moments and
-    history unread; refuses another format version and, given
-    `expect_fingerprint`, another fingerprint (ParseError). A missing file
-    raises the OSError that opening it raises."""
+    """(generator, manifest sections) of a generator or resumable checkpoint,
+    its critic, Adam moments and history unread; refuses another format
+    version and, given `expect_fingerprint`, another fingerprint
+    (ParseError). A missing file raises the OSError that opening it raises."""
     directory = Path(directory)
     manifest = directory / "manifest.txt"
     try:
@@ -407,11 +427,14 @@ def load_generator(directory, expect_fingerprint=None):
 
 def load_checkpoint(directory, expect_fingerprint=None, expect_config=None):
     """Rebuild a TrainState; refuses what `load_generator` refuses, truncated,
-    unparsable or inconsistent contents and, given `expect_config`, a
-    TrainConfig the run cannot resume under."""
+    unparsable or inconsistent contents, a generator checkpoint and, given
+    `expect_config`, a TrainConfig the run cannot resume under."""
     directory = Path(directory)
     gen, sections = load_generator(directory, expect_fingerprint)
     manifest, head = directory / "manifest.txt", sections["checkpoint"]
+    if head.keys() == set(GENERATOR_KEYS):
+        raise ParseError(f"{directory} holds only a generator, which cannot be resumed; "
+                         "resume from the run's `last` checkpoint")
     try:
         phase = head["phase"]
         epoch = int(head["epoch"])

@@ -182,7 +182,8 @@ def write_class_csv(path, metrics_list):
 
 
 def read_class_csv(path):
-    """Rebuild ClassMetrics rows grouped by (scale, source)."""
+    """Rebuild ClassMetrics rows grouped by (scale, source). Every row of a
+    group carries the group's seed, and no (metric, class) row repeats."""
     t = _read_rows(path, CLASS_CSV_HEADER)
     metric = t.cells[:, 2]
     per_class = metric != "accuracy"
@@ -196,27 +197,30 @@ def read_class_csv(path):
             t.parse(0, int, "scale").tolist(), t.cells[:, 1].tolist(), metric.tolist(),
             class_ids.tolist(), values.tolist(), t.cells[:, 5].tolist(),
             t.parse(6, int, "seed").tolist()), start=t.first_line):
-        entry = groups.setdefault((scale, source), {"accuracy": None, "classes": {},
-                                                    "undefined": [], "seed": seed,
-                                                    "line": line})
-        if name == "accuracy":
-            entry["accuracy"] = value
-        else:
-            entry["classes"].setdefault(c, {})[name] = value
-            if flag == "1":
-                entry["undefined"].append(f"{name}:{c}")
+        entry = groups.setdefault((scale, source), {"values": {}, "undefined": [],
+                                                    "seed": seed, "line": line})
+        what = "accuracy" if name == "accuracy" else f"{name} of class {c}"
+        if seed != entry["seed"]:
+            raise ParseError(f"{path}: scale {scale} {source} {what} has seed {seed}, its "
+                             f"group's first row {entry['seed']}", line=line)
+        if (name, c) in entry["values"]:
+            raise ParseError(f"{path}: scale {scale} {source} repeats its {what} row",
+                             line=line)
+        entry["values"][name, c] = value
+        if flag == "1" and name != "accuracy":
+            entry["undefined"].append(f"{name}:{c}")
     out = []
     for (scale, source), entry in groups.items():
-        ids = tuple(sorted(entry["classes"]))
-        if entry["accuracy"] is None or any(entry["classes"][c].keys() != set(CLASS_METRICS)
-                                            for c in ids):
+        values = entry["values"]
+        ids = tuple(sorted({c for name, c in values if name != "accuracy"}))
+        if values.keys() != {("accuracy", 0)} | {(name, c) for name in CLASS_METRICS
+                                                   for c in ids}:
             raise ParseError(f"{path}: scale {scale} {source} needs an accuracy row and "
                              f"{'/'.join(CLASS_METRICS)} rows for every class",
                              line=entry["line"])
-        per_class = {name: tuple(entry["classes"][c][name] for c in ids)
-                     for name in CLASS_METRICS}
+        per_class = {name: tuple(values[name, c] for c in ids) for name in CLASS_METRICS}
         out.append(_record(ClassMetrics, path, entry["line"], scale=scale, source=source,
-                           accuracy=entry["accuracy"], class_ids=ids,
+                           accuracy=values["accuracy", 0], class_ids=ids,
                            undefined=tuple(entry["undefined"]), seed=entry["seed"],
                            **per_class))
     return out

@@ -191,6 +191,22 @@ def test_resume_refuses_a_checkpoint_of_the_other_phase(tmp_path, pipeline, caps
     assert not (tmp_path / "o").exists()
 
 
+def test_resume_refuses_a_generator_checkpoint(tmp_path, pipeline, capsys):
+    # `best` holds only the selected generator: --resume needs `last`, while
+    # --init, which reads the generator alone, starts from `best`.
+    for cmd, ck in (("pretrain", "pre"), ("gan-train", "adv")):
+        best, out = pipeline[ck] / "best", tmp_path / cmd
+        assert main([cmd, "--data", str(pipeline["data"]), "--out", str(out),
+                     "--resume", str(best)] + OVERRIDES) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(best) in err and "`last`" in err and "Traceback" not in err
+        assert not out.exists()
+    assert main(["gan-train", "--data", str(pipeline["data"]), "--out", str(tmp_path / "init"),
+                 "--init", str(pipeline["pre"] / "best")] + OVERRIDES
+                + ["--set", "train.gan_epochs=1"]) == 0
+
+
 def test_resume_refuses_a_changed_training_config(tmp_path, pipeline, capsys):
     # A changed lr would be ignored (the checkpoint's Adam state wins) and a
     # changed batch size would leave the uninterrupted trajectory: exit 3
@@ -679,6 +695,31 @@ def test_malformed_metric_table_is_a_parse_error(tmp_path, pipeline, capsys):
         corrupt_cell(metrics / name, line, column, text)
         assert_parse_failure(capsys, ["report", "--metrics", str(metrics),
                                       "--out", str(tmp_path / "report")], line)
+
+
+def test_class_metric_rows_must_agree_with_their_group(tmp_path, pipeline, capsys):
+    # Line 2 is the hr accuracy row and line 3 its first precision row. A
+    # precision row of another seed was rewritten with the group's seed, and a
+    # second accuracy row replaced the first; report exited 0 on both.
+    def other_seed(lines):
+        lines[2] = lines[2][:lines[2].rindex(",")] + ",99"
+
+    def second_accuracy(lines):
+        cells = lines[1].split(",")
+        cells[4] = "0.123"
+        lines.insert(2, ",".join(cells))
+
+    for fault, named in ((other_seed, "seed 99"), (second_accuracy, "repeats its accuracy")):
+        metrics, out = tmp_path / fault.__name__, tmp_path / f"report-{fault.__name__}"
+        shutil.copytree(pipeline["metrics"], metrics)
+        path = metrics / "classification.csv"
+        lines = path.read_text().splitlines()
+        fault(lines)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--metrics", str(metrics), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and err.count("\n") == 1 and named in err
+        assert not out.exists()
 
 
 # Every table a command reads: (what to copy, the table in the copy, the

@@ -18,6 +18,7 @@ from eegsr.gan import (
     generator_loss,
     gradient_penalty,
     load_checkpoint,
+    load_generator,
     pair_arrays,
     train,
 )
@@ -505,5 +506,39 @@ def test_best_checkpoint_tracks_validation(tmp_path):
                        val_pair=val_pair, checkpoint_dir=tmp_path)
     assert result.best_val_mse is not None
     assert (tmp_path / "best").is_dir()
-    best = load_checkpoint(tmp_path / "best")
-    assert best.best_val_mse == result.best_val_mse
+    _, sections = load_generator(tmp_path / "best")
+    assert float(sections["checkpoint"]["best_val_mse"]) == result.best_val_mse
+
+
+def test_best_checkpoint_holds_only_the_generator(tmp_path):
+    # `best` is the selected generator, which sr-infer and --init read;
+    # resuming needs the critic, Adam moments and history that `last` holds.
+    train_pair, val_pair = paired_sets(12, seed=1), paired_sets(8, seed=2)
+    # At lr 1e-3 the last of 3 epochs validates best, at lr 0.1 the first.
+    for lr, best_epoch in ((1e-3, 3), (0.1, 1)):
+        out, validated = tmp_path / f"lr{lr}", []
+
+        def evaluate_and_keep(g, lr_set, hr_set):
+            validated.append([p.data.copy() for p in g.parameters()])
+            return evaluate_mse(g, lr_set, hr_set)
+
+        gen, disc = tiny_models()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gan, "evaluate_mse", evaluate_and_keep)
+            result = run_phase("gan", gen, disc, train_pair, tiny_cfg(gan_epochs=3, lr=lr),
+                               val_pair=val_pair, checkpoint_dir=out)
+        best = out / "best"
+        assert sorted(p.relative_to(best).as_posix() for p in best.rglob("*")
+                      if p.is_file()) == ["generator/manifest.txt", "generator/params.bin",
+                                          "manifest.txt"]
+        best_gen, sections = load_generator(best)
+        assert int(sections["checkpoint"]["epoch"]) == best_epoch
+        assert float(sections["checkpoint"]["best_val_mse"]) == result.best_val_mse
+        for a, b in zip(best_gen.parameters(), validated[best_epoch - 1], strict=True):
+            assert np.array_equal(a.data, b)
+        if best_epoch == 3:
+            for name in ("manifest.txt", "params.bin"):
+                assert (best / "generator" / name).read_bytes() == \
+                    (out / "last" / "generator" / name).read_bytes()
+        with pytest.raises(ParseError, match=r"only a generator.*`last`"):
+            load_checkpoint(best)

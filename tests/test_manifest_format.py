@@ -10,7 +10,7 @@ import numpy as np
 from eegsr.archive import save_epoch_set, save_preprocess_info
 from eegsr.config import TrainConfig, load_config, save_config
 from eegsr.data import NormStats, make_montage
-from eegsr.gan import TrainState, save_checkpoint
+from eegsr.gan import TrainState, save_checkpoint, save_generator
 from eegsr.nn.layers import Model, concat, conv, dense, flatten
 from eegsr.nn.serialize import save_model
 
@@ -154,6 +154,16 @@ seed = 0
 
 """
 
+GENERATOR_CHECKPOINT = """\
+[checkpoint]
+format_version = 2
+phase = gan
+epoch = 3
+fingerprint = 0123456789abcdef
+best_val_mse = 0.3333333333333333
+
+"""
+
 ARCHIVE = """\
 [archive]
 format_version = 2
@@ -216,6 +226,15 @@ def test_checkpoint_manifest_text(tmp_path):
     state.epoch, state.g_steps, state.d_steps, state.best_val_mse = 3, 12, 4, 1 / 3
     save_checkpoint(tmp_path, state, cfg)
     assert (tmp_path / "manifest.txt").read_text() == CHECKPOINT
+
+
+def test_generator_checkpoint_manifest_text(tmp_path):
+    cfg = TrainConfig()
+    state = TrainState.fresh("gan", small_model(), small_model(), cfg,
+                             fingerprint="0123456789abcdef")
+    state.epoch, state.g_steps, state.d_steps, state.best_val_mse = 3, 12, 4, 1 / 3
+    save_generator(tmp_path, state)
+    assert (tmp_path / "manifest.txt").read_text() == GENERATOR_CHECKPOINT
 
 
 def test_archive_manifest_text(tmp_path):
