@@ -195,8 +195,11 @@ def write_features_csv(path, features):
 
 def read_features_csv(path):
     t = table.read(path, FEATURE_HEADER)
-    return FeatureTable(t.parse(slice(len(META_HEADER), None), float, "band power"),
-                        *_read_metadata(t))
+    try:
+        return FeatureTable(t.parse(slice(len(META_HEADER), None), float, "band power"),
+                            *_read_metadata(t))
+    except DataError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_preprocess_info(path, montage, stats, window, stride, seg_len):

@@ -18,6 +18,7 @@ malformed, inconsistent or incompatible, or another OSError.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import archive, bicubic, data, gan, models, psd, report, table
 from .config import load_config, save_config
-from .errors import ArtifactError, ConfigError, EegsrError, NumericAbort, ParseError
+from .errors import ArtifactError, ConfigError, DataError, EegsrError, NumericAbort, ParseError
 from .ini import parse_value
 from .nn.serialize import load_model, save_model
 
@@ -89,12 +90,39 @@ def cmd_preprocess(args, cfg, out):
                                  pp["window"], pp["stride"], pp["seg_len"])
 
 
+# glibc mallopt(3) settings, each value a C int. 32 MiB is glibc's own
+# ceiling for the dynamic mmap threshold; 2**31 - 1 means the heap top is
+# never trimmed in practice.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 2**31 - 1))
+
+
+def keep_freed_heap():
+    """Keep freed heap pages in the process for the next training step.
+
+    Every step frees its graph once its gradients are taken; by default glibc
+    trims the heap top that leaves and the next step faults the same pages
+    back in. Blocks below 32 MiB come from the heap and stay there; larger
+    ones are still mapped and unmapped. Does nothing without `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in HEAP_SETTINGS:
+        mallopt(param, value)
+
+
 def _training_run(args, cfg, out, phase, build):
-    """One training phase, shared by pretrain and gan-train: refuse zero
-    epochs or an archive of another scale or segment shape, continue --resume
-    (a checkpoint of this phase) or start from the (generator, critic) that
-    `build()` returns, load the normalised train and val pairs, train with
-    checkpoints under `out` and write history.csv."""
+    """One training phase, shared by pretrain and gan-train: keep freed heap
+    pages, refuse zero epochs or an archive of another scale or segment
+    shape, continue --resume (a checkpoint of this phase) or start from the
+    (generator, critic) that `build()` returns, load the normalised train and
+    val pairs, train with checkpoints under `out` and write history.csv."""
+    keep_freed_heap()
     disc_cfg = cfg.discriminator_config() if phase == "gan" else None
     epochs_key = f"{phase}_epochs"
     if cfg["train"][epochs_key] < 1:
@@ -120,7 +148,7 @@ def _training_run(args, cfg, out, phase, build):
         return [data.normalize_set(_load_set(args, split, side), stats) for side in ("lr", "hr")]
 
     # No reference to the float64 train pair is kept here, so `train` frees
-    # it once it has its float32 batches.
+    # it once it holds each side's distinct rows in the generator's dtype.
     gan.train(state, pair("train"), train_cfg, pair("val"), checkpoint_dir=out)
     state.history.to_csv(out / "history.csv")
     return state
@@ -176,29 +204,49 @@ def cmd_features(args, cfg, out):
     montage, _, epoching = _info(args)
     group = epoching["window"] // epoching["seg_len"]
 
-    def regrouped(path):  # the archive's segments joined into epochs
-        return data.regroup_segments(archive.load_epoch_set(path), group)
+    def picked(path, layout, rows=None):
+        # The archive's segments on `rows` of its channels (by default the
+        # feature channels among them, in FEATURE_CHANNELS order) joined into
+        # epochs, and those rows. Its channels sit at `layout` in the full
+        # montage; the others are dropped before the regroup copies the rest.
+        segments = archive.load_epoch_set(path)
+        if segments.values.shape[1] != len(layout):
+            raise DataError(f"{path} has {segments.values.shape[1]} channels; the montage "
+                            f"places {len(layout)}")
+        if rows is None:
+            names = segments.channel_labels or ()
+            rows = [names.index(c) for c in psd.FEATURE_CHANNELS if c in names]
+        segments = data.pick_channels(segments, rows)  # a copy: the loaded set goes
+        return data.regroup_segments(segments, group), rows
 
-    def full(split, hr_set):  # `hr_set` with the split's kept channels from --data
-        return data.assemble_channels(regrouped(Path(args.data) / f"{split}_lr"), hr_set,
-                                      montage)
+    def assembled(split):
+        # (table name, set) for each table of the split: its feature channels
+        # in FEATURE_CHANNELS order, the kept ones with the true missing ones
+        # and, given --sr, with the reconstructed ones. The sides are freed
+        # on return, before any table is computed.
+        hr_set, hr_rows = picked(Path(args.data) / f"{split}_hr", montage.hr_indices)
+        lr_set, lr_rows = picked(Path(args.data) / f"{split}_lr", montage.lr_indices)
+        where = dict(zip((lr_set.channel_labels or ()) + (hr_set.channel_labels or ()),
+                         [montage.lr_indices[i] for i in lr_rows]
+                         + [montage.hr_indices[i] for i in hr_rows]))
+        channels = [where[c] for c in psd.FEATURE_CHANNELS if c in where]
+        sets = [(f"{split}_hr", data.assemble_channels(lr_set, hr_set, montage, channels))]
+        if args.sr and split in ("val", "test"):
+            pred = picked(Path(args.sr) / split, montage.hr_indices, hr_rows)[0]
+            pred = replace(pred, channel_labels=hr_set.channel_labels)
+            sets.append((f"{split}_sr", data.assemble_channels(lr_set, pred, montage, channels)))
+        return sets
 
     # Build every table before writing any: a failing split leaves none behind.
-    # Each loaded archive goes once regrouped, each regrouped set once assembled.
-    tables = []
-    for split in ("train", "val", "test"):
-        full_hr = full(split, regrouped(Path(args.data) / f"{split}_hr"))
-        tables.append((f"{split}_hr", psd.epoch_features(full_hr)))
-        if args.sr and split in ("val", "test"):
-            hr_labels = [full_hr.channel_labels[i] for i in montage.hr_indices]
-            pred = replace(regrouped(Path(args.sr) / split), channel_labels=hr_labels)
-            tables.append((f"{split}_sr", psd.epoch_features(full(split, pred))))
+    tables = [(name, psd.epoch_features(full)) for split in ("train", "val", "test")
+              for name, full in assembled(split)]
     for name, features in tables:
         archive.write_features_csv(out / f"{name}.csv", features)
         print(f"features {name}: {len(features)} epochs")
 
 
 def cmd_train_clf(args, cfg, out):
+    keep_freed_heap()
     x, labels = archive.read_features_csv(Path(args.features) / "train_hr.csv").labelled()
     scaler = psd.FeatureScaler.fit(x)
     clf_cfg = cfg.classifier_config()

@@ -404,41 +404,53 @@ def make_montage(n_channels, scale):
     return MontageSplit(n_channels=n_channels, scale=scale, lr_indices=lr, hr_indices=hr)
 
 
+def pick_channels(epoch_set, rows):
+    """The set's channels at `rows`, with their labels; a view of the set
+    when the rows are evenly spaced and the set is read-only."""
+    names, index = epoch_set.channel_labels, _view_index(rows)
+    # `take` copies into C order, where a list index gives a strided copy
+    # that the set would copy again.
+    values = (epoch_set.values[:, index] if isinstance(index, slice)
+              else epoch_set.values.take(index, axis=1))
+    return replace(epoch_set, values=values,
+                   channel_labels=tuple(names[i] for i in rows) if names else None)
+
+
 def downsample_set(epoch_set, montage):
     """Split a full-layout set into kept-channel and missing-channel sets;
     returns (lr_set, hr_set)."""
-    names = epoch_set.channel_labels
-
-    def part(rows):
-        return replace(epoch_set, values=epoch_set.values[:, _view_index(rows)],
-                       channel_labels=tuple(names[i] for i in rows) if names else None)
-
-    return part(montage.lr_indices), part(montage.hr_indices)
+    return pick_channels(epoch_set, montage.lr_indices), pick_channels(epoch_set,
+                                                                       montage.hr_indices)
 
 
-def assemble_channels(lr_set, hr_set, montage):
-    """Scatter kept and reconstructed channels back to the full layout.
+def assemble_channels(lr_set, hr_set, montage, channels=None):
+    """Scatter kept and reconstructed channels back to the full layout, or,
+    given `channels` (full-layout indices), to those channels alone in that
+    order: then each set holds only its channels among them, in that order.
 
     The rows of the two sets must align; the result has the metadata of
     `lr_set`, and channel labels when both sets carry them.
     """
+    channels = range(montage.n_channels) if channels is None else channels
+    lr_at = [k for k, i in enumerate(channels) if i in montage.lr_indices]
+    hr_at = [k for k, i in enumerate(channels) if i in montage.hr_indices]
     (n, c_lr, t), (n_hr, c_hr, t_hr) = lr_set.values.shape, hr_set.values.shape
-    if c_lr != montage.n_lr:
-        raise DataError(f"lr set has {c_lr} channels, expected {montage.n_lr}")
-    if c_hr != montage.n_hr:
-        raise DataError(f"hr set has {c_hr} channels, expected {montage.n_hr}")
+    if c_lr != len(lr_at):
+        raise DataError(f"lr set has {c_lr} channels, expected {len(lr_at)}")
+    if c_hr != len(hr_at):
+        raise DataError(f"hr set has {c_hr} channels, expected {len(hr_at)}")
     if (n, t) != (n_hr, t_hr):
         raise DataError(f"lr and hr sets differ in epochs or samples: {(n, t)} vs {(n_hr, t_hr)}")
     check_aligned(lr_set, hr_set)
-    full = np.empty((n, montage.n_channels, t), dtype=np.float64)
-    full[:, list(montage.lr_indices)] = lr_set.values
-    full[:, list(montage.hr_indices)] = hr_set.values
+    full = np.empty((n, len(channels), t), dtype=np.float64)
+    full[:, lr_at] = lr_set.values
+    full[:, hr_at] = hr_set.values
     names = None
     if lr_set.channel_labels is not None and hr_set.channel_labels is not None:
-        names = [""] * montage.n_channels
-        for indices, part in ((montage.lr_indices, lr_set), (montage.hr_indices, hr_set)):
-            for i, name in zip(indices, part.channel_labels):
-                names[i] = name
+        names = [""] * len(channels)
+        for at, part in ((lr_at, lr_set), (hr_at, hr_set)):
+            for k, name in zip(at, part.channel_labels):
+                names[k] = name
     return replace(lr_set, values=full, channel_labels=names)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import table
 from .config import TrainConfig
-from .data import check_aligned
+from .data import check_aligned, distinct_rows
 from .errors import ConfigError, DataError, NumericAbort, ParseError
 from .ini import from_section, read, section_of, write
 from .models import DISC_FINAL_STRIDE, sr_predict_set
@@ -99,12 +99,11 @@ class LossHistory:
         return cls(LossRecord(step, *row) for step, row in zip(steps, losses))
 
 
-def pair_arrays(lr_set, hr_set, gen):
-    """Stack an aligned (lr, hr) pair of epoch sets into 4-D batches for `gen`.
-
-    The one check of training and validation segments: (channels, samples)
-    must be the generator's input and output shapes, so no loss or layer meets another.
-    """
+def check_pair(lr_set, hr_set, gen):
+    """The one check of training and validation segments, which allocates no
+    copy of them: the pair is aligned and not empty, and (channels, samples)
+    are the generator's input and output shapes, so no loss or layer meets
+    another."""
     check_aligned(lr_set, hr_set)
     if len(lr_set) == 0:
         raise DataError(f"{lr_set.split} pair of epoch sets is empty")
@@ -112,9 +111,17 @@ def pair_arrays(lr_set, hr_set, gen):
         if s.values.shape[1:] != want[1:]:
             raise DataError(f"{s.split} {side} segments of shape {s.values.shape[1:]} do not "
                             f"match the generator's {side} shape {want[1:]}")
-    x = lr_set.values.astype(gen.dtype)[:, None]
-    y = hr_set.values.astype(gen.dtype)[:, None]
-    return x, y
+
+
+def pair_arrays(lr_set, hr_set, gen):
+    """The training pair of a checked (lr, hr) pair of epoch sets: for each
+    side, its distinct rows (`distinct_rows`) as 4-D batches in the
+    generator's dtype, and the index of each row among them. Overlapping
+    epochs repeat a segment in up to eight rows, so the pair holds each
+    once; `x[index[sel]]` gathers the bits of the whole side cast."""
+    check_pair(lr_set, hr_set, gen)
+    return [(distinct.astype(gen.dtype)[:, None], index)
+            for distinct, index in (distinct_rows(lr_set.values), distinct_rows(hr_set.values))]
 
 
 def config_fingerprint(gen_cfg, disc_cfg=None, dtype=np.float32, loss_mode="wgan_gp"):
@@ -251,11 +258,11 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
     n_epochs = cfg.pretrain_epochs if phase == "pretrain" else cfg.gan_epochs
     gen, disc = state.gen, state.disc
 
-    x, y = pair_arrays(*train_pair, gen)
-    del train_pair  # training reads only x and y: a caller keeping no reference frees the sets
+    (x, x_index), (y, y_index) = pair_arrays(*train_pair, gen)
+    del train_pair  # training reads only the pair: a caller keeping no reference frees the sets
     if val_pair is not None:  # refused here, not after the first epoch
-        pair_arrays(val_pair[0], val_pair[1], gen)
-    n = x.shape[0]
+        check_pair(*val_pair, gen)
+    n = len(x_index)
     g_params = gen.parameters()
     d_params = disc.parameters() if disc is not None else None
     # Rows between critic updates repeat the last critic values, so every
@@ -272,7 +279,7 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
         order = state.data_rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
-            xb, yb = x[sel], y[sel]
+            xb, yb = x[x_index[sel]], y[y_index[sel]]
 
             adv_w = cfg.adv_weight if phase == "gan" else 0.0
             total, adv, mse = generator_loss(

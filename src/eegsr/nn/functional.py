@@ -1,7 +1,7 @@
 """Network-level operations composed from autodiff primitives.
 
 Nothing here checks its input: `layers.Model` checks a stack when it is
-built and each batch where its forward pass starts, and `gan.pair_arrays`
+built and each batch where its forward pass starts, and `gan.check_pair`
 checks training targets against the generator's output shape.
 """
 from __future__ import annotations

@@ -47,14 +47,25 @@ def welch_psd(x, fs):
         raise DataError(f"signal of shape {x.shape} is shorter than one {n}-sample segment")
     window = hann_periodic(n)
     scale = 1.0 / (fs * float(window @ window))
-    segments = np.lib.stride_tricks.sliding_window_view(x, n, axis=-1)[..., ::WELCH_STEP, :]
+    starts = range(0, x.shape[-1] - n + 1, WELCH_STEP)
+    # One segment of every signal at a time, added to a running total: only
+    # one segment's transform is held, and the batched result matches a
+    # per-signal loop bit for bit.
+    total = _periodogram(x[..., :n], window, scale)
+    for start in starts[1:]:
+        total += _periodogram(x[..., start : start + n], window, scale)
+    return np.fft.rfftfreq(n, d=1.0 / fs), total / len(starts)
+
+
+def _periodogram(segments, window, scale):
+    """|rfft(window * segment)|^2 * scale along the last axis, doubled at
+    non-DC, non-Nyquist bins: one Welch segment of each signal."""
     spec = np.fft.rfft(window * segments, axis=-1)
-    p = (spec.real**2 + spec.imag**2) * scale
+    p = spec.real**2
+    p += spec.imag**2
+    p *= scale
     p[..., 1:-1] *= 2.0
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    # The reduction adds segment after segment, like a running total, so the
-    # batched result matches a per-signal loop bit for bit.
-    return freqs, p.sum(axis=-2) / segments.shape[-2]
+    return p
 
 
 @dataclass
@@ -72,8 +83,11 @@ class FeatureTable:
         if self.values.ndim != 2 or self.values.shape[1] != N_FEATURES:
             raise DataError(f"feature rows must have shape (n, {N_FEATURES}), "
                             f"got {self.values.shape}")
-        if (self.values < 0).any():
-            raise DataError("band powers cannot be negative")
+        bad = np.argwhere(~np.isfinite(self.values) | (self.values < 0))
+        if bad.size:
+            row, col = bad[0]
+            raise DataError(f"band powers must be finite and not negative; epoch {row} has "
+                            f"{float(self.values[row, col])!r} at feature {col}")
         self.labels, self.subject_ids, self.origins = metadata_columns(
             len(self), self.labels, self.subject_ids, self.origins)
 
@@ -90,7 +104,8 @@ class FeatureTable:
 
 
 def epoch_features(epoch_set):
-    """Band-power table of a full-layout, fully reassembled set.
+    """Band-power table of a set that holds every feature channel: a
+    full-layout set, or the feature channels alone.
 
     Row i holds epoch i's 96 powers: channels in FEATURE_CHANNELS order,
     within each channel the 8-30 Hz bins in ascending frequency. Requires a
@@ -103,7 +118,9 @@ def epoch_features(epoch_set):
     if missing:
         raise DataError(f"epoch set lacks required channels: {missing}")
     rows = [names.index(c) for c in FEATURE_CHANNELS]
-    freqs, power = welch_psd(epoch_set.values[:, rows], epoch_set.fs)
+    # A set of the feature channels alone, in their order, is read in place.
+    values = epoch_set.values if rows == list(range(len(names))) else epoch_set.values[:, rows]
+    freqs, power = welch_psd(values, epoch_set.fs)
     hits = [np.flatnonzero(np.isclose(freqs, f)) for f in BAND_FREQS]
     absent = [f for f, h in zip(BAND_FREQS, hits) if not h.size]
     if absent:

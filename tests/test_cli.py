@@ -1,15 +1,17 @@
 """End-to-end command-line pipeline at toy scale, plus exit-code contract."""
 import csv
+import ctypes
 import json
 import re
 import shutil
+import types
 
 import numpy as np
 import pytest
 
-from eegsr import archive, gan, ini, models, psd
+from eegsr import archive, cli, gan, ini, models, psd
 from eegsr.archive import FEATURE_HEADER, read_features_csv, write_features_csv
-from eegsr.cli import COMMANDS, main
+from eegsr.cli import COMMANDS, HEAP_SETTINGS, main
 from eegsr.errors import ParseError
 from eegsr.psd import FeatureTable
 
@@ -455,6 +457,67 @@ def test_classifier_class_ids_are_checked(tmp_path, pipeline, capsys, ids, named
     assert err.count("\n") == 1 and not (tmp_path / "metrics").exists()
 
 
+def test_heap_settings_fit_a_c_int():
+    # ctypes truncates a wider value without a word: 1 << 40 would pass 0.
+    for param, value in HEAP_SETTINGS:
+        assert ctypes.c_int(param).value == param
+        assert ctypes.c_int(value).value == value
+
+
+def test_the_training_commands_and_only_they_keep_freed_heap(tmp_path, pipeline, monkeypatch):
+    # Each training step frees its graph; trimmed, the next step faults the
+    # same pages in again. The other commands keep glibc's defaults.
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    p = {key: str(path) for key, path in pipeline.items()}
+
+    def out(name):
+        return ["--out", str(tmp_path / name)]
+
+    commands = [["synth"] + out("rec.csv"),
+                ["preprocess", "--recording", p["rec"]] + out("data"),
+                ["pretrain", "--data", p["data"]] + out("pre"),
+                ["gan-train", "--data", p["data"], "--init", str(pipeline["pre"] / "last")]
+                + out("adv"),
+                ["baseline", "--data", p["data"]] + out("base"),
+                ["sr-infer", "--data", p["data"], "--checkpoint", str(pipeline["adv"] / "best")]
+                + out("sr"),
+                ["features", "--data", p["data"], "--sr", p["sr"]] + out("feats"),
+                ["train-clf", "--features", p["feats"]] + out("clf"),
+                ["evaluate", "--data", p["data"], "--baseline", p["base"], "--sr", p["sr"],
+                 "--features", p["feats"], "--classifier", p["clf"]] + out("metrics")]
+    assert [c[0] for c in commands] == list(COMMANDS)[:-1]
+    for argv in commands + [["report", "--metrics", p["metrics"]] + out("report")]:
+        calls.clear()
+        assert main(argv + (OVERRIDES if argv[0] != "report" else [])) == 0, argv[0]
+        training = argv[0] in ("pretrain", "gan-train", "train-clf")
+        assert calls == (list(HEAP_SETTINGS) if training else []), argv[0]
+
+
+def test_features_holds_less_than_one_full_train_set(tmp_path, pipeline):
+    # features reads 8 of the 32 channels. It regrouped and assembled all 32
+    # of every epoch, with both loaded archives and their regrouped copies
+    # alive beside the assembled set: a traced peak of 2.1x the 32-channel
+    # train set here. Picking the 8 before the regroup, assembling them
+    # alone and transforming one Welch segment at a time leave 0.8x.
+    lr = archive.load_epoch_set(pipeline["data"] / "train_lr")
+    hr = archive.load_epoch_set(pipeline["data"] / "train_hr")
+    full_train = lr.values.nbytes + hr.values.nbytes
+    del lr, hr
+    rc, peak = peak_bytes(lambda: main(["features", "--data", str(pipeline["data"]),
+                                        "--sr", str(pipeline["sr"]),
+                                        "--out", str(tmp_path / "feats")] + OVERRIDES))
+    assert rc == 0 and peak < full_train, (peak, full_train)
+    for name in ("train_hr", "val_hr", "test_hr", "val_sr", "test_sr"):
+        path = f"{name}.csv"
+        assert (tmp_path / "feats" / path).read_bytes() == (pipeline["feats"] / path).read_bytes()
+
+
 def test_unwritable_output_is_a_one_line_error(tmp_path, pipeline, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -668,6 +731,32 @@ def test_corrupt_feature_table_is_a_parse_error(tmp_path, pipeline, capsys):
         corrupt_cell(feats / "train_hr.csv", line, column, text)
         assert_parse_failure(capsys, ["train-clf", "--features", str(feats),
                                       "--out", str(tmp_path / "clf")] + OVERRIDES, line)
+
+
+# Each feature table and the command that reads it. A nan or inf power made
+# train-clf exit 0 with a nan classifier, and evaluate score its row.
+FEATURE_READERS = {
+    "train_hr.csv": lambda p, f: ["train-clf", "--features", str(f)],
+    "test_hr.csv": lambda p, f: ["evaluate", "--data", str(p["data"]), "--features", str(f),
+                                 "--classifier", str(p["clf"])],
+    "test_sr.csv": lambda p, f: ["evaluate", "--data", str(p["data"]), "--features", str(f),
+                                 "--classifier", str(p["clf"])],
+}
+
+
+@pytest.mark.parametrize("power", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("name", sorted(FEATURE_READERS))
+def test_a_band_power_that_is_not_finite_or_is_negative_is_refused(tmp_path, pipeline, capsys,
+                                                                    name, power):
+    feats, out = tmp_path / "feats", tmp_path / "out"
+    shutil.copytree(pipeline["feats"], feats)
+    corrupt_cell(feats / name, 3, len(FEATURE_HEADER) - 2, power)
+    capsys.readouterr()
+    assert main(FEATURE_READERS[name](pipeline, feats) + ["--out", str(out)] + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {feats / name}: band powers must be finite and not negative")
+    assert f"epoch 1 has {float(power)!r}" in err and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_malformed_sampling_rate_is_a_parse_error(tmp_path, pipeline, capsys):

@@ -25,7 +25,7 @@ from eegsr.gan import (
 from eegsr.models import DiscriminatorConfig, GeneratorConfig, build_discriminator, build_generator
 from eegsr.nn.layers import Model, dense, flatten
 
-from helpers import epoch_set
+from helpers import epoch_set, peak_bytes, same_bits
 
 RNG = np.random.default_rng(20260808)
 
@@ -316,39 +316,107 @@ def test_training_drops_each_step_graph(monkeypatch):
 def test_pair_arrays_validates_alignment():
     gen, _ = tiny_models()
     lr, hr = paired_sets(4)
-    hr.origins[2] += 1
-    with pytest.raises(DataError, match="misaligned at epoch 2"):
-        pair_arrays(lr, hr, gen)
-    hr.origins[2] -= 1
-    hr.subject_ids[3] = "s02"
-    with pytest.raises(DataError, match="misaligned at epoch 3"):
-        pair_arrays(lr, hr, gen)
+    for check in (gan.check_pair, pair_arrays):
+        hr.origins[2] += 1
+        with pytest.raises(DataError, match="misaligned at epoch 2"):
+            check(lr, hr, gen)
+        hr.origins[2] -= 1
+        hr.subject_ids[3] = "s02"
+        with pytest.raises(DataError, match="misaligned at epoch 3"):
+            check(lr, hr, gen)
+        hr.subject_ids[3] = "s01"
 
 
 def test_pair_arrays_refuses_segments_of_another_shape():
     # The generator reads 4 x 8 segments and writes 4 x 8.
     gen, _ = tiny_models()
     lr, hr = paired_sets(3)
-    for side, lr_values, hr_values in (("lr", lr.values[:, :2], hr.values),
-                                       ("hr", lr.values, hr.values[:, :, :4])):
-        with pytest.raises(DataError, match=f"unsplit {side} segments of shape"):
-            pair_arrays(replace(lr, values=lr_values), replace(hr, values=hr_values), gen)
+    for check in (gan.check_pair, pair_arrays):
+        for side, lr_values, hr_values in (("lr", lr.values[:, :2], hr.values),
+                                           ("hr", lr.values, hr.values[:, :, :4])):
+            with pytest.raises(DataError, match=f"unsplit {side} segments of shape"):
+                check(replace(lr, values=lr_values), replace(hr, values=hr_values), gen)
+
+
+def test_check_pair_allocates_no_copy_of_the_pair():
+    # The val pair is only checked: a cast of both sides, thrown away, was
+    # 2 x 32 KiB here.
+    gen, _ = tiny_models(dtype=np.float32)
+    lr, hr = paired_sets(256)
+    _, peak = peak_bytes(lambda: gan.check_pair(lr, hr, gen))
+    assert peak < lr.values.nbytes / 16, peak
+
+
+def repeated_pair(rows):
+    """`paired_sets` rows repeated in the order of `rows`, each repeat at the
+    origin of its row, as overlapping epochs repeat a segment."""
+    lr, hr = paired_sets(max(rows) + 1)
+    origins = lr.origins[rows]
+    return (epoch_set(lr.values[rows], label=2, origins=origins),
+            epoch_set(hr.values[rows], label=2, origins=origins))
+
+
+class RecordingRng:
+    """A numpy Generator that keeps every permutation it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.orders = rng, []
+
+    def permutation(self, n):
+        self.orders.append(self.rng.permutation(n))
+        return self.orders[-1]
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_training_pair_holds_distinct_rows_and_gathers_every_batch(monkeypatch):
+    rows = [0, 1, 0, 2, 1, 3, 4, 0, 2, 2, 1, 4, 4, 3]  # 14 rows, 5 distinct
+    lr, hr = repeated_pair(rows)
+    gen, disc = tiny_models(dtype=np.float32)
+    (x, x_index), (y, y_index) = pair_arrays(lr, hr, gen)
+    held = sum((a if a.base is None else a.base).nbytes for a in (x, x_index, y, y_index))
+    row_bytes = 4 * 8 * np.dtype(np.float32).itemsize
+    assert held <= 2 * 5 * row_bytes + 2 * len(rows) * x_index.itemsize, held
+
+    batches, pairs = [], []
+    real_loss, real_pair = gan.generator_loss, gan.pair_arrays
+
+    def recording_loss(gen, disc, lr_batch, hr_batch, *args):
+        batches.append((lr_batch.copy(), hr_batch.copy()))
+        return real_loss(gen, disc, lr_batch, hr_batch, *args)
+
+    def recording_pair(*args):
+        pairs.append(args)
+        return real_pair(*args)
+
+    monkeypatch.setattr(gan, "generator_loss", recording_loss)
+    monkeypatch.setattr(gan, "pair_arrays", recording_pair)
+    cfg = tiny_cfg(gan_epochs=2, batch_size=4, training_ratio=2)
+    state = TrainState.fresh("gan", gen, disc, cfg)
+    state.data_rng = RecordingRng(state.data_rng)
+    train(state, (lr, hr), cfg, val_pair=repeated_pair([1, 1, 0]))
+    # Only the train pair is cast; the val pair is only checked.
+    assert len(pairs) == 1
+    whole_x, whole_y = (s.values.astype(np.float32)[:, None] for s in (lr, hr))
+    expected = [(whole_x[sel], whole_y[sel]) for order in state.data_rng.orders
+                for sel in np.array_split(order, range(4, len(rows), 4))]
+    assert len(batches) == len(expected) == 8
+    for (xb, yb), (want_x, want_y) in zip(batches, expected):
+        assert same_bits(xb, want_x) and same_bits(yb, want_y)
 
 
 def test_evaluate_mse_matches_direct_computation():
     gen, _ = tiny_models()
     lr, hr = paired_sets(6)
     got = evaluate_mse(gen, lr, hr)
-    x, y = pair_arrays(lr, hr, gen)
+    (x, x_index), (y, y_index) = pair_arrays(lr, hr, gen)
     from eegsr.nn.tensor import Tensor, no_grad
 
     with no_grad():
-        pred = gen.forward(Tensor(x)).data
-    expected = float(((pred - y) ** 2).mean())
+        pred = gen.forward(Tensor(x[x_index])).data
+    expected = float(((pred - y[y_index]) ** 2).mean())
     assert abs(got - expected) < 1e-12
-
-
-# -- history and checkpoints --
 
 
 def test_history_csv_round_trip_exact(tmp_path):

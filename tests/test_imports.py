@@ -231,7 +231,7 @@ def test_raises_outside_are_found():
 def test_layer_operations_and_primitives_check_nothing():
     """A value is checked once, where it enters: a stack by `LayerSpec` and
     `infer_shapes`, a batch by `Model.forward`, training segments by
-    `gan.pair_arrays`, a gradient's output by `grad`. Behind those entries
+    `gan.check_pair`, a gradient's output by `grad`. Behind those entries
     the layer operations, losses and autodiff primitives check nothing."""
     nn = ROOT / "src" / "eegsr" / "nn"
     found = [f"{name}:{line}" for name, allowed in (("functional.py", ()), ("tensor.py", ("grad",)))

@@ -170,6 +170,14 @@ def test_feature_matrix_stacks_and_validates():
         FeatureTable(x[:, :95], labels, ["s01", "s01"], [0, 1])
 
 
+@pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf, -1.0])
+def test_feature_table_refuses_a_power_that_is_not_finite_or_is_negative(power):
+    x = RNG.exponential(size=(3, 96))
+    x[1, 17] = power
+    with pytest.raises(DataError, match=f"epoch 1 has {power!r} at feature 17"):
+        FeatureTable(x, [2, 3, 7], ["s01"] * 3, [0, 1, 2])
+
+
 def separable_features(n_per_class, seed=0):
     rng = np.random.default_rng(seed)
     xs, ys = [], []

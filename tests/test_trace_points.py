@@ -65,6 +65,25 @@ def test_runner_dispatches_through_the_patched_command(tmp_path):
     assert summary["archive.save_recording"]["calls"] == 1
 
 
+def test_a_features_run_records_its_assembly(tmp_path):
+    # `data.assemble_channels` is a per-layer row of the benchmark: a
+    # features that stopped calling it would drop that row without a word.
+    overrides = ["--set", "synth.n_samples=1216", "--set", "synth.label_block=256"]
+    rec, data, feats = tmp_path / "rec.csv", tmp_path / "data", tmp_path / "feats"
+    assert cli.main(["synth", "--out", str(rec)] + overrides) == 0
+    assert cli.main(["preprocess", "--recording", str(rec), "--out", str(data)] + overrides) == 0
+    tracer = load_tracer()
+    trace = tracer.install("test")
+    try:
+        rc = cli.main(["features", "--data", str(data), "--out", str(feats)] + overrides)
+    finally:
+        trace.uninstall()
+    assert rc == 0
+    summary = tracer.summarize(trace.spans)
+    assert summary["data.assemble_channels"]["calls"] == 3  # one per split
+    assert summary["psd.epoch_features"]["calls"] == 3
+
+
 def test_conv_gmac_of_a_model_weight_is_exact():
     # The tracer reads a conv's MACs off the weight's shape, so a Model conv
     # weight keeps its OIHW shape (co, ci, kh, kw) whatever its memory order.
