@@ -8,15 +8,16 @@ feature tables as one CSV of the same metadata columns plus the band
 powers. Overlapping windows repeat segments, so the value file holds each
 bytewise-distinct row once, in order of first appearance (`n_distinct` in
 the manifest), and the metadata CSV names in its archive-only `value_row`
-column the distinct row each of its `n_epochs` rows holds. An archive of
-another format version is refused. Every CSV is written and read through
-`eegsr.table`, floats by repr, so a write/read cycle is value-exact. The
-archive manifest and `info.txt` are INI text in the format of `eegsr.ini`,
-with `MontageSplit` and `NormStats` mapped field by field; the value file
-is read and written by `eegsr.nn.serialize`. A missing file raises the
-OSError that opening it raises; corrupt content (a malformed table or
-manifest, a value file of the wrong size, a `value_row` that names no
-distinct row or a distinct row that no row names) raises ParseError.
+column the distinct row each of its `n_epochs` rows holds; a loaded set
+keeps them as `values` and `index`. An archive of another format version
+is refused. Every CSV is written and read through `eegsr.table`, floats
+by repr, so a write/read cycle is value-exact. The archive manifest and
+`info.txt` are INI text in the format of `eegsr.ini`, with `MontageSplit`
+and `NormStats` mapped field by field; the value file is read and written
+by `eegsr.nn.serialize`. A missing file raises the OSError that opening it
+raises; corrupt content (a malformed table or manifest, a value file of
+the wrong size, a `value_row` that names no distinct row or a distinct
+row that no row names) raises ParseError.
 """
 from __future__ import annotations
 
@@ -110,12 +111,13 @@ def _read_metadata(t):
 
 def save_epoch_set(directory, epoch_set):
     """Persist an epoch set: manifest.txt + values.bin (its distinct rows) +
-    meta.csv (every row, with the distinct row it holds)."""
+    meta.csv (every row, with the distinct row it holds), found anew from
+    every row's bytes whatever `index` the set carries."""
     if not len(epoch_set):
         raise DataError("refusing to archive an empty epoch set")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    values = epoch_set.values
+    values = epoch_set.rows()
     distinct, index = distinct_rows(values)
     write(directory / "manifest.txt", {"archive": {
         "format_version": FORMAT_VERSION,
@@ -135,8 +137,8 @@ def save_epoch_set(directory, epoch_set):
 
 
 def load_epoch_set(directory):
-    """Rebuild an epoch set from save_epoch_set output: C-ordered, bit for bit
-    the set that was saved."""
+    """Rebuild a saved epoch set: its distinct rows, C-ordered, as `values` and
+    `value_row` as `index`, so that `rows()` is bit for bit the rows saved."""
     directory = Path(directory)
     manifest = directory / "manifest.txt"
     try:
@@ -150,7 +152,6 @@ def load_epoch_set(directory):
         n_distinct = int(head["n_distinct"])
         if not 0 <= n_distinct <= shape[0]:
             raise ValueError(f"n_distinct {n_distinct} outside [0, n_epochs]")
-        values = np.empty(shape, dtype)
         fs = float(head["fs"])
         split = head["split"]
         if head["has_channel_labels"] == "1":
@@ -160,8 +161,7 @@ def load_epoch_set(directory):
             channel_labels = None
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{manifest}: corrupt archive manifest ({exc})") from exc
-    # The distinct rows are read into the leading rows of the set.
-    read_arrays(directory / "values.bin", [(n_distinct,) + shape[1:]], dtype, into=values)
+    (values,) = read_arrays(directory / "values.bin", [(n_distinct,) + shape[1:]], dtype)
     t = table.read(directory / "meta.csv", ARCHIVE_HEADER)
     if len(t.cells) != shape[0]:
         raise ParseError(
@@ -178,13 +178,8 @@ def load_epoch_set(directory):
     unnamed = np.flatnonzero(np.bincount(index, minlength=n_distinct) == 0)
     if unnamed.size:
         raise ParseError(f"{t.path}: no row names distinct row {unnamed[0]} of values.bin")
-    # From the last row back, each row's distinct row is still in place:
-    # index[i] <= i, and only rows after i have been overwritten.
-    for i in range(len(index) - 1, -1, -1):
-        if index[i] != i:
-            values[i] = values[index[i]]
     return EpochSet(values, labels, subject_ids, origins,
-                    split=split, fs=fs, channel_labels=channel_labels)
+                    split=split, fs=fs, channel_labels=channel_labels, index=index)
 
 
 def write_features_csv(path, features):

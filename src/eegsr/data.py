@@ -98,7 +98,7 @@ class EpochSet:
     """Same-shaped epochs as one (n, channels, samples) array plus per-row
     metadata columns: class label (`labels` is None for an unlabelled set),
     subject id, and origin, the sample index where the row starts in its
-    subject's recording."""
+    subject's recording. Given an `index`, row i is `values[index[i]]`."""
 
     values: np.ndarray
     labels: np.ndarray | None
@@ -107,6 +107,7 @@ class EpochSet:
     split: str = "unsplit"
     fs: float = 512.0
     channel_labels: tuple[str, ...] | None = None
+    index: np.ndarray | None = None
 
     def __post_init__(self):
         if self.split not in SPLITS:
@@ -132,7 +133,11 @@ class EpochSet:
                 raise DataError("channel label count does not match epoch channel count")
 
     def __len__(self):
-        return self.values.shape[0]
+        return len(self.values if self.index is None else self.index)
+
+    def rows(self):
+        """Every row in order: `values`, or a copy of `values[index]`."""
+        return self.values if self.index is None else self.values[self.index]
 
 
 def _view_index(indices):
@@ -162,10 +167,10 @@ def distinct_rows(values):
 
 
 def _rows(epoch_set, rows):
-    """The metadata columns of the given rows, as keyword arguments of
-    dataclasses.replace."""
+    """The metadata columns of the given rows, and no index, as keyword
+    arguments of dataclasses.replace."""
     labels = epoch_set.labels
-    return {"labels": None if labels is None else labels[rows],
+    return {"labels": None if labels is None else labels[rows], "index": None,
             "subject_ids": epoch_set.subject_ids[rows], "origins": epoch_set.origins[rows]}
 
 
@@ -351,7 +356,7 @@ def segment_epochs(epoch_set, seg_len=64):
 
 def regroup_segments(segment_set, group_size):
     """Invert segment_epochs: join each run of group_size segments in order."""
-    n, c, seg_len = segment_set.values.shape
+    n, (c, seg_len) = len(segment_set), segment_set.values.shape[1:]
     if n == 0 or n % group_size != 0:
         raise DataError(f"{n} segments do not regroup evenly by {group_size}")
     groups = n // group_size
@@ -367,7 +372,7 @@ def regroup_segments(segment_set, group_size):
         g = bad[0]
         what = "mix subjects or labels" if mixed[g] else "are not contiguous in time"
         raise DataError(f"group {g}: segments {what}")
-    values = segment_set.values.reshape(groups, group_size, c, seg_len).transpose(0, 2, 1, 3)
+    values = segment_set.rows().reshape(groups, group_size, c, seg_len).transpose(0, 2, 1, 3)
     return replace(segment_set, values=values.reshape(groups, c, group_size * seg_len),
                    **_rows(segment_set, slice(None, None, group_size)))
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import table
 from .config import TrainConfig
-from .data import check_aligned, distinct_rows
+from .data import check_aligned
 from .errors import ConfigError, DataError, NumericAbort, ParseError
 from .ini import from_section, read, section_of, write
 from .models import DISC_FINAL_STRIDE, sr_predict_set
@@ -115,13 +115,12 @@ def check_pair(lr_set, hr_set, gen):
 
 def pair_arrays(lr_set, hr_set, gen):
     """The training pair of a checked (lr, hr) pair of epoch sets: for each
-    side, its distinct rows (`distinct_rows`) as 4-D batches in the
-    generator's dtype, and the index of each row among them. Overlapping
-    epochs repeat a segment in up to eight rows, so the pair holds each
-    once; `x[index[sel]]` gathers the bits of the whole side cast."""
+    side, its stored rows (a loaded set's distinct rows) as 4-D batches in the
+    generator's dtype and the set's index, each row its own without one, so
+    that `x[index[sel]]` gathers the bits of the whole side cast."""
     check_pair(lr_set, hr_set, gen)
-    return [(distinct.astype(gen.dtype)[:, None], index)
-            for distinct, index in (distinct_rows(lr_set.values), distinct_rows(hr_set.values))]
+    return [(s.values.astype(gen.dtype)[:, None],
+             np.arange(len(s)) if s.index is None else s.index) for s in (lr_set, hr_set)]
 
 
 def config_fingerprint(gen_cfg, disc_cfg=None, dtype=np.float32, loss_mode="wgan_gp"):

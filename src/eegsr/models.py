@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import distinct_rows
 from .errors import DataError
 from .nn.layers import Model, concat, conv, dense, flatten, upsample
 from .nn.tensor import Tensor, no_grad
@@ -182,24 +181,23 @@ def build_classifier(cfg, seed=0, dtype=np.float32):
 def sr_predict_set(gen, lr_set):
     """Chunked inference over a set of kept-channel segments.
 
-    Each bytewise-distinct segment runs once: a segment's reconstruction
-    does not depend on the segments batched with it, so its repeats take its
-    result. Each chunk holds as many segments (at least one) as fit the
-    layer outputs of their forward pass into INFER_BYTES, and is cast to the
-    generator's dtype on its own. Returns a set of reconstructed
-    missing-channel segments with the metadata of `lr_set` and no channel
-    labels. Inference mode is deterministic.
+    Each stored row of `lr_set` runs once, so a loaded set predicts each
+    distinct segment once: a segment's reconstruction does not depend on the
+    segments batched with it. Each chunk holds as many segments (at least
+    one) as fit the layer outputs of their forward pass into INFER_BYTES,
+    and is cast to the generator's dtype on its own. Returns a set of
+    reconstructed missing-channel segments with the metadata and index of
+    `lr_set` and no channel labels. Inference mode is deterministic.
     """
     if lr_set.values.shape[1:] != gen.input_shape[1:]:
         raise DataError(f"segment shape {lr_set.values.shape[1:]} does not match generator "
                         f"{gen.input_shape[1:]}")
     per_segment = sum(int(np.prod(s)) for s in gen.shapes) * gen.dtype.itemsize
     chunk = max(1, INFER_BYTES // per_segment)
-    vals, index = distinct_rows(lr_set.values)
+    vals = lr_set.values
     pred = np.empty((len(vals),) + gen.shapes[-1][1:])
     with no_grad():
         for lo in range(0, len(vals), chunk):
             x = Tensor(vals[lo : lo + chunk, None].astype(gen.dtype))
             pred[lo : lo + chunk] = gen.forward(x, training=False).data[:, 0]
-    return replace(lr_set, values=pred if len(pred) == len(index) else pred[index],
-                   channel_labels=None)
+    return replace(lr_set, values=pred, channel_labels=None)

@@ -49,13 +49,12 @@ def write_arrays(path, arrays, dtype):
                 fh.write(np.ascontiguousarray(block, dtype=dt))
 
 
-def read_arrays(path, shapes, dtype, into=None):
+def read_arrays(path, shapes, dtype):
     """Arrays of the given shapes from a raw binary file, as views of one
-    buffer: a new one, or the leading values of `into`, a C-ordered array of
-    the dtype, which the file is read into in place."""
+    new buffer that the file is read into."""
     dt = _DTYPE_CODES[dtype_code(dtype)]
     total = sum(int(np.prod(s)) for s in shapes)
-    raw = (np.empty(total, dt) if into is None else into.reshape(-1))[:total]
+    raw = np.empty(total, dt)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size != raw.nbytes:

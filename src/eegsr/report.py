@@ -42,8 +42,8 @@ class MetricsRecord:
             raise DataError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
         if self.method not in SR_METHODS:
             raise DataError(f"method must be one of {SR_METHODS}, got {self.method!r}")
-        if self.mse < 0 or self.mae < 0:
-            raise DataError("error metrics cannot be negative")
+        if not (0 <= self.mse < np.inf and 0 <= self.mae < np.inf):
+            raise DataError(f"mse {self.mse} and mae {self.mae} must be finite and not negative")
         # Mean absolute error can never exceed the RMS error.
         if self.mae > np.sqrt(self.mse) * (1.0 + 1e-12) + 1e-300:
             raise DataError(
@@ -84,8 +84,8 @@ def sr_metrics(pred_set, truth_set):
     check_aligned(pred_set, truth_set)
     if len(pred_set) == 0:
         raise DataError("cannot score an empty set")
-    p = pred_set.values
-    t = truth_set.values
+    p = pred_set.rows()
+    t = truth_set.rows()
     if p.shape != t.shape:
         raise DataError(f"prediction shape {p.shape} does not match truth {t.shape}")
     diff = p - t

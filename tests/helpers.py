@@ -12,13 +12,14 @@ from eegsr.nn import tensor as T
 from eegsr.nn.tensor import Tensor, grad
 
 
-def epoch_set(values, label=None, subject="s01", origins=None, **kwargs):
-    """EpochSet over `values` (n, channels, samples): every row gets `label`
-    and `subject`; origins default to back-to-back rows 0, t, 2t, ..."""
+def epoch_set(values, label=None, subject="s01", origins=None, index=None, **kwargs):
+    """EpochSet over `values` (n, channels, samples), or over the rows
+    `values[index]` given an `index`: every row gets `label` and `subject`;
+    origins default to back-to-back rows 0, t, 2t, ..."""
     values = np.asarray(values, dtype=np.float64)
-    n, _, t = values.shape
+    n, t = len(values if index is None else index), values.shape[2]
     return EpochSet(values, None if label is None else np.full(n, label), np.full(n, subject),
-                    np.arange(n) * t if origins is None else origins, **kwargs)
+                    np.arange(n) * t if origins is None else origins, index=index, **kwargs)
 
 
 # Float bit patterns that equality misjudges: both zeros, and NaNs of several
@@ -36,8 +37,10 @@ def odd_rows():
 
 
 def same_set(a, b):
-    """Bit-identical values (-0.0 and 0.0 differ) and identical metadata."""
-    return (a.values.shape == b.values.shape and a.values.tobytes() == b.values.tobytes()
+    """Bit-identical rows (`EpochSet.rows()`: -0.0 and 0.0 differ) and
+    identical metadata."""
+    a_rows, b_rows = a.rows(), b.rows()
+    return (a_rows.shape == b_rows.shape and a_rows.tobytes() == b_rows.tobytes()
             and (a.labels is None) == (b.labels is None)
             and (a.labels is None or np.array_equal(a.labels, b.labels))
             and np.array_equal(a.subject_ids, b.subject_ids)

@@ -162,6 +162,9 @@ def test_epoch_set_round_trip_exact(tmp_path_factory, eset):
         save_epoch_set(arc, case)
         back = load_epoch_set(arc)
         assert same_set(back, case) and back.values.flags.c_contiguous
+        # The loader keeps the distinct rows; it does not expand them.
+        n_distinct = len({row.tobytes() for row in case.rows()})
+        assert back.values.shape == (n_distinct,) + case.values.shape[1:]
 
 
 @settings(max_examples=40, deadline=None)

@@ -507,7 +507,7 @@ def test_features_holds_less_than_one_full_train_set(tmp_path, pipeline):
     # alone and transforming one Welch segment at a time leave 0.8x.
     lr = archive.load_epoch_set(pipeline["data"] / "train_lr")
     hr = archive.load_epoch_set(pipeline["data"] / "train_hr")
-    full_train = lr.values.nbytes + hr.values.nbytes
+    full_train = lr.rows().nbytes + hr.rows().nbytes
     del lr, hr
     rc, peak = peak_bytes(lambda: main(["features", "--data", str(pipeline["data"]),
                                         "--sr", str(pipeline["sr"]),
@@ -565,12 +565,12 @@ def test_preprocess_holds_one_stage_at_a_time(tmp_path):
     # traced peak stays within 1.35x the bytes of the segments archived
     # (1.19x here; 2.19x with the epoch set, a part and its segments copied
     # in turn, 3.94x keeping every stage alive). The archives store each
-    # distinct segment once, so the segments are counted as loaded.
+    # distinct segment once, so the segments are counted row by row.
     rec, out = tmp_path / "rec.csv", tmp_path / "data"
     assert main(["synth", "--out", str(rec), "--set", "synth.n_samples=8544"]) == 0
     rc, peak = peak_bytes(lambda: main(["preprocess", "--recording", str(rec), "--out", str(out)]))
     assert rc == 0
-    segments = sum(archive.load_epoch_set(arc).values.nbytes for arc in out.iterdir()
+    segments = sum(archive.load_epoch_set(arc).rows().nbytes for arc in out.iterdir()
                    if arc.is_dir())
     assert peak <= 1.35 * segments, (peak, segments)
 
@@ -759,6 +759,22 @@ def test_a_band_power_that_is_not_finite_or_is_negative_is_refused(tmp_path, pip
     assert not out.exists()
 
 
+def test_a_generator_that_reconstructs_nan_fails_evaluation(tmp_path, pipeline, capsys):
+    # Every parameter of `best` a NaN (all bits set): sr-infer writes NaN
+    # segments, and evaluate used to exit 0 with a `nan` reconstruction row.
+    best, sr, out = tmp_path / "best", tmp_path / "sr", tmp_path / "metrics"
+    shutil.copytree(pipeline["adv"] / "best", best)
+    params = best / "generator" / "params.bin"
+    params.write_bytes(b"\xff" * params.stat().st_size)
+    run("sr-infer", "--data", str(pipeline["data"]), "--checkpoint", str(best), "--out", str(sr))
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(pipeline["data"]), "--sr", str(sr),
+                 "--out", str(out)] + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mse nan and mae nan must be finite and not negative")
+    assert err.count("\n") == 1 and not out.exists(), err
+
+
 def test_malformed_sampling_rate_is_a_parse_error(tmp_path, pipeline, capsys):
     rec = tmp_path / "rec.csv"
     text = pipeline["rec"].read_text()  # starts "# fs=512.0 subject=..."
@@ -769,17 +785,20 @@ def test_malformed_sampling_rate_is_a_parse_error(tmp_path, pipeline, capsys):
 
 def test_malformed_metric_table_is_a_parse_error(tmp_path, pipeline, capsys):
     # A non-numeric mse, a short row, a non-integer scale, a non-numeric value,
-    # rows whose record is refused: an unknown dataset, an unknown source; and
-    # an empty seed, which read as a record without one.
+    # rows whose record is refused: an unknown dataset, an unknown source, a
+    # nan mse and an inf mae (read as records and rendered); and an empty
+    # seed, which read as a record without one.
     for name, line, column, text in (("reconstruction.csv", 2, 3, "zero"),
                                      ("reconstruction.csv", 3, slice(3, None), []),
                                      ("classification.csv", 3, 0, "two"),
                                      ("classification.csv", 4, 4, "high"),
                                      ("reconstruction.csv", 4, 0, "foo"),
                                      ("classification.csv", 2, 1, "xx"),
+                                     ("reconstruction.csv", 2, 3, "nan"),
+                                     ("reconstruction.csv", 3, 4, "inf"),
                                      ("reconstruction.csv", 5, 5, ""),
                                      ("classification.csv", 5, 6, "")):
-        metrics = tmp_path / f"metrics-{name}-{line}"
+        metrics = tmp_path / f"metrics-{name}-{line}-{text}"
         shutil.copytree(pipeline["metrics"], metrics)
         corrupt_cell(metrics / name, line, column, text)
         assert_parse_failure(capsys, ["report", "--metrics", str(metrics),

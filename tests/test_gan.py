@@ -349,11 +349,11 @@ def test_check_pair_allocates_no_copy_of_the_pair():
 
 def repeated_pair(rows):
     """`paired_sets` rows repeated in the order of `rows`, each repeat at the
-    origin of its row, as overlapping epochs repeat a segment."""
+    origin of its row, as overlapping epochs repeat a segment and a loaded
+    archive stores it: the distinct rows once, with `rows` as the index."""
     lr, hr = paired_sets(max(rows) + 1)
-    origins = lr.origins[rows]
-    return (epoch_set(lr.values[rows], label=2, origins=origins),
-            epoch_set(hr.values[rows], label=2, origins=origins))
+    return tuple(epoch_set(s.values, label=2, origins=s.origins[rows], index=np.array(rows))
+                 for s in (lr, hr))
 
 
 class RecordingRng:
@@ -398,7 +398,7 @@ def test_training_pair_holds_distinct_rows_and_gathers_every_batch(monkeypatch):
     train(state, (lr, hr), cfg, val_pair=repeated_pair([1, 1, 0]))
     # Only the train pair is cast; the val pair is only checked.
     assert len(pairs) == 1
-    whole_x, whole_y = (s.values.astype(np.float32)[:, None] for s in (lr, hr))
+    whole_x, whole_y = (s.rows().astype(np.float32)[:, None] for s in (lr, hr))
     expected = [(whole_x[sel], whole_y[sel]) for order in state.data_rng.orders
                 for sel in np.array_split(order, range(4, len(rows), 4))]
     assert len(batches) == len(expected) == 8
@@ -576,6 +576,25 @@ def test_best_checkpoint_tracks_validation(tmp_path):
     assert (tmp_path / "best").is_dir()
     _, sections = load_generator(tmp_path / "best")
     assert float(sections["checkpoint"]["best_val_mse"]) == result.best_val_mse
+
+
+def test_best_keeps_the_first_of_equal_validation_scores(tmp_path, monkeypatch):
+    # At an lr too small to move a float32 weight every epoch validates the
+    # same, and only a lower score replaces `best`: it stays the first epoch.
+    scores = []
+
+    def evaluate_and_keep(*args):
+        scores.append(evaluate_mse(*args))
+        return scores[-1]
+
+    monkeypatch.setattr(gan, "evaluate_mse", evaluate_and_keep)
+    gen, _ = tiny_models(dtype=np.float32)
+    run_phase("pretrain", gen, None, paired_sets(12, seed=1),
+              tiny_cfg(pretrain_epochs=3, lr=1e-30), val_pair=paired_sets(8, seed=2),
+              checkpoint_dir=tmp_path)
+    assert len(scores) == 3 and len(set(scores)) == 1, scores
+    _, sections = load_generator(tmp_path / "best")
+    assert int(sections["checkpoint"]["epoch"]) == 1
 
 
 def test_best_checkpoint_holds_only_the_generator(tmp_path):

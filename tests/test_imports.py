@@ -1,8 +1,9 @@
 """Every imported name in src/ and tests/ is used, every function in src/ has
 a caller outside the tests, and so has every defaulted parameter (no linter
 is installed); the autodiff primitives and layer operations raise nothing;
-each file format has one owner, only the command line refuses an absent
-input, and importing the command line loads only known modules."""
+each file format has one owner, one function finds repeated rows, only the
+command line refuses an absent input, and importing the command line loads
+only known modules."""
 import ast
 import os
 import subprocess
@@ -188,6 +189,17 @@ def test_one_owner_per_file_format():
                                 if module in imported_modules(path.read_text()))
                  for module in FORMAT_OWNERS}
     assert importers == {module: [owner] for module, owner in FORMAT_OWNERS.items()}
+
+
+def test_only_saving_finds_repeated_rows():
+    """`archive.save_epoch_set` finds a set's repeated rows by their bytes; a
+    loaded set carries them as its index, so no other function hashes rows."""
+    src = ROOT / "src"
+    callers = [f"{path.relative_to(src)}:{fn.name}" for path in sorted(src.rglob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               and "distinct_rows" in referenced_names(ast.unparse(fn))]
+    assert callers == ["eegsr/archive.py:save_epoch_set"]
 
 
 # The raw binary format's one owner: the only module that calls numpy's file

@@ -210,11 +210,12 @@ def test_set_prediction_is_the_concatenation_of_single_segments(width, dtype, n,
 def test_each_distinct_segment_is_predicted_once():
     gen = build_generator(GeneratorConfig(c_lr=16, scale=2, width=1 / 64), seed=0)
     pool = RNG.normal(size=(3, 16, 64))
-    lr_set = epoch_set(pool[[0, 1, 0, 2, 1, 1]])
+    lr_set = epoch_set(pool, index=np.array([0, 1, 0, 2, 1, 1]))
     forward, rows = gen.forward, []
     gen.forward = lambda x, **kw: rows.append(len(x.data)) or forward(x, **kw)
-    pred = sr_predict_set(gen, lr_set).values
-    assert rows == [3]
+    out = sr_predict_set(gen, lr_set)
+    assert rows == [3] and out.index is lr_set.index
+    pred = out.rows()
     assert pred[[0, 1, 3]].tobytes() == sr_predict_set(gen, epoch_set(pool)).values.tobytes()
     assert pred[[2, 4, 5]].tobytes() == pred[[0, 1, 1]].tobytes()
 

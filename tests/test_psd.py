@@ -154,6 +154,15 @@ def test_feature_scaler_standardizes():
     np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-10)
 
 
+def test_feature_scaler_keeps_a_constant_feature_finite():
+    # A feature with one value in every row has no spread: its floored sigma
+    # scales it to 0, where 0 / 0 would make it NaN.
+    x = RNG.normal(size=(50, 96))
+    x[:, 5] = 3.0
+    z = FeatureScaler.fit(x).apply(x)
+    assert np.isfinite(z).all() and not z[:, 5].any()
+
+
 def test_feature_matrix_stacks_and_validates():
     values = RNG.normal(size=(2, 32, 512))
     feats = epoch_features(full_epoch_set(values, label=3))

@@ -66,6 +66,9 @@ def test_metrics_record_validation():
     # mae above the rms bound is impossible for any real residual vector
     with pytest.raises(DataError):
         MetricsRecord("val", 2, "wgan", mse=1.0, mae=1.5, seed=0)
+    for mse, mae in ((np.nan, 0.5), (1.0, np.nan), (np.inf, 0.5), (np.inf, np.inf)):
+        with pytest.raises(DataError, match="must be finite and not negative"):
+            MetricsRecord("val", 2, "wgan", mse=mse, mae=mae, seed=0)
 
 
 # ---------------------------------------------------------------------------
