@@ -11,9 +11,11 @@ removed again if the command fails without writing to it), calls
 outputs: `config.txt`, for synth `<out>.config.txt`. Exit codes
 (`EXIT_CODES`): 2 an absent input path or a usage error, 3 an invalid
 config (including a training phase of zero epochs and a --resume under a
-changed training config), 4 a numeric abort in training, 1 any other
-error: an input that exists but is incomplete (a file inside it missing),
-malformed, inconsistent or incompatible, or another OSError.
+changed training config), 4 a numeric abort in training, 130 an
+interrupt (Ctrl-C), 1 any other error: an input that exists but is
+incomplete (a file inside it missing), malformed, inconsistent or
+incompatible (a generator that reconstructs non-finite values among them),
+or another OSError. Each error ends in one line on stderr.
 """
 from __future__ import annotations
 
@@ -196,6 +198,9 @@ def cmd_sr_infer(args, cfg, out):
     for split in ("val", "test"):
         pred = data.denormalize_set(models.sr_predict_set(
             gen, data.normalize_set(_load_set(args, split, "lr"), stats)), stats)
+        if not np.isfinite(pred.values).all():
+            raise ParseError(f"--checkpoint {args.checkpoint}: the generator's {split} "
+                             "reconstructions are not finite")
         archive.save_epoch_set(out / split, pred)
         print(f"sr {split}: {len(pred)} segments")
 
@@ -414,17 +419,18 @@ def _run(args):
 
 # (error, exit code, message prefix), the first that matches applies.
 EXIT_CODES = ((ArtifactError, 2, "error"), (ConfigError, 3, "config error"),
-              (NumericAbort, 4, "numeric abort"), ((EegsrError, OSError), 1, "error"))
+              (NumericAbort, 4, "numeric abort"), ((EegsrError, OSError), 1, "error"),
+              (KeyboardInterrupt, 130, "interrupted"))
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         _run(args)
-    except (EegsrError, OSError) as exc:
+    except (EegsrError, OSError, KeyboardInterrupt) as exc:
         code, prefix = next((code, prefix) for kind, code, prefix in EXIT_CODES
                             if isinstance(exc, kind))
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        print(f"{prefix}: {exc}" if str(exc) else prefix, file=sys.stderr)
         return code
     return 0
 

@@ -157,7 +157,7 @@ def gradient_penalty(disc, real, fake, weight, rng):
     fake = np.asarray(fake, dtype=disc.dtype)
     eps = rng.uniform(size=(real.shape[0], 1, 1, 1)).astype(disc.dtype)
     xhat = Tensor(eps * real + (1.0 - eps) * fake, requires_grad=True)
-    scores = disc.forward(xhat, training=True, rng=rng)
+    scores = disc.forward(xhat, rng=rng)
     (gx,) = grad(sum_t(scores), [xhat], create_graph=True)
     norms = sqrt_t(sum_t(gx * gx, axis=(1, 2, 3)))
     return mean_t((norms - 1.0) * (norms - 1.0)) * weight
@@ -170,8 +170,8 @@ def discriminator_loss(disc, real, fake, gp_weight, rng):
     """
     real_t = Tensor(np.asarray(real, dtype=disc.dtype))
     fake_t = Tensor(np.asarray(fake, dtype=disc.dtype))
-    d_real = mean_t(disc.forward(real_t, training=True, rng=rng))
-    d_fake = mean_t(disc.forward(fake_t, training=True, rng=rng))
+    d_real = mean_t(disc.forward(real_t, rng=rng))
+    d_fake = mean_t(disc.forward(fake_t, rng=rng))
     gp = gradient_penalty(disc, real, fake, gp_weight, rng)
     return d_fake - d_real + gp, gp
 
@@ -182,11 +182,11 @@ def generator_loss(gen, disc, lr_batch, hr_batch, adv_weight, data_rng, adv_rng)
     With adv_weight = 0 the critic is not evaluated at all and total is the
     MSE term itself, so the parameter trajectory matches plain pretraining.
     """
-    pred = gen.forward(Tensor(lr_batch), training=True, rng=data_rng)
+    pred = gen.forward(Tensor(lr_batch), rng=data_rng)
     mse = F.mse(pred, Tensor(np.asarray(hr_batch, dtype=gen.dtype)))
     if adv_weight == 0.0:
         return mse, Tensor(np.zeros((), dtype=gen.dtype)), mse
-    adv = -mean_t(disc.forward(pred, training=True, rng=adv_rng))
+    adv = -mean_t(disc.forward(pred, rng=adv_rng))
     total = adv * adv_weight + mse
     return total, adv, mse
 
@@ -297,7 +297,7 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
             critic_step = phase == "gan" and state.g_steps % cfg.training_ratio == 0
             if critic_step:
                 with no_grad():
-                    fake = gen.forward(Tensor(xb), training=True, rng=state.adv_rng)
+                    fake = gen.forward(Tensor(xb), rng=state.adv_rng)
                 d_loss, gp = discriminator_loss(disc, yb, fake.data, cfg.gp_weight,
                                                 state.adv_rng)
                 last_d_loss, last_gp = d_loss.item(), gp.item()

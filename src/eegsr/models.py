@@ -199,5 +199,5 @@ def sr_predict_set(gen, lr_set):
     with no_grad():
         for lo in range(0, len(vals), chunk):
             x = Tensor(vals[lo : lo + chunk, None].astype(gen.dtype))
-            pred[lo : lo + chunk] = gen.forward(x, training=False).data[:, 0]
+            pred[lo : lo + chunk] = gen.forward(x).data[:, 0]
     return replace(lr_set, values=pred, channel_labels=None)

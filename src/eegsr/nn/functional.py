@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import (
-    as_tensor,
     exp_t,
     log_t,
     matmul,
@@ -25,13 +24,11 @@ LOG_EPS = 1e-12
 
 
 def relu(x):
-    x = as_tensor(x)
     return mul_const(x, (x.data > 0).astype(x.dtype))
 
 
 def softmax(x):
     """Softmax over the last axis, shift-stabilised."""
-    x = as_tensor(x)
     shift = np.max(x.data, axis=-1, keepdims=True)
     e = exp_t(x - shift)
     return e / sum_t(e, axis=-1, keepdims=True)
@@ -43,19 +40,16 @@ def dense_layer(x, w, b):
 
 
 def flatten(x):
-    x = as_tensor(x)
     n = x.shape[0]
     return reshape(x, (n, x.size // n))
 
 
 def mse(pred, target):
-    pred, target = as_tensor(pred), as_tensor(target)
     d = pred - target
     return mean_t(mul(d, d))
 
 
 def cross_entropy(pred, target):
     """-sum(target * log(pred + eps)) of each (n, k) row, averaged over rows."""
-    pred, target = as_tensor(pred), as_tensor(target)
-    ll = mul(as_tensor(target, dtype=pred.dtype), log_t(pred + LOG_EPS))
+    ll = mul(target, log_t(pred + LOG_EPS))
     return mul_const(-sum_t(ll), 1.0 / pred.shape[0])

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as F
-from .tensor import (Tensor, as_tensor, concat_t, conv2d, conv_same_geometry, elu_dropout,
-                     repeat_rows)
+from .tensor import Tensor, concat_t, conv2d, conv_same_geometry, elu_dropout, repeat_rows
 
 KINDS = ("conv", "dense", "upsample", "concat", "flatten")
 ACTIVATIONS = ("linear", "elu", "relu", "softmax")
@@ -140,7 +139,8 @@ def copy_into(arrays, sources):
 
 
 class Model:
-    """A layer stack with parameters, seeded init and a forward pass.
+    """A layer stack with parameters, seeded init and a forward pass over a
+    Tensor in the model's dtype, which trains, with dropout, given an rng.
 
     Weights use uniform fan-in scaling (He for elu/relu layers, Glorot
     otherwise); biases start at zero. The same seed always produces the
@@ -203,21 +203,17 @@ class Model:
         the model's own arrays, which keep their memory order."""
         copy_into([t.data for t in self.parameters()], arrays)
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         """Run the stack over a batch; returns the final layer's Tensor.
 
-        `x` must be (batch,) + input_shape. Training mode activates dropout
-        and requires an rng; inference is deterministic.
+        `x` is a Tensor of shape (batch,) + input_shape in the model's dtype.
+        Given an rng, the forward trains: each layer's dropout draws from it.
+        Without one it is inference, deterministic.
         """
-        x = as_tensor(x)
-        if x.data.dtype != self.dtype and not x.requires_grad:
-            x = Tensor(x.data.astype(self.dtype))
         if x.shape[1:] != self.input_shape:
             raise ValueError(
                 f"input shape {x.shape[1:]} does not match model input {self.input_shape}"
             )
-        if training and rng is None and any(ls.dropout_rate for ls in self.specs):
-            raise ValueError("training forward with dropout needs an rng")
         outs = []
 
         def fetch(idx):
@@ -236,8 +232,7 @@ class Model:
                 elif ls.activation == "softmax":
                     y = F.softmax(y)
                 rate = ls.dropout_rate
-                y = elu_dropout(y, ls.activation == "elu", rate,
-                                rng if training and rate else None)
+                y = elu_dropout(y, ls.activation == "elu", rate, rng if rate else None)
             elif ls.kind == "upsample":
                 y = repeat_rows(cur, ls.kernel_dims[0], axis=2)
             elif ls.kind == "concat":

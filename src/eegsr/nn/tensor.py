@@ -5,6 +5,10 @@ these primitives, so differentiating a gradient (as the critic's gradient
 penalty requires) needs no special casing: the backward pass of a backward
 pass is just another graph.
 
+A primitive takes Tensors. Only the second operand of a binary op (``add``,
+``sub``, ``mul``, ``div``, ``matmul``) may be a constant, a number or an
+array, which becomes a Tensor of the first operand's dtype.
+
 Convolution closes under differentiation through a triple of primitives:
 ``conv2d``, ``conv2d_input_grad`` and ``conv2d_weight_grad``. Each one's
 vjp is expressed with the other two plus ``conv2d`` itself.
@@ -77,10 +81,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data)
-        if arr.dtype.kind != "f":
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._vjp = None
@@ -121,27 +122,12 @@ class Tensor:
         return neg(self)
 
 
-def as_tensor(x, dtype=None):
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x, dtype=dtype)
-    if arr.dtype.kind != "f":
-        arr = arr.astype(dtype or np.float64)
-    return Tensor(arr)
-
-
 def _coerce(x, like):
-    """Wrap a non-Tensor operand as a constant matching `like`'s dtype."""
+    """A binary op's second operand: a Tensor as it is, a constant as a
+    Tensor of `like`'s dtype."""
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=like.dtype))
-
-
-def _pair(a, b):
-    if isinstance(a, Tensor):
-        return a, _coerce(b, a)
-    b = as_tensor(b)
-    return _coerce(a, b), b
 
 
 def _node(data, parents, vjp):
@@ -177,7 +163,7 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a, b = _pair(a, b)
+    b = _coerce(b, a)
 
     def vjp(g, needs):
         return (
@@ -189,7 +175,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _pair(a, b)
+    b = _coerce(b, a)
 
     def vjp(g, needs):
         return (
@@ -201,7 +187,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _pair(a, b)
+    b = _coerce(b, a)
 
     def vjp(g, needs):
         return (
@@ -213,7 +199,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _pair(a, b)
+    b = _coerce(b, a)
 
     def vjp(g, needs):
         ga = _unbroadcast(div(g, b), a.shape) if needs[0] else None
@@ -226,8 +212,6 @@ def div(a, b):
 
 
 def neg(a):
-    a = as_tensor(a)
-
     def vjp(g, needs):
         return (neg(g),)
 
@@ -235,7 +219,6 @@ def neg(a):
 
 
 def exp_t(a):
-    a = as_tensor(a)
     out_data = np.exp(a.data)
 
     # The vjp must not close over the output node itself: that reference
@@ -248,8 +231,6 @@ def exp_t(a):
 
 
 def log_t(a):
-    a = as_tensor(a)
-
     def vjp(g, needs):
         return (div(g, a),)
 
@@ -257,7 +238,6 @@ def log_t(a):
 
 
 def sqrt_t(a):
-    a = as_tensor(a)
     out_data = np.sqrt(a.data)
 
     # Cycle-free for the same reason as exp_t.
@@ -275,7 +255,6 @@ def mul_const(a, c):
     the workhorse behind dropout masks, relu masks and scalar scaling, and it
     is linear, so its vjp is itself.
     """
-    a = as_tensor(a)
     c = np.asarray(c, dtype=a.dtype)
 
     def vjp(g, needs):
@@ -285,7 +264,6 @@ def mul_const(a, c):
 
 
 def minimum_const(a, c):
-    a = as_tensor(a)
     mask = (a.data < c).astype(a.dtype)
 
     def vjp(g, needs):
@@ -295,7 +273,6 @@ def minimum_const(a, c):
 
 
 def maximum_const(a, c):
-    a = as_tensor(a)
     mask = (a.data > c).astype(a.dtype)
 
     def vjp(g, needs):
@@ -314,7 +291,6 @@ def elu_dropout(a, elu, rate, rng):
     numbers of one float64 draw of the whole mask, and its backward
     recomputes exp(min(a, 0)) from its parent `a` instead of keeping it.
     """
-    a = as_tensor(a)
     if not elu and rng is None:
         return a
     if elu:
@@ -347,7 +323,6 @@ def elu_dropout(a, elu, rate, rng):
 
 
 def sum_t(a, axis=None, keepdims=False):
-    a = as_tensor(a)
     if axis is None:
         axes = tuple(range(a.ndim))
     elif isinstance(axis, int):
@@ -364,12 +339,10 @@ def sum_t(a, axis=None, keepdims=False):
 
 def mean_t(a):
     """Mean over all elements."""
-    a = as_tensor(a)
     return mul_const(sum_t(a), 1.0 / a.size)
 
 
 def broadcast_to(a, shape):
-    a = as_tensor(a)
     shape = tuple(shape)
 
     def vjp(g, needs):
@@ -379,7 +352,6 @@ def broadcast_to(a, shape):
 
 
 def reshape(a, shape):
-    a = as_tensor(a)
     shape = tuple(shape)
 
     def vjp(g, needs):
@@ -389,7 +361,6 @@ def reshape(a, shape):
 
 
 def transpose(a, axes=None):
-    a = as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(axes)
@@ -402,7 +373,7 @@ def transpose(a, axes=None):
 
 
 def matmul(a, b):
-    a, b = _pair(a, b)
+    b = _coerce(b, a)
 
     def vjp(g, needs):
         ga = matmul(g, transpose(b)) if needs[0] else None
@@ -413,7 +384,6 @@ def matmul(a, b):
 
 
 def concat_t(parts, axis):
-    parts = [as_tensor(p) for p in parts]
     axis = axis % parts[0].ndim
     bounds = []
     start = 0
@@ -431,7 +401,6 @@ def concat_t(parts, axis):
 
 
 def slice_axis(a, axis, start, stop):
-    a = as_tensor(a)
     axis = axis % a.ndim
     idx = tuple(slice(start, stop) if i == axis else slice(None) for i in range(a.ndim))
     after = a.shape[axis] - stop
@@ -443,7 +412,6 @@ def slice_axis(a, axis, start, stop):
 
 
 def pad_axis(a, axis, before, after):
-    a = as_tensor(a)
     axis = axis % a.ndim
     widths = [(0, 0)] * a.ndim
     widths[axis] = (before, after)
@@ -456,7 +424,6 @@ def pad_axis(a, axis, before, after):
 
 def repeat_rows(a, factor, axis=2):
     """Repeat each index along `axis` `factor` times (nearest-neighbour upsample)."""
-    a = as_tensor(a)
     axis = axis % a.ndim
     expanded = a.shape[:axis] + (a.shape[axis], factor) + a.shape[axis + 1 :]
 
@@ -613,7 +580,6 @@ def _conv_weight_grad(gd, x, kh, kw, sh, sw):
 def conv2d(x, w, stride=(1, 1), b=None):
     """Same-padded 2-D convolution (cross-correlation), NCHW by OIHW, plus
     the per-map bias `b`, when given, added in place into the output."""
-    x, w = as_tensor(x), as_tensor(w)
     sh, sw = int(stride[0]), int(stride[1])
     y = _conv_forward(x.data, w.data, sh, sw)
     h, wi = x.shape[2], x.shape[3]
@@ -638,7 +604,6 @@ def conv2d(x, w, stride=(1, 1), b=None):
 
 def conv2d_input_grad(g, w, input_hw, stride=(1, 1)):
     """Adjoint of conv2d with respect to its input."""
-    g, w = as_tensor(g), as_tensor(w)
     h, wi = int(input_hw[0]), int(input_hw[1])
     sh, sw = int(stride[0]), int(stride[1])
     y = _conv_input_grad(g.data, w.data, h, wi, sh, sw)
@@ -654,7 +619,6 @@ def conv2d_input_grad(g, w, input_hw, stride=(1, 1)):
 
 def conv2d_weight_grad(g, x, kernel_hw, stride=(1, 1)):
     """Adjoint of conv2d with respect to its weight."""
-    g, x = as_tensor(g), as_tensor(x)
     kh, kw = int(kernel_hw[0]), int(kernel_hw[1])
     sh, sw = int(stride[0]), int(stride[1])
     y = _conv_weight_grad(g.data, x.data, kh, kw, sh, sw)

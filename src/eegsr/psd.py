@@ -192,7 +192,7 @@ def train_classifier(model, x, labels, cfg, class_ids=(2, 3, 7)):
         for i in range(0, len(order), cfg.batch_size):
             sel = order[i : i + cfg.batch_size]
             xb = Tensor(x[sel].astype(model.dtype))
-            probs = model.forward(xb, training=True, rng=rng)
+            probs = model.forward(xb, rng=rng)
             loss = F.cross_entropy(probs, Tensor(targets[sel].astype(model.dtype)))
             losses.append(loss.item())
             gs = grad(loss, params)

@@ -159,7 +159,6 @@ def _select(mask, a, b):
 def composed_elu(x):
     """The composed ELU that the one-node ELU replaced: min, exp, -1, then a
     select on x >= 0, node for node (its exact *alpha node at alpha 1 left out)."""
-    x = T.as_tensor(x)
     neg_branch = T.exp_t(T.minimum_const(x, 0.0)) - 1.0
     return _select(x.data >= 0, x, neg_branch)
 
@@ -167,7 +166,6 @@ def composed_elu(x):
 def elu_t(a):
     """The one-node ELU that `tensor.elu_dropout` took in, as it was at
     alpha 1: max(a, 0) + exp(min(a, 0)) - 1, branch-free."""
-    a = T.as_tensor(a)
     e = np.exp(np.minimum(a.data, 0))
     out = e - 1
     out += np.maximum(a.data, 0)
@@ -181,7 +179,7 @@ def elu_t(a):
     return T._node(out, (a,), vjp)
 
 
-def composed_layers_forward(model, x, training=False, rng=None):
+def composed_layers_forward(model, x, rng=None):
     """`Model.forward` as it was before the fused nodes, node for node: conv2d,
     then an add of the bias reshaped to (1, co, 1, 1), then the layer's
     activation (`elu_t` for an ELU), then its dropout as a float mask of 0
@@ -201,7 +199,7 @@ def composed_layers_forward(model, x, training=False, rng=None):
                 y = F.relu(y)
             elif ls.activation == "softmax":
                 y = F.softmax(y)
-            if training and ls.dropout_rate:
+            if rng is not None and ls.dropout_rate:
                 mask = (rng.random(y.shape) >= ls.dropout_rate).astype(y.dtype)
                 mask /= 1.0 - ls.dropout_rate
                 y = T.mul_const(y, mask)

@@ -97,15 +97,14 @@ def test_01_gradient_checks():
     rng = np.random.default_rng(1)
     results = {}
 
-    def proj_case(name, specs, in_shape, batch=2, training=False, rng_seed=None,
-                  check_input=True):
+    def proj_case(name, specs, in_shape, batch=2, rng_seed=None, check_input=True):
         model = Model(specs, in_shape, seed=11, dtype=np.float64)
         x = Tensor(rng.normal(size=(batch,) + tuple(in_shape)), requires_grad=True)
         tgt = Tensor(rng.normal(size=(batch,) + model.shapes[-1]))
 
         def make():
             fwd_rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-            return F.mse(model.forward(x, training=training, rng=fwd_rng), tgt)
+            return F.mse(model.forward(x, rng=fwd_rng), tgt)
 
         targets = model.parameters() + ([x] if check_input else [])
         results[name] = _fd_worst(targets, make)
@@ -119,8 +118,7 @@ def test_01_gradient_checks():
               [conv(2, (1, 3), "elu"), conv(2, (1, 3), "elu"), concat(0, 1),
                conv(1, (1, 3), "elu")], (1, 2, 8))
     proj_case("dropout", [conv(2, (1, 3), "elu", dropout_rate=0.5),
-                          conv(1, (1, 3), "linear")], (1, 2, 8),
-              training=True, rng_seed=17)
+                          conv(1, (1, 3), "linear")], (1, 2, 8), rng_seed=17)
     proj_case("flatten dense", [flatten(), dense(5)], (2, 3, 4))
     proj_case("dense relu", [dense(7, "relu"), dense(4, "relu")], (6,), batch=3)
 
@@ -331,7 +329,7 @@ def _linear_critic(weights, bias=0.0, shape=(1, 2, 2)):
 class _IdentityGen:
     dtype = np.float64
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         return x
 
 
@@ -341,7 +339,7 @@ class _ConstCritic:
     def __init__(self, value):
         self.value = value
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         return Tensor(np.full((x.shape[0], 1), self.value))
 
 

@@ -242,6 +242,21 @@ def test_exit_codes(tmp_path, pipeline):
                  "--set", "baditem"]) == 3
 
 
+def test_an_interrupt_is_one_line_and_exit_130(tmp_path, pipeline, monkeypatch, capsys):
+    # Ctrl-C used to end a command in a KeyboardInterrupt traceback.
+    def interrupted(args, cfg, out):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_baseline", interrupted)
+    out = tmp_path / "base"
+    try:
+        rc = main(["baseline", "--data", str(pipeline["data"]), "--out", str(out)] + OVERRIDES)
+    except KeyboardInterrupt:
+        pytest.fail("main let the KeyboardInterrupt through")
+    err = capsys.readouterr().err
+    assert rc == 130 and err == "interrupted\n" and not out.exists(), (rc, err)
+
+
 def input_flags():
     """(command, flag) of every input path option in `COMMANDS`."""
     return [(name, flag) for name, (_, _, options) in COMMANDS.items() for option in options
@@ -760,14 +775,22 @@ def test_a_band_power_that_is_not_finite_or_is_negative_is_refused(tmp_path, pip
 
 
 def test_a_generator_that_reconstructs_nan_fails_evaluation(tmp_path, pipeline, capsys):
-    # Every parameter of `best` a NaN (all bits set): sr-infer writes NaN
-    # segments, and evaluate used to exit 0 with a `nan` reconstruction row.
+    # Every parameter of `best` a NaN (all bits set): sr-infer used to write
+    # NaN segments with exit 0. An sr archive of NaN values, written by hand,
+    # is refused by evaluate, which used to write a `nan` reconstruction row.
     best, sr, out = tmp_path / "best", tmp_path / "sr", tmp_path / "metrics"
     shutil.copytree(pipeline["adv"] / "best", best)
     params = best / "generator" / "params.bin"
     params.write_bytes(b"\xff" * params.stat().st_size)
-    run("sr-infer", "--data", str(pipeline["data"]), "--checkpoint", str(best), "--out", str(sr))
-    capsys.readouterr()
+    assert main(["sr-infer", "--data", str(pipeline["data"]), "--checkpoint", str(best),
+                 "--out", str(sr)] + OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --checkpoint {best}: the generator's val reconstructions "
+                          "are not finite")
+    assert err.count("\n") == 1 and not sr.exists(), err
+    shutil.copytree(pipeline["sr"], sr)
+    values = sr / "val" / "values.bin"
+    values.write_bytes(b"\xff" * values.stat().st_size)
     assert main(["evaluate", "--data", str(pipeline["data"]), "--sr", str(sr),
                  "--out", str(out)] + OVERRIDES) == 1
     err = capsys.readouterr().err

@@ -135,7 +135,7 @@ def test_discriminator_loss_zero_critic_is_lambda():
 class _IdentityGen:
     dtype = np.float64
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         return x
 
 
@@ -145,7 +145,7 @@ class _ConstCritic:
     def __init__(self, value):
         self.value = value
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         from eegsr.nn.tensor import Tensor
 
         return Tensor(np.full((x.shape[0], 1), self.value))
@@ -154,7 +154,7 @@ class _ConstCritic:
 class _ExplodingCritic:
     dtype = np.float64
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         raise AssertionError("critic must not be evaluated when adv_weight is 0")
 
 

@@ -109,7 +109,7 @@ def test_mse_gradients_match_central_differences(stack, seed, name):
 
     def loss(xt, *params):
         _with_params(model, params)
-        out = model.forward(xt, training=True, rng=np.random.default_rng(seed))
+        out = model.forward(xt, rng=np.random.default_rng(seed))
         return F.mse(out, target)
 
     with lowering(name):

@@ -1,8 +1,9 @@
 """Every imported name in src/ and tests/ is used, every function in src/ has
 a caller outside the tests, and so has every defaulted parameter (no linter
 is installed); the autodiff primitives and layer operations raise nothing;
-each file format has one owner, one function finds repeated rows, only the
-command line refuses an absent input, and importing the command line loads
+each file format has one owner, one function finds repeated rows, the
+autodiff makes only a binary op's second operand a Tensor, only the command
+line refuses an absent input, and importing the command line loads
 only known modules."""
 import ast
 import os
@@ -191,15 +192,27 @@ def test_one_owner_per_file_format():
     assert importers == {module: [owner] for module, owner in FORMAT_OWNERS.items()}
 
 
+def functions_referencing(name):
+    """`file:function` of every src/ function, nested ones included, that names `name`."""
+    src = ROOT / "src"
+    return [f"{path.relative_to(src)}:{fn.name}" for path in sorted(src.rglob("*.py"))
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, ast.FunctionDef) and name in referenced_names(ast.unparse(fn))]
+
+
 def test_only_saving_finds_repeated_rows():
     """`archive.save_epoch_set` finds a set's repeated rows by their bytes; a
     loaded set carries them as its index, so no other function hashes rows."""
+    assert functions_referencing("distinct_rows") == ["eegsr/archive.py:save_epoch_set"]
+
+
+def test_one_coercion_point_in_the_autodiff():
+    """A primitive takes Tensors: only a binary op's second operand may be a
+    constant, which `tensor._coerce` makes a Tensor, and nothing else coerces."""
     src = ROOT / "src"
-    callers = [f"{path.relative_to(src)}:{fn.name}" for path in sorted(src.rglob("*.py"))
-               for fn in ast.walk(ast.parse(path.read_text()))
-               if isinstance(fn, ast.FunctionDef)
-               and "distinct_rows" in referenced_names(ast.unparse(fn))]
-    assert callers == ["eegsr/archive.py:save_epoch_set"]
+    assert [path for path in src.rglob("*.py") if "as_tensor" in path.read_text()] == []
+    assert functions_referencing("_coerce") == [
+        f"eegsr/nn/tensor.py:{op}" for op in ("add", "sub", "mul", "div", "matmul")]
 
 
 # The raw binary format's one owner: the only module that calls numpy's file

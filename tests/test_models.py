@@ -148,7 +148,7 @@ def test_desk_training_forward_node_counts():
     rng = np.random.default_rng(0)
     for model, most in ((build_generator(gen_cfg), 42), (build_discriminator(disc_cfg), 44)):
         x = Tensor(rng.normal(size=(64,) + model.input_shape).astype(np.float32))
-        out = model.forward(x, training=True, rng=np.random.default_rng(1))
+        out = model.forward(x, rng=np.random.default_rng(1))
         assert len(_toposort(out)) <= most
 
 

@@ -117,20 +117,11 @@ def test_forward_rejects_wrong_input_shape():
         model.forward(Tensor(np.zeros((2, 5), dtype=np.float32)))
 
 
-def test_dropout_needs_rng_in_training():
-    model = Model([dense(4, dropout_rate=0.5), dense(2)], (4,))
-    x = Tensor(np.zeros((1, 4), dtype=np.float32))
-    with pytest.raises(ValueError):
-        model.forward(x, training=True)
-    model.forward(x, training=True, rng=np.random.default_rng(0))
-    model.forward(x, training=False)
-
-
 def test_dropout_inactive_at_inference():
     x = Tensor(RNG.normal(size=(2, 50)))
     plain, dropped = (Model([dense(50, "elu", dropout_rate=rate)], (50,), dtype=np.float64)
                       for rate in (0.0, 0.9))
-    assert np.array_equal(dropped.forward(x, training=False).data, plain.forward(x).data)
+    assert np.array_equal(dropped.forward(x).data, plain.forward(x).data)
 
 
 @pytest.mark.parametrize("layer", [concat(-1, -1), upsample(2), flatten()])
@@ -223,13 +214,13 @@ def test_fused_nodes_give_the_bits_of_the_composed_layers(case, dtype):
     results = []
     for forward in (model.forward, lambda *a: composed_layers_forward(model, *a)):
         rng = np.random.default_rng(5)
-        infer = forward(Tensor(xv), False, None).data
+        infer = forward(Tensor(xv)).data
         x = Tensor(xv, requires_grad=True)
-        out = forward(x, True, rng)
+        out = forward(x, rng)
         g = np.random.default_rng(6).normal(size=out.shape).astype(dtype)
         first = grad(sum_t(out * Tensor(g)), [x] + params)
         x = Tensor(xv, requires_grad=True)
-        (gx,) = grad(sum_t(forward(x, True, rng)), [x], create_graph=True)
+        (gx,) = grad(sum_t(forward(x, rng)), [x], create_graph=True)
         second = grad(sum_t(gx * gx), params)
         results.append([infer, out.data] + [t.data for t in first + second] + [rng.random(4)])
     for new, ref in zip(*results):
@@ -246,7 +237,7 @@ def test_a_training_forward_holds_its_layer_outputs_about_once():
     x = Tensor(np.random.default_rng(0).normal(size=(64,) + gen.input_shape).astype(np.float32))
     outputs = sum(int(np.prod(s)) * (2 if ls.activation == "elu" or ls.dropout_rate else 1)
                   for ls, s in zip(gen.specs, gen.shapes)) * 64 * gen.dtype.itemsize
-    _, peak = peak_bytes(lambda: gen.forward(x, training=True, rng=np.random.default_rng(1)))
+    _, peak = peak_bytes(lambda: gen.forward(x, rng=np.random.default_rng(1)))
     assert peak <= 1.25 * outputs, peak / outputs
 
 

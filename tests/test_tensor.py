@@ -52,10 +52,22 @@ def square(t):
 
 def test_scalar_chain_matches_hand_derivative():
     x = Tensor(np.array(0.7), requires_grad=True)
-    y = x * x * 3.0 + div(2.0, x)
+    y = x * x * 3.0 + div(Tensor(np.array(2.0)), x)
     (g,) = grad(y, [x])
     expected = 6.0 * 0.7 - 2.0 / 0.7**2
     assert abs(g.item() - expected) < 1e-12
+
+
+@pytest.mark.parametrize("name, const", [(name, const) for name in ("add", "sub", "mul", "div")
+                                         for const in (1.5, np.full(3, 1.5))]
+                         + [("matmul", np.full((3, 2), 1.5))])
+def test_a_constant_second_operand_takes_the_tensors_dtype(name, const):
+    # `norms - 1.0`, `x - shift`: a number or a float64 array beside a float32
+    # Tensor is a float32 constant, so neither the result nor its gradient widens.
+    a = Tensor(RNG.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+    out = getattr(tensor_module, name)(a, const)
+    (g,) = grad(sum_t(out), [a])
+    assert (out.dtype, g.dtype) == (np.float32, np.float32)
 
 
 def test_grad_on_untracked_output_raises():
