@@ -33,7 +33,10 @@ result does not depend on its batch:
   copies: 9.4 MiB on the full-width 512->512 9x3 layer, 54 MiB for im2col.
   A `layers.Model` weight lies in memory in that order, (kh, co, kw, ci)
   behind its (co, ci, kh, kw) shape: its rows are views, and the weight
-  gradient is summed and returned in that order.
+  gradient is summed and returned in that order. A sample's kh products
+  run whole on one worker per usable core, at most that many ahead of the
+  sum, and are added in kernel-row order, so a result has the same bits on
+  any number of cores; a banded layer starts no thread.
 
 ``grad`` without ``create_graph`` consumes the graph as it walks it: each
 visited node drops its parents and its vjp, so an activation is freed once
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import os
 
 import numpy as np
 
@@ -514,6 +518,46 @@ def _band(w, h, sh, oh, pt):
     return band.reshape(co * oh, kw * ci * h)
 
 
+_pool = None  # (workers, executor) of the kernel-rows products, made by `_row_pool`
+
+
+def _row_pool():
+    """One worker per usable core, made on the first kernel-rows product, and no
+    executor on one core; a command without one loads no thread machinery."""
+    global _pool
+    if _pool is None:
+        import concurrent.futures
+
+        workers = len(os.sched_getaffinity(0))
+        _pool = (workers, concurrent.futures.ThreadPoolExecutor(workers) if workers > 1 else None)
+    return _pool
+
+
+def _kernel_rows(kh, product, into, shape, dtype):
+    """into(i) += product(i, out) for each kernel row i, in row order: on the
+    pool at most one per worker ahead of the sum, each into one of that many
+    `shape` buffers, inline if one; on an error, those in flight finish first."""
+    workers, pool = _row_pool()
+    bufs = [np.empty(shape, dtype) for _ in range(min(workers, kh))]
+    if len(bufs) == 1:
+        for i in range(kh):
+            rows = into(i)
+            rows += product(i, bufs[0]).reshape(rows.shape)
+        return
+    ahead, pending = len(bufs), []
+    try:
+        for i in range(kh + ahead):
+            if i >= ahead:
+                rows = into(i - ahead)
+                rows += pending[0].result().reshape(rows.shape)
+                pending.pop(0)
+            if i < kh:
+                pending.append(pool.submit(product, i, bufs[i % ahead]))
+    finally:
+        for future in pending:
+            future.exception()  # waits; an error of its own gives way to the one raised
+
+
 def _conv_forward(x, w, sh, sw):
     n, ci, h, wi = x.shape
     co, _, kh, kw = w.shape
@@ -526,8 +570,9 @@ def _conv_forward(x, w, sh, sw):
     y = np.zeros((n, co, oh * ow), dtype=np.result_type(x, w))
     for k in range(n):
         cols = np.ascontiguousarray(_width_cols(x[k : k + 1], kw, sw, ow, (pt, pb, pl, pr))[0])
-        for i in range(kh):
-            y[k] += rows_w[i] @ _tap_rows(cols, ci, sh, oh, i).reshape(kw * ci, oh * ow)
+        _kernel_rows(kh, lambda i, out: np.matmul(
+            rows_w[i], _tap_rows(cols, ci, sh, oh, i).reshape(kw * ci, oh * ow), out=out),
+            lambda i: y[k], (co, oh * ow), y.dtype)
     return y.reshape(n, co, oh, ow)
 
 
@@ -544,9 +589,8 @@ def _conv_input_grad(gd, wd, h, wi, sh, sw):
     for k in range(n):
         g2 = gd[k].reshape(co, oh * ow)
         gc = np.zeros((kw, ci * (h + pt + pb), ow), dtype=gx.dtype)
-        for i in range(kh):
-            rows = _tap_rows(gc, ci, sh, oh, i)
-            rows += (rows_w[i].T @ g2).reshape(kw, ci, oh, ow)
+        _kernel_rows(kh, lambda i, out: np.matmul(rows_w[i].T, g2, out=out),
+                     lambda i: _tap_rows(gc, ci, sh, oh, i), (kw * ci, oh * ow), gx.dtype)
         gx[k] = _width_scatter(gc[None], wi, sw, pl, pr).reshape(ci, -1, wi)[:, pt : pt + h]
     return gx
 
@@ -571,9 +615,9 @@ def _conv_weight_grad(gd, x, kh, kw, sh, sw):
         for k in range(n):
             cols = np.ascontiguousarray(_width_cols(x[k : k + 1], kw, sw, ow, (pt, pb, pl, pr))[0])
             g2 = gd[k].reshape(co, oh * ow)
-            for i in range(kh):
-                rows = _tap_rows(cols, ci, sh, oh, i).reshape(kw * ci, oh * ow)
-                gw[i] += (g2 @ rows.T).reshape(co, kw, ci)
+            _kernel_rows(kh, lambda i, out: np.matmul(
+                g2, _tap_rows(cols, ci, sh, oh, i).reshape(kw * ci, oh * ow).T, out=out),
+                lambda i: gw[i], (co, kw * ci), gw.dtype)
     return gw.transpose(1, 3, 0, 2)  # (co, ci, kh, kw) in kernel-row order, as a Model weight
 
 

@@ -192,6 +192,25 @@ def test_one_owner_per_file_format():
     assert importers == {module: [owner] for module, owner in FORMAT_OWNERS.items()}
 
 
+THREAD_MODULES = {"concurrent", "threading", "multiprocessing"}
+
+
+def test_one_owner_of_threads():
+    """Only the kernel-rows pool runs threads, and `tensor._row_pool` imports
+    them when it makes the pool, so a command that never needs it loads none."""
+    src = ROOT / "src"
+    importers = sorted(str(path.relative_to(src)) for path in src.rglob("*.py")
+                       if THREAD_MODULES & imported_modules(path.read_text()))
+    assert importers == ["eegsr/nn/tensor.py"]
+    tree = ast.parse((src / importers[0]).read_text())
+    assert THREAD_MODULES & imported_modules(ast.unparse(tree)) == {"concurrent"}
+    pool = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_row_pool"]
+    inside = {id(node) for fn in pool for node in ast.walk(fn)}
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               and "concurrent" in imported_modules(ast.unparse(node))]
+    assert imports and all(id(node) in inside for node in imports)
+
+
 def functions_referencing(name):
     """`file:function` of every src/ function, nested ones included, that names `name`."""
     src = ROOT / "src"

@@ -1,4 +1,5 @@
 """Autodiff engine: primitive gradients, convolution adjoints, grad-of-grad."""
+import time
 import weakref
 
 import numpy as np
@@ -386,6 +387,131 @@ def test_width_columns_built_per_lowering(monkeypatch, name, per_call):
         with no_grad():
             conv2d(x, w)
         assert built == per_call
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """pool_of(n): remake the kernel-rows pool as if n cores were usable and
+    return its executor (None for n = 1). Pools made here are shut down."""
+    made = []
+
+    def make(n):
+        monkeypatch.setattr(tensor_module.os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr(tensor_module, "_pool", None)
+        workers, pool = tensor_module._row_pool()
+        assert workers == n and (pool is None) == (n == 1)
+        made.append(pool)
+        return pool
+
+    yield make
+    for pool in made:
+        if pool is not None:
+            pool.shutdown()
+
+
+def _stagger(pool, monkeypatch):
+    """Hold every other product back a few ms, so that products complete out
+    of kernel-row order; returns the list of futures submitted."""
+    submit, futures = pool.submit, []
+
+    def late(fn, *args):
+        delay = 0.005 if len(futures) % 2 == 0 else 0.0
+        futures.append(submit(lambda: (time.sleep(delay), fn(*args))[1]))
+        return futures[-1]
+
+    monkeypatch.setattr(pool, "submit", late)
+    return futures
+
+
+def _kernels(x, w, stride):
+    """Forward, input gradient and weight gradient of one conv layer."""
+    y = conv2d(Tensor(x), Tensor(w), stride).data
+    g = np.cos(y)
+    return (y, conv2d_input_grad(Tensor(g), Tensor(w), x.shape[2:], stride).data,
+            conv2d_weight_grad(Tensor(g), Tensor(x), w.shape[2:], stride).data)
+
+
+# (input, weight, stride) of the kernel-rows layers of the full-width
+# generator and critic, over fewer rows and columns, at batch 2.
+POOLED_CASES = [
+    pytest.param((2, m, 16, 8), (m, m, 9, kw), (1, 1), id=f"{m}-9x{kw}")
+    for m in (128, 256, 512) for kw in (1, 3)
+] + [
+    pytest.param((2, 64, 4, 8), (64, 64, 1, 3), (1, 1), id="64-1x3"),
+    pytest.param((2, 256, 16, 16), (256, 256, 5, 3), (4, 4), id="256-5x3-stride4x4"),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape, w_shape, stride", POOLED_CASES)
+def test_kernel_rows_give_the_serial_bits_on_any_number_of_workers(
+        pool_of, monkeypatch, x_shape, w_shape, stride, dtype):
+    # The products are summed in kernel-row order whatever order they
+    # complete in, so 2 and 3 workers give the bits of the serial loop.
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=x_shape).astype(dtype)
+    w = rng.normal(size=w_shape).astype(dtype)
+    with lowering("tap_rows"):
+        pool_of(1)
+        serial = _kernels(x, w, stride)
+        for n in (2, 3):
+            _stagger(pool_of(n), monkeypatch)
+            assert all(same_bits(a, b) for a, b in zip(_kernels(x, w, stride), serial)), n
+
+
+def test_kernel_rows_hold_one_product_per_worker(pool_of):
+    # At the full-width 512->512 9x3 layer, each extra worker adds at most one
+    # product's buffer to a kernel's peak: the products run at most one per
+    # worker ahead of the sum. The slack covers the futures' bookkeeping.
+    x_shape, w_shape = (1, 512, 16, 64), (512, 512, 9, 3)
+    assert _lowering(x_shape, w_shape) == "tap_rows"
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=x_shape).astype(np.float32)
+    w = Tensor(np.ascontiguousarray(rng.normal(size=(9, 512, 3, 512)).astype(np.float32))
+               .transpose(1, 3, 0, 2))
+    g = rng.normal(size=x_shape).astype(np.float32)
+    runs = {  # kernel -> (run, bytes of one product)
+        "forward": (lambda: conv2d(Tensor(x), w), 512 * 16 * 64 * 4),
+        "input_grad": (lambda: conv2d_input_grad(Tensor(g), w, (16, 64)), 3 * 512 * 16 * 64 * 4),
+        "weight_grad": (lambda: conv2d_weight_grad(Tensor(g), Tensor(x), (9, 3)), 512 * 3 * 512 * 4),
+    }
+    peaks = {}
+    for n in (1, 2):
+        pool_of(n)
+        for name, (run, _) in runs.items():
+            run()  # the first product starts the workers
+            peaks[name, n] = peak_bytes(run)[1]
+    slack = 64 * 1024
+    for name, (_, product) in runs.items():
+        assert peaks[name, 2] <= peaks[name, 1] + product + slack, name
+
+
+@pytest.mark.parametrize("error", [RuntimeError("sum failed"), KeyboardInterrupt()],
+                         ids=["RuntimeError", "KeyboardInterrupt"])
+def test_an_error_while_products_are_in_flight_waits_for_them(pool_of, monkeypatch, error):
+    # The sum raises at the second product: the error comes out as it was
+    # raised, only after every product submitted has finished, and the pool
+    # then gives the serial bits again.
+    x = RNG.normal(size=(1, 8, 16, 4))
+    w = RNG.normal(size=(8, 8, 9, 3))
+    with lowering("tap_rows"):
+        pool_of(1)
+        serial = _kernels(x, w, (1, 1))
+        futures = _stagger(pool_of(2), monkeypatch)
+        u, v = RNG.normal(size=(2, 64, 64))
+        sums = np.zeros((9, 64, 64))
+
+        def into(i):
+            if i == 1:
+                raise error
+            return sums[i]
+
+        with pytest.raises(type(error)) as raised:
+            tensor_module._kernel_rows(9, lambda i, out: np.matmul(u, v, out=out), into,
+                                       (64, 64), u.dtype)
+        assert raised.value is error
+        assert len(futures) == 3 and all(f.done() for f in futures)
+        assert all(same_bits(a, b) for a, b in zip(_kernels(x, w, (1, 1)), serial))
 
 
 def test_grad_consumes_the_graph_it_walks():
