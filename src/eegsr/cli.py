@@ -14,8 +14,8 @@ config (including a training phase of zero epochs and a --resume under a
 changed training config), 4 a numeric abort in training, 130 an
 interrupt (Ctrl-C), 1 any other error: an input that exists but is
 incomplete (a file inside it missing), malformed, inconsistent or
-incompatible (a generator that reconstructs non-finite values among them),
-or another OSError. Each error ends in one line on stderr.
+incompatible (a generator or a classifier with non-finite outputs among
+them), or another OSError. Each error ends in one line on stderr.
 """
 from __future__ import annotations
 
@@ -311,7 +311,10 @@ def cmd_evaluate(args, cfg, out):
             if source == "sr" and not path.exists():  # written only by features --sr
                 continue
             x, labels = archive.read_features_csv(path).labelled()
-            pred_ids, _ = psd.predict(model, scaler.apply(x), class_ids)
+            pred_ids, probs = psd.predict(model, scaler.apply(x), class_ids)
+            if not np.isfinite(probs).all():
+                raise ParseError(f"--classifier {args.classifier}: the classifier's {source} "
+                                 "class probabilities are not finite")
             class_rows.append(report.classification_metrics(
                 pred_ids, labels, class_ids, scale=scale, source=source, seed=seed,
             ))

@@ -117,6 +117,8 @@ class RunConfig:
         self.values[section][key] = value
 
     def _validate(self):
+        if self["run"]["seed"] < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {self['run']['seed']}")
         if self["run"]["precision"] not in PRECISIONS:
             raise ConfigError(
                 f"precision must be one of {PRECISIONS}, got {self['run']['precision']!r}"

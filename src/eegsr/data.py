@@ -262,6 +262,8 @@ class SyntheticConfig:
         if self.n_channels < N_SOURCES:
             raise DataError(f"n_channels must be >= {N_SOURCES}, the surrogate's sources, "
                             f"got {self.n_channels}")
+        if self.n_samples < 1:
+            raise DataError(f"n_samples must be >= 1, got {self.n_samples}")
         if not 1 <= self.n_classes <= len(CLASS_BAND_OFFSETS):
             raise DataError(f"n_classes must be in [1, {len(CLASS_BAND_OFFSETS)}], "
                             f"got {self.n_classes}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -233,11 +233,45 @@ def evaluate_mse(gen, lr_set, hr_set):
     return sr_metrics(sr_predict_set(gen, lr_set), hr_set)[0]
 
 
-def _check_finite(value, step, checkpoint_cb=None):
-    if not np.isfinite(value):
-        if checkpoint_cb is not None:
-            checkpoint_cb()
-        raise NumericAbort(step)
+def generator_step(state, xb, yb, cfg, abort):
+    """One generator update of `state` on the batch (xb, yb): the loss of its
+    phase, Adam, then the step's history row. Its critic values repeat the
+    previous row's (0.0 in a first row), so that every value stays finite,
+    until `critic_step` fills them in. A non-finite loss writes the checkpoint
+    `abort`, if given, and raises NumericAbort before any row or update."""
+    adv_w = cfg.adv_weight if state.phase == "gan" else 0.0
+    total, adv, mse = generator_loss(state.gen, state.disc, xb, yb, adv_w,
+                                     state.data_rng, state.adv_rng)
+    if not np.isfinite(total.item()):
+        if abort is not None:
+            save_checkpoint(abort, state, cfg)
+        raise NumericAbort(state.g_steps)
+    params = state.gen.parameters()
+    adam_step(params, grad(total, params), state.g_state, cfg)
+    rows = state.history.records
+    d_loss, gp = (rows[-1].d_loss, rows[-1].gp) if rows else (0.0, 0.0)
+    state.history.append(state.g_steps, total.item(), adv.item(), mse.item(), d_loss, gp)
+    state.g_steps += 1
+
+
+def critic_step(state, xb, yb, cfg, abort):
+    """One critic update of `state` on the batch the generator just stepped on,
+    against the updated generator's output (no gradient, adversarial stream).
+    Its loss and penalty first go into the last history row, so that the
+    checkpoint `abort` a non-finite loss writes, if given, holds a row per
+    generator step; NumericAbort is then raised with the critic unchanged."""
+    with no_grad():
+        fake = state.gen.forward(Tensor(xb), rng=state.adv_rng).data
+    d_loss, gp = discriminator_loss(state.disc, yb, fake, cfg.gp_weight, state.adv_rng)
+    rows = state.history.records
+    rows[-1] = replace(rows[-1], d_loss=d_loss.item(), gp=gp.item())
+    if not np.isfinite(rows[-1].d_loss):
+        if abort is not None:
+            save_checkpoint(abort, state, cfg)
+        raise NumericAbort(rows[-1].step)
+    params = state.disc.parameters()
+    adam_step(params, grad(d_loss, params), state.d_state, cfg)
+    state.d_steps += 1
 
 
 def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
@@ -245,8 +279,8 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
     return it.
 
     "pretrain" trains the generator on MSE alone: the warm start for
-    adversarial training. "gan" updates the generator on every batch and the
-    critic on every `training_ratio`-th batch, on that same batch. When
+    adversarial training. "gan" takes a `generator_step` on every batch and a
+    `critic_step` on every `training_ratio`-th, on that same batch. When
     `checkpoint_dir` is given, writes the resumable checkpoints `last` every
     `checkpoint_every` epochs and, in the adversarial phase, `abort` before
     raising NumericAbort; and on validation improvement `best`, the selected
@@ -255,72 +289,31 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
     """
     phase = state.phase
     n_epochs = cfg.pretrain_epochs if phase == "pretrain" else cfg.gan_epochs
-    gen, disc = state.gen, state.disc
-
-    (x, x_index), (y, y_index) = pair_arrays(*train_pair, gen)
+    (x, x_index), (y, y_index) = pair_arrays(*train_pair, state.gen)
     del train_pair  # training reads only the pair: a caller keeping no reference frees the sets
     if val_pair is not None:  # refused here, not after the first epoch
-        check_pair(*val_pair, gen)
-    n = len(x_index)
-    g_params = gen.parameters()
-    d_params = disc.parameters() if disc is not None else None
-    # Rows between critic updates repeat the last critic values, so every
-    # recorded value stays finite.
-    last = state.history.records[-1] if state.history.records else None
-    last_d_loss, last_gp = (last.d_loss, last.gp) if last else (0.0, 0.0)
-
-    def write_checkpoint(name):
-        if checkpoint_dir is not None:
-            save_checkpoint(Path(checkpoint_dir) / name, state, cfg)
-
-    abort = None if phase == "pretrain" else lambda: write_checkpoint("abort")
+        check_pair(*val_pair, state.gen)
+    directory = None if checkpoint_dir is None else Path(checkpoint_dir)
+    abort = directory / "abort" if directory is not None and phase == "gan" else None
     for epoch in range(state.epoch, n_epochs):
-        order = state.data_rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
+        order = state.data_rng.permutation(len(x_index))
+        for lo in range(0, len(order), cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
             xb, yb = x[x_index[sel]], y[y_index[sel]]
-
-            adv_w = cfg.adv_weight if phase == "gan" else 0.0
-            total, adv, mse = generator_loss(
-                gen, disc, xb, yb, adv_w, state.data_rng, state.adv_rng)
-            step = state.g_steps
-            g_total, g_adv, g_mse = total.item(), adv.item(), mse.item()
-            _check_finite(g_total, step, abort)
-            gs = grad(total, g_params)
-            # `grad` consumed the graph; drop the losses and, once applied, the
-            # gradients, so that no array of a used step outlives it.
-            del total, adv, mse
-            adam_step(g_params, gs, state.g_state, cfg)
-            del gs
-            state.g_steps += 1
-
-            critic_step = phase == "gan" and state.g_steps % cfg.training_ratio == 0
-            if critic_step:
-                with no_grad():
-                    fake = gen.forward(Tensor(xb), rng=state.adv_rng)
-                d_loss, gp = discriminator_loss(disc, yb, fake.data, cfg.gp_weight,
-                                                state.adv_rng)
-                last_d_loss, last_gp = d_loss.item(), gp.item()
-            # The row goes in before the critic's check, so that an abort
-            # checkpoint holds one row per counted generator step.
-            state.history.append(step, g_total, g_adv, g_mse, last_d_loss, last_gp)
-            if critic_step:
-                _check_finite(last_d_loss, step, abort)
-                ds = grad(d_loss, d_params)
-                del d_loss, gp, fake
-                adam_step(d_params, ds, state.d_state, cfg)
-                del ds
-                state.d_steps += 1
+            generator_step(state, xb, yb, cfg, abort)
+            if phase == "gan" and state.g_steps % cfg.training_ratio == 0:
+                critic_step(state, xb, yb, cfg, abort)
 
         state.epoch = epoch + 1
         if val_pair is not None:
-            val_mse = evaluate_mse(gen, val_pair[0], val_pair[1])
+            val_mse = evaluate_mse(state.gen, val_pair[0], val_pair[1])
             if state.best_val_mse is None or val_mse < state.best_val_mse:
                 state.best_val_mse = val_mse
-                if checkpoint_dir is not None:
-                    save_generator(Path(checkpoint_dir) / "best", state)
-        if state.epoch % cfg.checkpoint_every == 0 or state.epoch == n_epochs:
-            write_checkpoint("last")
+                if directory is not None:
+                    save_generator(directory / "best", state)
+        if directory is not None and (state.epoch % cfg.checkpoint_every == 0
+                                      or state.epoch == n_epochs):
+            save_checkpoint(directory / "last", state, cfg)
 
     return state
 

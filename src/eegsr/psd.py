@@ -195,9 +195,7 @@ def train_classifier(model, x, labels, cfg, class_ids=(2, 3, 7)):
             probs = model.forward(xb, rng=rng)
             loss = F.cross_entropy(probs, Tensor(targets[sel].astype(model.dtype)))
             losses.append(loss.item())
-            gs = grad(loss, params)
-            adam_step(params, gs, state, cfg)
-            del gs
+            adam_step(params, grad(loss, params), state, cfg)
         trace.append(float(np.mean(losses)))
     return trace
 

@@ -384,9 +384,11 @@ def test_out_of_range_training_value_is_a_config_error(tmp_path, pipeline, capsy
 # Values that escaped config validation: a [classifier] lr or beta out of
 # range ended in a traceback from the optimizer, a non-finite one trained to
 # a nan loss, and a repeated class id ran and merged two classes under one
-# label.
+# label. A negative seed or sample count ended in a numpy traceback, and a
+# count of 0 wrote an empty recording.
 LOAD_FAULTS = ["classifier.lr=0", "classifier.lr=nan", "classifier.lr=inf", "classifier.beta1=1",
-               "classifier.beta2=-0.5", "synth.class_ids=2,2,7"]
+               "classifier.beta2=-0.5", "synth.class_ids=2,2,7", "run.seed=-1",
+               "synth.n_samples=0", "synth.n_samples=-5"]
 
 # The [synth] keys that became constants of eegsr.data, with the values
 # every config.txt and rec.config.txt written before then holds.
@@ -441,6 +443,27 @@ def test_corrupt_classifier_is_a_one_line_error(tmp_path, pipeline, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "corrupt classifier model" in err
     assert err.count("\n") == 1
+
+
+def test_a_classifier_that_predicts_nan_fails_evaluation(tmp_path, pipeline, capsys):
+    # Every parameter a NaN (all bits set), or a NaN feature deviation: each
+    # used to write an accuracy of 0.0 with exit 0.
+    out = tmp_path / "metrics"
+    for fault in ("params", "sigma"):
+        clf = tmp_path / fault
+        shutil.copytree(pipeline["clf"], clf)
+        if fault == "params":
+            params = clf / "model" / "params.bin"
+            params.write_bytes(b"\xff" * params.stat().st_size)
+        else:
+            _sub_in(clf / "model" / "manifest.txt", r"scaler_sigma = [^,]*", "scaler_sigma = nan")
+        assert main(["evaluate", "--data", str(pipeline["data"]), "--features",
+                     str(pipeline["feats"]), "--classifier", str(clf),
+                     "--out", str(out)] + OVERRIDES) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: --classifier {clf}: the classifier's hr class probabilities "
+                       "are not finite\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["scaler_mu", "scaler_sigma"])

@@ -313,6 +313,38 @@ def test_training_drops_each_step_graph(monkeypatch):
     assert entries.count("discriminator_loss") == 2
 
 
+def test_train_is_the_two_steps_in_a_loop():
+    # A twin state driven by hand through the batches its own data stream
+    # draws: 10 segments in batches of 4 give steps of 4, 4 and 2, and
+    # training_ratio 2 puts a critic step after generator steps 2, 4 and 6.
+    pair = paired_sets(10, seed=5)
+    cfg = tiny_cfg(gan_epochs=2, training_ratio=2)
+    trained, by_hand = (TrainState.fresh("gan", *tiny_models(seed=4), cfg) for _ in range(2))
+    train(trained, pair, cfg)
+    (x, x_index), (y, y_index) = pair_arrays(*pair, by_hand.gen)
+    for _ in range(cfg.gan_epochs):
+        order = by_hand.data_rng.permutation(len(x_index))
+        for lo in range(0, len(order), cfg.batch_size):
+            sel = order[lo : lo + cfg.batch_size]
+            xb, yb = x[x_index[sel]], y[y_index[sel]]
+            gan.generator_step(by_hand, xb, yb, cfg, None)
+            if by_hand.g_steps % cfg.training_ratio == 0:
+                gan.critic_step(by_hand, xb, yb, cfg, None)
+
+    assert (trained.epoch, trained.g_steps, trained.d_steps) == (2, 6, 3)
+    assert (by_hand.g_steps, by_hand.d_steps) == (6, 3)
+    for a, b in ((trained.gen, by_hand.gen), (trained.disc, by_hand.disc)):
+        assert all(same_bits(p.data, q.data) for p, q in zip(a.parameters(), b.parameters()))
+    for a, b in ((trained.g_state, by_hand.g_state), (trained.d_state, by_hand.d_state)):
+        assert a.t == b.t
+        assert all(same_bits(p, q) for p, q in zip(a.m + a.v, b.m + b.v))
+    for rng in ("data_rng", "adv_rng"):
+        assert (getattr(trained, rng).bit_generator.state
+                == getattr(by_hand, rng).bit_generator.state)
+    assert trained.history.records == by_hand.history.records
+    assert [r.step for r in trained.history.records] == list(range(6))
+
+
 def test_pair_arrays_validates_alignment():
     gen, _ = tiny_models()
     lr, hr = paired_sets(4)

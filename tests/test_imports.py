@@ -225,6 +225,15 @@ def test_only_saving_finds_repeated_rows():
     assert functions_referencing("distinct_rows") == ["eegsr/archive.py:save_epoch_set"]
 
 
+def test_only_the_training_steps_apply_adam():
+    """A training step is one function that owns its loss and gradients:
+    `adam_step` is applied by the generator and critic steps and the
+    classifier loop, and by nothing else."""
+    assert functions_referencing("adam_step") == [
+        "eegsr/gan.py:generator_step", "eegsr/gan.py:critic_step",
+        "eegsr/psd.py:train_classifier"]
+
+
 def test_one_coercion_point_in_the_autodiff():
     """A primitive takes Tensors: only a binary op's second operand may be a
     constant, which `tensor._coerce` makes a Tensor, and nothing else coerces."""

@@ -1,10 +1,14 @@
 """Welch spectra, band-power features and the validation classifier."""
+import weakref
+
 import numpy as np
 import pytest
 
+from eegsr import psd
 from eegsr.data import CHANNEL_LABELS_32
 from eegsr.errors import DataError
 from eegsr.models import ClassifierConfig, build_classifier
+from eegsr.nn import functional as F
 from eegsr.psd import (
     BAND_FREQS,
     FEATURE_CHANNELS,
@@ -219,6 +223,38 @@ def test_classifier_determinism():
         train_classifier(model, x, labels, ClassifierTrainConfig(epochs=2, seed=4))
         outs.append(np.concatenate([p.data.ravel() for p in model.parameters()]))
     assert np.array_equal(outs[0], outs[1])
+
+
+def test_classifier_training_drops_each_step_graph(monkeypatch):
+    # A step's gradient arrays must be gone before the next loss is built, and
+    # its loss output before the next gradient is taken. Tensor has __slots__,
+    # so the weak references go to its arrays.
+    real_grad, real_loss = psd.grad, F.cross_entropy
+    outputs, grads, batches = [], [], []
+
+    def alive(refs):
+        return sum(ref() is not None for ref in refs)
+
+    def recording_grad(output, wrt, create_graph=False):
+        assert alive(outputs) == 0, f"{alive(outputs)} loss outputs of a used step alive"
+        result = real_grad(output, wrt, create_graph=create_graph)
+        outputs.append(weakref.ref(output.data))
+        grads.extend(weakref.ref(g.data) for g in result)
+        return result
+
+    def checked_loss(pred, target):
+        assert alive(grads) == 0, f"{alive(grads)} gradient arrays of a used step alive"
+        batches.append(pred.shape[0])
+        return real_loss(pred, target)
+
+    monkeypatch.setattr(psd, "grad", recording_grad)
+    monkeypatch.setattr(F, "cross_entropy", checked_loss)
+    x, labels = separable_features(10)
+    model = build_classifier(ClassifierConfig(), seed=0, dtype=np.float64)
+    train_classifier(model, x, labels, ClassifierTrainConfig(epochs=2, batch_size=8, seed=0))
+    # 30 rows in batches of 8, two epochs.
+    assert batches == [8, 8, 8, 6] * 2
+    assert len(outputs) == 8 and alive(outputs) + alive(grads) == 0
 
 
 def test_train_classifier_rejects_unknown_label():
