@@ -15,7 +15,8 @@ changed training config), 4 a numeric abort in training, 130 an
 interrupt (Ctrl-C), 1 any other error: an input that exists but is
 incomplete (a file inside it missing), malformed, inconsistent or
 incompatible (a generator or a classifier with non-finite outputs among
-them), or another OSError. Each error ends in one line on stderr.
+them), one that declares more than memory holds (MemoryError), or another
+OSError. Each error ends in one line on stderr.
 """
 from __future__ import annotations
 
@@ -196,8 +197,9 @@ def cmd_sr_infer(args, cfg, out):
             f"{gen_cfg.input_shape}"
         )
     for split in ("val", "test"):
-        pred = data.denormalize_set(models.sr_predict_set(
-            gen, data.normalize_set(_load_set(args, split, "lr"), stats)), stats)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused
+            pred = data.denormalize_set(models.sr_predict_set(
+                gen, data.normalize_set(_load_set(args, split, "lr"), stats)), stats)
         if not np.isfinite(pred.values).all():
             raise ParseError(f"--checkpoint {args.checkpoint}: the generator's {split} "
                              "reconstructions are not finite")
@@ -292,12 +294,12 @@ def cmd_evaluate(args, cfg, out):
     seed = cfg["run"]["seed"]
     scale = montage.scale
 
+    methods = [(method, root) for method, root in (("bicubic", args.baseline), ("wgan", args.sr))
+               if root]
     sr_records = []
-    for split in ("val", "test"):
+    for split in ("val", "test") if methods else ():  # truth is read only to score predictions
         hr_set = _load_set(args, split, "hr")
-        for method, root in (("bicubic", args.baseline), ("wgan", args.sr)):
-            if not root:
-                continue
+        for method, root in methods:
             pred = archive.load_epoch_set(Path(root) / split)
             mse, mae = report.sr_metrics(pred, hr_set)
             sr_records.append(report.MetricsRecord(
@@ -318,25 +320,27 @@ def cmd_evaluate(args, cfg, out):
             class_rows.append(report.classification_metrics(
                 pred_ids, labels, class_ids, scale=scale, source=source, seed=seed,
             ))
-    # Written only once every input has been read: a refused input leaves no table.
-    if sr_records:
-        report.write_sr_csv(out / "reconstruction.csv", sr_records)
-        print(f"wrote {len(sr_records)} reconstruction rows")
-    if class_rows:
-        report.write_class_csv(out / "classification.csv", class_rows)
-        print(f"wrote {len(class_rows)} classification conditions")
+    # Written only once every input has been read: a refused input leaves no
+    # table. The rows are listed in `report.TABLES` order.
+    for (name, write, _, _), rows in zip(report.TABLES, (sr_records, class_rows)):
+        if rows:
+            write(out / f"{name}.csv", rows)
+            print(f"wrote {len(rows)} {name} records")
 
 
 def cmd_report(args, cfg, out):
-    sr_path = Path(args.metrics) / "reconstruction.csv"
-    class_path = Path(args.metrics) / "classification.csv"
-    if not sr_path.exists() and not class_path.exists():
+    # Every table present is read, and so checked, before any is written.
+    tables = []
+    for name, write, read, markdown in report.TABLES:
+        path = Path(args.metrics) / f"{name}.csv"
+        if path.exists():
+            tables.append((name, write, markdown, read(path)))
+    if not tables:
         raise ArtifactError(f"no metric tables under {args.metrics}")
-    sr_records = report.read_sr_csv(sr_path) if sr_path.exists() else []
-    class_rows = report.read_class_csv(class_path) if class_path.exists() else []
-    written = report.emit_report(out, sr_records, class_rows)
-    for path in written:
-        print(f"wrote {path}")
+    for name, write, markdown, rows in tables:
+        write(out / f"{name}.csv", rows)
+        (out / f"{name}.md").write_text(markdown(rows))
+        print(f"wrote {out / name}.csv and .md")
 
 
 DATA = ("--data", {"required": True, "help": "preprocess output directory"})
@@ -422,7 +426,8 @@ def _run(args):
 
 # (error, exit code, message prefix), the first that matches applies.
 EXIT_CODES = ((ArtifactError, 2, "error"), (ConfigError, 3, "config error"),
-              (NumericAbort, 4, "numeric abort"), ((EegsrError, OSError), 1, "error"),
+              (NumericAbort, 4, "numeric abort"),
+              ((EegsrError, OSError, MemoryError), 1, "error"),
               (KeyboardInterrupt, 130, "interrupted"))
 
 
@@ -430,7 +435,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         _run(args)
-    except (EegsrError, OSError, KeyboardInterrupt) as exc:
+    except (EegsrError, OSError, MemoryError, KeyboardInterrupt) as exc:
         code, prefix = next((code, prefix) for kind, code, prefix in EXIT_CODES
                             if isinstance(exc, kind))
         print(f"{prefix}: {exc}" if str(exc) else prefix, file=sys.stderr)

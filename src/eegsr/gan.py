@@ -300,9 +300,11 @@ def train(state, train_pair, cfg, val_pair=None, checkpoint_dir=None):
         for lo in range(0, len(order), cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
             xb, yb = x[x_index[sel]], y[y_index[sel]]
-            generator_step(state, xb, yb, cfg, abort)
-            if phase == "gan" and state.g_steps % cfg.training_ratio == 0:
-                critic_step(state, xb, yb, cfg, abort)
+            # Each step checks its own loss: overflow ends in NumericAbort alone.
+            with np.errstate(over="ignore", invalid="ignore"):
+                generator_step(state, xb, yb, cfg, abort)
+                if phase == "gan" and state.g_steps % cfg.training_ratio == 0:
+                    critic_step(state, xb, yb, cfg, abort)
 
         state.epoch = epoch + 1
         if val_pair is not None:

@@ -67,10 +67,6 @@ class GeneratorConfig:
     def input_shape(self):
         return (1, self.c_lr, self.seg_len)
 
-    @property
-    def output_shape(self):
-        return (1, self.c_hr, self.seg_len)
-
 
 def generator_specs(cfg):
     """Layer list for the generator.
@@ -103,9 +99,7 @@ def generator_specs(cfg):
 
 
 def build_generator(cfg, seed=0, dtype=np.float32):
-    model = Model(generator_specs(cfg), cfg.input_shape, seed=seed, dtype=dtype)
-    assert model.shapes[-1] == cfg.output_shape
-    return model
+    return Model(generator_specs(cfg), cfg.input_shape, seed=seed, dtype=dtype)
 
 
 @dataclass(frozen=True)

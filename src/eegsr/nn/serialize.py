@@ -9,6 +9,7 @@ parameters, optimizer moments in training checkpoints and epoch archives.
 """
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -51,21 +52,22 @@ def write_arrays(path, arrays, dtype):
 
 def read_arrays(path, shapes, dtype):
     """Arrays of the given shapes from a raw binary file, as views of one
-    new buffer that the file is read into."""
+    new buffer that the file is read into once its size matches the shapes,
+    so that shapes declaring more than the file holds allocate nothing."""
     dt = _DTYPE_CODES[dtype_code(dtype)]
-    total = sum(int(np.prod(s)) for s in shapes)
-    raw = np.empty(total, dt)
+    total = sum(math.prod(s) for s in shapes)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size != raw.nbytes:
+        if size != total * dt.itemsize:
             found = f"{size} bytes" if size % dt.itemsize else size // dt.itemsize
             raise ParseError(f"{path}: expected {total} values for declared shapes, "
                              f"found {found}")
+        raw = np.empty(total, dt)
         fh.readinto(raw)
     out = []
     offset = 0
     for s in shapes:
-        n = int(np.prod(s))
+        n = math.prod(s)
         out.append(raw[offset : offset + n].reshape(s))
         offset += n
     return out

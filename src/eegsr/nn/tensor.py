@@ -55,6 +55,7 @@ composed from primitives, so the gradient penalty differentiates through it.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import os
 
@@ -142,10 +143,6 @@ def _node(data, parents, vjp):
         out._parents = tuple(parents)
         out._vjp = vjp
     return out
-
-
-def zeros_like(t):
-    return Tensor(np.zeros_like(t.data))
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +533,8 @@ def _row_pool():
 def _kernel_rows(kh, product, into, shape, dtype):
     """into(i) += product(i, out) for each kernel row i, in row order: on the
     pool at most one per worker ahead of the sum, each into one of that many
-    `shape` buffers, inline if one; on an error, those in flight finish first."""
+    `shape` buffers, inline if one; on an error, those in flight finish first.
+    A pooled product runs in the caller's context, so under its `np.errstate`."""
     workers, pool = _row_pool()
     bufs = [np.empty(shape, dtype) for _ in range(min(workers, kh))]
     if len(bufs) == 1:
@@ -552,7 +550,8 @@ def _kernel_rows(kh, product, into, shape, dtype):
                 rows += pending[0].result().reshape(rows.shape)
                 pending.pop(0)
             if i < kh:
-                pending.append(pool.submit(product, i, bufs[i % ahead]))
+                pending.append(pool.submit(contextvars.copy_context().run, product, i,
+                                           bufs[i % ahead]))
     finally:
         for future in pending:
             future.exception()  # waits; an error of its own gives way to the one raised
@@ -756,5 +755,5 @@ def grad(output, wrt, create_graph=False):
     out = []
     for t in wrt:
         c = cot.get(id(t))
-        out.append(c if c is not None else zeros_like(t))
+        out.append(c if c is not None else Tensor(np.zeros_like(t.data)))
     return out

@@ -1,10 +1,12 @@
-"""Evaluation metrics and report emission.
+"""Evaluation metrics and the metric tables.
 
 Reconstruction quality is reported as MSE and MAE of the missing-channel
 block per dataset, scale and method; classification quality as accuracy
 plus per-class precision, recall and support for features taken from true
-versus reconstructed signals. Reports serialise to markdown tables and to
-CSV, written and read through `eegsr.table` (repr floats, so value-exact).
+versus reconstructed signals. `TABLES` names the two metric tables and
+gives each its writer, reader and markdown renderer; the command line
+loops over it. Tables serialise to CSV, written and read through
+`eegsr.table` (repr floats, so value-exact), and render to markdown.
 Malformed text, a table without rows and a row or group of rows that does
 not make a valid record raise ParseError naming the file and the line.
 Records check their own values, scoring checks row alignment and the class
@@ -13,7 +15,6 @@ set, and the writers check nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -230,76 +231,48 @@ def _fmt(v):
     return f"{v:.4f}"
 
 
+def _markdown(header, rows):
+    """A markdown table: the header line, its `---` rule and one line per row."""
+    return "".join(f"| {' | '.join(cells)} |\n"
+                   for cells in [header, ["---"] * len(header), *rows])
+
+
 def sr_markdown(records):
     """One row per (dataset, scale); bicubic and adversarial columns side
     by side, '-' where a method was not evaluated."""
-    cells = {}
-    for r in records:
-        cells[(r.dataset, r.scale, r.method)] = r
+    cells = {(r.dataset, r.scale, r.method): r for r in records}
     keys = sorted({(r.dataset, r.scale) for r in records},
                   key=lambda k: (DATASETS.index(k[0]), k[1]))
-    lines = [
-        "| Dataset | Scale | Bicubic MSE | Bicubic MAE | WGAN MSE | WGAN MAE |",
-        "| --- | --- | --- | --- | --- | --- |",
-    ]
+    rows = []
     for dataset, scale in keys:
         row = [dataset.capitalize(), str(scale)]
         for method in SR_METHODS:
             r = cells.get((dataset, scale, method))
             row.extend(["-", "-"] if r is None else [_fmt(r.mse), _fmt(r.mae)])
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return _markdown(["Dataset", "Scale", "Bicubic MSE", "Bicubic MAE", "WGAN MSE",
+                      "WGAN MAE"], rows)
 
 
 def class_markdown(metrics_list):
-    """Accuracy, then per-class precision and recall, per feature source."""
+    """Accuracy, then per-class precision and recall, with a column per
+    feature source; '-' where a source was not evaluated."""
     by_key = {(m.scale, m.source): m for m in metrics_list}
-    scales = sorted({m.scale for m in metrics_list})
-    lines = [
-        "| Scale | Metric | Class | True channels | Reconstructed |",
-        "| --- | --- | --- | --- | --- |",
-    ]
-
-    def cell(scale, source, attr, idx=None):
-        m = by_key.get((scale, source))
-        if m is None:
-            return "-"
-        value = getattr(m, attr)
-        if idx is not None:
-            value = value[idx]
-        return _fmt(value)
-
-    for scale in scales:
-        any_m = by_key.get((scale, "hr")) or by_key.get((scale, "sr"))
-        lines.append(
-            f"| {scale} | Accuracy | - | {cell(scale, 'hr', 'accuracy')} "
-            f"| {cell(scale, 'sr', 'accuracy')} |"
-        )
-        for i, c in enumerate(any_m.class_ids):
-            lines.append(
-                f"| {scale} | Precision | {c} | {cell(scale, 'hr', 'precision', i)} "
-                f"| {cell(scale, 'sr', 'precision', i)} |"
-            )
-        for i, c in enumerate(any_m.class_ids):
-            lines.append(
-                f"| {scale} | Recall | {c} | {cell(scale, 'hr', 'recall', i)} "
-                f"| {cell(scale, 'sr', 'recall', i)} |"
-            )
-    return "\n".join(lines) + "\n"
+    rows = []
+    for scale in sorted({m.scale for m in metrics_list}):
+        pair = [by_key.get((scale, source)) for source in CLASS_SOURCES]
+        rows.append([str(scale), "Accuracy", "-"]
+                    + ["-" if m is None else _fmt(m.accuracy) for m in pair])
+        class_ids = next(m for m in pair if m is not None).class_ids
+        for name in ("precision", "recall"):
+            for i, c in enumerate(class_ids):
+                rows.append([str(scale), name.capitalize(), str(c)]
+                            + ["-" if m is None else _fmt(getattr(m, name)[i]) for m in pair])
+    return _markdown(["Scale", "Metric", "Class", "True channels", "Reconstructed"], rows)
 
 
-def emit_report(out_dir, sr_records=None, class_metrics=None):
-    """Write the CSV and markdown tables of whichever report families are
-    present; returns written paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if sr_records:
-        write_sr_csv(out_dir / "reconstruction.csv", sr_records)
-        (out_dir / "reconstruction.md").write_text(sr_markdown(sr_records))
-        written += [out_dir / "reconstruction.csv", out_dir / "reconstruction.md"]
-    if class_metrics:
-        write_class_csv(out_dir / "classification.csv", class_metrics)
-        (out_dir / "classification.md").write_text(class_markdown(class_metrics))
-        written += [out_dir / "classification.csv", out_dir / "classification.md"]
-    return written
+# The metric tables, in the order they are written: (name, writer, reader,
+# markdown renderer). `evaluate` writes `<name>.csv`, and `report` reads it
+# and writes it again as `<name>.csv` and `<name>.md`.
+TABLES = (("reconstruction", write_sr_csv, read_sr_csv, sr_markdown),
+          ("classification", write_class_csv, read_class_csv, class_markdown))

@@ -2,9 +2,13 @@
 import csv
 import ctypes
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +339,19 @@ def test_evaluate_scores_sr_features_only_when_written(tmp_path, pipeline):
         "--classifier", str(pipeline["clf"]), "--out", str(out))
     rows = (out / "classification.csv").read_text().splitlines()[1:]
     assert rows and {row.split(",")[1] for row in rows} == {"hr"}
+
+
+def test_evaluate_reads_no_truth_to_score_only_the_classifier(tmp_path, pipeline):
+    # val_hr and test_hr are the truth that reconstructions are scored against;
+    # without them, scoring the classifier alone exited 1.
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(pipeline["data"], data)
+    for split in ("val", "test"):
+        shutil.rmtree(data / f"{split}_hr")
+    run("evaluate", "--data", str(data), "--features", str(pipeline["feats"]),
+        "--classifier", str(pipeline["clf"]), "--out", str(out))
+    name = "classification.csv"
+    assert (out / name).read_bytes() == (pipeline["metrics"] / name).read_bytes()
 
 
 # Epoching geometry out of range: each ended in a ZeroDivisionError traceback,
@@ -681,6 +698,12 @@ ARCHIVE_FAULTS = {
                                    "values.bin", None),
     "values-truncated": (lambda arc: (arc / "values.bin").write_bytes(
         (arc / "values.bin").read_bytes()[:-8]), "values.bin", None),
+    # 10**12 rows of 16 x 64 float64 values, over 2**52 bytes: values.bin's
+    # buffer was allocated before its size was compared, and numpy's
+    # MemoryError ended baseline in a traceback.
+    "values-declared-past-memory": (lambda arc: _sub_in(
+        arc / "manifest.txt", r"n_epochs = \d+\nn_distinct = \d+",
+        "n_epochs = 1000000000000\nn_distinct = 1000000000000"), "values.bin", None),
 }
 
 
@@ -819,6 +842,33 @@ def test_a_generator_that_reconstructs_nan_fails_evaluation(tmp_path, pipeline, 
     err = capsys.readouterr().err
     assert err.startswith("error: mse nan and mae nan must be finite and not negative")
     assert err.count("\n") == 1 and not out.exists(), err
+
+
+def run_as_a_user(argv):
+    """(exit code, stderr) of `python -m eegsr` on argv in a new interpreter,
+    under Python's default warning filters rather than the tests' own."""
+    path = os.pathsep.join(filter(None, (str(Path(__file__).resolve().parent.parent / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "eegsr", *argv] + OVERRIDES,
+                          capture_output=True, text=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "default"})
+    return proc.returncode, proc.stderr
+
+
+# A weight of 3e38, finite in float32, in the generator a command starts from:
+# numpy's overflow warnings came before the line that ends the command.
+@pytest.mark.parametrize("command, flag, checkpoint, code, message", [
+    ("gan-train", "--init", ("pre", "last"), 4, "numeric abort: non-finite loss at step 0"),
+    ("sr-infer", "--checkpoint", ("adv", "best"), 1,
+     "error: --checkpoint {ck}: the generator's val reconstructions are not finite"),
+], ids=["gan-train", "sr-infer"])
+def test_overflow_ends_in_one_line(tmp_path, pipeline, command, flag, checkpoint, code, message):
+    ck, out = tmp_path / "ck", tmp_path / "out"
+    shutil.copytree(pipeline[checkpoint[0]] / checkpoint[1], ck)
+    with open(ck / "generator" / "params.bin", "r+b") as fh:
+        fh.write(np.array(3e38, "<f4").tobytes())
+    argv = [command, "--data", str(pipeline["data"]), flag, str(ck), "--out", str(out)]
+    assert run_as_a_user(argv) == (code, message.format(ck=ck) + "\n")
 
 
 def test_malformed_sampling_rate_is_a_parse_error(tmp_path, pipeline, capsys):
@@ -1015,6 +1065,11 @@ CHECKPOINT_FAULTS = {
     "layer-kind": lambda ck: _sub_in(ck.joinpath(*MODEL), "kind = conv", "kind = dense"),
     "layer-source": lambda ck: _sub_in(ck.joinpath(*MODEL), r"concat_sources = (?=\d)",
                                        "concat_sources = 99,"),
+    # 10**14 filters of 17 x 1 float32 weights, over 2**52 bytes: a model's
+    # parameters are allocated before params.bin is read, and numpy's
+    # MemoryError ended the command in a traceback.
+    "layer-kernels-past-memory": lambda ck: _sub_in(ck.joinpath(*MODEL), r"kernels = \d+",
+                                                    "kernels = 100000000000000"),
     "rng-kind": lambda ck: _sub_in(ck / "manifest.txt", r"data_rng = .*",
                                    f"data_rng = {FOREIGN_RNG}"),
     # these two loaded; with g_steps = -5, --resume restarted history.csv at step -5
@@ -1038,7 +1093,7 @@ def test_corrupt_checkpoint_is_a_one_line_error(tmp_path, pipeline, capsys, faul
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-GENERATOR_FAULTS = ("params-missing", "layer-kind", "layer-source")
+GENERATOR_FAULTS = ("params-missing", "layer-kind", "layer-source", "layer-kernels-past-memory")
 
 
 def test_a_generator_with_dropout_layers_is_refused(tmp_path, pipeline, capsys):

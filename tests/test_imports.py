@@ -1,10 +1,10 @@
 """Every imported name in src/ and tests/ is used, every function in src/ has
 a caller outside the tests, and so has every defaulted parameter (no linter
 is installed); the autodiff primitives and layer operations raise nothing;
-each file format has one owner, one function finds repeated rows, the
-autodiff makes only a binary op's second operand a Tensor, only the command
-line refuses an absent input, and importing the command line loads
-only known modules."""
+each file format has one owner, only `report` names the metric tables, one
+function finds repeated rows, the autodiff makes only a binary op's second
+operand a Tensor, only the command line refuses an absent input, and
+importing the command line loads only known modules."""
 import ast
 import os
 import subprocess
@@ -243,6 +243,21 @@ def test_one_coercion_point_in_the_autodiff():
         f"eegsr/nn/tensor.py:{op}" for op in ("add", "sub", "mul", "div", "matmul")]
 
 
+def test_only_report_names_the_metric_tables():
+    """`report.TABLES` names each metric table and the commands loop over it,
+    so no other module holds a string that names a table or its files."""
+    from eegsr.report import TABLES
+
+    names = {name for name, *_ in TABLES}
+    src = ROOT / "src"
+    found = [f"{path.relative_to(src)}:{node.lineno}: {node.value!r}"
+             for path in sorted(src.rglob("*.py")) if path != src / "eegsr" / "report.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and Path(node.value).stem in names]
+    assert not found, "metric table named outside report.TABLES:\n" + "\n".join(found)
+
+
 # The raw binary format's one owner: the only module that calls numpy's file
 # I/O or reads a file into an array.
 BINARY_OWNER = "eegsr/nn/serialize.py"
@@ -298,8 +313,7 @@ CHECKED_AT_ENTRY = {
     "data.py": ("split_dataset", "downsample_set"),
     "bicubic.py": ("interpolation_weights",),
     "psd.py": ("train_classifier",),
-    "report.py": ("write_sr_csv", "write_class_csv", "sr_markdown", "class_markdown",
-                  "emit_report"),
+    "report.py": ("write_sr_csv", "write_class_csv", "sr_markdown", "class_markdown"),
     "nn/layers.py": ("set_parameters",),
 }
 

@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
+from eegsr.cli import main
 from eegsr.errors import DataError, ParseError
 from eegsr.report import (
     ClassMetrics,
     MetricsRecord,
     class_markdown,
     classification_metrics,
-    emit_report,
     read_class_csv,
     read_sr_csv,
     sr_markdown,
@@ -211,12 +211,20 @@ def test_class_markdown_pairs_sources():
     assert "Precision" in text and "Recall" in text
 
 
-def test_emit_report_writes_csv_and_markdown(tmp_path):
+def test_report_writes_csv_and_markdown_of_each_table_present(tmp_path):
     records = [MetricsRecord("val", 2, "bicubic", mse=1.0, mae=0.5, seed=0)]
     cls = [classification_metrics([0], [0], (0,), scale=2, source="hr", seed=0)]
-    written = emit_report(tmp_path, sr_records=records, class_metrics=cls)
-    names = sorted(p.name for p in written)
-    assert names == ["classification.csv", "classification.md",
-                     "reconstruction.csv", "reconstruction.md"]
-    only_sr = emit_report(tmp_path / "sr", sr_records=records)
-    assert [p.name for p in only_sr] == ["reconstruction.csv", "reconstruction.md"]
+    metrics, only_sr, both = tmp_path / "metrics", tmp_path / "sr", tmp_path / "both"
+    metrics.mkdir()
+    write_sr_csv(metrics / "reconstruction.csv", records)
+    assert main(["report", "--metrics", str(metrics), "--out", str(only_sr)]) == 0
+    assert sorted(p.name for p in only_sr.iterdir()) == ["reconstruction.csv",
+                                                         "reconstruction.md"]
+    write_class_csv(metrics / "classification.csv", cls)
+    assert main(["report", "--metrics", str(metrics), "--out", str(both)]) == 0
+    assert sorted(p.name for p in both.iterdir()) == ["classification.csv", "classification.md",
+                                                      "reconstruction.csv", "reconstruction.md"]
+    for name in ("reconstruction.csv", "classification.csv"):
+        assert (both / name).read_bytes() == (metrics / name).read_bytes()
+    assert (both / "reconstruction.md").read_text() == sr_markdown(records)
+    assert (both / "classification.md").read_text() == class_markdown(cls)

@@ -514,6 +514,17 @@ def test_an_error_while_products_are_in_flight_waits_for_them(pool_of, monkeypat
         assert all(same_bits(a, b) for a, b in zip(_kernels(x, w, (1, 1)), serial))
 
 
+def test_pooled_products_run_under_the_callers_errstate(pool_of):
+    # Training and sr-infer ignore overflow and check finiteness themselves:
+    # the pool's threads, under numpy's default errstate, still warned.
+    x = np.ones((1, 8, 16, 4), np.float32)
+    w = np.full((8, 8, 9, 3), 3e38, np.float32)
+    with lowering("tap_rows"), np.errstate(over="ignore", invalid="ignore"):
+        pool_of(2)
+        y = conv2d(Tensor(x), Tensor(w)).data
+    assert np.isinf(y).all()
+
+
 def test_grad_consumes_the_graph_it_walks():
     # Without create_graph each node drops its parents and its vjp once
     # visited: an activation of a loss the caller still holds is freed by
