@@ -26,13 +26,24 @@ from .ini import format_value
 
 def write(path, header, rows, comment=None):
     """Write `header`, then each row of cells by format_value; a `comment`
-    is written first as a `# comment` line."""
+    is written first as a `# comment` line.
+
+    A row is its cells joined by commas, but one that csv may quote (a
+    comma, quote or line break in a cell, or one empty cell alone) goes
+    through csv.writer, so every row has csv's bytes."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([format_value(v) for v in row] for row in rows)
+        for row in rows:
+            cells = [format_value(v) for v in row]
+            line = ",".join(cells)
+            if (line.count(",") != len(cells) - 1 or cells == [""]
+                    or '"' in line or "\n" in line or "\r" in line):
+                writer.writerow(cells)
+            else:
+                fh.write(line + "\n")
 
 
 @dataclass(frozen=True)

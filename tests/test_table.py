@@ -1,9 +1,15 @@
 """The CSV table codec: exact round trips, one line terminator, located errors."""
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegsr import table
 from eegsr.errors import ParseError
+from eegsr.ini import format_value
 
 HEADER = ["name", "count", "value"]
 ROWS = [("a b", 3, 0.1), ("x,y", -2, 1e-300), ("", 0, -0.0)]
@@ -58,3 +64,25 @@ def test_parse_error_names_the_line_of_the_cell(tmp_path):
     path.write_text("name,count,value\na,1,0.5\nb,99999999999999999999,1\n")
     with pytest.raises(ParseError, match="^line 3: .*count must be an integer"):
         table.read(path, HEADER).parse(1, int, "count")
+
+
+# A cell: text with every character csv quotes for, or a number or tuple
+# for format_value.
+CELLS = (st.text(list("ab1.-e \t\u00e9,\"\r\n"), max_size=4)
+         | st.sampled_from([0.1, -0.0, 1e-300, 7, (1, 2)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(CELLS, max_size=4), max_size=6))
+def test_rows_have_the_bytes_of_csv_writer(tmp_path_factory, rows):
+    # A row goes out as its cells joined by commas unless csv would quote
+    # it: a comma, quote or line break in a cell, or one empty cell alone.
+    rows = rows + [[""], [], ["", ""], ["a,b"], ['"'], ["x\ry"]]
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    table.write(path, HEADER, rows, comment="note")
+    expected = io.StringIO(newline="")
+    expected.write("# note\n")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(HEADER)
+    writer.writerows([format_value(v) for v in row] for row in rows)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")

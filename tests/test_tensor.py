@@ -5,7 +5,13 @@ import weakref
 import numpy as np
 import pytest
 
-from eegsr.models import DiscriminatorConfig, GeneratorConfig, discriminator_specs, generator_specs
+from eegsr.models import (
+    DiscriminatorConfig,
+    GeneratorConfig,
+    build_generator,
+    discriminator_specs,
+    generator_specs,
+)
 from eegsr.nn import functional as F
 from eegsr.nn.layers import Model, conv
 from eegsr.nn import tensor as tensor_module
@@ -523,6 +529,178 @@ def test_pooled_products_run_under_the_callers_errstate(pool_of):
         pool_of(2)
         y = conv2d(Tensor(x), Tensor(w)).data
     assert np.isinf(y).all()
+
+
+def test_a_pool_without_sched_getaffinity_counts_the_cpus(pool_of, monkeypatch):
+    # macOS has no os.sched_getaffinity: the pool takes os.cpu_count()
+    # workers, and the kernels keep the serial bits.
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 8, 16, 5)).astype(np.float32)
+    w = rng.normal(size=(8, 8, 9, 3)).astype(np.float32)
+    with lowering("tap_rows"):
+        pool_of(1)
+        serial = _kernels(x, w, (1, 1))
+        monkeypatch.delattr(tensor_module.os, "sched_getaffinity")
+        monkeypatch.setattr(tensor_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(tensor_module, "_pool", None)
+        try:
+            pooled = _kernels(x, w, (1, 1))
+        finally:
+            if tensor_module._pool is not None:
+                tensor_module._pool[1].shutdown()
+    assert tensor_module._pool[0] == 2
+    assert all(same_bits(a, b) for a, b in zip(pooled, serial))
+
+
+@pytest.fixture
+def split_all(monkeypatch):
+    """Split every batch of more than one sample by sample range, draw masks
+    7 numbers at a time and compute banded input-gradient columns one sample
+    at a time, so that small shapes take every pooled path."""
+    monkeypatch.setattr(tensor_module, "SPLIT_MIN_MACS", 0)
+    monkeypatch.setattr(tensor_module, "SPLIT_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(tensor_module, "_CHUNK", 7)
+    monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", 1)
+
+
+def _banded_step(x, w, b, rate, rng):
+    """A banded conv layer with its ELU and, at a rate above 0, its dropout,
+    forward and backward without a graph: the output, the gradients of the
+    input, weight and bias, and the rng's next numbers."""
+    with lowering("banded"):
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        y = elu_dropout(conv2d(xt, wt, (1, 1) if w.shape[3] == 1 else (1, 2), bt), True, rate,
+                        rng if rate else None)
+        grads = grad(sum_t(mul_const(y, np.cos(y.data))), [xt, wt, bt])
+    return [y.data] + [t.data for t in grads] + [rng.random(3)]
+
+
+# (input, weight) of banded layers with a per-sample size that is not a
+# multiple of 16: a one-column kernel, whose columns are the input gradient,
+# and a 3x3 kernel at width stride 2, whose columns are scattered back.
+SAMPLE_RANGE_CASES = [
+    pytest.param((5, 3, 7, 5), (4, 3, 3, 1), id="3x1"),
+    pytest.param((5, 3, 7, 5), (4, 3, 3, 3), id="3x3-stride1x2"),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape, w_shape", SAMPLE_RANGE_CASES)
+def test_sample_ranges_give_the_serial_bits_on_any_number_of_workers(
+        pool_of, monkeypatch, split_all, x_shape, w_shape, dtype):
+    # The banded products, the ELU and dropout, its backward and the pooled
+    # weight gradient each write their own part of the result, so 2 and 3
+    # workers, their tasks finishing out of order, give the serial bits,
+    # and the rng ends as after one draw.
+    rng = np.random.default_rng(9)
+    x, w, b = (rng.normal(size=s).astype(dtype) for s in (x_shape, w_shape, w_shape[:1]))
+    for rate in (0.3, 0.0):
+        pool_of(1)
+        serial = _banded_step(x, w, b, rate, np.random.default_rng(10))
+        for n in (2, 3):
+            futures = _stagger(pool_of(n), monkeypatch)
+            pooled = _banded_step(x, w, b, rate, np.random.default_rng(10))
+            assert all(same_bits(a, c) for a, c in zip(pooled, serial)), (rate, n)
+            # Forward and ELU, ELU and input-gradient ranges, and the weight gradient.
+            assert len(futures) == 4 * (n - 1) + 1, (rate, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_split_mask_draw_is_one_draw(pool_of, monkeypatch, split_all, n):
+    # Each range draws from a copy of the rng moved to its first number: the
+    # mask is that of one rng.random(size) call, and the rng ends in that
+    # call's state, the 32-bit half that permutation(2) leaves buffered kept.
+    x = Tensor(np.random.default_rng(11).uniform(1.0, 2.0, size=(5, 3, 7)))
+    rng = np.random.default_rng(12)
+    rng.permutation(2)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    one = np.random.default_rng(0)
+    one.bit_generator.state = rng.bit_generator.state
+    keep = one.random(x.size).reshape(x.shape) >= 0.4
+    _stagger(pool_of(n), monkeypatch)
+    y = elu_dropout(x, False, 0.4, rng).data
+    assert same_bits(y, x.data * keep * (1 / 0.6))
+    assert rng.bit_generator.state == one.bit_generator.state
+    assert same_bits(rng.integers(0, 2**32, 4, dtype=np.uint32),
+                     one.integers(0, 2**32, 4, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("error", [RuntimeError("gradient failed"), KeyboardInterrupt()],
+                         ids=["RuntimeError", "KeyboardInterrupt"])
+@pytest.mark.parametrize("failing", ["conv2d_input_grad", "_pooled_weight_grad"])
+def test_an_error_while_deferred_gradients_are_in_flight_waits_for_them(
+        pool_of, monkeypatch, split_all, failing, error):
+    # Two banded layers: the second one's weight gradient goes to the pool,
+    # held back 5 ms, and then the first one's input gradient raises, after
+    # its weight gradient went to the pool too, or its weight gradient does.
+    # The error comes out as it was raised once every task has finished, and
+    # the pool then gives the serial bits again.
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(4, 2, 6, 5))
+    w1, w2 = rng.normal(size=(3, 2, 3, 3)), rng.normal(size=(2, 3, 3, 1))
+    b = np.zeros(3)
+    pool_of(1)
+    serial = _banded_step(x, w1, b, 0.0, np.random.default_rng(14))
+    futures = _stagger(pool_of(2), monkeypatch)
+    real, calls = getattr(tensor_module, failing), []
+
+    def fail_at_first_layer(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(tensor_module, failing, fail_at_first_layer)
+    xt, w1t, w2t = (Tensor(a, requires_grad=True) for a in (x, w1, w2))
+    with lowering("banded"):
+        loss = sum_t(conv2d(conv2d(xt, w1t), w2t))
+        with pytest.raises(type(error)) as raised:
+            grad(loss, [xt, w1t, w2t])
+    assert raised.value is error
+    assert len(futures) >= 2 and all(f.done() for f in futures)
+    monkeypatch.setattr(tensor_module, failing, real)
+    again = _banded_step(x, w1, b, 0.0, np.random.default_rng(14))
+    assert all(same_bits(a, c) for a, c in zip(again, serial))
+
+
+def test_a_batch_of_one_submits_nothing_new(pool_of, monkeypatch):
+    # At batch 1 the kernel-rows products already hold every core: the
+    # full-width banded layers, with their ELU and dropout, split nothing
+    # and send no weight gradient to the pool.
+    submitted = []
+    pool = pool_of(2)
+    submit = pool.submit
+    monkeypatch.setattr(pool, "submit", lambda fn, *args: submitted.append(args) or submit(fn, *args))
+    rng = np.random.default_rng(15)
+    for name, (ci, h, wi), w_shape, stride in _conv_layers(1.0):
+        if _lowering((1, ci, h, wi), w_shape, stride) != "banded":
+            continue
+        xt = Tensor(rng.normal(size=(1, ci, h, wi)).astype(np.float32), requires_grad=True)
+        wt = Tensor(rng.normal(size=w_shape).astype(np.float32), requires_grad=True)
+        y = elu_dropout(conv2d(xt, wt, stride), True, 0.1, rng)
+        grad(sum_t(y * y), [xt, wt])
+        assert not submitted, name
+
+
+def test_a_desk_training_step_on_two_workers_holds_one_more_weight_gradient(pool_of):
+    # A desk-width generator step at batch 64. With 2 workers the traced
+    # peak stays within 8 MiB of the 1-worker peak: the operands of the
+    # largest deferred weight gradient, the 8->8 9x3 layer's columns (6 MiB)
+    # and its output gradient (2 MiB), overlapping the input gradients.
+    gen = build_generator(GeneratorConfig(16, 2, 64, width=1 / 64))
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.normal(size=(64,) + gen.input_shape).astype(np.float32))
+    y = Tensor(rng.normal(size=(64,) + gen.shapes[-1]).astype(np.float32))
+
+    def step():
+        return grad(F.mse(gen.forward(x, np.random.default_rng(17)), y), gen.parameters())
+
+    peaks = {}
+    for n in (1, 2):
+        pool_of(n)
+        step()  # the first pooled task starts the workers
+        peaks[n] = peak_bytes(step)[1]
+    assert peaks[2] <= peaks[1] + (8 << 20), (peaks[1], peaks[2])
 
 
 def test_grad_consumes_the_graph_it_walks():
